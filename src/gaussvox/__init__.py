@@ -6,19 +6,7 @@ converts a scene to a dense semantic occupancy grid through a sorted
 gradient descent on cross-entropy plus Lovasz-softmax losses.
 """
 
-from .core import (
-    Covariance,
-    GaussianScene,
-    SemanticGaussian,
-    activate,
-    covariance,
-    evaluate,
-    evaluate_weight,
-    evaluate_weight_grad,
-    gaussian_weight,
-    quat_to_rotation,
-    reference_points,
-)
+from .core import GaussianScene, gaussian_weight, quat_to_rotation
 from .errors import (
     CapacityError,
     DegenerateRotationError,
@@ -51,7 +39,6 @@ from .splat import (
     SplatIndex,
     build_splat_index,
     decode_labels,
-    neighborhood_radius,
     splat,
     splat_oracle,
     voxelize_means,

@@ -68,15 +68,11 @@ def _grid_spec(args) -> GridSpec:
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    """The thread count from --threads, else GAUSSVOX_THREADS, else 1."""
+    text = args.threads if args.threads is not None else os.environ.get(THREADS_ENV) or "1"
+    if not text.strip().isdigit() or int(text) < 1:
+        raise UsageError(f"--threads or {THREADS_ENV} must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> _Parser:
@@ -90,7 +86,7 @@ def build_parser() -> _Parser:
                    help="neighborhood cutoff in sigmas (default 3)")
     p.add_argument("--exact", action="store_true",
                    help="exact mode: neighborhoods cover the whole grid")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", default=None)
     p.add_argument("--labels-only", action="store_true", help="omit scores from the output")
     p.add_argument("--out", required=True)
 
@@ -117,7 +113,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lr-schedule", choices=["constant", "cosine"], default="constant")
     p.add_argument("--warmup-iters", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", default=None)
     p.add_argument("--log", help="append one line-delimited record per iteration")
     p.add_argument("--out", required=True)
 
@@ -126,7 +122,6 @@ def build_parser() -> _Parser:
     p.add_argument("--shapes", required=True, help="JSON file with a list of shape dicts")
     p.add_argument("--class-count", type=int, default=None,
                    help="default: one past the largest shape class")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--scene-out", help="also emit a generating scene file")
 
@@ -139,7 +134,7 @@ def build_parser() -> _Parser:
     p.add_argument("--smax", type=float, default=0.3)
     p.add_argument("--class-count", type=int, default=18)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", default=None)
 
     p = sub.add_parser("info", help="dump the header of a scene or grid file")
     p.add_argument("path")
@@ -150,7 +145,7 @@ def _cmd_splat(args) -> int:
     scene = read_scene(args.scene)
     spec = _grid_spec(args)
     cutoff = None if args.exact else args.cutoff
-    grid = splat(scene, spec, cutoff, threads=_threads(args))
+    grid = splat(scene, spec, cutoff, threads=args.threads)
     if args.labels_only:
         grid.scores = None
     write_grid(grid, args.out)
@@ -207,7 +202,7 @@ def _cmd_fit(args, out) -> int:
             )
             if log_file is not None:
                 log_file.write(line)
-        report = fit(initial, truth, config, threads=_threads(args), log_fn=log_fn)
+        report = fit(initial, truth, config, threads=args.threads, log_fn=log_fn)
     finally:
         if log_file is not None:
             log_file.close()
@@ -228,8 +223,7 @@ def _cmd_gen(args, out) -> int:
     class_count = args.class_count
     if class_count is None:
         class_count = max((int(s["cls"]) for s in shapes), default=0) + 1
-    result = gen_synthetic(spec, shapes, class_count, emit_scene=bool(args.scene_out),
-                           seed=args.seed)
+    result = gen_synthetic(spec, shapes, class_count, emit_scene=bool(args.scene_out))
     if args.scene_out:
         grid, scene = result
         write_scene(scene, args.scene_out)
@@ -270,7 +264,7 @@ def run_bench(counts, spec: GridSpec, cutoff: float, class_count: int, s_max: fl
             splat(scene, spec, index=index)
             timings.append((time.perf_counter() - t0) * 1e3)
         tracemalloc.start()
-        index = build_splat_index(scene, spec, cutoff, threads=1)
+        index = build_splat_index(scene, spec, cutoff, threads=threads)
         splat(scene, spec, index=index)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
@@ -293,7 +287,7 @@ def linear_fit(x, y):
 def _cmd_bench(args, out) -> int:
     spec = _grid_spec(args)
     rows = run_bench(args.counts, spec, args.cutoff, args.class_count, args.smax,
-                     args.seed, args.repeats, _threads(args))
+                     args.seed, args.repeats, args.threads)
     out.write(f"{'gaussians':>10} {'latency_ms':>12} {'peak_bytes':>14}\n")
     for count, ms, peak in rows:
         out.write(f"{count:>10} {ms:>12.2f} {peak:>14}\n")
@@ -342,6 +336,8 @@ def main(argv=None, stdout=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if hasattr(args, "threads"):
+            args.threads = _threads(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         print("run 'gaussvox --help' for usage", file=sys.stderr)

@@ -17,109 +17,47 @@ from .errors import DegenerateRotationError, InvalidScaleError
 QUAT_NORM_EPS = 1e-12
 
 
-def _as_f64(x, n: int, name: str) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64).reshape(-1)
-    if a.shape != (n,):
-        raise ValueError(f"{name} must have {n} components, got shape {np.shape(x)}")
-    return a
-
-
 def quat_to_rotation(rotation) -> np.ndarray:
-    """Convert a (w, x, y, z) quaternion to a 3x3 rotation matrix.
+    """Convert (w, x, y, z) quaternions, shape (..., 4), to rotation matrices.
 
-    The quaternion is normalized internally; a norm below 1e-12 raises
-    DegenerateRotationError.
+    Returns shape (..., 3, 3).  Each quaternion is normalized internally; a
+    norm of 1e-12 or below raises DegenerateRotationError.
     """
-    q = _as_f64(rotation, 4, "rotation")
-    norm = float(np.sqrt(np.dot(q, q)))
-    if norm <= QUAT_NORM_EPS:
-        raise DegenerateRotationError(f"quaternion norm {norm:.3e} too small")
-    w, x, y, z = q / norm
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    q = np.asarray(rotation, dtype=np.float64)
+    if q.shape[-1:] != (4,):
+        raise ValueError(f"rotation must have 4 components, got shape {q.shape}")
+    norm = np.sqrt(np.sum(q * q, axis=-1, keepdims=True))
+    if np.any(norm <= QUAT_NORM_EPS):
+        raise DegenerateRotationError(f"quaternion norm {np.min(norm):.3e} too small")
+    w, x, y, z = np.moveaxis(q / norm, -1, 0)
+    rows = [
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ]
+    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
 
 
-def _rotation_jacobian(q_unit: np.ndarray) -> np.ndarray:
-    """d(rotation matrix)/d(quaternion) for a unit quaternion, shape (4, 3, 3)."""
-    w, x, y, z = q_unit
-    dw = np.array([[0, -z, y], [z, 0, -x], [-y, x, 0]], dtype=np.float64) * 2.0
-    dx = np.array([[0, y, z], [y, -2 * x, -w], [z, w, -2 * x]], dtype=np.float64) * 2.0
-    dy = np.array([[-2 * y, x, w], [x, 0, z], [-w, z, -2 * y]], dtype=np.float64) * 2.0
-    dz = np.array([[-2 * z, -w, x], [w, -2 * z, y], [x, y, 0]], dtype=np.float64) * 2.0
-    return np.stack([dw, dx, dy, dz])
-
-
-@dataclass(frozen=True)
-class Covariance:
-    """Symmetric positive-definite 3x3 covariance in meters squared."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.shape != (3, 3):
-            raise ValueError(f"covariance must be 3x3, got {m.shape}")
-        object.__setattr__(self, "matrix", m)
-
-
-def covariance(scale, rotation) -> Covariance:
-    """Build the covariance R diag(s) diag(s)^T R^T from scale and rotation."""
-    s = _as_f64(scale, 3, "scale")
-    if np.any(s <= 0):
-        raise InvalidScaleError(f"scale components must be > 0, got {s.tolist()}")
-    r = quat_to_rotation(rotation)
-    rs = r * s  # R @ diag(s)
-    return Covariance(rs @ rs.T)
-
-
-@dataclass(frozen=True)
-class SemanticGaussian:
-    """One scene primitive: mean, scale, rotation quaternion, class semantics."""
-
-    mean: np.ndarray
-    scale: np.ndarray
-    rotation: np.ndarray
-    logits: np.ndarray
-
-    def __post_init__(self):
-        mean = _as_f64(self.mean, 3, "mean").astype(np.float32)
-        scale = _as_f64(self.scale, 3, "scale").astype(np.float32)
-        if np.any(scale <= 0):
-            raise InvalidScaleError(f"scale components must be > 0, got {scale.tolist()}")
-        q = np.asarray(self.rotation, dtype=np.float64).reshape(-1)
-        if q.shape != (4,):
-            raise ValueError("rotation must have 4 components")
-        norm = float(np.sqrt(np.dot(q, q)))
-        if norm <= QUAT_NORM_EPS:
-            raise DegenerateRotationError(f"quaternion norm {norm:.3e} too small")
-        q = (q / norm).astype(np.float32)
-        logits = np.asarray(self.logits, dtype=np.float32).reshape(-1)
-        if logits.size < 1:
-            raise ValueError("logits must have at least one class")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "rotation", q)
-        object.__setattr__(self, "logits", logits)
-
-    @property
-    def class_count(self) -> int:
-        return int(self.logits.size)
-
-    def covariance(self) -> Covariance:
-        return covariance(self.scale, self.rotation)
+def _rotation_jacobian(q_unit) -> np.ndarray:
+    """d(rotation matrix)/d(quaternion) for unit quaternions (..., 4): (..., 4, 3, 3)."""
+    w, x, y, z = np.moveaxis(np.asarray(q_unit, dtype=np.float64), -1, 0)
+    o = np.zeros_like(w)
+    blocks = [
+        [[o, -z, y], [z, o, -x], [-y, x, o]],
+        [[o, y, z], [y, -2 * x, -w], [z, w, -2 * x]],
+        [[-2 * y, x, w], [x, o, z], [-w, z, -2 * y]],
+        [[-2 * z, -w, x], [w, -2 * z, y], [x, y, o]],
+    ]
+    return 2.0 * np.moveaxis(np.array(blocks), (0, 1, 2), (-3, -2, -1))
 
 
 @dataclass
 class GaussianScene:
-    """Ordered, index-addressable collection of semantic Gaussians.
+    """Ordered collection of semantic Gaussians.
 
     Backed by packed float32 arrays so that splatting and fitting can run
-    vectorized; ``scene[i]`` materializes the i-th SemanticGaussian.
+    vectorized.  Every scale component must be > 0 and every quaternion
+    row must have a norm above 1e-12.
     """
 
     means: np.ndarray  # (P, 3) float32
@@ -138,40 +76,16 @@ class GaussianScene:
             raise ValueError("logits must be (P, C)")
         if self.class_names is not None and len(self.class_names) != self.class_count:
             raise ValueError("class_names length must equal class count")
-
-    @classmethod
-    def from_gaussians(
-        cls, gaussians: list[SemanticGaussian], class_count: int | None = None,
-        class_names: list[str] | None = None,
-    ) -> "GaussianScene":
-        if not gaussians:
-            if class_count is None:
-                raise ValueError("class_count required for an empty scene")
-            return cls(
-                np.zeros((0, 3), np.float32), np.zeros((0, 3), np.float32),
-                np.zeros((0, 4), np.float32), np.zeros((0, class_count), np.float32),
-                class_names,
-            )
-        c = gaussians[0].class_count
-        if class_count is not None and class_count != c:
-            raise ValueError("class_count disagrees with gaussian logits")
-        if any(g.class_count != c for g in gaussians):
-            raise ValueError("all gaussians must share one class count")
-        return cls(
-            np.stack([g.mean for g in gaussians]),
-            np.stack([g.scale for g in gaussians]),
-            np.stack([g.rotation for g in gaussians]),
-            np.stack([g.logits for g in gaussians]),
-            class_names,
-        )
+        bad = np.flatnonzero(np.any(self.scales <= 0, axis=1))
+        if bad.size:
+            raise InvalidScaleError(f"gaussian {bad[0]}: scale components must be > 0")
+        norms = np.sqrt(np.sum(self.rotations.astype(np.float64) ** 2, axis=1))
+        bad = np.flatnonzero(norms <= QUAT_NORM_EPS)
+        if bad.size:
+            raise DegenerateRotationError(f"gaussian {bad[0]}: quaternion norm too small")
 
     def __len__(self) -> int:
         return self.means.shape[0]
-
-    def __getitem__(self, i: int) -> SemanticGaussian:
-        return SemanticGaussian(
-            self.means[i], self.scales[i], self.rotations[i], self.logits[i]
-        )
 
     @property
     def class_count(self) -> int:
@@ -182,79 +96,14 @@ def gaussian_weight(mean, scale, rotation, point) -> float:
     """exp(-d_M^2 / 2) from raw parameter vectors, entirely in float64.
 
     d_M is the Mahalanobis distance under covariance R diag(s^2) R^T; the
-    inverse is applied in closed form as R diag(1/s^2) R^T.
+    inverse is applied in closed form as R diag(1/s^2) R^T.  This scalar
+    form is the independent reference that the batched splat kernel and its
+    gradient are checked against.
     """
-    m = _as_f64(mean, 3, "mean")
-    s = _as_f64(scale, 3, "scale")
-    p = _as_f64(point, 3, "point")
-    r = quat_to_rotation(rotation)
+    m, s, p = (np.asarray(x, dtype=np.float64).reshape(3) for x in (mean, scale, point))
+    r = quat_to_rotation(np.asarray(rotation, dtype=np.float64).reshape(4))
     u = r.T @ (p - m)
     return float(np.exp(-0.5 * np.sum((u / s) ** 2)))
-
-
-def evaluate(gaussian: SemanticGaussian, point) -> np.ndarray:
-    """Evaluate the semantic Gaussian at a point: exp(-d_M^2 / 2) * semantics."""
-    w = gaussian_weight(gaussian.mean, gaussian.scale, gaussian.rotation, point)
-    return w * gaussian.logits.astype(np.float64)
-
-
-def evaluate_weight(gaussian: SemanticGaussian, point) -> float:
-    """The scalar weight exp(-d_M^2 / 2) in (0, 1]."""
-    return gaussian_weight(gaussian.mean, gaussian.scale, gaussian.rotation, point)
-
-
-def evaluate_weight_grad(gaussian: SemanticGaussian, point):
-    """Weight and its gradients w.r.t. mean, scale and rotation quaternion.
-
-    The rotation gradient is the ambient 4-vector gradient projected onto the
-    tangent of the unit-quaternion sphere, matching derivatives taken through
-    renormalization.
-
-    Returns (weight, d_mean, d_scale, d_rotation).
-    """
-    p = _as_f64(point, 3, "point")
-    m = gaussian.mean.astype(np.float64)
-    s = gaussian.scale.astype(np.float64)
-    q = gaussian.rotation.astype(np.float64)
-    q = q / np.sqrt(np.dot(q, q))
-    r = quat_to_rotation(q)
-
-    d = p - m
-    u = r.T @ d
-    us = u / (s * s)  # diag(1/s^2) @ u
-    w = float(np.exp(-0.5 * np.sum(u * us)))
-
-    # d(weight)/d(mean) = w * Sigma^{-1} (p - m)
-    d_mean = w * (r @ us)
-    # d(weight)/d(scale_i) = w * u_i^2 / s_i^3
-    d_scale = w * (u * u) / (s ** 3)
-    # d(weight)/d(q_k) = -w * d^T (dR/dq_k) diag(1/s^2) u, projected to the tangent
-    jac = _rotation_jacobian(q)
-    d_quat = -w * np.einsum("a,kab,b->k", d, jac, us)
-    d_quat = d_quat - np.dot(d_quat, q) * q
-    return w, d_mean, d_scale, d_quat
-
-
-def reference_points(gaussian: SemanticGaussian, count_per_axis: int) -> np.ndarray:
-    """Mean plus symmetric offsets along the covariance's principal axes.
-
-    Steps are whole standard deviations: for each principal axis and each
-    k = 1..count_per_axis the points m +- k * sigma_axis * axis are emitted,
-    giving 1 + 6 * count_per_axis points in total.
-    """
-    if count_per_axis < 0:
-        raise ValueError("count_per_axis must be >= 0")
-    m = gaussian.mean.astype(np.float64)
-    s = gaussian.scale.astype(np.float64)
-    r = quat_to_rotation(gaussian.rotation)
-    pts = [m]
-    for axis in range(3):
-        direction = r[:, axis]
-        for k in range(1, count_per_axis + 1):
-            offset = k * s[axis] * direction
-            pts.append(m + offset)
-            pts.append(m - offset)
-    return np.stack(pts)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -272,16 +121,3 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - np.max(x, axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=axis, keepdims=True)
-
-
-def activate(raw_scale, raw_logits, s_min: float = 0.01, s_max: float = 0.3):
-    """Map raw parameters to world-space properties.
-
-    Scale passes through a sigmoid squashed into (s_min, s_max); semantic
-    logits pass through a softmax.
-    """
-    if not (0 < s_min < s_max):
-        raise ValueError(f"need 0 < s_min < s_max, got {s_min}, {s_max}")
-    raw_scale = np.asarray(raw_scale, dtype=np.float64)
-    scale = s_min + sigmoid(raw_scale) * (s_max - s_min)
-    return scale, softmax(np.asarray(raw_logits, dtype=np.float64))

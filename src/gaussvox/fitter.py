@@ -16,12 +16,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GaussianScene, _rotation_jacobian, quat_to_rotation, sigmoid, softmax
+from .core import GaussianScene, sigmoid, softmax
 from .errors import DivergenceError, UndefinedMetricError
 from .grid import GridSpec, OccupancyGrid
 from .losses import voxel_losses
 from .metrics import confusion, miou, scene_completion_iou
-from .splat import SplatIndex, build_splat_index, splat
+from .splat import (
+    SplatIndex,
+    _chunk_pairs,
+    _gaussian_chunks,
+    build_splat_index,
+    frames_vjp,
+    gaussian_frames,
+    pair_weights_vjp,
+    splat,
+)
 
 PARAM_KEYS = ("means", "raw_scales", "rotations", "raw_logits")
 
@@ -170,48 +179,41 @@ def backward_splat(
     """Chain the per-voxel score gradient back to the raw Gaussian parameters.
 
     Each gaussian accumulates only over its own neighborhood pairs, in
-    ascending voxel order, mirroring the forward sparsity.  The rotation
-    gradient is projected onto the unit-quaternion tangent.
+    ascending voxel order, mirroring the forward sparsity.  Pairs are
+    processed in chunks of whole gaussians and every per-gaussian sum runs
+    in pair order, so the result does not depend on the chunk size.  The
+    rotation gradient is projected onto the unit-quaternion tangent.
     """
     if centers is None:
         centers = spec.voxel_centers()
-    p = len(params.means)
-    grads = {k: np.zeros_like(getattr(params, k)) for k in PARAM_KEYS}
+    pts = np.ascontiguousarray(centers.T)
+    p, c = params.raw_logits.shape
     span = s_max - s_min
-    for g in range(p):
-        a, b = index.gaussian_starts[g], index.gaussian_starts[g + 1]
-        if a == b:
-            continue
-        vox = index.gaussian_voxels[a:b]
-        gup = d_scores[vox]  # (n, C)
-
-        m = params.means[g]
-        sig = sigmoid(params.raw_scales[g])
-        s = s_min + sig * span
-        q = params.rotations[g]
-        q = q / np.sqrt(np.dot(q, q))
-        r = quat_to_rotation(q)
-        sem = softmax(params.raw_logits[g])
-
-        d = centers[vox] - m
-        u = d @ r
-        us = u / (s * s)
-        w = np.exp(-0.5 * np.sum(u * us, axis=1))
-
-        d_w = gup @ sem  # dL/dw per voxel
-        cw = d_w * w
-
-        grads["means"][g] = (cw[:, None] * us).sum(axis=0) @ r.T
-        d_scale = ((cw[:, None] * u * u).sum(axis=0)) / (s ** 3)
-        grads["raw_scales"][g] = d_scale * sig * (1.0 - sig) * span
-
-        jac = _rotation_jacobian(q)
-        gq = -np.einsum("v,va,kab,vb->k", cw, d, jac, us)
-        grads["rotations"][g] = gq - np.dot(gq, q) * q
-
-        d_sem = w @ gup  # dL/d(semantics)
-        grads["raw_logits"][g] = sem * (d_sem - np.dot(d_sem, sem))
-    return grads
+    sig = sigmoid(params.raw_scales)
+    sem = softmax(params.raw_logits, axis=1)
+    scales = s_min + sig * span
+    frames = gaussian_frames(params.means, scales, params.rotations)
+    s_z = np.zeros((p, 3))
+    s_zz = np.zeros((p, 3, 3))
+    d_sem = np.zeros((p, c))
+    for a, b in _gaussian_chunks(index.gaussian_starts, 0, p):
+        g, vox, w, z = _chunk_pairs(frames, index, pts, a, b)
+        gup = d_scores[vox]
+        sem_pairs = sem[a:b][g]
+        # dL/dw per pair, summed class by class so no pair depends on the chunk.
+        d_w = gup[:, 0] * sem_pairs[:, 0]
+        for cls in range(1, c):
+            d_w += gup[:, cls] * sem_pairs[:, cls]
+        s_z[a:b], s_zz[a:b] = pair_weights_vjp(g, b - a, w, z, d_w)
+        for cls in range(c):
+            d_sem[a:b, cls] = np.bincount(g, w * gup[:, cls], minlength=b - a)
+    d_mean, d_scale, d_quat = frames_vjp(scales, params.rotations, s_z, s_zz)
+    return {
+        "means": d_mean,
+        "raw_scales": d_scale * sig * (1.0 - sig) * span,
+        "rotations": d_quat,
+        "raw_logits": sem * (d_sem - np.sum(d_sem * sem, axis=1, keepdims=True)),
+    }
 
 
 @dataclass

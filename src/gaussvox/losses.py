@@ -35,12 +35,6 @@ def _lovasz_grad_coeffs(fg_sorted: np.ndarray) -> np.ndarray:
     return jaccard
 
 
-def _softmax64(x: np.ndarray) -> np.ndarray:
-    shifted = x - np.max(x, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def voxel_losses(
     pred: OccupancyGrid,
     truth: OccupancyGrid,
@@ -64,12 +58,13 @@ def voxel_losses(
     labels = truth.labels[valid].astype(np.int64)
     scores = pred.scores[valid].astype(np.float64)
     c = pred.class_count
-    probs = _softmax64(scores)
+    # One log-softmax serves both terms; the probabilities derive from it.
+    logp = scores - scores.max(axis=1, keepdims=True)
+    logp -= np.log(np.sum(np.exp(logp), axis=1, keepdims=True))
+    probs = np.exp(logp)
     rows = np.arange(n)
 
     # Cross-entropy.
-    logz = np.log(np.sum(np.exp(scores - scores.max(axis=1, keepdims=True)), axis=1))
-    logp = scores - scores.max(axis=1, keepdims=True) - logz[:, None]
     ce = float(-logp[rows, labels].mean())
     d_probs_space = probs.copy()
     d_probs_space[rows, labels] -= 1.0

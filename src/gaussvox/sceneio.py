@@ -149,7 +149,6 @@ def gen_synthetic(
     shapes: list[dict],
     class_count: int,
     emit_scene: bool = False,
-    seed: int = 0,
 ):
     """Rasterize simple shapes into a labeled grid; later shapes overwrite.
 

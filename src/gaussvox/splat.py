@@ -1,15 +1,16 @@
 """Gaussian-to-voxel splatting.
 
 The fast path embeds each Gaussian into the grid, enumerates the voxels
-inside its cutoff neighborhood as (gaussian, voxel) pairs, sorts the pair
-list by voxel index, and accumulates per-voxel semantic scores from the
-neighboring Gaussians only.  ``splat_oracle`` is the exact O(voxels * P)
-reference; with a neighborhood covering the whole grid the fast path is
-bitwise identical to it.
+inside its cutoff neighborhood as (gaussian, voxel) pairs, and accumulates
+per-voxel semantic scores from the neighboring Gaussians only.
+``splat_oracle`` is the exact O(voxels * P) reference.  One elementwise
+kernel, ``pair_weights``, computes every pair weight, so a pair has the
+same bits in both paths and in the backward pass, and the fast path
+matches the oracle bit for bit on the pairs they share.
 
 Accumulation is float32 in ascending gaussian index per voxel; this order is
-part of the contract so results are reproducible across runs and worker
-counts.
+part of the contract so results are reproducible across runs, worker counts
+and chunk sizes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianScene, SemanticGaussian, quat_to_rotation
+from .core import GaussianScene, _rotation_jacobian, quat_to_rotation
 from .errors import CapacityError
 from .grid import GridSpec, OccupancyGrid
 
@@ -32,30 +33,24 @@ MAX_PAIRS = 1 << 33
 
 @dataclass
 class SplatIndex:
-    """Sorted (gaussian, voxel) pair list with per-voxel and per-gaussian ranges.
+    """The (gaussian, voxel) pair list in (gaussian, voxel) order.
 
-    ``pair_gaussians`` / ``pair_voxels`` are sorted lexicographically by
-    (voxel, gaussian); ``voxel_starts[v] : voxel_starts[v + 1]`` is voxel v's
-    contiguous range.  ``gaussian_voxels`` holds the same pair set sorted by
-    (gaussian, voxel) with ranges in ``gaussian_starts``, which is the order
-    the forward and backward passes traverse.
+    ``gaussian_voxels[gaussian_starts[g] : gaussian_starts[g + 1]]`` are the
+    voxels in gaussian g's neighborhood, ascending; this is the order the
+    forward and backward passes traverse.  ``voxel_starts`` is the running
+    count of pairs per voxel, so ``np.diff(voxel_starts)`` gives each
+    voxel's number of neighboring gaussians.
     """
 
     num_gaussians: int
     num_voxels: int
-    pair_gaussians: np.ndarray
-    pair_voxels: np.ndarray
     voxel_starts: np.ndarray
     gaussian_voxels: np.ndarray
     gaussian_starts: np.ndarray
 
     @property
     def pair_count(self) -> int:
-        return int(self.pair_voxels.size)
-
-    def voxel_range(self, v: int) -> np.ndarray:
-        """Gaussian indices contributing to voxel v, ascending."""
-        return self.pair_gaussians[self.voxel_starts[v] : self.voxel_starts[v + 1]]
+        return int(self.gaussian_voxels.size)
 
     def gaussian_range(self, g: int) -> np.ndarray:
         """Voxel indices inside gaussian g's neighborhood, ascending."""
@@ -76,19 +71,14 @@ def voxelize_means(scene: GaussianScene, spec: GridSpec):
     return voxel_index, in_volume
 
 
-def neighborhood_radius(gaussian: SemanticGaussian, cutoff_sigma: float = DEFAULT_CUTOFF_SIGMA):
-    """Axis-aligned half-extents of the cutoff neighborhood box.
+def _scene_radii(scene: GaussianScene, cutoff_sigma: float) -> np.ndarray:
+    """Half-extents (P, 3) of the axis-aligned cutoff boxes.
 
     The box cutoff_sigma * max(scale) per axis contains the ellipsoid of
     Mahalanobis distance <= cutoff_sigma for any rotation.
     """
     if cutoff_sigma <= 0:
         raise ValueError("cutoff_sigma must be > 0")
-    r = cutoff_sigma * float(np.max(gaussian.scale))
-    return np.array([r, r, r], dtype=np.float64)
-
-
-def _scene_radii(scene: GaussianScene, cutoff_sigma: float) -> np.ndarray:
     r = cutoff_sigma * scene.scales.astype(np.float64).max(axis=1)
     return np.repeat(r[:, None], 3, axis=1)
 
@@ -140,7 +130,7 @@ def build_splat_index(
     cutoff_sigma: float | None = DEFAULT_CUTOFF_SIGMA,
     threads: int = 1,
 ) -> SplatIndex:
-    """Build the sorted (gaussian, voxel) pair list.
+    """Build the (gaussian, voxel) pair list.
 
     ``cutoff_sigma=None`` selects exact mode: every gaussian pairs with every
     voxel, making the fast splat bitwise equal to the brute-force oracle.
@@ -154,120 +144,174 @@ def build_splat_index(
         total = p * v_count
         if total > MAX_PAIRS:
             raise CapacityError(f"exact-mode pair list of {total} entries exceeds {MAX_PAIRS}")
-        # The full cross product is already sorted both ways; build the two
-        # orderings directly instead of sorting.
         return SplatIndex(
             num_gaussians=p,
             num_voxels=v_count,
-            pair_gaussians=np.tile(np.arange(p, dtype=np.int64), v_count),
-            pair_voxels=np.repeat(np.arange(v_count, dtype=np.int64), p),
             voxel_starts=np.arange(v_count + 1, dtype=np.int64) * p,
             gaussian_voxels=np.tile(np.arange(v_count, dtype=np.int64), p),
             gaussian_starts=np.arange(p + 1, dtype=np.int64) * v_count,
         )
-    if p == 0:
-        g = np.zeros(0, dtype=np.int64)
-        v = np.zeros(0, dtype=np.int64)
+    means = scene.means.astype(np.float64)
+    radii = _scene_radii(scene, float(cutoff_sigma))
+    threads = max(1, int(threads))
+    if threads == 1 or p < 2 * threads:
+        g, v = _enumerate_pairs(means, radii, spec, 0)
     else:
-        means = scene.means.astype(np.float64)
-        radii = _scene_radii(scene, float(cutoff_sigma))
-        threads = max(1, int(threads))
-        if threads == 1 or p < 2 * threads:
-            g, v = _enumerate_pairs(means, radii, spec, 0)
-        else:
-            bounds = np.linspace(0, p, threads + 1, dtype=np.int64)
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(
-                    pool.map(
-                        lambda ab: _enumerate_pairs(
-                            means[ab[0] : ab[1]], radii[ab[0] : ab[1]], spec, int(ab[0])
-                        ),
-                        zip(bounds[:-1], bounds[1:]),
-                    )
+        bounds = np.linspace(0, p, threads + 1, dtype=np.int64)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(
+                pool.map(
+                    lambda ab: _enumerate_pairs(
+                        means[ab[0] : ab[1]], radii[ab[0] : ab[1]], spec, int(ab[0])
+                    ),
+                    zip(bounds[:-1], bounds[1:]),
                 )
-            g = np.concatenate([a for a, _ in parts])
-            v = np.concatenate([b for _, b in parts])
-        if g.size > MAX_PAIRS:
-            raise CapacityError(f"pair list of {g.size} entries exceeds {MAX_PAIRS}")
+            )
+        g = np.concatenate([a for a, _ in parts])
+        v = np.concatenate([b for _, b in parts])
+    if g.size > MAX_PAIRS:
+        raise CapacityError(f"pair list of {g.size} entries exceeds {MAX_PAIRS}")
 
-    # Stable sort by voxel keeps the generation order (ascending gaussian,
-    # ascending voxel within gaussian) as the tie-break, yielding (v, g) order.
-    order = np.argsort(v, kind="stable")
-    pair_voxels = v[order]
-    pair_gaussians = g[order]
     voxel_starts = np.zeros(v_count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pair_voxels, minlength=v_count), out=voxel_starts[1:])
+    np.cumsum(np.bincount(v, minlength=v_count), out=voxel_starts[1:])
     gaussian_starts = np.zeros(p + 1, dtype=np.int64)
     np.cumsum(np.bincount(g, minlength=p), out=gaussian_starts[1:])
 
     return SplatIndex(
         num_gaussians=p,
         num_voxels=v_count,
-        pair_gaussians=pair_gaussians,
-        pair_voxels=pair_voxels,
         voxel_starts=voxel_starts,
         gaussian_voxels=v,
         gaussian_starts=gaussian_starts,
     )
 
 
-def gaussian_weights(
-    scene: GaussianScene, g: int, centers: np.ndarray
-) -> np.ndarray:
-    """Float64 weights of gaussian g at the given points."""
-    m = scene.means[g].astype(np.float64)
-    s = scene.scales[g].astype(np.float64)
-    r = quat_to_rotation(scene.rotations[g])
-    u = (centers - m) @ r
-    return np.exp(-0.5 * np.sum((u / s) ** 2, axis=1))
+def gaussian_frames(means, scales, rotations):
+    """Geometry of the pair kernel for P gaussians, in float64.
+
+    Returns ``a[i, j] = R[i, j] / s[j]`` and ``off[j] = sum_i m[i] * a[i, j]``
+    for each gaussian, coordinate-major, shaped (3, 3, P) and (3, P), so
+    that they broadcast against voxel coordinates.
+    """
+    m = np.asarray(means, dtype=np.float64)
+    s = np.asarray(scales, dtype=np.float64)
+    a = np.ascontiguousarray((quat_to_rotation(rotations) / s[:, None, :]).transpose(1, 2, 0))
+    return a, m[:, 0] * a[0] + m[:, 1] * a[1] + m[:, 2] * a[2]
+
+
+def pair_weights(a: np.ndarray, off: np.ndarray, pts: np.ndarray):
+    """Weights of gaussian-voxel pairs and the pairs' local coordinates.
+
+    ``a`` (3, 3, ...) and ``off`` (3, ...) come from ``gaussian_frames``,
+    ``pts`` (3, ...) holds voxel centers; the trailing axes broadcast.  A
+    pair list passes equal trailing shapes, a tile of k gaussians by n
+    voxels passes (k, 1) geometry against (n,) points.
+
+    Returns ``w = exp(-|z|^2 / 2)`` and ``z = R^T (p - m) / s``, computed as
+    ``p . a - off``, shaped (...) and (3, ...).  Only elementwise ufuncs are
+    used, so a pair's bits do not depend on the other pairs in the call.
+    """
+    shape = np.broadcast_shapes(a.shape[2:], off.shape[1:], pts.shape[1:])
+    z = np.empty((3, *shape))
+    t = np.empty(shape)
+    for j in range(3):
+        np.multiply(pts[0], a[0, j], out=z[j])
+        z[j] += np.multiply(pts[1], a[1, j], out=t)
+        z[j] += np.multiply(pts[2], a[2, j], out=t)
+        z[j] -= off[j]
+    # Summed as (z0^2 + z2^2) + z1^2, the association of the einsum reduction
+    # that earlier versions used, so that written grids keep their bytes.
+    w = np.multiply(z[0], z[0])
+    w += np.multiply(z[2], z[2], out=t)
+    w += np.multiply(z[1], z[1], out=t)
+    w *= -0.5
+    np.exp(w, out=w)
+    return w, z
+
+
+def pair_weights_vjp(g: np.ndarray, k: int, w: np.ndarray, z: np.ndarray, d_w: np.ndarray):
+    """Pull per-pair weight cotangents ``d_w`` back to per-gaussian moments.
+
+    ``g`` holds each pair's gaussian in 0..k-1; ``w, z`` come from
+    ``pair_weights``.  With ``c = d_w * w`` the moments are ``sum c z``
+    (k, 3) and ``sum c z z^T`` (k, 3, 3), summed over each gaussian's pairs
+    in pair order.  ``frames_vjp`` turns them into parameter gradients.
+    """
+    cz = d_w * w * z
+    s_z = np.stack([np.bincount(g, cz[j], minlength=k) for j in range(3)], axis=1)
+    s_zz = np.empty((k, 3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            s_zz[:, i, j] = s_zz[:, j, i] = np.bincount(g, cz[i] * z[j], minlength=k)
+    return s_z, s_zz
+
+
+def frames_vjp(scales, rotations, s_z: np.ndarray, s_zz: np.ndarray):
+    """Gradients w.r.t. mean, scale and quaternion from the pair moments.
+
+    ``scales`` (P, 3) and ``rotations`` (P, 4) are the parameters the frames
+    were built from.  Since dw/dz = -w z and z = R^T (p - m) / s, the
+    weight's gradients are ``R (z / s)`` for the mean, ``z^2 / s`` for the
+    scale, and for the rotation ``-(p - m) (z / s)^T`` with
+    ``p - m = R diag(s) z``.  The quaternion gradient is projected onto the
+    tangent of the unit sphere, matching derivatives taken through
+    renormalization.
+    """
+    s = np.asarray(scales, dtype=np.float64)
+    q = np.asarray(rotations, dtype=np.float64)
+    q = q / np.sqrt(np.sum(q * q, axis=1, keepdims=True))
+    rot = quat_to_rotation(q)
+    d_mean = np.einsum("gij,gj->gi", rot, s_z / s)
+    d_scale = np.einsum("gjj->gj", s_zz) / s
+    d_rot = -np.einsum("gil,gl,glj->gij", rot, s, s_zz) / s[:, None, :]
+    d_quat = np.einsum("gkij,gij->gk", _rotation_jacobian(q), d_rot)
+    d_quat -= np.sum(d_quat * q, axis=1, keepdims=True) * q
+    return d_mean, d_scale, d_quat
+
+
+# Pair chunks hold about _PAIR_CHUNK pairs of whole gaussians.
+_PAIR_CHUNK = 1 << 16
+
+
+def _gaussian_chunks(starts: np.ndarray, g_lo: int, g_hi: int):
+    """Split gaussians [g_lo, g_hi) into runs of at most _PAIR_CHUNK pairs.
+
+    A gaussian is never split; one with more pairs forms a run of its own.
+    """
+    a = g_lo
+    while a < g_hi:
+        b = int(np.searchsorted(starts, starts[a] + _PAIR_CHUNK, side="right")) - 1
+        b = min(max(b, a + 1), g_hi)
+        yield a, b
+        a = b
+
+
+def _chunk_pairs(frames, index: SplatIndex, pts: np.ndarray, a: int, b: int):
+    """The pairs of gaussians [a, b) in (gaussian, voxel) order.
+
+    Returns each pair's gaussian relative to a, its voxel, and the kernel's
+    ``w, z``; ``frames`` come from ``gaussian_frames`` and ``pts`` holds all
+    voxel centers, shaped (3, V).
+    """
+    starts = index.gaussian_starts
+    counts = np.diff(starts[a : b + 1])
+    g = np.repeat(np.arange(b - a), counts)
+    vox = index.gaussian_voxels[starts[a] : starts[b]]
+    w, z = pair_weights(
+        np.repeat(frames[0][..., a:b], counts, axis=-1),
+        np.repeat(frames[1][:, a:b], counts, axis=-1),
+        pts[:, vox],
+    )
+    return g, vox, w, z
 
 
 # The full-grid accumulator steps through (gaussian tile, voxel block) pairs
-# of about _FULL_GRID_STEP weights: 64 gaussians by 512 voxels, or wider
-# blocks for the short runs that _accumulate hands it.  Its buffers hold one
-# step, so they stay in cache and do not grow with the number of gaussians.
-_FULL_GRID_TILE = 64
+# of about _FULL_GRID_STEP weights: 4 gaussians by 8192 voxels, or wider
+# blocks for shorter runs.  Short tiles give the kernel long runs of voxels
+# per ufunc loop, which measured fastest.  Its buffers hold one step, so
+# they do not grow with the number of gaussians.
+_FULL_GRID_TILE = 4
 _FULL_GRID_STEP = 1 << 15
-
-
-def _gaussian_rows(scene: GaussianScene, a: int, b: int):
-    """Linear maps from a point to the scaled local frames of gaussians [a, b).
-
-    Returns ``(rows, offsets)``, shaped (3k, 3) and (3k, 1) for k = b - a:
-    rows 3i..3i+2 of ``rows @ p - offsets`` are ``R^T (p - m) / s`` for
-    gaussian a + i.
-    """
-    k = b - a
-    mats = np.empty((k, 3, 3))
-    for i in range(k):
-        # Columns of R divided by s fold the diagonal scaling into the
-        # rotation, so u / s = point @ mats in one product.
-        mats[i] = quat_to_rotation(scene.rotations[a + i]) / scene.scales[
-            a + i
-        ].astype(np.float64)
-    offsets = np.einsum("ki,kij->kj", scene.means[a:b].astype(np.float64), mats)
-    return mats.transpose(0, 2, 1).reshape(3 * k, 3), offsets.reshape(3 * k, 1)
-
-
-def _weights_into(
-    rows: np.ndarray, offsets: np.ndarray, pts: np.ndarray, u: np.ndarray, w: np.ndarray
-) -> None:
-    """Float64 weights of k gaussians at n points, gaussian-major, into w.
-
-    ``rows, offsets`` come from ``_gaussian_rows``; ``pts`` is (3, n) with a
-    contiguous point axis, ``u`` is (3k, n) scratch and ``w`` is (k, n).  A
-    weight depends only on its own gaussian and point, never on k or n.
-    """
-    np.matmul(rows, pts, out=u)
-    u -= offsets
-    np.square(u, out=u)
-    u3 = u.reshape(w.shape[0], 3, w.shape[1])
-    # Summed as (x^2 + z^2) + y^2, the association of numpy's two-lane einsum
-    # reduction that earlier versions used, so written grids keep their bytes.
-    np.add(u3[:, 0], u3[:, 2], out=w)
-    w += u3[:, 1]
-    w *= -0.5
-    np.exp(w, out=w)
 
 
 def _add_rows_in_order(rows: np.ndarray, out: np.ndarray) -> None:
@@ -284,34 +328,31 @@ def _add_rows_in_order(rows: np.ndarray, out: np.ndarray) -> None:
 
 
 def _accumulate_full_grid(
-    scene: GaussianScene,
-    centers: np.ndarray,
+    frames,
+    logits: np.ndarray,
+    pts: np.ndarray,
     scores: np.ndarray,
-    g_lo: int = 0,
-    g_hi: int | None = None,
+    g_lo: int,
+    g_hi: int,
 ) -> None:
-    """Add gaussians [g_lo, g_hi) over the whole grid, ascending index per voxel.
+    """Add gaussians [g_lo, g_hi) over every voxel, ascending index per voxel.
 
-    Gaussians are cut into tiles of ``_FULL_GRID_TILE`` and voxels into
-    near-equal blocks of about ``_FULL_GRID_STEP / tile`` voxels.  For one
-    tile and block the float64 weights are held gaussian-major, one row per
-    gaussian.  For each class the products ``w * sem`` are cast to float32,
-    the block's running scores are added to row 0, and the rows are then
-    added one after another into the scores.  Tiles run in ascending order
-    and each starts from the sums the previous one left, so every voxel
-    receives exactly the float32 adds ``scores += float32(w_g * sem_g)`` for
-    g ascending, as a plain per-gaussian loop would; neither block nor tile
-    size changes a bit.
+    ``frames`` come from ``gaussian_frames`` and ``pts`` holds the voxel
+    centers, shaped (3, V).  Gaussians are cut into tiles of
+    ``_FULL_GRID_TILE`` and voxels into near-equal blocks of about
+    ``_FULL_GRID_STEP / tile`` voxels.  For one tile and block the float64
+    weights are held gaussian-major, one row per gaussian.  For each class
+    the products ``w * sem`` are cast to float32, the block's running
+    scores are added to row 0, and the rows are then added one after another
+    into the scores.  Tiles run in ascending order and each starts from the
+    sums the previous one left, so every voxel receives exactly the float32
+    adds ``scores += float32(w_g * sem_g)`` for g ascending, as a plain
+    per-gaussian loop would; neither block nor tile size changes a bit.
     """
-    if g_hi is None:
-        g_hi = len(scene)
-    v = centers.shape[0]
+    v = pts.shape[1]
     k_max = min(_FULL_GRID_TILE, g_hi - g_lo)
     # Blocks have at most ceil(STEP / k) voxels, so a step fits STEP + k weights.
     size = min(k_max * v, _FULL_GRID_STEP + k_max)
-    pts = np.ascontiguousarray(centers.T)
-    u_buf = np.empty(3 * size)
-    w_buf = np.empty(size)
     prod_buf = np.empty(size)
     part_buf = np.empty(size, dtype=np.float32)
     for a in range(g_lo, g_hi, _FULL_GRID_TILE):
@@ -319,13 +360,12 @@ def _accumulate_full_grid(
         k = b - a
         blocks = -(-v * k // _FULL_GRID_STEP)
         bounds = [v * i // blocks for i in range(blocks + 1)]
-        rows, offsets = _gaussian_rows(scene, a, b)
-        sems = scene.logits[a:b].astype(np.float64)
+        tile_a = frames[0][..., a:b, None]
+        tile_off = frames[1][:, a:b, None]
+        sems = logits[a:b].astype(np.float64)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             n = hi - lo
-            u = u_buf[: 3 * k * n].reshape(3 * k, n)
-            w = w_buf[: k * n].reshape(k, n)
-            _weights_into(rows, offsets, pts[:, lo:hi], u, w)
+            w, _ = pair_weights(tile_a, tile_off, pts[:, lo:hi])
             prod = prod_buf[: k * n].reshape(k, n)
             part = part_buf[: k * n].reshape(k, n)
             for c in range(scores.shape[1]):
@@ -339,32 +379,26 @@ def _accumulate_full_grid(
 def _accumulate(
     scene: GaussianScene, index: SplatIndex, centers: np.ndarray
 ) -> np.ndarray:
-    v_count = index.num_voxels
     p = len(scene)
-    scores = np.zeros((v_count, scene.class_count), dtype=np.float32)
-    if index.pair_count == p * v_count:
-        # Exact mode: same full-grid path as the oracle, bitwise.
-        _accumulate_full_grid(scene, centers, scores)
+    scores = np.zeros((index.num_voxels, scene.class_count), dtype=np.float32)
+    if p == 0:
         return scores
-    starts = index.gaussian_starts
-    counts = starts[1:] - starts[:-1]
-    g = 0
-    while g < p:
-        if counts[g] == v_count:
-            # Batch the run of gaussians whose neighborhoods cover the grid;
-            # the add order stays ascending.
-            run = g
-            while run < p and counts[run] == v_count:
-                run += 1
-            _accumulate_full_grid(scene, centers, scores, g, run)
-            g = run
+    frames = gaussian_frames(scene.means, scene.scales, scene.rotations)
+    pts = np.ascontiguousarray(centers.T)
+    # Runs of gaussians whose neighborhoods cover the grid take the tiled
+    # full-grid path, the others their own pairs; runs go in ascending order.
+    covering = np.diff(index.gaussian_starts) == index.num_voxels
+    cuts = [0, *(np.flatnonzero(covering[1:] != covering[:-1]) + 1).tolist(), p]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if covering[lo]:
+            _accumulate_full_grid(frames, scene.logits, pts, scores, lo, hi)
             continue
-        if counts[g] > 0:
-            sem = scene.logits[g].astype(np.float64)
-            vox = index.gaussian_voxels[starts[g] : starts[g + 1]]
-            w = gaussian_weights(scene, g, centers[vox])
-            scores[vox] += (w[:, None] * sem).astype(np.float32)
-        g += 1
+        for a, b in _gaussian_chunks(index.gaussian_starts, lo, hi):
+            g, vox, w, _ = _chunk_pairs(frames, index, pts, a, b)
+            sem = scene.logits[a:b].astype(np.float64)[g]
+            # add.at applies the rows in pair order, so every voxel receives
+            # its float32 adds one gaussian at a time, in ascending index.
+            np.add.at(scores, vox, (w[:, None] * sem).astype(np.float32))
     return scores
 
 
@@ -398,11 +432,12 @@ def splat_oracle(scene: GaussianScene, spec: GridSpec) -> OccupancyGrid:
     """Exact brute-force splat: every voxel sums every gaussian.
 
     O(voxels * P); intended for small instances and as the correctness
-    reference for the sorted fast path.
+    reference for the pair-list fast path.
     """
-    centers = spec.voxel_centers()
+    pts = np.ascontiguousarray(spec.voxel_centers().T)
     scores = np.zeros((spec.num_voxels, scene.class_count), dtype=np.float32)
-    _accumulate_full_grid(scene, centers, scores)
+    frames = gaussian_frames(scene.means, scene.scales, scene.rotations)
+    _accumulate_full_grid(frames, scene.logits, pts, scores, 0, len(scene))
     return OccupancyGrid(spec, scene.class_count, _argmax_labels(scores), scores)
 
 

@@ -22,10 +22,8 @@ from gaussvox import (
     GridSpec,
     OccupancyGrid,
     RawGaussianParams,
-    SemanticGaussian,
     build_splat_index,
     confusion,
-    evaluate_weight_grad,
     fit,
     gaussian_weight,
     miou,
@@ -41,6 +39,7 @@ from gaussvox import (
 from gaussvox.cli import main as cli_main
 from gaussvox.cli import linear_fit, run_bench
 from gaussvox.fitter import PARAM_KEYS, backward_splat
+from gaussvox.splat import frames_vjp, gaussian_frames, pair_weights, pair_weights_vjp
 from gaussvox.metrics import ConfusionMatrix
 
 SPEC32 = GridSpec((-4.0, -4.0, -4.0), (0.25, 0.25, 0.25), (32, 32, 32))
@@ -144,17 +143,18 @@ def _weight_gradient_worst():
     h = 1e-4
     worst = 0.0
     for _ in range(1000):
-        g = SemanticGaussian(
-            mean=rng.normal(0.0, 2.0, 3),
-            scale=0.2 + rng.random(3) * 1.3,
-            rotation=rng.normal(size=4),
-            logits=rng.normal(size=3),
-        )
-        point = g.mean.astype(np.float64) + rng.normal(0.0, 1.0, 3) * g.scale
-        m = g.mean.astype(np.float64)
-        s = g.scale.astype(np.float64)
-        q = g.rotation.astype(np.float64)
-        _, d_mean, d_scale, d_quat = evaluate_weight_grad(g, point)
+        # Parameters rounded as a scene stores them: float32, the quaternion
+        # normalized first.
+        m = rng.normal(0.0, 2.0, 3).astype(np.float32).astype(np.float64)
+        s = (0.2 + rng.random(3) * 1.3).astype(np.float32).astype(np.float64)
+        q = rng.normal(size=4)
+        q = (q / np.sqrt(np.dot(q, q))).astype(np.float32).astype(np.float64)
+        rng.normal(size=3)  # semantics, which the weight does not use
+        point = m + rng.normal(0.0, 1.0, 3) * s
+        a, off = gaussian_frames(m[None], s[None], q[None])
+        w, z = pair_weights(a, off, point[:, None])
+        s_z, s_zz = pair_weights_vjp(np.zeros(1, dtype=np.intp), 1, w, z, np.ones(1))
+        d_mean, d_scale, d_quat = (d[0] for d in frames_vjp(s[None], q[None], s_z, s_zz))
         analytic = np.concatenate([d_mean, d_scale, d_quat])
         fd = np.zeros(10)
         for block, base in ((m, 0), (s, 3), (q, 6)):

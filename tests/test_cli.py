@@ -2,11 +2,13 @@
 
 import io
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from gaussvox import GaussianScene, read_grid, read_scene, write_scene
+from gaussvox import GaussianScene, GridSpec, read_grid, read_scene, write_scene
+from gaussvox import cli
 from gaussvox.cli import GRID_PRESETS, main
 
 
@@ -49,6 +51,41 @@ def test_usage_errors_exit_1():
     assert code == 1
     code, _ = run([])
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--threads", "0"],
+    ["--threads", "-2"],
+    ["--threads", "two"],
+])
+def test_bad_thread_flag_exits_1(small_scene, tmp_path, argv):
+    code, _ = run(["splat", "--scene", str(small_scene), *GRID_FLAGS, *argv,
+                   "--out", str(tmp_path / "g.svox")])
+    assert code == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_bad_threads_env_var_exits_1(small_scene, tmp_path, monkeypatch, value):
+    monkeypatch.setenv("GAUSSVOX_THREADS", value)
+    code, _ = run(["splat", "--scene", str(small_scene), *GRID_FLAGS,
+                   "--out", str(tmp_path / "g.svox")])
+    assert code == 1
+
+
+# Byte offsets in a scene file: a 16-byte header, then per gaussian mean[3],
+# scale[3] and rotation[4] as float32.
+@pytest.mark.parametrize("offset, payload", [
+    (16 + 4 * 4, struct.pack("<f", 0.0)),
+    (16 + 6 * 4, struct.pack("<4f", 0.0, 0.0, 0.0, 0.0)),
+], ids=["zero-scale", "zero-quaternion"])
+def test_splat_rejects_degenerate_gaussian_exit_2(small_scene, tmp_path, offset, payload):
+    data = bytearray(small_scene.read_bytes())
+    data[offset : offset + len(payload)] = payload
+    bad = tmp_path / "bad.sgau"
+    bad.write_bytes(bytes(data))
+    code, _ = run(["splat", "--scene", str(bad), *GRID_FLAGS,
+                   "--out", str(tmp_path / "g.svox")])
+    assert code == 2
 
 
 def test_data_errors_exit_2(tmp_path):
@@ -209,3 +246,18 @@ def test_bench_output(tmp_path):
     assert "latency_r2" in values
     assert "bench_50_latency_ms" in values
     assert "bench_100_peak_bytes" in values
+
+
+def test_bench_peak_uses_timed_thread_count(monkeypatch):
+    seen = []
+
+    def spy(*args, threads=1, **kwargs):
+        seen.append(threads)
+        return build(*args, threads=threads, **kwargs)
+
+    build = cli.build_splat_index
+    monkeypatch.setattr(cli, "build_splat_index", spy)
+    spec = GridSpec((0, 0, 0), (0.5, 0.5, 0.5), (16, 16, 4))
+    cli.run_bench([50], spec, cutoff=3.0, class_count=3, s_max=0.3, seed=0,
+                  repeats=2, threads=2)
+    assert seen == [2, 2, 2]

@@ -1,32 +1,62 @@
-"""Tests for the semantic Gaussian primitive and its derivatives."""
+"""Tests for the semantic Gaussian primitive, the pair kernel and its VJP."""
 
 import numpy as np
 import pytest
 
 from gaussvox import (
     DegenerateRotationError,
+    FitConfig,
+    GaussianScene,
     InvalidScaleError,
-    SemanticGaussian,
-    activate,
-    covariance,
-    evaluate,
-    evaluate_weight,
-    evaluate_weight_grad,
+    RawGaussianParams,
     gaussian_weight,
     quat_to_rotation,
-    reference_points,
 )
+from gaussvox.splat import frames_vjp, gaussian_frames, pair_weights, pair_weights_vjp
 
 SQ2 = np.sqrt(2.0) / 2.0
 
 
+def stored(mean, scale, rotation):
+    """Parameters rounded as a scene stores them: float32, unit quaternion."""
+    q = np.asarray(rotation, dtype=np.float64)
+    q = (q / np.sqrt(np.dot(q, q))).astype(np.float32)
+    return (np.asarray(mean, dtype=np.float32), np.asarray(scale, dtype=np.float32), q)
+
+
+def kernel_weight(params, point):
+    """The splat kernel's weight of one gaussian at one point."""
+    a, off = gaussian_frames(*(x[None] for x in params))
+    w, _ = pair_weights(a, off, np.asarray(point, dtype=np.float64)[:, None])
+    return float(w[0])
+
+
+def kernel_weight_grad(params, point):
+    """Weight and its gradients w.r.t. mean, scale and quaternion, from the VJP."""
+    m, s, q = (x[None] for x in params)
+    a, off = gaussian_frames(m, s, q)
+    w, z = pair_weights(a, off, np.asarray(point, dtype=np.float64)[:, None])
+    s_z, s_zz = pair_weights_vjp(np.zeros(1, dtype=np.intp), 1, w, z, np.ones(1))
+    d_mean, d_scale, d_quat = frames_vjp(s, q, s_z, s_zz)
+    return float(w[0]), d_mean[0], d_scale[0], d_quat[0]
+
+
+def inverse_covariance(scale, rotation):
+    """Sigma^-1 = A A^T from the kernel geometry A = R diag(1/s)."""
+    a = gaussian_frames(np.zeros((1, 3)), [scale], [rotation])[0][:, :, 0]
+    return a @ a.T
+
+
+def covariance(scale, rotation):
+    return np.linalg.inv(inverse_covariance(scale, rotation))
+
+
 def random_gaussian(rng, class_count=3):
-    return SemanticGaussian(
-        mean=rng.normal(0.0, 2.0, 3),
-        scale=0.1 + rng.random(3) * 1.5,
-        rotation=rng.normal(size=4),
-        logits=rng.normal(size=class_count),
-    )
+    mean = rng.normal(0.0, 2.0, 3)
+    scale = 0.1 + rng.random(3) * 1.5
+    rotation = rng.normal(size=4)
+    rng.normal(size=class_count)  # semantics, which the weight does not use
+    return stored(mean, scale, rotation)
 
 
 def test_identity_quaternion():
@@ -56,15 +86,21 @@ def test_rotation_matrix_orthonormal():
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_quaternion_batch_matches_rows():
+    qs = np.random.default_rng(2).normal(size=(2, 5, 4))
+    rows = [[quat_to_rotation(q) for q in batch] for batch in qs]
+    assert np.array_equal(quat_to_rotation(qs), np.array(rows))
+
+
 def test_covariance_identity_rotation():
     cov = covariance([1, 2, 3], [1, 0, 0, 0])
-    assert np.allclose(cov.matrix, np.diag([1.0, 4.0, 9.0]))
+    assert np.allclose(cov, np.diag([1.0, 4.0, 9.0]))
 
 
 def test_covariance_rotated():
     # 90 degrees about z swaps the x and y variances.
     cov = covariance([1, 2, 1], [SQ2, 0, 0, SQ2])
-    assert np.allclose(cov.matrix, np.diag([4.0, 1.0, 1.0]), atol=1e-12)
+    assert np.allclose(cov, np.diag([4.0, 1.0, 1.0]), atol=1e-12)
 
 
 def test_covariance_isotropic_rotation_invariant():
@@ -72,7 +108,7 @@ def test_covariance_isotropic_rotation_invariant():
     for _ in range(20):
         q = rng.normal(size=4)
         cov = covariance([0.7, 0.7, 0.7], q)
-        assert np.allclose(cov.matrix, 0.49 * np.eye(3), atol=1e-9)
+        assert np.allclose(cov, 0.49 * np.eye(3), atol=1e-9)
 
 
 def test_covariance_sign_flip_invariant():
@@ -80,42 +116,52 @@ def test_covariance_sign_flip_invariant():
     for _ in range(20):
         q = rng.normal(size=4)
         s = 0.1 + rng.random(3)
-        a = covariance(s, q).matrix
-        b = covariance(s, -q).matrix
+        a = covariance(s, q)
+        b = covariance(s, -q)
         assert np.allclose(a, b, atol=1e-9)
 
 
 def test_covariance_spd():
     rng = np.random.default_rng(6)
     for _ in range(20):
-        cov = covariance(0.1 + rng.random(3), rng.normal(size=4)).matrix
+        cov = covariance(0.1 + rng.random(3), rng.normal(size=4))
         assert np.allclose(cov, cov.T, atol=1e-9)
         assert np.all(np.linalg.eigvalsh(cov) > 0)
 
 
+def _scene(scales, rotations):
+    n = len(scales)
+    return GaussianScene(np.zeros((n, 3)), scales, rotations, np.ones((n, 1)))
+
+
 def test_nonpositive_scale_rejected():
     with pytest.raises(InvalidScaleError):
-        covariance([1, 0, 1], [1, 0, 0, 0])
+        _scene([[1, 0, 1]], [[1, 0, 0, 0]])
     with pytest.raises(InvalidScaleError):
-        SemanticGaussian([0, 0, 0], [1, -1, 1], [1, 0, 0, 0], [1.0])
+        _scene([[1, 1, 1], [1, -1, 1]], [[1, 0, 0, 0]] * 2)
+
+
+def test_scene_rejects_degenerate_quaternion():
+    with pytest.raises(DegenerateRotationError):
+        _scene([[1, 1, 1], [1, 1, 1]], [[1, 0, 0, 0], [0, 0, 0, 1e-13]])
 
 
 def test_evaluate_at_mean_returns_logits():
-    g = SemanticGaussian([1, 2, 3], [0.5, 0.5, 0.5], [1, 0, 0, 0], [0.2, 0.7, 0.1])
-    out = evaluate(g, [1, 2, 3])
+    params = stored([1, 2, 3], [0.5, 0.5, 0.5], [1, 0, 0, 0])
+    logits = np.asarray([0.2, 0.7, 0.1], dtype=np.float32)
+    out = kernel_weight(params, [1, 2, 3]) * logits.astype(np.float64)
     assert np.allclose(out, [0.2, 0.7, 0.1], atol=1e-7)
 
 
 def test_evaluate_unit_offset():
-    g = SemanticGaussian([0, 0, 0], [1, 1, 1], [1, 0, 0, 0], [1.0, 0.0])
-    out = evaluate(g, [1, 0, 0])
+    params = stored([0, 0, 0], [1, 1, 1], [1, 0, 0, 0])
+    out = kernel_weight(params, [1, 0, 0]) * np.array([1.0, 0.0])
     assert out[0] == pytest.approx(np.exp(-0.5), rel=1e-7)
     assert out[1] == 0.0
 
 
 def test_weight_at_six_sigma_negligible():
-    g = SemanticGaussian([0, 0, 0], [1, 1, 1], [1, 0, 0, 0], [1.0])
-    w = evaluate_weight(g, [6, 0, 0])
+    w = kernel_weight(stored([0, 0, 0], [1, 1, 1], [1, 0, 0, 0]), [6, 0, 0])
     assert w == pytest.approx(np.exp(-18.0), rel=1e-9)
     assert w < 1.6e-8
 
@@ -123,12 +169,13 @@ def test_weight_at_six_sigma_negligible():
 def test_weight_range_and_peak():
     rng = np.random.default_rng(7)
     for _ in range(100):
-        g = random_gaussian(rng)
+        params = random_gaussian(rng)
+        m, s, _ = params
         # stay within a few standard deviations so exp cannot underflow
-        p = g.mean.astype(np.float64) + rng.normal(0.0, 2.0, 3) * g.scale
-        w = evaluate_weight(g, p)
+        p = m.astype(np.float64) + rng.normal(0.0, 2.0, 3) * s
+        w = kernel_weight(params, p)
         assert 0.0 < w <= 1.0
-        assert evaluate_weight(g, g.mean) == pytest.approx(1.0)
+        assert kernel_weight(params, m) == pytest.approx(1.0)
 
 
 def test_evaluate_rotation_consistent():
@@ -158,8 +205,8 @@ def test_evaluate_rotation_consistent():
 
 
 def test_weight_grad_zero_at_mean():
-    g = SemanticGaussian([1, -1, 2], [0.3, 0.6, 0.9], [0.5, 0.5, 0.5, 0.5], [1.0])
-    w, d_mean, d_scale, d_quat = evaluate_weight_grad(g, g.mean)
+    params = stored([1, -1, 2], [0.3, 0.6, 0.9], [0.5, 0.5, 0.5, 0.5])
+    w, d_mean, d_scale, d_quat = kernel_weight_grad(params, [1, -1, 2])
     assert w == pytest.approx(1.0)
     assert np.allclose(d_mean, 0.0)
     assert np.allclose(d_scale, 0.0)
@@ -169,9 +216,9 @@ def test_weight_grad_zero_at_mean():
 def test_weight_grad_isotropic_mean_direction():
     # For an isotropic gaussian the mean gradient is w * (p - m) / sigma^2.
     sigma = 0.8
-    g = SemanticGaussian([0, 0, 0], [sigma] * 3, [1, 0, 0, 0], [1.0])
+    params = stored([0, 0, 0], [sigma] * 3, [1, 0, 0, 0])
     p = np.array([0.3, -0.2, 0.5])
-    w, d_mean, _, _ = evaluate_weight_grad(g, p)
+    w, d_mean, _, _ = kernel_weight_grad(params, p)
     assert np.allclose(d_mean, w * p / sigma**2, atol=1e-9)
 
 
@@ -189,17 +236,15 @@ def test_weight_grad_matches_finite_differences():
     for _ in range(1000):
         # scales from 0.2 keep the h^2 truncation error of the quotient well
         # below the acceptance threshold
-        g = SemanticGaussian(
-            mean=rng.normal(0.0, 2.0, 3),
-            scale=0.2 + rng.random(3) * 1.3,
-            rotation=rng.normal(size=4),
-            logits=rng.normal(size=3),
+        m32, s32, q32 = stored(
+            rng.normal(0.0, 2.0, 3), 0.2 + rng.random(3) * 1.3, rng.normal(size=4)
         )
-        point = g.mean.astype(np.float64) + rng.normal(0.0, 1.0, 3) * g.scale
-        m = g.mean.astype(np.float64)
-        s = g.scale.astype(np.float64)
-        q = g.rotation.astype(np.float64)
-        w, d_mean, d_scale, d_quat = evaluate_weight_grad(g, point)
+        rng.normal(size=3)  # semantics, which the weight does not use
+        point = m32.astype(np.float64) + rng.normal(0.0, 1.0, 3) * s32
+        m = m32.astype(np.float64)
+        s = s32.astype(np.float64)
+        q = q32.astype(np.float64)
+        w, d_mean, d_scale, d_quat = kernel_weight_grad((m32, s32, q32), point)
 
         analytic = np.concatenate([d_mean, d_scale, d_quat])
         fd = np.zeros(10)
@@ -234,57 +279,35 @@ def test_weight_grad_matches_finite_differences():
     assert worst < 1e-4, f"worst relative error {worst:.3e}"
 
 
-def test_reference_points_count_zero():
-    g = SemanticGaussian([3, 4, 5], [1, 1, 1], [1, 0, 0, 0], [1.0])
-    pts = reference_points(g, 0)
-    assert pts.shape == (1, 3)
-    assert np.allclose(pts[0], [3, 4, 5])
-
-
-def test_reference_points_axis_aligned():
-    g = SemanticGaussian([0, 0, 0], [1, 2, 3], [1, 0, 0, 0], [1.0])
-    pts = reference_points(g, 1)
-    expected = {
-        (0, 0, 0),
-        (1, 0, 0), (-1, 0, 0),
-        (0, 2, 0), (0, -2, 0),
-        (0, 0, 3), (0, 0, -3),
-    }
-    got = {tuple(np.round(p, 9)) for p in pts}
-    assert got == expected
-
-
-def test_reference_points_mahalanobis_steps():
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        g = random_gaussian(rng)
-        k = int(rng.integers(1, 4))
-        pts = reference_points(g, k)
-        assert pts.shape == (1 + 6 * k, 3)
-        for p in pts:
-            d2 = -2.0 * np.log(max(evaluate_weight(g, p), 1e-300))
-            d = np.sqrt(max(d2, 0.0))
-            assert min(abs(d - j) for j in range(k + 1)) < 1e-6
+def _activate(raw_scale, raw_logits, s_min, s_max):
+    params = RawGaussianParams(
+        means=np.zeros((1, 3)), raw_scales=np.reshape(raw_scale, (1, 3)),
+        rotations=[[1.0, 0, 0, 0]], raw_logits=np.reshape(raw_logits, (1, -1)),
+    )
+    scene = params.activate(s_min, s_max)
+    return scene.scales[0], scene.logits[0]
 
 
 def test_activate_midpoint():
-    scale, sem = activate(np.zeros(3), np.zeros(4), s_min=0.01, s_max=0.3)
+    scale, sem = _activate(np.zeros(3), np.zeros(4), s_min=0.01, s_max=0.3)
     assert np.allclose(scale, 0.155)
     assert np.allclose(sem, 0.25)
 
 
 def test_activate_saturation_and_range():
-    scale, _ = activate(np.array([50.0, -50.0, 0.0]), np.zeros(2), 0.01, 0.3)
-    assert scale[0] == pytest.approx(0.3, abs=1e-9)
-    assert scale[1] == pytest.approx(0.01, abs=1e-9)
+    # Scenes store float32, so the saturated ends are the float32 bounds.
+    scale, _ = _activate(np.array([50.0, -50.0, 0.0]), np.zeros(2), 0.01, 0.3)
+    assert scale[0] == pytest.approx(np.float32(0.3), abs=1e-9)
+    assert scale[1] == pytest.approx(np.float32(0.01), abs=1e-9)
     rng = np.random.default_rng(10)
     for _ in range(50):
-        s, sem = activate(rng.normal(0, 5, 3), rng.normal(0, 5, 6), 0.01, 0.3)
+        s, sem = _activate(rng.normal(0, 5, 3), rng.normal(0, 5, 6), 0.01, 0.3)
         assert np.all((s > 0.01) & (s < 0.3))
         assert sem.sum() == pytest.approx(1.0, abs=1e-6)
         assert np.all(sem > 0)
 
 
 def test_activate_rejects_bad_bounds():
+    # The scale bounds are validated where a fit takes them.
     with pytest.raises(ValueError):
-        activate(np.zeros(3), np.zeros(2), s_min=0.3, s_max=0.1)
+        FitConfig(s_min=0.3, s_max=0.1)

@@ -42,7 +42,8 @@ def test_scene_roundtrip_bitwise(tmp_path):
 
 
 def test_empty_scene_roundtrip(tmp_path):
-    scene = GaussianScene.from_gaussians([], class_count=5)
+    scene = GaussianScene(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 4)),
+                          np.zeros((0, 5)))
     path = tmp_path / "empty.sgau"
     write_scene(scene, path)
     back = read_scene(path)

@@ -1,5 +1,6 @@
 """Tests for the pair-list splatter against brute-force references."""
 
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -8,21 +9,24 @@ import pytest
 from gaussvox import (
     GaussianScene,
     GridSpec,
-    SemanticGaussian,
+    RawGaussianParams,
+    backward_splat,
     build_splat_index,
     decode_labels,
-    neighborhood_radius,
+    gaussian_weight,
     splat,
     splat_oracle,
     voxelize_means,
 )
-from gaussvox.core import evaluate
 from gaussvox.splat import (
     _accumulate_full_grid,
-    _gaussian_rows,
-    _weights_into,
-    gaussian_weights,
+    _scene_radii,
+    gaussian_frames,
+    pair_weights,
 )
+
+# ``gaussvox.splat`` names the function; the module is reached by import path.
+splat_module = importlib.import_module("gaussvox.splat")
 
 
 def random_scene(rng, count, class_count=3, lo=-4.0, hi=4.0, s_lo=0.1, s_hi=1.0):
@@ -38,6 +42,33 @@ def random_scene(rng, count, class_count=3, lo=-4.0, hi=4.0, s_lo=0.1, s_hi=1.0)
 
 
 SPEC8 = GridSpec((-2.0, -2.0, -2.0), (0.5, 0.5, 0.5), (8, 8, 8))
+
+
+def scene_of(*gaussians):
+    """A scene from (mean, scale, rotation, semantics) tuples."""
+    means, scales, rotations, logits = (np.array(field, dtype=np.float64)
+                                        for field in zip(*gaussians))
+    rotations /= np.linalg.norm(rotations, axis=1, keepdims=True)
+    return GaussianScene(means, scales, rotations, logits)
+
+
+def frames_of(scene):
+    return gaussian_frames(scene.means, scene.scales, scene.rotations)
+
+
+def index_pairs(index):
+    """The index's pair set as (gaussian, voxel) tuples."""
+    g = np.repeat(np.arange(index.num_gaussians), np.diff(index.gaussian_starts))
+    return set(zip(g.tolist(), index.gaussian_voxels.tolist()))
+
+
+def kernel_weights(frames, g, points):
+    """Kernel weights of gaussian g at (n, 3) points, as one pair list."""
+    n = points.shape[0]
+    a = np.repeat(frames[0][..., g : g + 1], n, axis=-1)
+    off = np.repeat(frames[1][:, g : g + 1], n, axis=-1)
+    w, _ = pair_weights(a, off, np.ascontiguousarray(points.T))
+    return w
 
 
 def test_voxelize_first_center():
@@ -75,12 +106,12 @@ def test_voxelize_boundary_half_open():
 
 
 def test_neighborhood_radius_values():
-    g = SemanticGaussian([0, 0, 0], [1, 1, 1], [1, 0, 0, 0], [1.0])
-    assert np.allclose(neighborhood_radius(g, 3.0), [3, 3, 3])
-    g = SemanticGaussian([0, 0, 0], [0.1, 0.2, 0.3], [1, 0, 0, 0], [1.0])
-    assert np.allclose(neighborhood_radius(g, 3.0), [0.9, 0.9, 0.9], atol=1e-7)
+    g = scene_of(([0, 0, 0], [1, 1, 1], [1, 0, 0, 0], [1.0]))
+    assert np.allclose(_scene_radii(g, 3.0), [[3, 3, 3]])
+    g = scene_of(([0, 0, 0], [0.1, 0.2, 0.3], [1, 0, 0, 0], [1.0]))
+    assert np.allclose(_scene_radii(g, 3.0), [[0.9, 0.9, 0.9]], atol=1e-7)
     with pytest.raises(ValueError):
-        neighborhood_radius(g, 0.0)
+        _scene_radii(g, 0.0)
 
 
 def test_neighborhood_box_contains_cutoff_ellipsoid():
@@ -88,17 +119,16 @@ def test_neighborhood_box_contains_cutoff_ellipsoid():
     # must exceed the cutoff.
     rng = np.random.default_rng(11)
     for _ in range(20):
-        g = SemanticGaussian(
-            rng.normal(size=3), 0.1 + rng.random(3), rng.normal(size=4), [1.0]
+        sc = scene_of(
+            (rng.normal(size=3), 0.1 + rng.random(3), rng.normal(size=4), [1.0])
         )
-        r = neighborhood_radius(g, 3.0)
+        r = _scene_radii(sc, 3.0)[0]
         dirs = rng.normal(size=(200, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         # points just past the box surface along each direction
         t = np.min(r / np.maximum(np.abs(dirs), 1e-12), axis=1) * 1.0001
-        pts = g.mean.astype(np.float64) + dirs * t[:, None]
-        sc = GaussianScene.from_gaussians([g])
-        w = gaussian_weights(sc, 0, pts)
+        pts = sc.means[0].astype(np.float64) + dirs * t[:, None]
+        w = kernel_weights(frames_of(sc), 0, pts)
         d = np.sqrt(-2.0 * np.log(np.maximum(w, 1e-300)))
         assert np.all(d > 3.0)
 
@@ -121,26 +151,27 @@ def test_index_matches_brute_force_pair_set():
     for _ in range(5):
         scene = random_scene(rng, int(rng.integers(1, 101)), s_lo=0.05, s_hi=0.6)
         index = build_splat_index(scene, spec, 3.0)
-        got = set(zip(index.pair_gaussians.tolist(), index.pair_voxels.tolist()))
-        assert got == _brute_force_pairs(scene, spec, 3.0)
+        assert index_pairs(index) == _brute_force_pairs(scene, spec, 3.0)
 
 
 def test_index_sorted_and_ranges_consistent():
     rng = np.random.default_rng(13)
     scene = random_scene(rng, 40)
     index = build_splat_index(scene, SPEC8, 3.0)
-    keys = index.pair_voxels * len(scene) + index.pair_gaussians
-    assert np.all(np.diff(keys) > 0)  # strict (v, g) lexicographic order
+    g = np.repeat(np.arange(len(scene)), np.diff(index.gaussian_starts))
+    keys = g * index.num_voxels + index.gaussian_voxels
+    assert np.all(np.diff(keys) > 0)  # strict (g, v) lexicographic order
     assert index.voxel_starts[0] == 0
     assert index.voxel_starts[-1] == index.pair_count
-    for v in range(index.num_voxels):
-        assert np.all(np.diff(index.voxel_range(v)) > 0)
+    per_voxel = np.bincount(index.gaussian_voxels, minlength=index.num_voxels)
+    assert np.array_equal(np.diff(index.voxel_starts), per_voxel)
     total = sum(index.gaussian_range(g).size for g in range(len(scene)))
     assert total == index.pair_count
 
 
 def test_index_empty_scene():
-    scene = GaussianScene.from_gaussians([], class_count=2)
+    scene = GaussianScene(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 4)),
+                          np.zeros((0, 2)))
     index = build_splat_index(scene, SPEC8, 3.0)
     assert index.pair_count == 0
     assert np.all(index.voxel_starts == 0)
@@ -151,10 +182,10 @@ def test_index_empty_scene():
 
 def test_index_tiny_gaussian_single_voxel():
     spec = GridSpec((0, 0, 0), (1, 1, 1), (4, 4, 4))
-    g = SemanticGaussian([1.5, 1.5, 1.5], [0.01, 0.01, 0.01], [1, 0, 0, 0], [1.0])
-    index = build_splat_index(GaussianScene.from_gaussians([g]), spec, 3.0)
+    g = ([1.5, 1.5, 1.5], [0.01, 0.01, 0.01], [1, 0, 0, 0], [1.0])
+    index = build_splat_index(scene_of(g), spec, 3.0)
     assert index.pair_count == 1
-    assert index.pair_voxels[0] == (1 * 4 + 1) * 4 + 1
+    assert index.gaussian_voxels[0] == (1 * 4 + 1) * 4 + 1
 
 
 def test_pair_count_monotone_in_cutoff_and_scale():
@@ -189,17 +220,83 @@ def test_large_cutoff_matches_oracle_bitwise():
     assert np.array_equal(a.scores, b.scores)
 
 
+SPEC16 = GridSpec((-4.0, -4.0, -4.0), (0.5, 0.5, 0.5), (16, 16, 16))
+
+
+def mixed_scene(rng, count, broad):
+    """Partial-coverage gaussians with ``broad`` grid-covering ones among them."""
+    scene = random_scene(rng, count, class_count=4, s_lo=0.1, s_hi=0.8)
+    scales = scene.scales.copy()
+    scales[rng.choice(count, broad, replace=False)] = 5.0
+    return GaussianScene(scene.means, scales, scene.rotations, scene.logits)
+
+
+@pytest.mark.parametrize("seed, broad", [(31, 0), (32, 3), (33, 8)])
+def test_sparse_splat_matches_plain_loop_bitwise(seed, broad):
+    # The fast path at 3 sigma against the order contract written as a plain
+    # loop over the brute-force pair set: one float32 add of float32(w * sem)
+    # per gaussian, ascending, with the kernel's weight of each pair.
+    scene = mixed_scene(np.random.default_rng(seed), 60, broad)
+    centers = SPEC16.voxel_centers()
+    voxels = {}
+    for g, v in sorted(_brute_force_pairs(scene, SPEC16, 3.0)):
+        voxels.setdefault(g, []).append(v)
+    frames = frames_of(scene)
+    expected = np.zeros((SPEC16.num_voxels, scene.class_count), dtype=np.float32)
+    for g in sorted(voxels):
+        vox = np.array(voxels[g])
+        w = kernel_weights(frames, g, centers[vox])
+        expected[vox] += (w[:, None] * scene.logits[g].astype(np.float64)).astype(np.float32)
+    got = splat(scene, SPEC16, 3.0).scores
+    assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
+
+
+def test_pair_weight_bits_do_not_depend_on_the_batch():
+    scene = mixed_scene(np.random.default_rng(34), 20, 2)
+    frames = frames_of(scene)
+    a, off = frames
+    pts = np.ascontiguousarray(SPEC8.voxel_centers().T)
+    # Every pair inside one full-grid tile, gaussian-major.
+    tile, _ = pair_weights(a[..., None], off[..., None], pts)
+    # Every pair as one pair list, (gaussian, voxel) order.
+    index = build_splat_index(scene, SPEC8, None)
+    _, _, chunk, _ = splat_module._chunk_pairs(frames, index, pts, 0, len(scene))
+    assert np.array_equal(chunk.reshape(tile.shape).view(np.uint64), tile.view(np.uint64))
+    rng = np.random.default_rng(35)
+    for g, v in zip(rng.integers(0, len(scene), 40), rng.integers(0, SPEC8.num_voxels, 40)):
+        alone, _ = pair_weights(a[..., g : g + 1], off[:, g : g + 1], pts[:, v : v + 1])
+        assert alone.view(np.uint64)[0] == tile[g, v : v + 1].view(np.uint64)[0]
+
+
+@pytest.mark.parametrize("pair_chunk", [7, 300])
+def test_chunk_sizes_do_not_change_bits(monkeypatch, pair_chunk):
+    scene = mixed_scene(np.random.default_rng(36), 80, 6)
+    params = RawGaussianParams.from_scene(scene, 0.05, 6.0)
+    d_scores = np.random.default_rng(37).normal(size=(SPEC16.num_voxels, scene.class_count))
+
+    def run():
+        index = build_splat_index(scene, SPEC16, 3.0)
+        grads = backward_splat(params, index, SPEC16, d_scores, 0.05, 6.0)
+        return splat(scene, SPEC16, index=index).scores, grads
+
+    base_scores, base_grads = run()
+    monkeypatch.setattr(splat_module, "_PAIR_CHUNK", pair_chunk)
+    monkeypatch.setattr(splat_module, "_FULL_GRID_TILE", 3)
+    monkeypatch.setattr(splat_module, "_FULL_GRID_STEP", 50)
+    scores, grads = run()
+    assert np.array_equal(scores.view(np.uint32), base_scores.view(np.uint32))
+    for key, grad in grads.items():
+        assert np.array_equal(grad.view(np.uint64), base_grads[key].view(np.uint64)), key
+
+
 def _add_one_gaussian_at_a_time(scene, centers, scores, g_lo, g_hi):
     # The accumulation order contract as a plain loop: one float32 add of
     # float32(w * sem) per gaussian, in ascending index.
-    pts = np.ascontiguousarray(centers.T)
-    u = np.empty((3, centers.shape[0]))
-    w = np.empty((1, centers.shape[0]))
+    frames = frames_of(scene)
     for g in range(g_lo, g_hi):
-        rows, offsets = _gaussian_rows(scene, g, g + 1)
-        _weights_into(rows, offsets, pts, u, w)
+        w = kernel_weights(frames, g, centers)
         sem = scene.logits[g].astype(np.float64)
-        scores += (w[0][:, None] * sem).astype(np.float32)
+        scores += (w[:, None] * sem).astype(np.float32)
 
 
 @pytest.mark.parametrize(
@@ -227,23 +324,23 @@ def test_full_grid_adds_in_ascending_gaussian_order(
     expected = start.copy()
     _add_one_gaussian_at_a_time(scene, centers, expected, g_lo, g_hi)
     got = start.copy()
-    if g_range is None:
-        _accumulate_full_grid(scene, centers, got)
-    else:
-        _accumulate_full_grid(scene, centers, got, g_lo, g_hi)
+    pts = np.ascontiguousarray(centers.T)
+    _accumulate_full_grid(frames_of(scene), scene.logits, pts, got, g_lo, g_hi)
     assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
 
 
 def test_full_grid_memory_does_not_grow_with_gaussians():
     spec = GridSpec((-2.0, -2.0, -2.0), (0.25, 0.25, 0.25), (16, 16, 16))
-    centers = spec.voxel_centers()
+    pts = np.ascontiguousarray(spec.voxel_centers().T)
     peaks = []
     for count in (64, 640):
         scene = random_scene(np.random.default_rng(23), count)
+        # The frames are per-gaussian input, like the scene itself.
+        frames = frames_of(scene)
         scores = np.zeros((spec.num_voxels, scene.class_count), dtype=np.float32)
         tracemalloc.start()
         try:
-            _accumulate_full_grid(scene, centers, scores)
+            _accumulate_full_grid(frames, scene.logits, pts, scores, 0, count)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -269,28 +366,26 @@ def test_splat_repeat_runs_identical():
 
 
 def test_single_gaussian_scores_at_mean():
-    g = SemanticGaussian([0.25, 0.25, 0.25], [0.1, 0.1, 0.1], [1, 0, 0, 0],
-                         [0.1, 0.8, 0.1])
+    g = ([0.25, 0.25, 0.25], [0.1, 0.1, 0.1], [1, 0, 0, 0], [0.1, 0.8, 0.1])
     spec = GridSpec((0, 0, 0), (0.5, 0.5, 0.5), (4, 4, 4))
-    grid = splat(GaussianScene.from_gaussians([g]), spec, 3.0)
+    grid = splat(scene_of(g), spec, 3.0)
     v = 0  # mean sits on the center of voxel (0, 0, 0)
     assert np.allclose(grid.scores[v], [0.1, 0.8, 0.1], atol=1e-6)
     assert grid.labels[v] == 1
 
 
 def test_two_identical_gaussians_superpose():
-    g = SemanticGaussian([0.25, 0.25, 0.25], [0.1, 0.1, 0.1], [1, 0, 0, 0],
-                         [0.2, 0.5])
+    g = ([0.25, 0.25, 0.25], [0.1, 0.1, 0.1], [1, 0, 0, 0], [0.2, 0.5])
     spec = GridSpec((0, 0, 0), (0.5, 0.5, 0.5), (4, 4, 4))
-    one = splat(GaussianScene.from_gaussians([g]), spec, 3.0)
-    two = splat(GaussianScene.from_gaussians([g, g]), spec, 3.0)
+    one = splat(scene_of(g), spec, 3.0)
+    two = splat(scene_of(g, g), spec, 3.0)
     assert np.allclose(two.scores, 2.0 * one.scores, atol=1e-6)
 
 
 def test_oracle_monotone_decay_isotropic():
-    g = SemanticGaussian([0, 0, 0], [0.8, 0.8, 0.8], [1, 0, 0, 0], [1.0])
+    g = ([0, 0, 0], [0.8, 0.8, 0.8], [1, 0, 0, 0], [1.0])
     spec = GridSpec((-2, -2, -2), (0.5, 0.5, 0.5), (8, 8, 8))
-    grid = splat_oracle(GaussianScene.from_gaussians([g]), spec)
+    grid = splat_oracle(scene_of(g), spec)
     centers = spec.voxel_centers()
     d = np.linalg.norm(centers, axis=1)
     order = np.argsort(d)
@@ -311,18 +406,19 @@ def test_oracle_matches_direct_evaluate_loop():
     for v in range(spec.num_voxels):
         expected = np.zeros(2)
         for g in range(len(scene)):
-            expected += evaluate(scene[g], centers[v])
+            w = gaussian_weight(scene.means[g], scene.scales[g], scene.rotations[g], centers[v])
+            expected += w * scene.logits[g].astype(np.float64)
         assert np.allclose(grid.scores[v], expected, atol=1e-5)
 
 
 def test_out_of_volume_gaussian_still_splats():
     # A gaussian beyond the volume boundary still contributes to in-volume
     # voxels inside its cutoff box.
-    g = SemanticGaussian([-0.6, 0.5, 0.5], [0.5, 0.5, 0.5], [1, 0, 0, 0], [1.0])
+    scene = scene_of(([-0.6, 0.5, 0.5], [0.5, 0.5, 0.5], [1, 0, 0, 0], [1.0]))
     spec = GridSpec((0, 0, 0), (1, 1, 1), (2, 2, 2))
-    _, inside = voxelize_means(GaussianScene.from_gaussians([g]), spec)
+    _, inside = voxelize_means(scene, spec)
     assert not inside[0]
-    grid = splat(GaussianScene.from_gaussians([g]), spec, 3.0)
+    grid = splat(scene, spec, 3.0)
     assert grid.scores[0, 0] > 0
 
 
@@ -347,9 +443,10 @@ def test_cutoff_omissions_are_small():
     scene = random_scene(rng, 50, s_lo=0.1, s_hi=0.8)
     index = build_splat_index(scene, spec, 3.0)
     centers = spec.voxel_centers()
-    kept = set(zip(index.pair_gaussians.tolist(), index.pair_voxels.tolist()))
+    kept = index_pairs(index)
     bound = np.exp(-4.5)
+    frames = frames_of(scene)
     for g in range(len(scene)):
-        w = gaussian_weights(scene, g, centers)
+        w = kernel_weights(frames, g, centers)
         for v in np.flatnonzero(w >= bound):
             assert (g, int(v)) in kept
