@@ -15,6 +15,7 @@ from .errors import (
     GaussvoxError,
     GridMismatchError,
     InvalidScaleError,
+    NonFiniteValueError,
     UndefinedLossError,
     UndefinedMetricError,
 )

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateRotationError, InvalidScaleError
+from .errors import DegenerateRotationError, InvalidScaleError, NonFiniteValueError
 
 QUAT_NORM_EPS = 1e-12
 
@@ -56,8 +56,8 @@ class GaussianScene:
     """Ordered collection of semantic Gaussians.
 
     Backed by packed float32 arrays so that splatting and fitting can run
-    vectorized.  Every scale component must be > 0 and every quaternion
-    row must have a norm above 1e-12.
+    vectorized.  Every value must be finite, every scale component > 0 and
+    every quaternion row must have a norm above 1e-12.
     """
 
     means: np.ndarray  # (P, 3) float32
@@ -76,13 +76,19 @@ class GaussianScene:
             raise ValueError("logits must be (P, C)")
         if self.class_names is not None and len(self.class_names) != self.class_count:
             raise ValueError("class_names length must equal class count")
-        bad = np.flatnonzero(np.any(self.scales <= 0, axis=1))
+        for name in ("means", "logits"):
+            bad = np.flatnonzero(~np.all(np.isfinite(getattr(self, name)), axis=1))
+            if bad.size:
+                raise NonFiniteValueError(f"gaussian {bad[0]}: {name} must be finite")
+        bad = np.flatnonzero(~np.all(np.isfinite(self.scales) & (self.scales > 0), axis=1))
         if bad.size:
-            raise InvalidScaleError(f"gaussian {bad[0]}: scale components must be > 0")
+            raise InvalidScaleError(f"gaussian {bad[0]}: scale components must be finite and > 0")
         norms = np.sqrt(np.sum(self.rotations.astype(np.float64) ** 2, axis=1))
-        bad = np.flatnonzero(norms <= QUAT_NORM_EPS)
+        bad = np.flatnonzero(~(np.isfinite(norms) & (norms > QUAT_NORM_EPS)))
         if bad.size:
-            raise DegenerateRotationError(f"gaussian {bad[0]}: quaternion norm too small")
+            raise DegenerateRotationError(
+                f"gaussian {bad[0]}: quaternion must be finite with norm above {QUAT_NORM_EPS}"
+            )
 
     def __len__(self) -> int:
         return self.means.shape[0]

@@ -6,11 +6,15 @@ class GaussvoxError(Exception):
 
 
 class DegenerateRotationError(GaussvoxError):
-    """Quaternion norm too close to zero to define a rotation."""
+    """Quaternion that is non-finite or too close to zero to define a rotation."""
 
 
 class InvalidScaleError(GaussvoxError):
-    """Gaussian scale with a non-positive or out-of-range component."""
+    """Gaussian scale with a non-positive, non-finite or out-of-range component."""
+
+
+class NonFiniteValueError(GaussvoxError):
+    """Gaussian mean or semantic value that is NaN or infinite."""
 
 
 class GridMismatchError(GaussvoxError):

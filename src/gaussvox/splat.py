@@ -37,9 +37,11 @@ class SplatIndex:
 
     ``gaussian_voxels[gaussian_starts[g] : gaussian_starts[g + 1]]`` are the
     voxels in gaussian g's neighborhood, ascending; this is the order the
-    forward and backward passes traverse.  ``voxel_starts`` is the running
-    count of pairs per voxel, so ``np.diff(voxel_starts)`` gives each
-    voxel's number of neighboring gaussians.
+    forward and backward passes traverse.  With a cutoff, a neighborhood is
+    a box of voxels, stored as runs of consecutive z, one per (x, y) line.
+    ``voxel_starts`` is the running count of pairs per voxel, so
+    ``np.diff(voxel_starts)`` gives each voxel's number of neighboring
+    gaussians.
     """
 
     num_gaussians: int
@@ -77,51 +79,66 @@ def _scene_radii(scene: GaussianScene, cutoff_sigma: float) -> np.ndarray:
     The box cutoff_sigma * max(scale) per axis contains the ellipsoid of
     Mahalanobis distance <= cutoff_sigma for any rotation.
     """
-    if cutoff_sigma <= 0:
-        raise ValueError("cutoff_sigma must be > 0")
+    if not cutoff_sigma > 0:
+        raise ValueError(f"cutoff_sigma must be > 0, got {cutoff_sigma}")
     r = cutoff_sigma * scene.scales.astype(np.float64).max(axis=1)
     return np.repeat(r[:, None], 3, axis=1)
 
 
-def _enumerate_pairs(
-    means: np.ndarray, radii: np.ndarray, spec: GridSpec, g_offset: int
-):
-    """(gaussian, voxel) pairs for one slab of gaussians, in (g, v) order."""
+def _axis_ranges(means: np.ndarray, radii: np.ndarray, spec: GridSpec):
+    """Per-axis voxel ranges of each gaussian's cutoff box, clipped to the grid.
+
+    Voxel i lies in the box along an axis when its center passes the
+    float64 test ``abs(origin + (i + 0.5) * cell - m) <= r``.  The range
+    ends are estimated in closed form, clipped in float to [-2, dims + 1] so
+    that far-away means cannot overflow the int64 cast, and then moved by at
+    most one step onto that test, whose passing indices form an interval.
+    Returns the first voxel (P, 3) and the voxel count (P, 3) per axis;
+    a gaussian whose box misses the grid has all three counts zero.
+    """
     origin = np.asarray(spec.origin)
     cell = np.asarray(spec.cell_size)
     dims = np.asarray(spec.dims, dtype=np.int64)
 
-    # Integer ranges of voxel centers possibly inside each box, padded one
-    # cell each side; the exact containment test below trims the padding.
-    lo = np.floor((means - radii - origin) / cell - 0.5).astype(np.int64)
-    hi = np.ceil((means + radii - origin) / cell - 0.5).astype(np.int64)
-    lo = np.clip(lo, 0, dims - 1)
-    hi = np.clip(hi, 0, dims - 1)
-    counts = np.maximum(hi - lo + 1, 0)
-    empty = np.any(counts == 0, axis=1)
-    counts[empty] = 0
-    per_gaussian = counts[:, 0] * counts[:, 1] * counts[:, 2]
+    def offset(i):
+        return origin + (i + 0.5) * cell - means
 
-    total = int(per_gaussian.sum())
-    if total == 0:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z
-    starts = np.concatenate(([0], np.cumsum(per_gaussian)))
-    gi = np.repeat(np.arange(means.shape[0], dtype=np.int64), per_gaussian)
-    e = np.arange(total, dtype=np.int64) - starts[gi]
-    nyz = (counts[:, 1] * counts[:, 2])[gi]
-    nz = counts[:, 2][gi]
-    di = e // nyz
-    rem = e - di * nyz
-    dj = rem // nz
-    dk = rem - dj * nz
-    ijk = lo[gi] + np.stack([di, dj, dk], axis=1)
+    lo = np.clip(np.ceil((means - radii - origin) / cell - 0.5), -2, dims + 1).astype(np.int64)
+    hi = np.clip(np.floor((means + radii - origin) / cell - 0.5), -2, dims + 1).astype(np.int64)
+    # Passing voxels have offset >= -r from lo on and offset <= r up to hi;
+    # rounding can leave an estimate one voxel off either way.
+    lo += offset(lo) < -radii
+    lo -= offset(lo - 1) >= -radii
+    hi -= offset(hi) > radii
+    hi += offset(hi + 1) <= radii
 
-    centers = origin + (ijk + 0.5) * cell
-    keep = np.all(np.abs(centers - means[gi]) <= radii[gi], axis=1)
-    gi = gi[keep]
-    v = (ijk[keep, 0] * dims[1] + ijk[keep, 1]) * dims[2] + ijk[keep, 2]
-    return gi + g_offset, v
+    lo = np.maximum(lo, 0)
+    counts = np.maximum(np.minimum(hi, dims - 1) - lo + 1, 0)
+    counts[np.any(counts == 0, axis=1)] = 0
+    return lo, counts
+
+
+def _enumerate_pairs(lo: np.ndarray, counts: np.ndarray, spec: GridSpec, out: np.ndarray):
+    """Write the voxels of a slab of gaussians' boxes into ``out``.
+
+    ``lo`` and ``counts`` come from ``_axis_ranges``.  Each (gaussian, i, j)
+    line of a box is one contiguous run of z-voxels, so the voxels are an
+    ``arange`` plus a repeated per-line offset, in (gaussian, voxel) order.
+    """
+    _, y_dim, z_dim = spec.dims
+    lines = counts[:, 0] * counts[:, 1]
+    g = np.repeat(np.arange(lo.shape[0]), lines)
+    line = np.arange(g.size) - np.repeat(np.cumsum(lines) - lines, lines)
+    ny = counts[g, 1]
+    di = line // ny
+    dj = line - di * ny
+    first = ((lo[g, 0] + di) * y_dim + lo[g, 1] + dj) * z_dim + lo[g, 2]
+    run = counts[g, 2]
+    np.add(
+        np.arange(out.size, dtype=np.int64),
+        np.repeat(first - (np.cumsum(run) - run), run),
+        out=out,
+    )
 
 
 def build_splat_index(
@@ -134,7 +151,11 @@ def build_splat_index(
 
     ``cutoff_sigma=None`` selects exact mode: every gaussian pairs with every
     voxel, making the fast splat bitwise equal to the brute-force oracle.
-    Pair construction parallelizes over gaussian slabs; the result does not
+    Otherwise gaussian g pairs with the voxels whose centers lie in its box
+    of half-width ``cutoff_sigma * max(scale)`` per axis.  The per-axis
+    ranges are exact, so the pair total is known, and checked against
+    ``MAX_PAIRS``, before any pair-sized array is allocated.  The voxels are
+    then written over gaussian slabs, in parallel; the result does not
     depend on ``threads``.
     """
     p = len(scene)
@@ -151,31 +172,36 @@ def build_splat_index(
             gaussian_voxels=np.tile(np.arange(v_count, dtype=np.int64), p),
             gaussian_starts=np.arange(p + 1, dtype=np.int64) * v_count,
         )
-    means = scene.means.astype(np.float64)
-    radii = _scene_radii(scene, float(cutoff_sigma))
+    lo, counts = _axis_ranges(
+        scene.means.astype(np.float64), _scene_radii(scene, float(cutoff_sigma)), spec
+    )
+    per_gaussian = counts[:, 0] * counts[:, 1] * counts[:, 2]
+    # Summed in float64, which cannot wrap around as an int64 sum could.
+    total = per_gaussian.sum(dtype=np.float64)
+    if total > MAX_PAIRS:
+        raise CapacityError(f"pair list of {total:.0f} entries exceeds {MAX_PAIRS}")
+    gaussian_starts = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(per_gaussian, out=gaussian_starts[1:])
+
+    v = np.empty(int(gaussian_starts[-1]), dtype=np.int64)
     threads = max(1, int(threads))
     if threads == 1 or p < 2 * threads:
-        g, v = _enumerate_pairs(means, radii, spec, 0)
+        _enumerate_pairs(lo, counts, spec, v)
     else:
         bounds = np.linspace(0, p, threads + 1, dtype=np.int64)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
+            list(
                 pool.map(
-                    lambda ab: _enumerate_pairs(
-                        means[ab[0] : ab[1]], radii[ab[0] : ab[1]], spec, int(ab[0])
+                    lambda a, b: _enumerate_pairs(
+                        lo[a:b], counts[a:b], spec, v[gaussian_starts[a] : gaussian_starts[b]]
                     ),
-                    zip(bounds[:-1], bounds[1:]),
+                    bounds[:-1],
+                    bounds[1:],
                 )
             )
-        g = np.concatenate([a for a, _ in parts])
-        v = np.concatenate([b for _, b in parts])
-    if g.size > MAX_PAIRS:
-        raise CapacityError(f"pair list of {g.size} entries exceeds {MAX_PAIRS}")
 
     voxel_starts = np.zeros(v_count + 1, dtype=np.int64)
     np.cumsum(np.bincount(v, minlength=v_count), out=voxel_starts[1:])
-    gaussian_starts = np.zeros(p + 1, dtype=np.int64)
-    np.cumsum(np.bincount(g, minlength=p), out=gaussian_starts[1:])
 
     return SplatIndex(
         num_gaussians=p,
@@ -380,11 +406,14 @@ def _accumulate(
     scene: GaussianScene, index: SplatIndex, centers: np.ndarray
 ) -> np.ndarray:
     p = len(scene)
-    scores = np.zeros((index.num_voxels, scene.class_count), dtype=np.float32)
+    c = scene.class_count
+    scores = np.zeros((index.num_voxels, c), dtype=np.float32)
     if p == 0:
         return scores
     frames = gaussian_frames(scene.means, scene.scales, scene.rotations)
     pts = np.ascontiguousarray(centers.T)
+    flat_scores = scores.reshape(-1)
+    classes = np.arange(c)
     # Runs of gaussians whose neighborhoods cover the grid take the tiled
     # full-grid path, the others their own pairs; runs go in ascending order.
     covering = np.diff(index.gaussian_starts) == index.num_voxels
@@ -396,9 +425,14 @@ def _accumulate(
         for a, b in _gaussian_chunks(index.gaussian_starts, lo, hi):
             g, vox, w, _ = _chunk_pairs(frames, index, pts, a, b)
             sem = scene.logits[a:b].astype(np.float64)[g]
-            # add.at applies the rows in pair order, so every voxel receives
-            # its float32 adds one gaussian at a time, in ascending index.
-            np.add.at(scores, vox, (w[:, None] * sem).astype(np.float32))
+            # add.at applies the flat (pair, class) entries in pair order, so
+            # every score receives its float32 adds one gaussian at a time, in
+            # ascending index.
+            np.add.at(
+                flat_scores,
+                (vox[:, None] * c + classes).reshape(-1),
+                (w[:, None] * sem).astype(np.float32).reshape(-1),
+            )
     return scores
 
 

@@ -73,11 +73,16 @@ def test_bad_threads_env_var_exits_1(small_scene, tmp_path, monkeypatch, value):
 
 
 # Byte offsets in a scene file: a 16-byte header, then per gaussian mean[3],
-# scale[3] and rotation[4] as float32.
+# scale[3], rotation[4] and the semantics (4 classes here) as float32.
 @pytest.mark.parametrize("offset, payload", [
     (16 + 4 * 4, struct.pack("<f", 0.0)),
     (16 + 6 * 4, struct.pack("<4f", 0.0, 0.0, 0.0, 0.0)),
-], ids=["zero-scale", "zero-quaternion"])
+    (16, struct.pack("<f", float("nan"))),
+    (16 + 5 * 4, struct.pack("<f", float("inf"))),
+    (16 + 6 * 4, struct.pack("<f", float("nan"))),
+    (16 + 10 * 4, struct.pack("<f", float("-inf"))),
+], ids=["zero-scale", "zero-quaternion", "nan-mean", "inf-scale", "nan-quaternion",
+        "inf-semantics"])
 def test_splat_rejects_degenerate_gaussian_exit_2(small_scene, tmp_path, offset, payload):
     data = bytearray(small_scene.read_bytes())
     data[offset : offset + len(payload)] = payload
@@ -86,6 +91,7 @@ def test_splat_rejects_degenerate_gaussian_exit_2(small_scene, tmp_path, offset,
     code, _ = run(["splat", "--scene", str(bad), *GRID_FLAGS,
                    "--out", str(tmp_path / "g.svox")])
     assert code == 2
+    assert not (tmp_path / "g.svox").exists()
 
 
 def test_data_errors_exit_2(tmp_path):

@@ -8,6 +8,7 @@ from gaussvox import (
     FitConfig,
     GaussianScene,
     InvalidScaleError,
+    NonFiniteValueError,
     RawGaussianParams,
     gaussian_weight,
     quat_to_rotation,
@@ -144,6 +145,40 @@ def test_nonpositive_scale_rejected():
 def test_scene_rejects_degenerate_quaternion():
     with pytest.raises(DegenerateRotationError):
         _scene([[1, 1, 1], [1, 1, 1]], [[1, 0, 0, 0], [0, 0, 0, 1e-13]])
+
+
+def _valid_fields(n=3):
+    return {
+        "means": np.zeros((n, 3)),
+        "scales": np.ones((n, 3)),
+        "rotations": np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)),
+        "logits": np.ones((n, 2)),
+    }
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["means", "logits"])
+def test_scene_rejects_non_finite_mean_or_semantics(field, bad):
+    fields = _valid_fields()
+    fields[field][2, 1] = bad
+    with pytest.raises(NonFiniteValueError, match=f"gaussian 2: {field}"):
+        GaussianScene(**fields)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_scene_rejects_non_finite_scale(bad):
+    fields = _valid_fields()
+    fields["scales"][1, 0] = bad
+    with pytest.raises(InvalidScaleError, match="gaussian 1"):
+        GaussianScene(**fields)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scene_rejects_non_finite_quaternion(bad):
+    fields = _valid_fields()
+    fields["rotations"][1, 3] = bad
+    with pytest.raises(DegenerateRotationError, match="gaussian 1"):
+        GaussianScene(**fields)
 
 
 def test_evaluate_at_mean_returns_logits():

@@ -5,8 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussvox import (
+    CapacityError,
     GaussianScene,
     GridSpec,
     RawGaussianParams,
@@ -112,6 +115,8 @@ def test_neighborhood_radius_values():
     assert np.allclose(_scene_radii(g, 3.0), [[0.9, 0.9, 0.9]], atol=1e-7)
     with pytest.raises(ValueError):
         _scene_radii(g, 0.0)
+    with pytest.raises(ValueError):
+        _scene_radii(g, float("nan"))
 
 
 def test_neighborhood_box_contains_cutoff_ellipsoid():
@@ -152,6 +157,86 @@ def test_index_matches_brute_force_pair_set():
         scene = random_scene(rng, int(rng.integers(1, 101)), s_lo=0.05, s_hi=0.6)
         index = build_splat_index(scene, spec, 3.0)
         assert index_pairs(index) == _brute_force_pairs(scene, spec, 3.0)
+
+
+CELLS = [0.1, 0.2, 0.25, 0.3, 0.5, 0.7, 1.0]
+
+
+@st.composite
+def index_cases(draw):
+    """A small grid with gaussians inside, outside, far away and on the lattice.
+
+    Cell sizes are drawn per axis and a dimension may be 1.  Snapped means sit
+    on a voxel center or face, and their radius is the float64 distance from
+    the first of them to a drawn voxel center, a whole number of half cells:
+    that center lies exactly on its box face, where float64 rounding decides
+    the containment test.
+    """
+    cell = np.array([draw(st.sampled_from(CELLS)) for _ in range(3)])
+    dims = np.array([draw(st.integers(1, 6)) for _ in range(3)])
+    origin = np.array([draw(st.integers(-20, 20)) * 0.1 for _ in range(3)])
+    means, scales = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["snapped", "snapped", "uniform", "far"]))
+        if kind == "snapped":
+            half = np.array([draw(st.integers(-6, 2 * int(d) + 6)) for d in dims])
+            means.append(origin + half * 0.5 * cell)
+            scale = 1.0
+        elif kind == "uniform":
+            u = np.array([draw(st.floats(-0.5, 1.5)) for _ in range(3)])
+            means.append(origin + u * dims * cell)
+            scale = draw(st.floats(0.01, 2.0))
+        else:
+            means.append(np.array([draw(st.sampled_from([-1e12, 1e12, 0.0])) for _ in range(3)]))
+            means[-1][draw(st.integers(0, 2))] = draw(st.sampled_from([-1e12, 1e12]))
+            scale = draw(st.floats(0.01, 2.0))
+        scales.append(np.full(3, scale) * [1.0, draw(st.sampled_from([0.5, 1.0])), 1.0])
+    n = len(means)
+    scene = GaussianScene(np.array(means), np.array(scales), np.tile([1.0, 0, 0, 0], (n, 1)),
+                          np.ones((n, 1)))
+    # Snapped gaussians have a largest scale of 1, so their radius is the cutoff.
+    snapped = np.flatnonzero(scene.scales.max(axis=1) == 1.0)
+    cutoff = draw(st.sampled_from([1.0, 3.0]))
+    if snapped.size:
+        axis = draw(st.integers(0, 2))
+        i = draw(st.integers(-2, int(dims[axis]) + 1))
+        m = float(scene.means[snapped[0], axis])
+        cutoff = abs(origin[axis] + (i + 0.5) * cell[axis] - m) or cutoff
+    return scene, GridSpec(origin, cell, dims), cutoff
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(index_cases())
+def test_index_matches_brute_force_property(case):
+    scene, spec, cutoff = case
+    index = build_splat_index(scene, spec, cutoff)
+    assert index_pairs(index) == _brute_force_pairs(scene, spec, cutoff)
+    g = np.repeat(np.arange(len(scene)), np.diff(index.gaussian_starts))
+    assert np.all(np.diff(g * index.num_voxels + index.gaussian_voxels) > 0)
+    far = np.any(np.abs(scene.means) >= 1e12, axis=1)
+    assert np.all(np.diff(index.gaussian_starts)[far] == 0)
+    assert np.array_equal(np.diff(index.voxel_starts),
+                          np.bincount(index.gaussian_voxels, minlength=spec.num_voxels))
+    two = build_splat_index(scene, spec, cutoff, threads=2)
+    assert np.array_equal(two.gaussian_voxels, index.gaussian_voxels)
+    assert np.array_equal(two.gaussian_starts, index.gaussian_starts)
+
+
+def test_capacity_checked_before_pair_arrays_exist(monkeypatch):
+    # Four gaussians whose boxes cover the whole nuscenes grid: 2,560,000
+    # pairs, 20 MB of int64 voxel indices, against a cap of 1,000,000.
+    monkeypatch.setattr(splat_module, "MAX_PAIRS", 1_000_000)
+    spec = GridSpec((-50.0, -50.0, -5.0), (0.5, 0.5, 0.5), (200, 200, 16))
+    scene = GaussianScene(np.zeros((4, 3)), np.full((4, 3), 1e3),
+                          np.tile([1.0, 0, 0, 0], (4, 1)), np.ones((4, 18)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="2560000"):
+            build_splat_index(scene, spec, 3.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_index_sorted_and_ranges_consistent():
