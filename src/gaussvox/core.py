@@ -79,15 +79,15 @@ class GaussianScene:
         for name in ("means", "logits"):
             bad = np.flatnonzero(~np.all(np.isfinite(getattr(self, name)), axis=1))
             if bad.size:
-                raise NonFiniteValueError(f"gaussian {bad[0]}: {name} must be finite")
+                raise NonFiniteValueError(f"{name} must be finite", int(bad[0]))
         bad = np.flatnonzero(~np.all(np.isfinite(self.scales) & (self.scales > 0), axis=1))
         if bad.size:
-            raise InvalidScaleError(f"gaussian {bad[0]}: scale components must be finite and > 0")
+            raise InvalidScaleError("scale components must be finite and > 0", int(bad[0]))
         norms = np.sqrt(np.sum(self.rotations.astype(np.float64) ** 2, axis=1))
         bad = np.flatnonzero(~(np.isfinite(norms) & (norms > QUAT_NORM_EPS)))
         if bad.size:
             raise DegenerateRotationError(
-                f"gaussian {bad[0]}: quaternion must be finite with norm above {QUAT_NORM_EPS}"
+                f"quaternion must be finite with norm above {QUAT_NORM_EPS}", int(bad[0])
             )
 
     def __len__(self) -> int:

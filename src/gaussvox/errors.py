@@ -5,15 +5,23 @@ class GaussvoxError(Exception):
     """Base class for all library errors."""
 
 
-class DegenerateRotationError(GaussvoxError):
+class InvalidGaussianError(GaussvoxError):
+    """A gaussian parameter no scene may hold; ``gaussian`` is its index, when known."""
+
+    def __init__(self, message: str, gaussian: int | None = None):
+        super().__init__(message if gaussian is None else f"gaussian {gaussian}: {message}")
+        self.gaussian = gaussian
+
+
+class DegenerateRotationError(InvalidGaussianError):
     """Quaternion that is non-finite or too close to zero to define a rotation."""
 
 
-class InvalidScaleError(GaussvoxError):
+class InvalidScaleError(InvalidGaussianError):
     """Gaussian scale with a non-positive, non-finite or out-of-range component."""
 
 
-class NonFiniteValueError(GaussvoxError):
+class NonFiniteValueError(InvalidGaussianError):
     """Gaussian mean or semantic value that is NaN or infinite."""
 
 

@@ -23,8 +23,7 @@ from .losses import voxel_losses
 from .metrics import confusion, miou, scene_completion_iou
 from .splat import (
     SplatIndex,
-    _chunk_pairs,
-    _gaussian_chunks,
+    _pair_chunks,
     build_splat_index,
     frames_vjp,
     gaussian_frames,
@@ -181,8 +180,9 @@ def backward_splat(
     Each gaussian accumulates only over its own neighborhood pairs, in
     ascending voxel order, mirroring the forward sparsity.  Pairs are
     processed in chunks of whole gaussians and every per-gaussian sum runs
-    in pair order, so the result does not depend on the chunk size.  The
-    rotation gradient is projected onto the unit-quaternion tangent.
+    in pair order, so the result depends on neither the chunk size nor the
+    index's thread count.  The rotation gradient is projected onto the
+    unit-quaternion tangent.
     """
     if centers is None:
         centers = spec.voxel_centers()
@@ -196,8 +196,7 @@ def backward_splat(
     s_z = np.zeros((p, 3))
     s_zz = np.zeros((p, 3, 3))
     d_sem = np.zeros((p, c))
-    for a, b in _gaussian_chunks(index.gaussian_starts, 0, p):
-        g, vox, w, z = _chunk_pairs(frames, index, pts, a, b)
+    for a, b, g, vox, w, z in _pair_chunks(frames, index, pts, 0, p):
         gup = d_scores[vox]
         sem_pairs = sem[a:b][g]
         # dL/dw per pair, summed class by class so no pair depends on the chunk.

@@ -109,10 +109,6 @@ class OccupancyGrid:
                     f"scores must be ({v}, {self.class_count}), got {self.scores.shape}"
                 )
 
-    @property
-    def labels3d(self) -> np.ndarray:
-        return self.labels.reshape(self.spec.dims)
-
 
 def grids_compatible(a: OccupancyGrid, b: OccupancyGrid) -> bool:
     return a.spec == b.spec and a.class_count == b.class_count

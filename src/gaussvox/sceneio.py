@@ -22,7 +22,7 @@ import struct
 import numpy as np
 
 from .core import GaussianScene
-from .errors import CapacityError, FormatError
+from .errors import CapacityError, FormatError, InvalidGaussianError
 from .grid import MAX_VOXELS, GridSpec, OccupancyGrid
 
 SCENE_MAGIC = b"SGAU"
@@ -66,9 +66,12 @@ def read_scene(path) -> GaussianScene:
             f"record section is {actual} bytes, expected {expected}", _SCENE_HEADER.size
         )
     records = np.frombuffer(data, dtype="<f4", offset=_SCENE_HEADER.size).reshape(p, 10 + c)
-    return GaussianScene(
-        records[:, 0:3], records[:, 3:6], records[:, 6:10], records[:, 10:]
-    )
+    try:
+        return GaussianScene(
+            records[:, 0:3], records[:, 3:6], records[:, 6:10], records[:, 10:]
+        )
+    except InvalidGaussianError as e:
+        raise FormatError(str(e), _SCENE_HEADER.size + e.gaussian * (10 + c) * 4) from e
 
 
 def write_grid(grid: OccupancyGrid, path) -> None:

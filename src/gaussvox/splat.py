@@ -1,8 +1,9 @@
 """Gaussian-to-voxel splatting.
 
-The fast path embeds each Gaussian into the grid, enumerates the voxels
-inside its cutoff neighborhood as (gaussian, voxel) pairs, and accumulates
-per-voxel semantic scores from the neighboring Gaussians only.
+The fast path embeds each Gaussian into the grid as the box of voxels
+inside its cutoff neighborhood, and accumulates per-voxel semantic scores
+from the neighboring Gaussians only.  The (gaussian, voxel) pairs of a box
+are written one chunk at a time, by the pass that uses them.
 ``splat_oracle`` is the exact O(voxels * P) reference.  One elementwise
 kernel, ``pair_weights``, computes every pair weight, so a pair has the
 same bits in both paths and in the backward pass, and the fast path
@@ -15,6 +16,7 @@ and chunk sizes.
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -26,37 +28,54 @@ from .grid import GridSpec, OccupancyGrid
 
 DEFAULT_CUTOFF_SIGMA = 3.0
 
-# Practical cap on the pair list; past this the index would not fit in memory
-# on the hardware this package targets.
+# Cap on a scene's (gaussian, voxel) pairs.  Pairs exist only one chunk at a
+# time, so this bounds the work of a pass over the index, not its memory.
 MAX_PAIRS = 1 << 33
 
 
 @dataclass
 class SplatIndex:
-    """The (gaussian, voxel) pair list in (gaussian, voxel) order.
+    """Each gaussian's neighborhood as a box of voxels, in gaussian order.
 
-    ``gaussian_voxels[gaussian_starts[g] : gaussian_starts[g + 1]]`` are the
-    voxels in gaussian g's neighborhood, ascending; this is the order the
-    forward and backward passes traverse.  With a cutoff, a neighborhood is
-    a box of voxels, stored as runs of consecutive z, one per (x, y) line.
-    ``voxel_starts`` is the running count of pairs per voxel, so
-    ``np.diff(voxel_starts)`` gives each voxel's number of neighboring
-    gaussians.
+    Gaussian g's box starts at voxel ``lo[g]`` and spans ``counts[g]``
+    voxels per axis; a box that misses the grid has all counts zero.
+    ``gaussian_starts`` is the running pair count, so gaussian g owns pairs
+    ``gaussian_starts[g] : gaussian_starts[g + 1]``.  No pair list is held:
+    ``voxels(a, b)`` writes the pairs of a run of gaussians when a pass
+    needs them, and the passes compute up to ``threads`` runs at once.
     """
 
-    num_gaussians: int
-    num_voxels: int
-    voxel_starts: np.ndarray
-    gaussian_voxels: np.ndarray
+    spec: GridSpec
+    lo: np.ndarray
+    counts: np.ndarray
     gaussian_starts: np.ndarray
+    threads: int
+
+    @property
+    def num_gaussians(self) -> int:
+        return self.lo.shape[0]
+
+    @property
+    def num_voxels(self) -> int:
+        return self.spec.num_voxels
 
     @property
     def pair_count(self) -> int:
-        return int(self.gaussian_voxels.size)
+        return int(self.gaussian_starts[-1])
 
-    def gaussian_range(self, g: int) -> np.ndarray:
-        """Voxel indices inside gaussian g's neighborhood, ascending."""
-        return self.gaussian_voxels[self.gaussian_starts[g] : self.gaussian_starts[g + 1]]
+    def voxels(self, a: int, b: int) -> np.ndarray:
+        """The voxels of gaussians [a, b), ascending per gaussian."""
+        out = np.empty(int(self.gaussian_starts[b] - self.gaussian_starts[a]), dtype=np.int64)
+        _enumerate_pairs(self.lo[a:b], self.counts[a:b], self.spec, out)
+        return out
+
+    @property
+    def voxel_starts(self) -> np.ndarray:
+        """Running pair count per voxel; its ``np.diff`` is each voxel's gaussian count."""
+        starts = np.zeros(self.num_voxels + 1, dtype=np.int64)
+        for a, b in _gaussian_chunks(self.gaussian_starts, 0, self.num_gaussians):
+            starts[1:] += np.bincount(self.voxels(a, b), minlength=self.num_voxels)
+        return np.cumsum(starts, out=starts)
 
 
 def voxelize_means(scene: GaussianScene, spec: GridSpec):
@@ -73,12 +92,15 @@ def voxelize_means(scene: GaussianScene, spec: GridSpec):
     return voxel_index, in_volume
 
 
-def _scene_radii(scene: GaussianScene, cutoff_sigma: float) -> np.ndarray:
+def _scene_radii(scene: GaussianScene, cutoff_sigma: float | None) -> np.ndarray:
     """Half-extents (P, 3) of the axis-aligned cutoff boxes.
 
     The box cutoff_sigma * max(scale) per axis contains the ellipsoid of
-    Mahalanobis distance <= cutoff_sigma for any rotation.
+    Mahalanobis distance <= cutoff_sigma for any rotation.  ``None`` is
+    exact mode: an infinite radius, whose box is the whole grid.
     """
+    if cutoff_sigma is None:
+        cutoff_sigma = np.inf
     if not cutoff_sigma > 0:
         raise ValueError(f"cutoff_sigma must be > 0, got {cutoff_sigma}")
     r = cutoff_sigma * scene.scales.astype(np.float64).max(axis=1)
@@ -119,7 +141,7 @@ def _axis_ranges(means: np.ndarray, radii: np.ndarray, spec: GridSpec):
 
 
 def _enumerate_pairs(lo: np.ndarray, counts: np.ndarray, spec: GridSpec, out: np.ndarray):
-    """Write the voxels of a slab of gaussians' boxes into ``out``.
+    """Write the voxels of a run of gaussians' boxes into ``out``.
 
     ``lo`` and ``counts`` come from ``_axis_ranges``.  Each (gaussian, i, j)
     line of a box is one contiguous run of z-voxels, so the voxels are an
@@ -147,69 +169,27 @@ def build_splat_index(
     cutoff_sigma: float | None = DEFAULT_CUTOFF_SIGMA,
     threads: int = 1,
 ) -> SplatIndex:
-    """Build the (gaussian, voxel) pair list.
+    """Find each gaussian's neighborhood box and count its pairs.
 
-    ``cutoff_sigma=None`` selects exact mode: every gaussian pairs with every
-    voxel, making the fast splat bitwise equal to the brute-force oracle.
-    Otherwise gaussian g pairs with the voxels whose centers lie in its box
-    of half-width ``cutoff_sigma * max(scale)`` per axis.  The per-axis
-    ranges are exact, so the pair total is known, and checked against
-    ``MAX_PAIRS``, before any pair-sized array is allocated.  The voxels are
-    then written over gaussian slabs, in parallel; the result does not
-    depend on ``threads``.
+    Gaussian g pairs with the voxels whose centers lie in its box of
+    half-width ``cutoff_sigma * max(scale)`` per axis.  ``cutoff_sigma=None``
+    selects exact mode: every box is the whole grid, so every gaussian pairs
+    with every voxel and the fast splat is bitwise equal to the brute-force
+    oracle.  The per-axis ranges are exact, so the pair total is known, and
+    checked against ``MAX_PAIRS``, before any pair is written.  ``threads``
+    is how many runs of pairs the passes over the index compute at once; no
+    result depends on it.
     """
-    p = len(scene)
-    v_count = spec.num_voxels
-
-    if cutoff_sigma is None:
-        total = p * v_count
-        if total > MAX_PAIRS:
-            raise CapacityError(f"exact-mode pair list of {total} entries exceeds {MAX_PAIRS}")
-        return SplatIndex(
-            num_gaussians=p,
-            num_voxels=v_count,
-            voxel_starts=np.arange(v_count + 1, dtype=np.int64) * p,
-            gaussian_voxels=np.tile(np.arange(v_count, dtype=np.int64), p),
-            gaussian_starts=np.arange(p + 1, dtype=np.int64) * v_count,
-        )
-    lo, counts = _axis_ranges(
-        scene.means.astype(np.float64), _scene_radii(scene, float(cutoff_sigma)), spec
-    )
+    radii = _scene_radii(scene, cutoff_sigma)
+    lo, counts = _axis_ranges(scene.means.astype(np.float64), radii, spec)
     per_gaussian = counts[:, 0] * counts[:, 1] * counts[:, 2]
     # Summed in float64, which cannot wrap around as an int64 sum could.
     total = per_gaussian.sum(dtype=np.float64)
     if total > MAX_PAIRS:
-        raise CapacityError(f"pair list of {total:.0f} entries exceeds {MAX_PAIRS}")
-    gaussian_starts = np.zeros(p + 1, dtype=np.int64)
+        raise CapacityError(f"{total:.0f} (gaussian, voxel) pairs exceed {MAX_PAIRS}")
+    gaussian_starts = np.zeros(len(scene) + 1, dtype=np.int64)
     np.cumsum(per_gaussian, out=gaussian_starts[1:])
-
-    v = np.empty(int(gaussian_starts[-1]), dtype=np.int64)
-    threads = max(1, int(threads))
-    if threads == 1 or p < 2 * threads:
-        _enumerate_pairs(lo, counts, spec, v)
-    else:
-        bounds = np.linspace(0, p, threads + 1, dtype=np.int64)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(
-                pool.map(
-                    lambda a, b: _enumerate_pairs(
-                        lo[a:b], counts[a:b], spec, v[gaussian_starts[a] : gaussian_starts[b]]
-                    ),
-                    bounds[:-1],
-                    bounds[1:],
-                )
-            )
-
-    voxel_starts = np.zeros(v_count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(v, minlength=v_count), out=voxel_starts[1:])
-
-    return SplatIndex(
-        num_gaussians=p,
-        num_voxels=v_count,
-        voxel_starts=voxel_starts,
-        gaussian_voxels=v,
-        gaussian_starts=gaussian_starts,
-    )
+    return SplatIndex(spec, lo, counts, gaussian_starts, max(1, int(threads)))
 
 
 def gaussian_frames(means, scales, rotations):
@@ -312,23 +292,36 @@ def _gaussian_chunks(starts: np.ndarray, g_lo: int, g_hi: int):
         a = b
 
 
-def _chunk_pairs(frames, index: SplatIndex, pts: np.ndarray, a: int, b: int):
-    """The pairs of gaussians [a, b) in (gaussian, voxel) order.
+def _pair_chunks(frames, index: SplatIndex, pts: np.ndarray, g_lo: int, g_hi: int):
+    """Yield the pairs of gaussians [g_lo, g_hi) run by run, in ascending order.
 
-    Returns each pair's gaussian relative to a, its voxel, and the kernel's
-    ``w, z``; ``frames`` come from ``gaussian_frames`` and ``pts`` holds all
-    voxel centers, shaped (3, V).
+    Each item is ``a, b, g, vox, w, z`` for a run [a, b) of whole gaussians
+    from ``_gaussian_chunks``: each pair's gaussian relative to a, its voxel
+    and the kernel's ``w, z``, in (gaussian, voxel) order.  ``frames`` come
+    from ``gaussian_frames`` and ``pts`` holds all voxel centers, shaped
+    (3, V).  Up to ``index.threads`` runs are computed at once, and the runs
+    are yielded in order, so callers add them up as one thread would.
     """
-    starts = index.gaussian_starts
-    counts = np.diff(starts[a : b + 1])
-    g = np.repeat(np.arange(b - a), counts)
-    vox = index.gaussian_voxels[starts[a] : starts[b]]
-    w, z = pair_weights(
-        np.repeat(frames[0][..., a:b], counts, axis=-1),
-        np.repeat(frames[1][:, a:b], counts, axis=-1),
-        pts[:, vox],
-    )
-    return g, vox, w, z
+
+    def pairs(run):
+        a, b = run
+        counts = np.diff(index.gaussian_starts[a : b + 1])
+        vox = index.voxels(a, b)
+        w, z = pair_weights(
+            np.repeat(frames[0][..., a:b], counts, axis=-1),
+            np.repeat(frames[1][:, a:b], counts, axis=-1),
+            pts[:, vox],
+        )
+        return a, b, np.repeat(np.arange(b - a), counts), vox, w, z
+
+    runs = _gaussian_chunks(index.gaussian_starts, g_lo, g_hi)
+    if index.threads == 1:
+        # One worker thread measured slower than the caller's, with a higher peak.
+        yield from map(pairs, runs)
+        return
+    with ThreadPoolExecutor(max_workers=index.threads) as pool:
+        while batch := list(itertools.islice(runs, index.threads)):
+            yield from pool.map(pairs, batch)
 
 
 # The full-grid accumulator steps through (gaussian tile, voxel block) pairs
@@ -422,8 +415,7 @@ def _accumulate(
         if covering[lo]:
             _accumulate_full_grid(frames, scene.logits, pts, scores, lo, hi)
             continue
-        for a, b in _gaussian_chunks(index.gaussian_starts, lo, hi):
-            g, vox, w, _ = _chunk_pairs(frames, index, pts, a, b)
+        for a, b, g, vox, w, _ in _pair_chunks(frames, index, pts, lo, hi):
             sem = scene.logits[a:b].astype(np.float64)[g]
             # add.at applies the flat (pair, class) entries in pair order, so
             # every score receives its float32 adds one gaussian at a time, in

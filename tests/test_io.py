@@ -7,9 +7,12 @@ import pytest
 
 from gaussvox import (
     CapacityError,
+    DegenerateRotationError,
     FormatError,
     GaussianScene,
     GridSpec,
+    InvalidScaleError,
+    NonFiniteValueError,
     OccupancyGrid,
     gen_synthetic,
     read_grid,
@@ -118,6 +121,32 @@ def test_scene_truncated(tmp_path):
     header_only.write_bytes(data[:10])
     with pytest.raises(FormatError):
         read_scene(header_only)
+
+
+# A record is mean[3], scale[3], rotation[4] and the semantics as float32;
+# each case writes its value into records 2 and 4 of a 3-class scene.
+@pytest.mark.parametrize("field, payload, error", [
+    (0, [float("nan")], NonFiniteValueError),
+    (2, [float("inf")], NonFiniteValueError),
+    (12, [float("-inf")], NonFiniteValueError),
+    (3, [float("nan")], InvalidScaleError),
+    (5, [0.0], InvalidScaleError),
+    (6, [0.0] * 4, DegenerateRotationError),
+], ids=["nan-mean", "inf-mean", "inf-semantics", "nan-scale", "zero-scale",
+        "zero-quaternion"])
+def test_scene_bad_record_offset(tmp_path, field, payload, error):
+    path = tmp_path / "scene.sgau"
+    write_scene(random_scene(np.random.default_rng(66), 6, 3), path)
+    data = bytearray(path.read_bytes())
+    for g in (2, 4):
+        at = 16 + (g * 13 + field) * 4
+        data[at : at + 4 * len(payload)] = struct.pack(f"<{len(payload)}f", *payload)
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError) as e:
+        read_scene(path)
+    assert e.value.offset == 16 + 2 * 13 * 4
+    assert type(e.value.__cause__) is error
+    assert e.value.__cause__.gaussian == 2
 
 
 def test_grid_bad_magic_and_version(tmp_path):

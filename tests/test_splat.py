@@ -62,7 +62,7 @@ def frames_of(scene):
 def index_pairs(index):
     """The index's pair set as (gaussian, voxel) tuples."""
     g = np.repeat(np.arange(index.num_gaussians), np.diff(index.gaussian_starts))
-    return set(zip(g.tolist(), index.gaussian_voxels.tolist()))
+    return set(zip(g.tolist(), index.voxels(0, index.num_gaussians).tolist()))
 
 
 def kernel_weights(frames, g, points):
@@ -175,9 +175,10 @@ def index_cases(draw):
     cell = np.array([draw(st.sampled_from(CELLS)) for _ in range(3)])
     dims = np.array([draw(st.integers(1, 6)) for _ in range(3)])
     origin = np.array([draw(st.integers(-20, 20)) * 0.1 for _ in range(3)])
-    means, scales = [], []
+    means, scales, kinds = [], [], []
     for _ in range(draw(st.integers(1, 8))):
         kind = draw(st.sampled_from(["snapped", "snapped", "uniform", "far"]))
+        kinds.append(kind)
         if kind == "snapped":
             half = np.array([draw(st.integers(-6, 2 * int(d) + 6)) for d in dims])
             means.append(origin + half * 0.5 * cell)
@@ -194,8 +195,9 @@ def index_cases(draw):
     n = len(means)
     scene = GaussianScene(np.array(means), np.array(scales), np.tile([1.0, 0, 0, 0], (n, 1)),
                           np.ones((n, 1)))
-    # Snapped gaussians have a largest scale of 1, so their radius is the cutoff.
-    snapped = np.flatnonzero(scene.scales.max(axis=1) == 1.0)
+    # Snapped gaussians have a largest scale of 1, so their radius is the
+    # cutoff.  A far gaussian may draw that scale too; it is not aimed at.
+    snapped = np.flatnonzero(np.array(kinds) == "snapped")
     cutoff = draw(st.sampled_from([1.0, 3.0]))
     if snapped.size:
         axis = draw(st.integers(0, 2))
@@ -212,13 +214,14 @@ def test_index_matches_brute_force_property(case):
     index = build_splat_index(scene, spec, cutoff)
     assert index_pairs(index) == _brute_force_pairs(scene, spec, cutoff)
     g = np.repeat(np.arange(len(scene)), np.diff(index.gaussian_starts))
-    assert np.all(np.diff(g * index.num_voxels + index.gaussian_voxels) > 0)
+    voxels = index.voxels(0, len(scene))
+    assert np.all(np.diff(g * index.num_voxels + voxels) > 0)
     far = np.any(np.abs(scene.means) >= 1e12, axis=1)
     assert np.all(np.diff(index.gaussian_starts)[far] == 0)
     assert np.array_equal(np.diff(index.voxel_starts),
-                          np.bincount(index.gaussian_voxels, minlength=spec.num_voxels))
+                          np.bincount(voxels, minlength=spec.num_voxels))
     two = build_splat_index(scene, spec, cutoff, threads=2)
-    assert np.array_equal(two.gaussian_voxels, index.gaussian_voxels)
+    assert np.array_equal(two.voxels(0, len(scene)), voxels)
     assert np.array_equal(two.gaussian_starts, index.gaussian_starts)
 
 
@@ -244,14 +247,16 @@ def test_index_sorted_and_ranges_consistent():
     scene = random_scene(rng, 40)
     index = build_splat_index(scene, SPEC8, 3.0)
     g = np.repeat(np.arange(len(scene)), np.diff(index.gaussian_starts))
-    keys = g * index.num_voxels + index.gaussian_voxels
+    voxels = index.voxels(0, len(scene))
+    keys = g * index.num_voxels + voxels
     assert np.all(np.diff(keys) > 0)  # strict (g, v) lexicographic order
     assert index.voxel_starts[0] == 0
     assert index.voxel_starts[-1] == index.pair_count
-    per_voxel = np.bincount(index.gaussian_voxels, minlength=index.num_voxels)
+    per_voxel = np.bincount(voxels, minlength=index.num_voxels)
     assert np.array_equal(np.diff(index.voxel_starts), per_voxel)
-    total = sum(index.gaussian_range(g).size for g in range(len(scene)))
-    assert total == index.pair_count
+    runs = [index.voxels(g, g + 1) for g in range(len(scene))]
+    assert np.array_equal(np.concatenate(runs), voxels)
+    assert voxels.size == index.pair_count
 
 
 def test_index_empty_scene():
@@ -270,7 +275,7 @@ def test_index_tiny_gaussian_single_voxel():
     g = ([1.5, 1.5, 1.5], [0.01, 0.01, 0.01], [1, 0, 0, 0], [1.0])
     index = build_splat_index(scene_of(g), spec, 3.0)
     assert index.pair_count == 1
-    assert index.gaussian_voxels[0] == (1 * 4 + 1) * 4 + 1
+    assert index.voxels(0, 1)[0] == (1 * 4 + 1) * 4 + 1
 
 
 def test_pair_count_monotone_in_cutoff_and_scale():
@@ -345,7 +350,8 @@ def test_pair_weight_bits_do_not_depend_on_the_batch():
     tile, _ = pair_weights(a[..., None], off[..., None], pts)
     # Every pair as one pair list, (gaussian, voxel) order.
     index = build_splat_index(scene, SPEC8, None)
-    _, _, chunk, _ = splat_module._chunk_pairs(frames, index, pts, 0, len(scene))
+    chunks = splat_module._pair_chunks(frames, index, pts, 0, len(scene))
+    chunk = np.concatenate([w for *_, w, _ in chunks])
     assert np.array_equal(chunk.reshape(tile.shape).view(np.uint64), tile.view(np.uint64))
     rng = np.random.default_rng(35)
     for g, v in zip(rng.integers(0, len(scene), 40), rng.integers(0, SPEC8.num_voxels, 40)):
@@ -359,19 +365,20 @@ def test_chunk_sizes_do_not_change_bits(monkeypatch, pair_chunk):
     params = RawGaussianParams.from_scene(scene, 0.05, 6.0)
     d_scores = np.random.default_rng(37).normal(size=(SPEC16.num_voxels, scene.class_count))
 
-    def run():
-        index = build_splat_index(scene, SPEC16, 3.0)
+    def run(threads):
+        index = build_splat_index(scene, SPEC16, 3.0, threads=threads)
         grads = backward_splat(params, index, SPEC16, d_scores, 0.05, 6.0)
         return splat(scene, SPEC16, index=index).scores, grads
 
-    base_scores, base_grads = run()
+    base_scores, base_grads = run(1)
     monkeypatch.setattr(splat_module, "_PAIR_CHUNK", pair_chunk)
     monkeypatch.setattr(splat_module, "_FULL_GRID_TILE", 3)
     monkeypatch.setattr(splat_module, "_FULL_GRID_STEP", 50)
-    scores, grads = run()
-    assert np.array_equal(scores.view(np.uint32), base_scores.view(np.uint32))
-    for key, grad in grads.items():
-        assert np.array_equal(grad.view(np.uint64), base_grads[key].view(np.uint64)), key
+    for threads in (1, 2):
+        scores, grads = run(threads)
+        assert np.array_equal(scores.view(np.uint32), base_scores.view(np.uint32))
+        for key, grad in grads.items():
+            assert np.array_equal(grad.view(np.uint64), base_grads[key].view(np.uint64)), key
 
 
 def _add_one_gaussian_at_a_time(scene, centers, scores, g_lo, g_hi):
@@ -430,6 +437,21 @@ def test_full_grid_memory_does_not_grow_with_gaussians():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= peaks[0] + 4096, peaks
+
+
+def test_exact_index_holds_no_pair_array():
+    # Exact mode pairs 200 gaussians with all 32^3 voxels: a pair list would
+    # take 52 MB of int64 voxel indices.
+    spec = GridSpec((-4.0, -4.0, -4.0), (0.25, 0.25, 0.25), (32, 32, 32))
+    scene = random_scene(np.random.default_rng(24), 200)
+    tracemalloc.start()
+    try:
+        index = build_splat_index(scene, spec, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert index.pair_count == 200 * spec.num_voxels
+    assert peak < 1_000_000, peak
 
 
 def test_splat_independent_of_threads():
