@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import GaussianScene, sigmoid, softmax
 from .errors import DivergenceError, UndefinedMetricError
-from .grid import GridSpec, OccupancyGrid
+from .grid import IGNORE_LABEL, GridSpec, OccupancyGrid
 from .losses import voxel_losses
 from .metrics import confusion, miou, scene_completion_iou
 from .splat import (
@@ -310,7 +310,7 @@ def fit(
     refinement, recording losses and metrics per iteration.  ``log_fn``, when
     given, receives each IterationRecord as it is produced.
     """
-    if np.count_nonzero(truth.labels != 255) == 0:
+    if np.count_nonzero(truth.labels != IGNORE_LABEL) == 0:
         raise ValueError("truth grid has no non-ignore voxel")
     if isinstance(initial, SceneInit):
         initial = init_scene(

@@ -5,6 +5,15 @@ the negative log-likelihood of the truth label, averaged over non-ignored
 voxels.  The second term is the Lovasz extension of the Jaccard loss over the
 softmax probabilities, computed per class present in the truth and averaged
 over those classes.
+
+Each class's Lovasz gradient is a Jaccard difference over its errors in
+stable descending order.  After the last foreground entry of that order the
+intersection is 0, so every later coefficient is exactly 0.0: only the
+foreground and the background whose error reaches the smallest foreground
+error are sorted.  That kept set is a prefix of the full stable order, and
+the foreground count and running sums are exact integers, so the score
+gradients are bitwise those of a sort over every voxel.  Only the Lovasz
+scalar can differ, by the rounding of a shorter dot product.
 """
 
 from __future__ import annotations
@@ -26,7 +35,11 @@ class LossBreakdown:
 
 
 def _lovasz_grad_coeffs(fg_sorted: np.ndarray) -> np.ndarray:
-    """Gradient coefficients of the Lovasz extension for one sorted class."""
+    """Gradient coefficients of the Lovasz extension for one sorted class.
+
+    ``fg_sorted`` may be any prefix of the sorted order that holds every
+    foreground entry; the coefficients it drops are the exact zeros.
+    """
     fg_sum = fg_sorted.sum()
     intersection = fg_sum - np.cumsum(fg_sorted)
     union = fg_sum + np.cumsum(1.0 - fg_sorted)
@@ -56,39 +69,51 @@ def voxel_losses(
     if n == 0:
         raise UndefinedLossError("all voxels are ignored")
     labels = truth.labels[valid].astype(np.int64)
-    scores = pred.scores[valid].astype(np.float64)
     c = pred.class_count
     # One log-softmax serves both terms; the probabilities derive from it.
-    logp = scores - scores.max(axis=1, keepdims=True)
-    logp -= np.log(np.sum(np.exp(logp), axis=1, keepdims=True))
+    # Three (n, C) buffers serve every pass below, each op done in place.
+    logp = pred.scores[valid].astype(np.float64)
+    logp -= logp.max(axis=1, keepdims=True)
     probs = np.exp(logp)
+    logp -= np.log(np.sum(probs, axis=1, keepdims=True))
+    np.exp(logp, out=probs)
     rows = np.arange(n)
-
-    # Cross-entropy.
+    p_label = probs[rows, labels]
     ce = float(-logp[rows, labels].mean())
-    d_probs_space = probs.copy()
-    d_probs_space[rows, labels] -= 1.0
-    d_scores_valid = (ce_w / n) * d_probs_space
 
-    # Lovasz-softmax over classes present in the truth.
-    present = np.unique(labels)
+    # Lovasz-softmax over classes present in the truth.  Each class sorts its
+    # foreground and the background whose error p reaches the smallest
+    # foreground error, 1 - max(p[fg]): the prefix of the module docstring.
+    present = np.flatnonzero(np.bincount(labels, minlength=c))
+    p_max = np.full(c, -np.inf)
+    np.maximum.at(p_max, labels, p_label)
+    keep = probs >= 1.0 - p_max
+    keep[rows, labels] = True
+    kept_cls, kept_rows = np.nonzero(keep.T)
+    bounds = np.searchsorted(kept_cls, np.arange(c + 1))
+    del keep, kept_cls
     lov = 0.0
     d_lov_probs = np.zeros_like(probs)
     for cls in present:
-        fg = (labels == cls).astype(np.float64)
-        errors = np.abs(fg - probs[:, cls])
+        idx = kept_rows[bounds[cls]:bounds[cls + 1]]
+        fg = (labels[idx] == cls).astype(np.float64)
+        errors = np.abs(fg - probs[idx, cls])
         order = np.argsort(-errors, kind="stable")
         coeffs = _lovasz_grad_coeffs(fg[order])
         lov += float(np.dot(errors[order], coeffs))
-        d_err = np.empty(n)
-        d_err[order] = coeffs
         # d|fg - p| / dp = -1 on foreground, +1 elsewhere
-        d_lov_probs[:, cls] += d_err * (1.0 - 2.0 * fg)
+        d_lov_probs[idx[order], cls] = coeffs * (1.0 - 2.0 * fg[order]) / present.size
     lov /= present.size
-    d_lov_probs /= present.size
     # Chain through the softmax: ds = p * (g - <g, p>).
-    inner = np.sum(d_lov_probs * probs, axis=1, keepdims=True)
-    d_scores_valid += lov_w * probs * (d_lov_probs - inner)
+    np.multiply(d_lov_probs, probs, out=logp)
+    d_lov_probs -= np.sum(logp, axis=1, keepdims=True)
+    np.multiply(probs, lov_w, out=logp)
+    logp *= d_lov_probs
+    # Cross-entropy gradient, then the Lovasz part added to it.
+    d_scores_valid = probs
+    d_scores_valid[rows, labels] -= 1.0
+    d_scores_valid *= ce_w / n
+    d_scores_valid += logp
 
     total = ce_w * ce + lov_w * lov
     d_scores = np.zeros((pred.spec.num_voxels, c))

@@ -444,11 +444,23 @@ def splat(
     """Splat a scene into a dense occupancy grid with per-voxel scores.
 
     Voxels with no neighboring gaussian keep zero scores and the empty label.
+    A prebuilt ``index`` carries its own cutoff and thread count, so it must
+    come alone, built for this scene and grid; anything else is a ValueError.
     """
     if scene.class_count < 1:
         raise ValueError("scene must have at least one class")
     if index is None:
         index = build_splat_index(scene, spec, cutoff_sigma, threads=threads)
+    elif cutoff_sigma != DEFAULT_CUTOFF_SIGMA or threads != 1:
+        raise ValueError(
+            "cutoff_sigma and threads belong to build_splat_index when an index is given"
+        )
+    elif index.spec != spec:
+        raise ValueError("index was built for another grid")
+    elif index.num_gaussians != len(scene):
+        raise ValueError(
+            f"index was built for {index.num_gaussians} gaussians, the scene has {len(scene)}"
+        )
     centers = spec.voxel_centers()
     scores = _accumulate(scene, index, centers)
     return OccupancyGrid(spec, scene.class_count, _argmax_labels(scores), scores)

@@ -1,0 +1,189 @@
+"""Bit parity of ``voxel_losses`` with the full-sort reference in loss_reference.py.
+
+The library sorts, per class, only the errors that can come before the last
+foreground entry of the stable descending order.  These tests hold it to the
+reference's score gradients bit for bit (compared as uint64), and the loss
+scalars to 1e-12 relative, on the inputs below.  They also check the fact the
+cut relies on: in the reference's order, every coefficient after a class's
+last foreground entry is exactly 0.0.
+"""
+
+import numpy as np
+import pytest
+
+import loss_reference
+from gaussvox import GaussianScene, GridSpec, OccupancyGrid, splat, voxel_losses
+from gaussvox.grid import IGNORE_LABEL
+from test_acceptance import _octant_instance
+
+WEIGHTS = [(1.0, 1.0), (0.7, 1.3), (1.0, 0.0), (0.0, 1.0)]
+SMALL = GridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (8, 8, 8))
+
+
+def scored(spec, scores):
+    scores = np.asarray(scores, dtype=np.float32)
+    return OccupancyGrid(spec, scores.shape[1], np.argmax(scores, axis=1).astype(np.uint8),
+                         scores)
+
+
+def driving_case():
+    """A 64x64x25 driving-like truth scored by a splat of a jittered lattice scene."""
+    rng = np.random.default_rng(61)
+    spec = GridSpec((-16.0, -16.0, -2.0), (0.5, 0.5, 0.5), (64, 64, 25))
+    classes = 18
+    labels = np.zeros(spec.dims, dtype=np.uint8)
+    labels[:, :, :2] = 1  # ground plane
+    for _ in range(80):
+        x, y = rng.integers(0, spec.dims[0], 2)
+        sx, sy, sz = rng.integers(2, 13), rng.integers(2, 13), rng.integers(2, 9)
+        labels[x:x + sx, y:y + sy, 2:2 + sz] = rng.integers(2, classes)
+    labels = labels.reshape(-1)
+    labels[rng.random(labels.size) < 0.05] = IGNORE_LABEL
+    truth = OccupancyGrid(spec, classes, labels)
+
+    lattice = np.array([16, 16, 8])
+    ijk = np.stack(np.meshgrid(*(np.arange(k) for k in lattice), indexing="ij"),
+                   axis=-1).reshape(-1, 3)
+    origin, cell = np.array(spec.origin), np.array(spec.cell_size)
+    spacing = cell * np.array(spec.dims) / lattice
+    count = ijk.shape[0]
+    means = origin + (ijk + 0.5) * spacing + rng.normal(0.0, 0.5, (count, 3)) * cell
+    rotations = rng.normal(size=(count, 4))
+    rotations /= np.linalg.norm(rotations, axis=1, keepdims=True)
+    logits = rng.normal(size=(count, classes))
+    semantics = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    scene = GaussianScene(means.astype(np.float32),
+                          rng.uniform(0.3, 0.6, (count, 3)).astype(np.float32),
+                          rotations.astype(np.float32), semantics.astype(np.float32))
+    return splat(scene, spec), truth
+
+
+def octant_case():
+    """Criterion 4's instance: the jittered start scored against the octant truth."""
+    spec, truth_scene, truth = _octant_instance()
+    rng = np.random.default_rng(11)
+    jitter = rng.normal(0.0, 0.5 * spec.cell_size[0], truth_scene.means.shape)
+    initial = GaussianScene(truth_scene.means + jitter.astype(np.float32),
+                            truth_scene.scales, truth_scene.rotations, truth_scene.logits)
+    return splat(initial, spec, cutoff_sigma=None), truth
+
+
+def tied_case(seed):
+    """Scores from {0, 1}, most rows all zero, so errors tie in long runs."""
+    rng = np.random.default_rng(seed)
+    n = SMALL.num_voxels
+    c = int(rng.integers(2, 6))
+    scores = (rng.random((n, c)) < 0.1).astype(np.float32)
+    labels = rng.integers(0, c, n).astype(np.uint8)
+    labels[rng.random(n) < 0.1] = IGNORE_LABEL
+    return scored(SMALL, scores), OccupancyGrid(SMALL, c, labels)
+
+
+def absent_class_case():
+    rng = np.random.default_rng(62)
+    n = SMALL.num_voxels
+    labels = rng.choice([0, 1, 3], n).astype(np.uint8)
+    return scored(SMALL, rng.normal(size=(n, 5))), OccupancyGrid(SMALL, 5, labels)
+
+
+def saturated_case():
+    pred, truth = driving_case()
+    return scored(pred.spec, pred.scores * 50.0), truth
+
+
+def one_class_case():
+    rng = np.random.default_rng(63)
+    n = SMALL.num_voxels
+    return scored(SMALL, rng.normal(size=(n, 4))), OccupancyGrid(SMALL, 4, np.full(n, 2))
+
+
+def tie_case():
+    """A background voxel ties the smallest foreground error of class 0 and
+    precedes it in index order, so it belongs to the sorted prefix.
+
+    Voxel 0 is background with scores (0, x); voxel 1 is foreground with
+    (x, 0), the largest class-0 probability of any foreground voxel.  Their
+    class-0 errors are p0(voxel 0) and 1 - p0(voxel 1); x is the first
+    candidate for which the two are equal in float64.
+    """
+    n = SMALL.num_voxels
+    labels = np.zeros(n, dtype=np.uint8)
+    labels[0] = 1
+    labels[n // 2:] = 1
+    for x in np.linspace(0.5, 3.0, 400, dtype=np.float32):
+        scores = np.zeros((n, 2), dtype=np.float32)
+        scores[0] = (0.0, x)
+        scores[1] = (x, 0.0)
+        scores[2:n // 2] = (x / 2, 0.0)
+        scores[n // 2:] = (0.0, 2 * x)
+        probs = reference_probs(scored(SMALL, scores), OccupancyGrid(SMALL, 2, labels))
+        if probs[0, 0] == 1.0 - probs[1, 0]:
+            return scored(SMALL, scores), OccupancyGrid(SMALL, 2, labels)
+    raise AssertionError("no score gives an exact tie")
+
+
+CASES = {
+    "driving": driving_case,
+    "octant": octant_case,
+    "tied-a": lambda: tied_case(64),
+    "tied-b": lambda: tied_case(65),
+    "tied-c": lambda: tied_case(66),
+    "absent-class": absent_class_case,
+    "saturated": saturated_case,
+    "one-class": one_class_case,
+    "tie": tie_case,
+}
+
+
+def reference_probs(pred, truth):
+    """The reference's softmax probabilities of the non-ignored voxels, same ops."""
+    valid = truth.labels != IGNORE_LABEL
+    scores = pred.scores[valid].astype(np.float64)
+    logp = scores - scores.max(axis=1, keepdims=True)
+    logp -= np.log(np.sum(np.exp(logp), axis=1, keepdims=True))
+    return np.exp(logp)
+
+
+def reference_orders(pred, truth):
+    """Per present class: foreground flags and coefficients in the full stable order."""
+    labels = truth.labels[truth.labels != IGNORE_LABEL].astype(np.int64)
+    probs = reference_probs(pred, truth)
+    for cls in np.unique(labels):
+        fg = (labels == cls).astype(np.float64)
+        order = np.argsort(-np.abs(fg - probs[:, cls]), kind="stable")
+        yield cls, order, fg[order], loss_reference._lovasz_grad_coeffs(fg[order])
+
+
+def close(a, b):
+    return abs(a - b) <= 1e-12 * abs(a)
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_loss_matches_full_sort_reference(case):
+    pred, truth = CASES[case]()
+    for weights in WEIGHTS:
+        ref = loss_reference.voxel_losses(pred, truth, weights)
+        got = voxel_losses(pred, truth, weights)
+        assert np.array_equal(got.d_scores.view(np.uint64), ref.d_scores.view(np.uint64)), weights
+        assert close(ref.total, got.total), (weights, ref.total, got.total)
+        assert close(ref.ce, got.ce), (weights, ref.ce, got.ce)
+        assert close(ref.lovasz, got.lovasz), (weights, ref.lovasz, got.lovasz)
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_coefficients_after_last_foreground_are_zero(case):
+    pred, truth = CASES[case]()
+    for _, _, fg_sorted, coeffs in reference_orders(pred, truth):
+        last = int(np.flatnonzero(fg_sorted)[-1])
+        assert np.all(coeffs[last + 1:].view(np.uint64) == 0)
+
+
+def test_tied_background_precedes_last_foreground():
+    # The tie case is only a test of the >= threshold if the tied background
+    # voxel really sorts before the last foreground entry of class 0.
+    pred, truth = tie_case()
+    cls, order, fg_sorted, coeffs = next(reference_orders(pred, truth))
+    assert cls == 0
+    position = int(np.flatnonzero(order == 0)[0])
+    assert position < int(np.flatnonzero(fg_sorted)[-1])
+    assert coeffs[position] != 0.0

@@ -557,3 +557,30 @@ def test_cutoff_omissions_are_small():
         w = kernel_weights(frames, g, centers)
         for v in np.flatnonzero(w >= bound):
             assert (g, int(v)) in kept
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["fewer-gaussians", "more-gaussians", "other-spec", "exact-cutoff", "other-cutoff", "threads"],
+)
+def test_splat_rejects_mismatched_index(case):
+    # A prebuilt index fixes the cutoff, thread count, grid and gaussians; a
+    # call that contradicts it must fail, not splat with the index's settings.
+    rng = np.random.default_rng(71)
+    scene = random_scene(rng, 10)
+    small = GaussianScene(scene.means[:5], scene.scales[:5], scene.rotations[:5],
+                          scene.logits[:5])
+    index = build_splat_index(scene, SPEC8, 3.0)
+    other_spec = GridSpec((-2.0, -2.0, -2.0), (0.25, 0.25, 0.25), (8, 8, 8))
+    calls = {
+        "fewer-gaussians": lambda: splat(small, SPEC8, index=index),
+        "more-gaussians": lambda: splat(scene, SPEC8, index=build_splat_index(small, SPEC8)),
+        "other-spec": lambda: splat(scene, other_spec, index=index),
+        "exact-cutoff": lambda: splat(scene, SPEC8, cutoff_sigma=None, index=index),
+        "other-cutoff": lambda: splat(scene, SPEC8, cutoff_sigma=2.0, index=index),
+        "threads": lambda: splat(scene, SPEC8, threads=2, index=index),
+    }
+    with pytest.raises(ValueError):
+        calls[case]()
+    # The same index, passed alone with its own scene and grid, still splats.
+    assert np.array_equal(splat(scene, SPEC8, index=index).scores, splat(scene, SPEC8).scores)
