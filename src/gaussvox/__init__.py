@@ -1,8 +1,9 @@
 """Sparse semantic 3D Gaussian scenes with Gaussian-to-voxel splatting.
 
 Scenes are sets of 3D Gaussians carrying per-class semantics.  The splatter
-converts a scene to a dense semantic occupancy grid through a sorted
-(gaussian, voxel) pair list; the fitter recovers scenes from target grids by
+converts a scene to a dense semantic occupancy grid by adding each gaussian
+over the box of voxels inside its cutoff neighborhood, one cache-sized slab
+of the grid at a time; the fitter recovers scenes from target grids by
 gradient descent on cross-entropy plus Lovasz-softmax losses.
 """
 
@@ -39,10 +40,8 @@ from .splat import (
     DEFAULT_CUTOFF_SIGMA,
     SplatIndex,
     build_splat_index,
-    decode_labels,
     splat,
     splat_oracle,
-    voxelize_means,
 )
 
 __version__ = "0.1.0"

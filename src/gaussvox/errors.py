@@ -38,7 +38,7 @@ class UndefinedLossError(GaussvoxError):
 
 
 class CapacityError(GaussvoxError):
-    """A pair list or payload would overflow the addressable index range."""
+    """A pair count, score array or payload would exceed its capacity limit."""
 
 
 class FormatError(GaussvoxError):

@@ -55,6 +55,17 @@ class GridSpec:
     def upper(self) -> tuple[float, float, float]:
         return tuple(o + d * c for o, c, d in zip(self.origin, self.cell_size, self.dims))
 
+    def axis_centers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Voxel center coordinates along each axis, dims[d] float64 each.
+
+        Entry i of axis d is ``origin[d] + (i + 0.5) * cell_size[d]``, which
+        has the bits of that coordinate in ``voxel_centers``.
+        """
+        return tuple(
+            o + (np.arange(d) + 0.5) * c
+            for o, c, d in zip(self.origin, self.cell_size, self.dims)
+        )
+
     def voxel_centers(self) -> np.ndarray:
         """World coordinates of every voxel center, (num_voxels, 3) float64."""
         x, y, z = self.dims
@@ -63,11 +74,6 @@ class GridSpec:
             axis=-1,
         ).reshape(-1, 3)
         return np.asarray(self.origin) + (idx + 0.5) * np.asarray(self.cell_size)
-
-    def linear_index(self, ijk: np.ndarray) -> np.ndarray:
-        ijk = np.asarray(ijk)
-        _, y, z = self.dims
-        return (ijk[..., 0] * y + ijk[..., 1]) * z + ijk[..., 2]
 
     def point_to_ijk(self, points: np.ndarray) -> np.ndarray:
         """Integer cell coordinates of points under the half-open cell convention."""

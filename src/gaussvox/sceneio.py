@@ -86,7 +86,9 @@ def write_grid(grid: OccupancyGrid, path) -> None:
         )
         f.write(grid.labels.tobytes())
         if kind == 1:
-            f.write(grid.scores.astype("<f4").tobytes())
+            # Written through its buffer: on a little-endian host the C-order
+            # float32 scores are already "<f4", so no copy is made.
+            f.write(np.ascontiguousarray(grid.scores, dtype="<f4"))
 
 
 def read_grid(path) -> OccupancyGrid:

@@ -11,7 +11,11 @@ matches the oracle bit for bit on the pairs they share.
 
 Accumulation is float32 in ascending gaussian index per voxel; this order is
 part of the contract so results are reproducible across runs, worker counts
-and chunk sizes.
+and chunk sizes.  The forward pass adds the gaussians whose boxes do not
+cover the grid one x-slab of the grid at a time, each slab a contiguous,
+cache-sized block of the scores that receives its gaussians in ascending
+order.  A voxel lies in exactly one slab, so it still receives its adds one
+gaussian at a time, in ascending index, and the slabs change no bit.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ DEFAULT_CUTOFF_SIGMA = 3.0
 # Cap on a scene's (gaussian, voxel) pairs.  Pairs exist only one chunk at a
 # time, so this bounds the work of a pass over the index, not its memory.
 MAX_PAIRS = 1 << 33
+# Cap on the dense float32 scores of a splat, V * C * 4 bytes, checked
+# before they are allocated.
+MAX_SCORE_BYTES = 1 << 32
 
 
 @dataclass
@@ -42,7 +49,8 @@ class SplatIndex:
     ``gaussian_starts`` is the running pair count, so gaussian g owns pairs
     ``gaussian_starts[g] : gaussian_starts[g + 1]``.  No pair list is held:
     ``voxels(a, b)`` writes the pairs of a run of gaussians when a pass
-    needs them, and the passes compute up to ``threads`` runs at once.
+    needs them, and the backward pass computes up to ``threads`` runs at
+    once; the forward pass writes its pairs slab by slab, on one thread.
     """
 
     spec: GridSpec
@@ -73,23 +81,10 @@ class SplatIndex:
     def voxel_starts(self) -> np.ndarray:
         """Running pair count per voxel; its ``np.diff`` is each voxel's gaussian count."""
         starts = np.zeros(self.num_voxels + 1, dtype=np.int64)
-        for a, b in _gaussian_chunks(self.gaussian_starts, 0, self.num_gaussians):
+        chunks = _gaussian_chunks(self.gaussian_starts, 0, self.num_gaussians, _PAIR_CHUNK)
+        for a, b in chunks:
             starts[1:] += np.bincount(self.voxels(a, b), minlength=self.num_voxels)
         return np.cumsum(starts, out=starts)
-
-
-def voxelize_means(scene: GaussianScene, spec: GridSpec):
-    """Map each gaussian mean to its containing voxel.
-
-    Returns ``(voxel_index, in_volume)``: a linear voxel index per gaussian
-    (only valid where ``in_volume``) and a flag marking means inside the
-    half-open volume.  Out-of-volume gaussians are flagged, never dropped.
-    """
-    ijk = spec.point_to_ijk(scene.means)
-    dims = np.asarray(spec.dims)
-    in_volume = np.all((ijk >= 0) & (ijk < dims), axis=1)
-    voxel_index = np.where(in_volume, spec.linear_index(ijk), -1)
-    return voxel_index, in_volume
 
 
 def _scene_radii(scene: GaussianScene, cutoff_sigma: float | None) -> np.ndarray:
@@ -140,21 +135,31 @@ def _axis_ranges(means: np.ndarray, radii: np.ndarray, spec: GridSpec):
     return lo, counts
 
 
-def _enumerate_pairs(lo: np.ndarray, counts: np.ndarray, spec: GridSpec, out: np.ndarray):
-    """Write the voxels of a run of gaussians' boxes into ``out``.
+def _box_lines(lo: np.ndarray, counts: np.ndarray):
+    """The (gaussian, i, j) lines of a run of boxes, in (gaussian, i, j) order.
 
-    ``lo`` and ``counts`` come from ``_axis_ranges``.  Each (gaussian, i, j)
-    line of a box is one contiguous run of z-voxels, so the voxels are an
-    ``arange`` plus a repeated per-line offset, in (gaussian, voxel) order.
+    ``lo`` and ``counts`` come from ``_axis_ranges``.  Returns each line's
+    gaussian within the run and its voxel indices i and j; the line itself
+    is the contiguous run of ``counts[g, 2]`` z-voxels from ``lo[g, 2]``.
     """
-    _, y_dim, z_dim = spec.dims
     lines = counts[:, 0] * counts[:, 1]
     g = np.repeat(np.arange(lo.shape[0]), lines)
     line = np.arange(g.size) - np.repeat(np.cumsum(lines) - lines, lines)
     ny = counts[g, 1]
     di = line // ny
-    dj = line - di * ny
-    first = ((lo[g, 0] + di) * y_dim + lo[g, 1] + dj) * z_dim + lo[g, 2]
+    return g, lo[g, 0] + di, lo[g, 1] + line - di * ny
+
+
+def _enumerate_pairs(lo: np.ndarray, counts: np.ndarray, spec: GridSpec, out: np.ndarray):
+    """Write the voxels of a run of gaussians' boxes into ``out``.
+
+    Each (gaussian, i, j) line of a box is one contiguous run of z-voxels,
+    so the voxels are an ``arange`` plus a repeated per-line offset, in
+    (gaussian, voxel) order.
+    """
+    _, y_dim, z_dim = spec.dims
+    g, i, j = _box_lines(lo, counts)
+    first = (i * y_dim + j) * z_dim + lo[g, 2]
     run = counts[g, 2]
     np.add(
         np.arange(out.size, dtype=np.int64),
@@ -177,8 +182,8 @@ def build_splat_index(
     with every voxel and the fast splat is bitwise equal to the brute-force
     oracle.  The per-axis ranges are exact, so the pair total is known, and
     checked against ``MAX_PAIRS``, before any pair is written.  ``threads``
-    is how many runs of pairs the passes over the index compute at once; no
-    result depends on it.
+    is how many runs of pairs the backward pass computes at once; no result
+    depends on it.
     """
     radii = _scene_radii(scene, cutoff_sigma)
     lo, counts = _axis_ranges(scene.means.astype(np.float64), radii, spec)
@@ -279,14 +284,15 @@ def frames_vjp(scales, rotations, s_z: np.ndarray, s_zz: np.ndarray):
 _PAIR_CHUNK = 1 << 16
 
 
-def _gaussian_chunks(starts: np.ndarray, g_lo: int, g_hi: int):
-    """Split gaussians [g_lo, g_hi) into runs of at most _PAIR_CHUNK pairs.
+def _gaussian_chunks(starts: np.ndarray, g_lo: int, g_hi: int, cap: int):
+    """Split gaussians [g_lo, g_hi) into runs of at most ``cap`` pairs.
 
-    A gaussian is never split; one with more pairs forms a run of its own.
+    ``starts`` is the running pair count.  A gaussian is never split; one
+    with more pairs forms a run of its own.
     """
     a = g_lo
     while a < g_hi:
-        b = int(np.searchsorted(starts, starts[a] + _PAIR_CHUNK, side="right")) - 1
+        b = int(np.searchsorted(starts, starts[a] + cap, side="right")) - 1
         b = min(max(b, a + 1), g_hi)
         yield a, b
         a = b
@@ -296,8 +302,8 @@ def _pair_chunks(frames, index: SplatIndex, pts: np.ndarray, g_lo: int, g_hi: in
     """Yield the pairs of gaussians [g_lo, g_hi) run by run, in ascending order.
 
     Each item is ``a, b, g, vox, w, z`` for a run [a, b) of whole gaussians
-    from ``_gaussian_chunks``: each pair's gaussian relative to a, its voxel
-    and the kernel's ``w, z``, in (gaussian, voxel) order.  ``frames`` come
+    of at most ``_PAIR_CHUNK`` pairs: each pair's gaussian relative to a,
+    its voxel and the kernel's ``w, z``, in (gaussian, voxel) order.  ``frames`` come
     from ``gaussian_frames`` and ``pts`` holds all voxel centers, shaped
     (3, V).  Up to ``index.threads`` runs are computed at once, and the runs
     are yielded in order, so callers add them up as one thread would.
@@ -314,7 +320,7 @@ def _pair_chunks(frames, index: SplatIndex, pts: np.ndarray, g_lo: int, g_hi: in
         )
         return a, b, np.repeat(np.arange(b - a), counts), vox, w, z
 
-    runs = _gaussian_chunks(index.gaussian_starts, g_lo, g_hi)
+    runs = _gaussian_chunks(index.gaussian_starts, g_lo, g_hi, _PAIR_CHUNK)
     if index.threads == 1:
         # One worker thread measured slower than the caller's, with a higher peak.
         yield from map(pairs, runs)
@@ -395,36 +401,108 @@ def _accumulate_full_grid(
                 _add_rows_in_order(part, col)
 
 
-def _accumulate(
-    scene: GaussianScene, index: SplatIndex, centers: np.ndarray
-) -> np.ndarray:
+# Non-covering gaussians are added one x-slab at a time.  A slab of whole
+# x-layers is one contiguous block of the scores, about _SLAB_BYTES, which
+# stays in L2 while the slab's pairs are scattered into it, _SLAB_PAIRS at a
+# time.  Gaussians are spread over the whole volume, so scattering pairs in
+# gaussian order across the whole score array misses the cache on most adds.
+_SLAB_BYTES = 1 << 21
+_SLAB_PAIRS = 1 << 14
+
+
+def _accumulate_slabs(
+    frames,
+    logits: np.ndarray,
+    index: SplatIndex,
+    scores: np.ndarray,
+    g_lo: int,
+    g_hi: int,
+) -> None:
+    """Add gaussians [g_lo, g_hi) over their boxes, one x-slab at a time.
+
+    Each box is clipped to the slab's x-layers, and the slab's pairs are
+    written in runs of whole gaussians, ascending.  A pair's point comes
+    from the per-axis center tables, which have the bits of
+    ``voxel_centers``.  Each class of the slab's scores receives its float32
+    products ``w * sem`` through one ``np.add.at``, which applies them in
+    pair order.  Every voxel lies in exactly one slab, so it receives the
+    float32 adds ``scores += float32(w_g * sem_g)`` for g ascending, as a
+    plain per-gaussian loop would; neither slab nor run size changes a bit.
+    """
+    spec = index.spec
+    x_dim, y_dim, z_dim = spec.dims
+    layer = y_dim * z_dim
+    c = scores.shape[1]
+    width = max(1, _SLAB_BYTES // (4 * c * layer))
+    cx, cy, cz = spec.axis_centers()
+    lo = index.lo[g_lo:g_hi]
+    counts = index.counts[g_lo:g_hi]
+    x_lo = lo[:, 0]
+    x_hi = x_lo + counts[:, 0]
+    for x0 in range(0, x_dim, width):
+        x1 = min(x0 + width, x_dim)
+        gs = np.flatnonzero((x_lo < x1) & (x_hi > x0))
+        if gs.size == 0:
+            continue
+        box_lo = lo[gs]
+        box_counts = counts[gs]
+        box_lo[:, 0] = np.maximum(x_lo[gs], x0)
+        box_counts[:, 0] = np.minimum(x_hi[gs], x1) - box_lo[:, 0]
+        box_lo[:, 0] -= x0
+        starts = np.zeros(gs.size + 1, dtype=np.int64)
+        np.cumsum(box_counts[:, 0] * box_counts[:, 1] * box_counts[:, 2], out=starts[1:])
+        slab = scores[x0 * layer : x1 * layer]
+        xc = cx[x0:x1]
+        for a, b in _gaussian_chunks(starts, 0, gs.size, _SLAB_PAIRS):
+            per_gaussian = np.diff(starts[a : b + 1])
+            g, i, j = _box_lines(box_lo[a:b], box_counts[a:b])
+            run = box_counts[a:b][g, 2]
+            k = np.arange(starts[b] - starts[a]) + np.repeat(
+                box_lo[a:b][g, 2] - (np.cumsum(run) - run), run
+            )
+            vox = k + np.repeat((i * y_dim + j) * z_dim, run)
+            pts = np.stack([np.repeat(xc[i], run), np.repeat(cy[j], run), cz[k]])
+            ids = g_lo + gs[a:b]
+            w, _ = pair_weights(
+                np.repeat(frames[0][..., ids], per_gaussian, axis=-1),
+                np.repeat(frames[1][:, ids], per_gaussian, axis=-1),
+                pts,
+            )
+            sem = np.repeat(logits[ids].T.astype(np.float64), per_gaussian, axis=1)
+            adds = (sem * w).astype(np.float32)
+            for cls in range(c):
+                np.add.at(slab[:, cls], vox, adds[cls])
+
+
+def _accumulate(scene: GaussianScene, index: SplatIndex) -> np.ndarray:
+    """The (V, C) float32 scores, added in ascending gaussian order per voxel.
+
+    Their size is checked against ``MAX_SCORE_BYTES`` before they exist.
+    Runs of gaussians whose boxes cover the grid take the tiled full-grid
+    path, which alone needs every voxel center; the others take the slab
+    loop.  Runs go in ascending order, and within a run each voxel lies in
+    one slab, so every voxel receives its adds one gaussian at a time, in
+    ascending index, whatever the slab and chunk sizes.
+    """
     p = len(scene)
     c = scene.class_count
+    size = 4.0 * index.num_voxels * c
+    if size > MAX_SCORE_BYTES:
+        raise CapacityError(f"{size:.0f} bytes of float32 scores exceed {MAX_SCORE_BYTES}")
     scores = np.zeros((index.num_voxels, c), dtype=np.float32)
     if p == 0:
         return scores
     frames = gaussian_frames(scene.means, scene.scales, scene.rotations)
-    pts = np.ascontiguousarray(centers.T)
-    flat_scores = scores.reshape(-1)
-    classes = np.arange(c)
-    # Runs of gaussians whose neighborhoods cover the grid take the tiled
-    # full-grid path, the others their own pairs; runs go in ascending order.
     covering = np.diff(index.gaussian_starts) == index.num_voxels
     cuts = [0, *(np.flatnonzero(covering[1:] != covering[:-1]) + 1).tolist(), p]
+    pts = None
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if covering[lo]:
-            _accumulate_full_grid(frames, scene.logits, pts, scores, lo, hi)
+        if not covering[lo]:
+            _accumulate_slabs(frames, scene.logits, index, scores, lo, hi)
             continue
-        for a, b, g, vox, w, _ in _pair_chunks(frames, index, pts, lo, hi):
-            sem = scene.logits[a:b].astype(np.float64)[g]
-            # add.at applies the flat (pair, class) entries in pair order, so
-            # every score receives its float32 adds one gaussian at a time, in
-            # ascending index.
-            np.add.at(
-                flat_scores,
-                (vox[:, None] * c + classes).reshape(-1),
-                (w[:, None] * sem).astype(np.float32).reshape(-1),
-            )
+        if pts is None:
+            pts = np.ascontiguousarray(index.spec.voxel_centers().T)
+        _accumulate_full_grid(frames, scene.logits, pts, scores, lo, hi)
     return scores
 
 
@@ -461,8 +539,7 @@ def splat(
         raise ValueError(
             f"index was built for {index.num_gaussians} gaussians, the scene has {len(scene)}"
         )
-    centers = spec.voxel_centers()
-    scores = _accumulate(scene, index, centers)
+    scores = _accumulate(scene, index)
     return OccupancyGrid(spec, scene.class_count, _argmax_labels(scores), scores)
 
 
@@ -478,9 +555,3 @@ def splat_oracle(scene: GaussianScene, spec: GridSpec) -> OccupancyGrid:
     _accumulate_full_grid(frames, scene.logits, pts, scores, 0, len(scene))
     return OccupancyGrid(spec, scene.class_count, _argmax_labels(scores), scores)
 
-
-def decode_labels(grid: OccupancyGrid) -> OccupancyGrid:
-    """Argmax-decode a scored grid into a labels-only grid."""
-    if grid.scores is None:
-        raise ValueError("grid has no scores to decode")
-    return OccupancyGrid(grid.spec, grid.class_count, _argmax_labels(grid.scores))

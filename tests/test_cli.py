@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import importlib
 import io
 import json
 import struct
@@ -92,6 +93,19 @@ def test_splat_rejects_degenerate_gaussian_exit_2(small_scene, tmp_path, offset,
                    "--out", str(tmp_path / "g.svox")])
     assert code == 2
     assert not (tmp_path / "g.svox").exists()
+
+
+def test_score_capacity_checked_before_allocation_exit_2(small_scene, tmp_path, monkeypatch,
+                                                        capsys):
+    # 8^3 voxels of 4 float32 classes are 8192 bytes, against a cap of 8191.
+    monkeypatch.setattr(importlib.import_module("gaussvox.splat"), "MAX_SCORE_BYTES", 8191)
+    out = tmp_path / "g.svox"
+    code, _ = run(["splat", "--scene", str(small_scene), *GRID_FLAGS, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "8192 bytes" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_data_errors_exit_2(tmp_path):

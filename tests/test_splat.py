@@ -15,11 +15,9 @@ from gaussvox import (
     RawGaussianParams,
     backward_splat,
     build_splat_index,
-    decode_labels,
     gaussian_weight,
     splat,
     splat_oracle,
-    voxelize_means,
 )
 from gaussvox.splat import (
     _accumulate_full_grid,
@@ -72,40 +70,6 @@ def kernel_weights(frames, g, points):
     off = np.repeat(frames[1][:, g : g + 1], n, axis=-1)
     w, _ = pair_weights(a, off, np.ascontiguousarray(points.T))
     return w
-
-
-def test_voxelize_first_center():
-    spec = GridSpec((0, 0, 0), (1, 1, 1), (4, 4, 4))
-    scene = GaussianScene(
-        np.array([[0.5, 0.5, 0.5]]), np.ones((1, 3)),
-        np.array([[1, 0, 0, 0]]), np.ones((1, 2)),
-    )
-    vox, inside = voxelize_means(scene, spec)
-    assert inside[0]
-    assert vox[0] == 0
-
-
-def test_voxelize_out_of_volume_flagged():
-    spec = GridSpec((0, 0, 0), (1, 1, 1), (4, 4, 4))
-    scene = GaussianScene(
-        np.array([[4.5, 1.0, 1.0], [-0.1, 1.0, 1.0], [1.0, 1.0, 1.0]]),
-        np.ones((3, 3)), np.tile([1, 0, 0, 0], (3, 1)), np.ones((3, 2)),
-    )
-    vox, inside = voxelize_means(scene, spec)
-    assert list(inside) == [False, False, True]
-    assert vox[2] == (1 * 4 + 1) * 4 + 1
-
-
-def test_voxelize_boundary_half_open():
-    # A mean exactly on an interior cell boundary belongs to the upper cell.
-    spec = GridSpec((0, 0, 0), (1, 1, 1), (4, 4, 4))
-    scene = GaussianScene(
-        np.array([[2.0, 0.5, 0.5]]), np.ones((1, 3)),
-        np.array([[1, 0, 0, 0]]), np.ones((1, 2)),
-    )
-    vox, inside = voxelize_means(scene, spec)
-    assert inside[0]
-    assert vox[0] == (2 * 4 + 0) * 4 + 0
 
 
 def test_neighborhood_radius_values():
@@ -359,8 +323,14 @@ def test_pair_weight_bits_do_not_depend_on_the_batch():
         assert alone.view(np.uint64)[0] == tile[g, v : v + 1].view(np.uint64)[0]
 
 
-@pytest.mark.parametrize("pair_chunk", [7, 300])
-def test_chunk_sizes_do_not_change_bits(monkeypatch, pair_chunk):
+@pytest.mark.parametrize(
+    "pair_chunk, slab_layers",
+    [pytest.param(7, 1, id="7"), pytest.param(300, 3, id="300")],
+)
+def test_chunk_sizes_do_not_change_bits(monkeypatch, pair_chunk, slab_layers):
+    # The base run splats the 16^3 grid as one slab; the patched runs cut
+    # every box across slabs of one or three x-layers, and the covering
+    # gaussians interleave with the slab runs.
     scene = mixed_scene(np.random.default_rng(36), 80, 6)
     params = RawGaussianParams.from_scene(scene, 0.05, 6.0)
     d_scores = np.random.default_rng(37).normal(size=(SPEC16.num_voxels, scene.class_count))
@@ -371,7 +341,10 @@ def test_chunk_sizes_do_not_change_bits(monkeypatch, pair_chunk):
         return splat(scene, SPEC16, index=index).scores, grads
 
     base_scores, base_grads = run(1)
+    layer_bytes = 4 * scene.class_count * 16 * 16
     monkeypatch.setattr(splat_module, "_PAIR_CHUNK", pair_chunk)
+    monkeypatch.setattr(splat_module, "_SLAB_PAIRS", pair_chunk)
+    monkeypatch.setattr(splat_module, "_SLAB_BYTES", slab_layers * layer_bytes)
     monkeypatch.setattr(splat_module, "_FULL_GRID_TILE", 3)
     monkeypatch.setattr(splat_module, "_FULL_GRID_STEP", 50)
     for threads in (1, 2):
@@ -379,6 +352,20 @@ def test_chunk_sizes_do_not_change_bits(monkeypatch, pair_chunk):
         assert np.array_equal(scores.view(np.uint32), base_scores.view(np.uint32))
         for key, grad in grads.items():
             assert np.array_equal(grad.view(np.uint64), base_grads[key].view(np.uint64)), key
+
+
+def test_sparse_splat_builds_no_voxel_centers(monkeypatch):
+    # Without a covering gaussian, every pair point comes from the per-axis
+    # center tables.
+    scene = mixed_scene(np.random.default_rng(38), 60, 0)
+    index = build_splat_index(scene, SPEC16, 3.0)
+    assert np.diff(index.gaussian_starts).max() < SPEC16.num_voxels
+
+    def no_centers(self):
+        raise AssertionError("voxel_centers called")
+
+    monkeypatch.setattr(GridSpec, "voxel_centers", no_centers)
+    assert splat(scene, SPEC16, index=index).scores.any()
 
 
 def _add_one_gaussian_at_a_time(scene, centers, scores, g_lo, g_hi):
@@ -523,24 +510,10 @@ def test_out_of_volume_gaussian_still_splats():
     # voxels inside its cutoff box.
     scene = scene_of(([-0.6, 0.5, 0.5], [0.5, 0.5, 0.5], [1, 0, 0, 0], [1.0]))
     spec = GridSpec((0, 0, 0), (1, 1, 1), (2, 2, 2))
-    _, inside = voxelize_means(scene, spec)
-    assert not inside[0]
+    ijk = spec.point_to_ijk(scene.means)
+    assert not np.all((ijk >= 0) & (ijk < spec.dims))
     grid = splat(scene, spec, 3.0)
     assert grid.scores[0, 0] > 0
-
-
-def test_decode_labels():
-    spec = GridSpec((0, 0, 0), (1, 1, 1), (1, 1, 3))
-    scores = np.array(
-        [[0.2, 0.7, 0.1], [0.0, 0.0, 0.0], [0.5, 0.5, 0.0]], dtype=np.float32
-    )
-    labels = np.argmax(scores, axis=1).astype(np.uint8)
-    from gaussvox import OccupancyGrid
-
-    grid = OccupancyGrid(spec, 3, labels, scores)
-    out = decode_labels(grid)
-    assert list(out.labels) == [1, 0, 0]
-    assert out.scores is None
 
 
 def test_cutoff_omissions_are_small():
