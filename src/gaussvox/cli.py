@@ -25,6 +25,8 @@ from .sceneio import gen_synthetic, read_grid, read_scene, write_grid, write_sce
 from .splat import DEFAULT_CUTOFF_SIGMA, build_splat_index, splat
 
 THREADS_ENV = "GAUSSVOX_THREADS"
+THREADS_HELP = (f"thread count (default: {THREADS_ENV}, else 1); must be a positive "
+                "integer, and changes neither results nor speed")
 
 GRID_PRESETS = {
     # nuScenes-style volume: [-50, 50] m in X and Y, [-5, 3] m in Z, 200x200x16.
@@ -86,7 +88,7 @@ def build_parser() -> _Parser:
                    help="neighborhood cutoff in sigmas (default 3)")
     p.add_argument("--exact", action="store_true",
                    help="exact mode: neighborhoods cover the whole grid")
-    p.add_argument("--threads", default=None)
+    p.add_argument("--threads", default=None, help=THREADS_HELP)
     p.add_argument("--labels-only", action="store_true", help="omit scores from the output")
     p.add_argument("--out", required=True)
 
@@ -113,7 +115,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lr-schedule", choices=["constant", "cosine"], default="constant")
     p.add_argument("--warmup-iters", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", default=None)
+    p.add_argument("--threads", default=None, help=THREADS_HELP)
     p.add_argument("--log", help="append one line-delimited record per iteration")
     p.add_argument("--out", required=True)
 
@@ -134,7 +136,7 @@ def build_parser() -> _Parser:
     p.add_argument("--smax", type=float, default=0.3)
     p.add_argument("--class-count", type=int, default=18)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", default=None)
+    p.add_argument("--threads", default=None, help=THREADS_HELP)
 
     p = sub.add_parser("info", help="dump the header of a scene or grid file")
     p.add_argument("path")

@@ -23,7 +23,7 @@ from .losses import voxel_losses
 from .metrics import confusion, miou, scene_completion_iou
 from .splat import (
     SplatIndex,
-    _pair_chunks,
+    _pair_runs,
     build_splat_index,
     frames_vjp,
     gaussian_frames,
@@ -173,20 +173,16 @@ def backward_splat(
     d_scores: np.ndarray,
     s_min: float,
     s_max: float,
-    centers: np.ndarray | None = None,
 ) -> dict:
     """Chain the per-voxel score gradient back to the raw Gaussian parameters.
 
     Each gaussian accumulates only over its own neighborhood pairs, in
-    ascending voxel order, mirroring the forward sparsity.  Pairs are
-    processed in chunks of whole gaussians and every per-gaussian sum runs
-    in pair order, so the result depends on neither the chunk size nor the
-    index's thread count.  The rotation gradient is projected onto the
-    unit-quaternion tangent.
+    ascending voxel order, mirroring the forward sparsity.  The pairs come
+    from ``_pair_runs`` with one slab over the whole grid, so each gaussian's
+    pairs lie in one run of whole gaussians and every per-gaussian sum runs
+    in pair order; the result does not depend on the run size.  The rotation
+    gradient is projected onto the unit-quaternion tangent.
     """
-    if centers is None:
-        centers = spec.voxel_centers()
-    pts = np.ascontiguousarray(centers.T)
     p, c = params.raw_logits.shape
     span = s_max - s_min
     sig = sigmoid(params.raw_scales)
@@ -196,16 +192,18 @@ def backward_splat(
     s_z = np.zeros((p, 3))
     s_zz = np.zeros((p, 3, 3))
     d_sem = np.zeros((p, c))
-    for a, b, g, vox, w, z in _pair_chunks(frames, index, pts, 0, p):
+    for _, ids, per_gaussian, vox, w, z in _pair_runs(frames, index, 0, p, spec.dims[0]):
+        k = ids.size
+        g = np.repeat(np.arange(k), per_gaussian)
         gup = d_scores[vox]
-        sem_pairs = sem[a:b][g]
-        # dL/dw per pair, summed class by class so no pair depends on the chunk.
+        sem_pairs = sem[ids][g]
+        # dL/dw per pair, summed class by class so no pair depends on the run.
         d_w = gup[:, 0] * sem_pairs[:, 0]
         for cls in range(1, c):
             d_w += gup[:, cls] * sem_pairs[:, cls]
-        s_z[a:b], s_zz[a:b] = pair_weights_vjp(g, b - a, w, z, d_w)
+        s_z[ids], s_zz[ids] = pair_weights_vjp(g, k, w, z, d_w)
         for cls in range(c):
-            d_sem[a:b, cls] = np.bincount(g, w * gup[:, cls], minlength=b - a)
+            d_sem[ids, cls] = np.bincount(g, w * gup[:, cls], minlength=k)
     d_mean, d_scale, d_quat = frames_vjp(scales, params.rotations, s_z, s_zz)
     return {
         "means": d_mean,
@@ -308,7 +306,9 @@ def fit(
 
     Runs ``config.iterations`` rounds of splat, loss, backward, optimizer and
     refinement, recording losses and metrics per iteration.  ``log_fn``, when
-    given, receives each IterationRecord as it is produced.
+    given, receives each IterationRecord as it is produced.  ``threads`` is
+    accepted for the callers that pass a thread count; every stage runs on
+    the calling thread, so it changes neither the result nor the speed.
     """
     if np.count_nonzero(truth.labels != IGNORE_LABEL) == 0:
         raise ValueError("truth grid has no non-ignore voxel")
@@ -322,7 +322,6 @@ def fit(
 
     params = RawGaussianParams.from_scene(initial, config.s_min, config.s_max)
     opt = AdamW(params, weight_decay=config.weight_decay)
-    centers = truth.spec.voxel_centers()
     records: list[IterationRecord] = []
 
     for it in range(config.iterations):
@@ -334,9 +333,7 @@ def fit(
         if not math.isfinite(lb.total):
             raise DivergenceError(it)
 
-        grads = backward_splat(
-            params, index, truth.spec, lb.d_scores, config.s_min, config.s_max, centers
-        )
+        grads = backward_splat(params, index, truth.spec, lb.d_scores, config.s_min, config.s_max)
         deltas = opt.deltas(params, grads, config.lr_at(it))
         refine_step(
             params,

@@ -10,18 +10,20 @@ same bits in both paths and in the backward pass, and the fast path
 matches the oracle bit for bit on the pairs they share.
 
 Accumulation is float32 in ascending gaussian index per voxel; this order is
-part of the contract so results are reproducible across runs, worker counts
-and chunk sizes.  The forward pass adds the gaussians whose boxes do not
-cover the grid one x-slab of the grid at a time, each slab a contiguous,
-cache-sized block of the scores that receives its gaussians in ascending
-order.  A voxel lies in exactly one slab, so it still receives its adds one
-gaussian at a time, in ascending index, and the slabs change no bit.
+part of the contract so results are reproducible across runs, slab sizes
+and chunk sizes.  One generator, ``_pair_runs``, writes the pairs for both
+passes: it clips the boxes to x-slabs of the grid and yields each slab's
+pairs in runs of whole gaussians, ascending.  The forward pass takes
+cache-sized slabs, each a contiguous block of the scores, for the gaussians
+whose boxes do not cover the grid; a voxel lies in exactly one slab, so it
+still receives its adds one gaussian at a time, in ascending index, and the
+slabs change no bit.  The backward pass takes one slab, the whole grid, so
+each gaussian's pairs stay in one run and its sums in pair order.  Every
+pass runs on the calling thread.
 """
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +37,8 @@ DEFAULT_CUTOFF_SIGMA = 3.0
 # Cap on a scene's (gaussian, voxel) pairs.  Pairs exist only one chunk at a
 # time, so this bounds the work of a pass over the index, not its memory.
 MAX_PAIRS = 1 << 33
-# Cap on the dense float32 scores of a splat, V * C * 4 bytes, checked
-# before they are allocated.
+# Cap on the dense per-voxel arrays of a splat, such as its V * C * 4 bytes
+# of float32 scores, checked before they are allocated.
 MAX_SCORE_BYTES = 1 << 32
 
 
@@ -48,16 +50,15 @@ class SplatIndex:
     voxels per axis; a box that misses the grid has all counts zero.
     ``gaussian_starts`` is the running pair count, so gaussian g owns pairs
     ``gaussian_starts[g] : gaussian_starts[g + 1]``.  No pair list is held:
-    ``voxels(a, b)`` writes the pairs of a run of gaussians when a pass
-    needs them, and the backward pass computes up to ``threads`` runs at
-    once; the forward pass writes its pairs slab by slab, on one thread.
+    the passes write their pairs run by run through ``_pair_runs``, and
+    ``voxels(a, b)`` writes the voxels of a run of gaussians for callers
+    that want them listed.
     """
 
     spec: GridSpec
     lo: np.ndarray
     counts: np.ndarray
     gaussian_starts: np.ndarray
-    threads: int
 
     @property
     def num_gaussians(self) -> int:
@@ -72,17 +73,24 @@ class SplatIndex:
         return int(self.gaussian_starts[-1])
 
     def voxels(self, a: int, b: int) -> np.ndarray:
-        """The voxels of gaussians [a, b), ascending per gaussian."""
-        out = np.empty(int(self.gaussian_starts[b] - self.gaussian_starts[a]), dtype=np.int64)
-        _enumerate_pairs(self.lo[a:b], self.counts[a:b], self.spec, out)
-        return out
+        """The voxels of gaussians [a, b), ascending per gaussian.
+
+        Each (gaussian, i, j) line of a box is one contiguous run of
+        z-voxels, so the voxels are an ``arange`` plus a repeated per-line
+        offset, in (gaussian, voxel) order.
+        """
+        _, y_dim, z_dim = self.spec.dims
+        lo, counts = self.lo[a:b], self.counts[a:b]
+        g, i, j = _box_lines(lo, counts)
+        run = counts[g, 2]
+        first = (i * y_dim + j) * z_dim + lo[g, 2]
+        return np.arange(run.sum()) + np.repeat(first - (np.cumsum(run) - run), run)
 
     @property
     def voxel_starts(self) -> np.ndarray:
         """Running pair count per voxel; its ``np.diff`` is each voxel's gaussian count."""
         starts = np.zeros(self.num_voxels + 1, dtype=np.int64)
-        chunks = _gaussian_chunks(self.gaussian_starts, 0, self.num_gaussians, _PAIR_CHUNK)
-        for a, b in chunks:
+        for a, b in _gaussian_chunks(self.gaussian_starts):
             starts[1:] += np.bincount(self.voxels(a, b), minlength=self.num_voxels)
         return np.cumsum(starts, out=starts)
 
@@ -150,24 +158,6 @@ def _box_lines(lo: np.ndarray, counts: np.ndarray):
     return g, lo[g, 0] + di, lo[g, 1] + line - di * ny
 
 
-def _enumerate_pairs(lo: np.ndarray, counts: np.ndarray, spec: GridSpec, out: np.ndarray):
-    """Write the voxels of a run of gaussians' boxes into ``out``.
-
-    Each (gaussian, i, j) line of a box is one contiguous run of z-voxels,
-    so the voxels are an ``arange`` plus a repeated per-line offset, in
-    (gaussian, voxel) order.
-    """
-    _, y_dim, z_dim = spec.dims
-    g, i, j = _box_lines(lo, counts)
-    first = (i * y_dim + j) * z_dim + lo[g, 2]
-    run = counts[g, 2]
-    np.add(
-        np.arange(out.size, dtype=np.int64),
-        np.repeat(first - (np.cumsum(run) - run), run),
-        out=out,
-    )
-
-
 def build_splat_index(
     scene: GaussianScene,
     spec: GridSpec,
@@ -182,8 +172,8 @@ def build_splat_index(
     with every voxel and the fast splat is bitwise equal to the brute-force
     oracle.  The per-axis ranges are exact, so the pair total is known, and
     checked against ``MAX_PAIRS``, before any pair is written.  ``threads``
-    is how many runs of pairs the backward pass computes at once; no result
-    depends on it.
+    is accepted for the callers that pass a thread count; every pass runs on
+    the calling thread, so it changes neither the result nor the speed.
     """
     radii = _scene_radii(scene, cutoff_sigma)
     lo, counts = _axis_ranges(scene.means.astype(np.float64), radii, spec)
@@ -194,7 +184,7 @@ def build_splat_index(
         raise CapacityError(f"{total:.0f} (gaussian, voxel) pairs exceed {MAX_PAIRS}")
     gaussian_starts = np.zeros(len(scene) + 1, dtype=np.int64)
     np.cumsum(per_gaussian, out=gaussian_starts[1:])
-    return SplatIndex(spec, lo, counts, gaussian_starts, max(1, int(threads)))
+    return SplatIndex(spec, lo, counts, gaussian_starts)
 
 
 def gaussian_frames(means, scales, rotations):
@@ -280,54 +270,79 @@ def frames_vjp(scales, rotations, s_z: np.ndarray, s_zz: np.ndarray):
     return d_mean, d_scale, d_quat
 
 
-# Pair chunks hold about _PAIR_CHUNK pairs of whole gaussians.
-_PAIR_CHUNK = 1 << 16
+# Pairs are written one x-slab of the grid at a time, in runs of whole
+# gaussians of about _SLAB_PAIRS pairs.  The forward pass takes slabs of
+# whole x-layers of about _SLAB_BYTES of scores, a contiguous block that
+# stays in L2 while its pairs are scattered into it.  Gaussians are spread
+# over the whole volume, so scattering pairs in gaussian order across the
+# whole score array misses the cache on most adds.
+_SLAB_BYTES = 1 << 21
+_SLAB_PAIRS = 1 << 14
 
 
-def _gaussian_chunks(starts: np.ndarray, g_lo: int, g_hi: int, cap: int):
-    """Split gaussians [g_lo, g_hi) into runs of at most ``cap`` pairs.
+def _gaussian_chunks(starts: np.ndarray):
+    """Split gaussians into runs [a, b) of at most ``_SLAB_PAIRS`` pairs.
 
     ``starts`` is the running pair count.  A gaussian is never split; one
     with more pairs forms a run of its own.
     """
-    a = g_lo
-    while a < g_hi:
-        b = int(np.searchsorted(starts, starts[a] + cap, side="right")) - 1
-        b = min(max(b, a + 1), g_hi)
+    a, n = 0, starts.size - 1
+    while a < n:
+        b = int(np.searchsorted(starts, starts[a] + _SLAB_PAIRS, side="right")) - 1
+        b = min(max(b, a + 1), n)
         yield a, b
         a = b
 
 
-def _pair_chunks(frames, index: SplatIndex, pts: np.ndarray, g_lo: int, g_hi: int):
-    """Yield the pairs of gaussians [g_lo, g_hi) run by run, in ascending order.
+def _pair_runs(frames, index: SplatIndex, g_lo: int, g_hi: int, width: int):
+    """Yield the pairs of gaussians [g_lo, g_hi), slab by slab and run by run.
 
-    Each item is ``a, b, g, vox, w, z`` for a run [a, b) of whole gaussians
-    of at most ``_PAIR_CHUNK`` pairs: each pair's gaussian relative to a,
-    its voxel and the kernel's ``w, z``, in (gaussian, voxel) order.  ``frames`` come
-    from ``gaussian_frames`` and ``pts`` holds all voxel centers, shaped
-    (3, V).  Up to ``index.threads`` runs are computed at once, and the runs
-    are yielded in order, so callers add them up as one thread would.
+    Each box is clipped to x-slabs of ``width`` layers, and each slab's
+    pairs come in runs of whole gaussians, ascending, of at most
+    ``_SLAB_PAIRS`` pairs.  Each item is ``x0, ids, counts, vox, w, z``:
+    the slab's first x-layer, the run's gaussians, the pair count of each,
+    and per pair its voxel, counted from the slab's first voxel, and the
+    kernel's ``w, z``, in (gaussian, voxel) order.  ``frames`` come from
+    ``gaussian_frames``.  A pair's point comes from the per-axis center
+    tables, which have the bits of ``voxel_centers``.  With ``width`` at
+    ``dims[0]`` there is one slab, so each gaussian's pairs form one run.
     """
-
-    def pairs(run):
-        a, b = run
-        counts = np.diff(index.gaussian_starts[a : b + 1])
-        vox = index.voxels(a, b)
-        w, z = pair_weights(
-            np.repeat(frames[0][..., a:b], counts, axis=-1),
-            np.repeat(frames[1][:, a:b], counts, axis=-1),
-            pts[:, vox],
-        )
-        return a, b, np.repeat(np.arange(b - a), counts), vox, w, z
-
-    runs = _gaussian_chunks(index.gaussian_starts, g_lo, g_hi, _PAIR_CHUNK)
-    if index.threads == 1:
-        # One worker thread measured slower than the caller's, with a higher peak.
-        yield from map(pairs, runs)
-        return
-    with ThreadPoolExecutor(max_workers=index.threads) as pool:
-        while batch := list(itertools.islice(runs, index.threads)):
-            yield from pool.map(pairs, batch)
+    spec = index.spec
+    x_dim, y_dim, z_dim = spec.dims
+    cx, cy, cz = spec.axis_centers()
+    lo = index.lo[g_lo:g_hi]
+    counts = index.counts[g_lo:g_hi]
+    x_lo = lo[:, 0]
+    x_hi = x_lo + counts[:, 0]
+    for x0 in range(0, x_dim, width):
+        x1 = min(x0 + width, x_dim)
+        gs = np.flatnonzero((x_lo < x1) & (x_hi > x0))
+        if gs.size == 0:
+            continue
+        box_lo = lo[gs]
+        box_counts = counts[gs]
+        box_lo[:, 0] = np.maximum(x_lo[gs], x0)
+        box_counts[:, 0] = np.minimum(x_hi[gs], x1) - box_lo[:, 0]
+        box_lo[:, 0] -= x0
+        starts = np.zeros(gs.size + 1, dtype=np.int64)
+        np.cumsum(box_counts[:, 0] * box_counts[:, 1] * box_counts[:, 2], out=starts[1:])
+        xc = cx[x0:x1]
+        for a, b in _gaussian_chunks(starts):
+            per_gaussian = np.diff(starts[a : b + 1])
+            g, i, j = _box_lines(box_lo[a:b], box_counts[a:b])
+            run = box_counts[a:b][g, 2]
+            k = np.arange(starts[b] - starts[a]) + np.repeat(
+                box_lo[a:b][g, 2] - (np.cumsum(run) - run), run
+            )
+            vox = k + np.repeat((i * y_dim + j) * z_dim, run)
+            pts = np.stack([np.repeat(xc[i], run), np.repeat(cy[j], run), cz[k]])
+            ids = g_lo + gs[a:b]
+            w, z = pair_weights(
+                np.repeat(frames[0][..., ids], per_gaussian, axis=-1),
+                np.repeat(frames[1][:, ids], per_gaussian, axis=-1),
+                pts,
+            )
+            yield x0, ids, per_gaussian, vox, w, z
 
 
 # The full-grid accumulator steps through (gaussian tile, voxel block) pairs
@@ -401,15 +416,6 @@ def _accumulate_full_grid(
                 _add_rows_in_order(part, col)
 
 
-# Non-covering gaussians are added one x-slab at a time.  A slab of whole
-# x-layers is one contiguous block of the scores, about _SLAB_BYTES, which
-# stays in L2 while the slab's pairs are scattered into it, _SLAB_PAIRS at a
-# time.  Gaussians are spread over the whole volume, so scattering pairs in
-# gaussian order across the whole score array misses the cache on most adds.
-_SLAB_BYTES = 1 << 21
-_SLAB_PAIRS = 1 << 14
-
-
 def _accumulate_slabs(
     frames,
     logits: np.ndarray,
@@ -420,58 +426,31 @@ def _accumulate_slabs(
 ) -> None:
     """Add gaussians [g_lo, g_hi) over their boxes, one x-slab at a time.
 
-    Each box is clipped to the slab's x-layers, and the slab's pairs are
-    written in runs of whole gaussians, ascending.  A pair's point comes
-    from the per-axis center tables, which have the bits of
-    ``voxel_centers``.  Each class of the slab's scores receives its float32
-    products ``w * sem`` through one ``np.add.at``, which applies them in
-    pair order.  Every voxel lies in exactly one slab, so it receives the
-    float32 adds ``scores += float32(w_g * sem_g)`` for g ascending, as a
-    plain per-gaussian loop would; neither slab nor run size changes a bit.
+    Slabs are whole x-layers of about ``_SLAB_BYTES`` of scores, and
+    ``_pair_runs`` writes their pairs.  Each class of a slab's scores
+    receives a run's float32 products ``w * sem`` through one ``np.add.at``,
+    which applies them in pair order.  Every voxel lies in exactly one slab,
+    so it receives the float32 adds ``scores += float32(w_g * sem_g)`` for g
+    ascending, as a plain per-gaussian loop would; neither slab nor run size
+    changes a bit.
     """
-    spec = index.spec
-    x_dim, y_dim, z_dim = spec.dims
+    _, y_dim, z_dim = index.spec.dims
     layer = y_dim * z_dim
     c = scores.shape[1]
     width = max(1, _SLAB_BYTES // (4 * c * layer))
-    cx, cy, cz = spec.axis_centers()
-    lo = index.lo[g_lo:g_hi]
-    counts = index.counts[g_lo:g_hi]
-    x_lo = lo[:, 0]
-    x_hi = x_lo + counts[:, 0]
-    for x0 in range(0, x_dim, width):
-        x1 = min(x0 + width, x_dim)
-        gs = np.flatnonzero((x_lo < x1) & (x_hi > x0))
-        if gs.size == 0:
-            continue
-        box_lo = lo[gs]
-        box_counts = counts[gs]
-        box_lo[:, 0] = np.maximum(x_lo[gs], x0)
-        box_counts[:, 0] = np.minimum(x_hi[gs], x1) - box_lo[:, 0]
-        box_lo[:, 0] -= x0
-        starts = np.zeros(gs.size + 1, dtype=np.int64)
-        np.cumsum(box_counts[:, 0] * box_counts[:, 1] * box_counts[:, 2], out=starts[1:])
-        slab = scores[x0 * layer : x1 * layer]
-        xc = cx[x0:x1]
-        for a, b in _gaussian_chunks(starts, 0, gs.size, _SLAB_PAIRS):
-            per_gaussian = np.diff(starts[a : b + 1])
-            g, i, j = _box_lines(box_lo[a:b], box_counts[a:b])
-            run = box_counts[a:b][g, 2]
-            k = np.arange(starts[b] - starts[a]) + np.repeat(
-                box_lo[a:b][g, 2] - (np.cumsum(run) - run), run
-            )
-            vox = k + np.repeat((i * y_dim + j) * z_dim, run)
-            pts = np.stack([np.repeat(xc[i], run), np.repeat(cy[j], run), cz[k]])
-            ids = g_lo + gs[a:b]
-            w, _ = pair_weights(
-                np.repeat(frames[0][..., ids], per_gaussian, axis=-1),
-                np.repeat(frames[1][:, ids], per_gaussian, axis=-1),
-                pts,
-            )
-            sem = np.repeat(logits[ids].T.astype(np.float64), per_gaussian, axis=1)
-            adds = (sem * w).astype(np.float32)
-            for cls in range(c):
-                np.add.at(slab[:, cls], vox, adds[cls])
+    for x0, ids, per_gaussian, vox, w, _ in _pair_runs(frames, index, g_lo, g_hi, width):
+        slab = scores[x0 * layer : (x0 + width) * layer]
+        sem = np.repeat(logits[ids].T.astype(np.float64), per_gaussian, axis=1)
+        adds = (sem * w).astype(np.float32)
+        for cls in range(c):
+            np.add.at(slab[:, cls], vox, adds[cls])
+
+
+def _check_dense_bytes(num_voxels: int, bytes_per_voxel: int) -> None:
+    """Raise CapacityError when dense per-voxel arrays would exceed ``MAX_SCORE_BYTES``."""
+    size = float(num_voxels) * bytes_per_voxel
+    if size > MAX_SCORE_BYTES:
+        raise CapacityError(f"{size:.0f} bytes of dense per-voxel arrays exceed {MAX_SCORE_BYTES}")
 
 
 def _accumulate(scene: GaussianScene, index: SplatIndex) -> np.ndarray:
@@ -486,9 +465,7 @@ def _accumulate(scene: GaussianScene, index: SplatIndex) -> np.ndarray:
     """
     p = len(scene)
     c = scene.class_count
-    size = 4.0 * index.num_voxels * c
-    if size > MAX_SCORE_BYTES:
-        raise CapacityError(f"{size:.0f} bytes of float32 scores exceed {MAX_SCORE_BYTES}")
+    _check_dense_bytes(index.num_voxels, 4 * c)
     scores = np.zeros((index.num_voxels, c), dtype=np.float32)
     if p == 0:
         return scores
@@ -522,8 +499,10 @@ def splat(
     """Splat a scene into a dense occupancy grid with per-voxel scores.
 
     Voxels with no neighboring gaussian keep zero scores and the empty label.
-    A prebuilt ``index`` carries its own cutoff and thread count, so it must
-    come alone, built for this scene and grid; anything else is a ValueError.
+    A prebuilt ``index`` carries its own cutoff, so it must come alone,
+    built for this scene and grid; anything else, a non-default ``threads``
+    included, is a ValueError.  ``threads`` changes neither the result nor
+    the speed: every pass runs on the calling thread.
     """
     if scene.class_count < 1:
         raise ValueError("scene must have at least one class")
@@ -547,8 +526,11 @@ def splat_oracle(scene: GaussianScene, spec: GridSpec) -> OccupancyGrid:
     """Exact brute-force splat: every voxel sums every gaussian.
 
     O(voxels * P); intended for small instances and as the correctness
-    reference for the pair-list fast path.
+    reference for the pair-list fast path.  The float32 scores and the
+    float64 voxel centers, built and then transposed, are checked against
+    ``MAX_SCORE_BYTES`` before they exist.
     """
+    _check_dense_bytes(spec.num_voxels, 4 * scene.class_count + 2 * 24)
     pts = np.ascontiguousarray(spec.voxel_centers().T)
     scores = np.zeros((spec.num_voxels, scene.class_count), dtype=np.float32)
     frames = gaussian_frames(scene.means, scene.scales, scene.rotations)

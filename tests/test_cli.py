@@ -82,9 +82,13 @@ def test_bad_threads_env_var_exits_1(small_scene, tmp_path, monkeypatch, value):
     (16 + 5 * 4, struct.pack("<f", float("inf"))),
     (16 + 6 * 4, struct.pack("<f", float("nan"))),
     (16 + 10 * 4, struct.pack("<f", float("-inf"))),
+    (16 + 3 * 4, struct.pack("<f", -0.5)),
+    (16 + 1 * 4, struct.pack("<f", float("-inf"))),
+    (16 + 11 * 4, struct.pack("<f", float("nan"))),
 ], ids=["zero-scale", "zero-quaternion", "nan-mean", "inf-scale", "nan-quaternion",
-        "inf-semantics"])
-def test_splat_rejects_degenerate_gaussian_exit_2(small_scene, tmp_path, offset, payload):
+        "inf-semantics", "negative-scale", "neginf-mean", "nan-semantics"])
+def test_splat_rejects_degenerate_gaussian_exit_2(small_scene, tmp_path, capsys, offset,
+                                                  payload):
     data = bytearray(small_scene.read_bytes())
     data[offset : offset + len(payload)] = payload
     bad = tmp_path / "bad.sgau"
@@ -92,6 +96,7 @@ def test_splat_rejects_degenerate_gaussian_exit_2(small_scene, tmp_path, offset,
     code, _ = run(["splat", "--scene", str(bad), *GRID_FLAGS,
                    "--out", str(tmp_path / "g.svox")])
     assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "g.svox").exists()
 
 

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from gaussvox import (
     CapacityError,
+    FitConfig,
     GaussianScene,
     GridSpec,
     RawGaussianParams,
     backward_splat,
     build_splat_index,
+    fit,
     gaussian_weight,
     splat,
     splat_oracle,
@@ -206,6 +208,23 @@ def test_capacity_checked_before_pair_arrays_exist(monkeypatch):
     assert peak < 1_000_000
 
 
+def _no_voxel_centers(self):
+    raise AssertionError("voxel_centers called")
+
+
+def test_oracle_checks_dense_bytes_before_allocation(monkeypatch):
+    # SPEC8's 512 voxels hold 3 float32 classes and two (V, 3) float64
+    # center arrays, 512 * 60 = 30720 bytes.
+    scene = random_scene(np.random.default_rng(40), 5)
+    monkeypatch.setattr(splat_module, "MAX_SCORE_BYTES", 30720)
+    assert splat_oracle(scene, SPEC8).scores.any()
+
+    monkeypatch.setattr(splat_module, "MAX_SCORE_BYTES", 30719)
+    monkeypatch.setattr(GridSpec, "voxel_centers", _no_voxel_centers)
+    with pytest.raises(CapacityError, match="30720 bytes"):
+        splat_oracle(scene, SPEC8)
+
+
 def test_index_sorted_and_ranges_consistent():
     rng = np.random.default_rng(13)
     scene = random_scene(rng, 40)
@@ -314,8 +333,8 @@ def test_pair_weight_bits_do_not_depend_on_the_batch():
     tile, _ = pair_weights(a[..., None], off[..., None], pts)
     # Every pair as one pair list, (gaussian, voxel) order.
     index = build_splat_index(scene, SPEC8, None)
-    chunks = splat_module._pair_chunks(frames, index, pts, 0, len(scene))
-    chunk = np.concatenate([w for *_, w, _ in chunks])
+    runs = splat_module._pair_runs(frames, index, 0, len(scene), SPEC8.dims[0])
+    chunk = np.concatenate([w for *_, w, _ in runs])
     assert np.array_equal(chunk.reshape(tile.shape).view(np.uint64), tile.view(np.uint64))
     rng = np.random.default_rng(35)
     for g, v in zip(rng.integers(0, len(scene), 40), rng.integers(0, SPEC8.num_voxels, 40)):
@@ -330,7 +349,8 @@ def test_pair_weight_bits_do_not_depend_on_the_batch():
 def test_chunk_sizes_do_not_change_bits(monkeypatch, pair_chunk, slab_layers):
     # The base run splats the 16^3 grid as one slab; the patched runs cut
     # every box across slabs of one or three x-layers, and the covering
-    # gaussians interleave with the slab runs.
+    # gaussians interleave with the slab runs.  The pair cap also cuts the
+    # backward pass's runs.
     scene = mixed_scene(np.random.default_rng(36), 80, 6)
     params = RawGaussianParams.from_scene(scene, 0.05, 6.0)
     d_scores = np.random.default_rng(37).normal(size=(SPEC16.num_voxels, scene.class_count))
@@ -342,7 +362,6 @@ def test_chunk_sizes_do_not_change_bits(monkeypatch, pair_chunk, slab_layers):
 
     base_scores, base_grads = run(1)
     layer_bytes = 4 * scene.class_count * 16 * 16
-    monkeypatch.setattr(splat_module, "_PAIR_CHUNK", pair_chunk)
     monkeypatch.setattr(splat_module, "_SLAB_PAIRS", pair_chunk)
     monkeypatch.setattr(splat_module, "_SLAB_BYTES", slab_layers * layer_bytes)
     monkeypatch.setattr(splat_module, "_FULL_GRID_TILE", 3)
@@ -355,17 +374,21 @@ def test_chunk_sizes_do_not_change_bits(monkeypatch, pair_chunk, slab_layers):
 
 
 def test_sparse_splat_builds_no_voxel_centers(monkeypatch):
-    # Without a covering gaussian, every pair point comes from the per-axis
-    # center tables.
+    # Without a covering gaussian, every pair point of the forward pass, the
+    # backward pass and a fit comes from the per-axis center tables.
     scene = mixed_scene(np.random.default_rng(38), 60, 0)
     index = build_splat_index(scene, SPEC16, 3.0)
     assert np.diff(index.gaussian_starts).max() < SPEC16.num_voxels
+    truth = splat(scene, SPEC16, index=index)
+    params = RawGaussianParams.from_scene(scene, 0.05, 1.0)
+    d_scores = np.random.default_rng(39).normal(size=(SPEC16.num_voxels, scene.class_count))
 
-    def no_centers(self):
-        raise AssertionError("voxel_centers called")
-
-    monkeypatch.setattr(GridSpec, "voxel_centers", no_centers)
+    monkeypatch.setattr(GridSpec, "voxel_centers", _no_voxel_centers)
     assert splat(scene, SPEC16, index=index).scores.any()
+    grads = backward_splat(params, index, SPEC16, d_scores, 0.05, 1.0)
+    assert all(np.any(grad != 0) for grad in grads.values())
+    config = FitConfig(iterations=1, s_min=0.05, s_max=1.0, cutoff_sigma=3.0)
+    assert len(fit(scene, truth, config).records) == 1
 
 
 def _add_one_gaussian_at_a_time(scene, centers, scores, g_lo, g_hi):
