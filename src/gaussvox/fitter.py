@@ -23,11 +23,11 @@ from .losses import voxel_losses
 from .metrics import confusion, miou, scene_completion_iou
 from .splat import (
     SplatIndex,
-    _pair_runs,
+    _check_dense_bytes,
+    _pair_moments,
     build_splat_index,
     frames_vjp,
     gaussian_frames,
-    pair_weights_vjp,
     splat,
 )
 
@@ -177,33 +177,20 @@ def backward_splat(
     """Chain the per-voxel score gradient back to the raw Gaussian parameters.
 
     Each gaussian accumulates only over its own neighborhood pairs, in
-    ascending voxel order, mirroring the forward sparsity.  The pairs come
-    from ``_pair_runs`` with one slab over the whole grid, so each gaussian's
-    pairs lie in one run of whole gaussians and every per-gaussian sum runs
-    in pair order; the result does not depend on the run size.  The rotation
-    gradient is projected onto the unit-quaternion tangent.
+    ascending voxel order, mirroring the forward sparsity.  ``_pair_moments``
+    reads a gaussian of more than ``_SLAB_PAIRS`` pairs as its box, in dense
+    blocks of whole x-layers, and the others as pair runs from
+    ``_pair_runs``.  Either way every per-gaussian sum is added in pair order
+    from +0.0, so the result depends neither on the path nor on the run or
+    block size.  The rotation gradient is projected onto the
+    unit-quaternion tangent.
     """
-    p, c = params.raw_logits.shape
     span = s_max - s_min
     sig = sigmoid(params.raw_scales)
     sem = softmax(params.raw_logits, axis=1)
     scales = s_min + sig * span
     frames = gaussian_frames(params.means, scales, params.rotations)
-    s_z = np.zeros((p, 3))
-    s_zz = np.zeros((p, 3, 3))
-    d_sem = np.zeros((p, c))
-    for _, ids, per_gaussian, vox, w, z in _pair_runs(frames, index, 0, p, spec.dims[0]):
-        k = ids.size
-        g = np.repeat(np.arange(k), per_gaussian)
-        gup = d_scores[vox]
-        sem_pairs = sem[ids][g]
-        # dL/dw per pair, summed class by class so no pair depends on the run.
-        d_w = gup[:, 0] * sem_pairs[:, 0]
-        for cls in range(1, c):
-            d_w += gup[:, cls] * sem_pairs[:, cls]
-        s_z[ids], s_zz[ids] = pair_weights_vjp(g, k, w, z, d_w)
-        for cls in range(c):
-            d_sem[ids, cls] = np.bincount(g, w * gup[:, cls], minlength=k)
+    s_z, s_zz, d_sem = _pair_moments(frames, index, d_scores, sem)
     d_mean, d_scale, d_quat = frames_vjp(scales, params.rotations, s_z, s_zz)
     return {
         "means": d_mean,
@@ -309,7 +296,11 @@ def fit(
     given, receives each IterationRecord as it is produced.  ``threads`` is
     accepted for the callers that pass a thread count; every stage runs on
     the calling thread, so it changes neither the result nor the speed.
+    Each iteration's dense per-voxel arrays, the float32 scores, the
+    float64 score gradient and the loss's three (n, C) float64 buffers, are
+    checked against ``MAX_SCORE_BYTES`` before the first of them exists.
     """
+    _check_dense_bytes(truth.spec.num_voxels, (4 + 8 + 3 * 8) * truth.class_count)
     if np.count_nonzero(truth.labels != IGNORE_LABEL) == 0:
         raise ValueError("truth grid has no non-ignore voxel")
     if isinstance(initial, SceneInit):

@@ -114,6 +114,9 @@ def voxel_losses(
     d_scores_valid[rows, labels] -= 1.0
     d_scores_valid *= ce_w / n
     d_scores_valid += logp
+    # Two of the three (n, C) buffers are done: free them before the (V, C)
+    # gradient exists, so at most two such arrays are alive at once.
+    del logp, d_lov_probs
 
     total = ce_w * ce + lov_w * lov
     d_scores = np.zeros((pred.spec.num_voxels, c))

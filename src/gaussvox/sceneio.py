@@ -24,6 +24,7 @@ import numpy as np
 from .core import GaussianScene
 from .errors import CapacityError, FormatError, InvalidGaussianError
 from .grid import MAX_VOXELS, GridSpec, OccupancyGrid
+from .splat import _check_dense_bytes
 
 SCENE_MAGIC = b"SGAU"
 GRID_MAGIC = b"SVOX"
@@ -160,8 +161,11 @@ def gen_synthetic(
     Each shape dict carries ``kind`` (box / sphere / plane), ``cls`` and its
     pose fields.  With ``emit_scene`` a generating GaussianScene is returned
     as well: one small gaussian per occupied voxel whose cutoff splat
-    reproduces the labels on the non-empty voxels.
+    reproduces the labels on the non-empty voxels.  The (V, 3) float64
+    voxel centers and the V labels are checked against ``MAX_SCORE_BYTES``
+    before they exist.
     """
+    _check_dense_bytes(spec.num_voxels, 24 + 1)
     centers = spec.voxel_centers()
     labels = np.zeros(spec.num_voxels, dtype=np.uint8)
     for shape in shapes:

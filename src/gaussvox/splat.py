@@ -17,9 +17,15 @@ pairs in runs of whole gaussians, ascending.  The forward pass takes
 cache-sized slabs, each a contiguous block of the scores, for the gaussians
 whose boxes do not cover the grid; a voxel lies in exactly one slab, so it
 still receives its adds one gaussian at a time, in ascending index, and the
-slabs change no bit.  The backward pass takes one slab, the whole grid, so
-each gaussian's pairs stay in one run and its sums in pair order.  Every
-pass runs on the calling thread.
+slabs change no bit.  The backward pass splits the gaussians by box size.
+A box of more than ``_SLAB_PAIRS`` pairs is a dense block of the grid, so
+``_box_sums`` reads it as blocks of whole x-layers: weights against
+broadcast axis centers, score cotangents through a view, semantics as
+per-gaussian scalars.  The other gaussians take ``_pair_runs`` with one
+slab, the whole grid, so each gaussian's pairs stay in one run.  A box's
+C-order is its pair order, and both paths add each per-gaussian sum
+sequentially in that order from +0.0, so the gradients have the same bits
+whichever path a gaussian takes.  Every pass runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -204,15 +210,19 @@ def pair_weights(a: np.ndarray, off: np.ndarray, pts: np.ndarray):
     """Weights of gaussian-voxel pairs and the pairs' local coordinates.
 
     ``a`` (3, 3, ...) and ``off`` (3, ...) come from ``gaussian_frames``,
-    ``pts`` (3, ...) holds voxel centers; the trailing axes broadcast.  A
-    pair list passes equal trailing shapes, a tile of k gaussians by n
-    voxels passes (k, 1) geometry against (n,) points.
+    ``pts`` holds the x, y and z coordinates of voxel centers, as a (3, ...)
+    array or as three arrays; the trailing axes broadcast.  A pair list
+    passes equal trailing shapes, a tile of k gaussians by n voxels passes
+    (k, 1) geometry against (n,) points, and a block of one gaussian's box
+    passes (3, 3) geometry against (nx, 1, 1), (1, ny, 1) and (nz,) axis
+    coordinates.
 
     Returns ``w = exp(-|z|^2 / 2)`` and ``z = R^T (p - m) / s``, computed as
     ``p . a - off``, shaped (...) and (3, ...).  Only elementwise ufuncs are
-    used, so a pair's bits do not depend on the other pairs in the call.
+    used, so a pair's bits do not depend on the other pairs in the call, nor
+    on whether its coordinates were broadcast.
     """
-    shape = np.broadcast_shapes(a.shape[2:], off.shape[1:], pts.shape[1:])
+    shape = np.broadcast_shapes(a.shape[2:], off.shape[1:], *(p.shape for p in pts))
     z = np.empty((3, *shape))
     t = np.empty(shape)
     for j in range(3):
@@ -343,6 +353,99 @@ def _pair_runs(frames, index: SplatIndex, g_lo: int, g_hi: int, width: int):
                 pts,
             )
             yield x0, ids, per_gaussian, vox, w, z
+
+
+def _box_sums(frames, index: SplatIndex, axes, d_grid: np.ndarray, sem: np.ndarray, g: int):
+    """The moments and semantic cotangents of gaussian g, read from its box.
+
+    ``axes`` are the grid's per-axis center tables, ``d_grid`` is the
+    (X, Y, Z, C) view of the score cotangents and ``sem`` the gaussian's C
+    semantics.  The box is read in blocks of whole x-layers, each at most
+    ``_SLAB_PAIRS`` pairs and at least one layer; each block's weights come
+    from ``pair_weights`` against broadcast axis centers, and its
+    cotangents from a view slice.  Returns ``s_z`` (3,), ``s_zz`` (3, 3)
+    and ``d_sem`` (C,), as ``_pair_moments`` defines them.  A box's C-order
+    is its (i, j, k) pair order in ``_pair_runs``, and each sum is added
+    sequentially in that order from +0.0, carried across blocks, so it has
+    the bits of the pair path's ``np.bincount`` sums.
+    """
+    cx, cy, cz = axes
+    (x_lo, y_lo, z_lo), (nx, ny, nz) = index.lo[g], index.counts[g]
+    ys, zs = slice(y_lo, y_lo + ny), slice(z_lo, z_lo + nz)
+    pts_y, pts_z = cy[ys, None], cz[zs]
+    a, off = frames[0][..., g], frames[1][:, g]
+    c = sem.size
+    # One row per sum: c z (3), c z_i z_j for i <= j (6), w * d_score (C).
+    upper = np.triu_indices(3)
+    layers = max(1, _SLAB_PAIRS // (ny * nz))
+    sums = np.zeros(9 + c)
+    terms = np.empty((9 + c, min(layers, nx) * ny * nz))
+    for x0 in range(x_lo, x_lo + nx, layers):
+        x1 = min(x0 + layers, x_lo + nx)
+        w, z = pair_weights(a, off, (cx[x0:x1, None, None], pts_y, pts_z))
+        gup = d_grid[x0:x1, ys, zs]
+        d_w = gup[..., 0] * sem[0]
+        for cls in range(1, c):
+            d_w += gup[..., cls] * sem[cls]
+        d_w *= w
+        n = w.size
+        block = terms[:, :n].reshape(9 + c, *w.shape)
+        for j in range(3):
+            np.multiply(d_w, z[j], out=block[j])
+        for row, (i, j) in enumerate(zip(*upper), start=3):
+            np.multiply(block[i], z[j], out=block[row])
+        for cls in range(c):
+            np.multiply(w, gup[..., cls], out=block[9 + cls])
+        block = terms[:, :n]
+        block[:, 0] += sums
+        np.cumsum(block, axis=1, out=block)
+        sums = block[:, -1].copy()
+    s_zz = np.empty((3, 3))
+    s_zz[upper] = s_zz[upper[::-1]] = sums[3:9]
+    return sums[:3], s_zz, sums[9:]
+
+
+def _pair_moments(frames, index: SplatIndex, d_scores: np.ndarray, sem: np.ndarray):
+    """Every gaussian's pair moments and semantic cotangents.
+
+    ``d_scores`` (V, C) is the score cotangent and ``sem`` (P, C) the
+    semantics.  Returns ``s_z`` (P, 3) and ``s_zz`` (P, 3, 3), the moments
+    that ``pair_weights_vjp`` defines, and ``d_sem`` (P, C), the sum of
+    ``w * d_scores`` over each gaussian's pairs.  Gaussians of more than
+    ``_SLAB_PAIRS`` pairs, which ``_gaussian_chunks`` puts in runs of their
+    own, are read as boxes by ``_box_sums``.  The others take ``_pair_runs``
+    with one slab over the whole grid, so each gaussian's pairs lie in one
+    run, summed by ``np.bincount`` in pair order.  Both paths add every sum
+    in the same order, so the result does not depend on the path, the run
+    size or the block size.
+    """
+    p, c = sem.shape
+    x_dim, y_dim, z_dim = index.spec.dims
+    s_z = np.zeros((p, 3))
+    s_zz = np.zeros((p, 3, 3))
+    d_sem = np.zeros((p, c))
+    big = np.diff(index.gaussian_starts) > _SLAB_PAIRS
+    cuts = [0, *(np.flatnonzero(big[1:] != big[:-1]) + 1).tolist(), p]
+    axes = index.spec.axis_centers()
+    d_grid = d_scores.reshape(x_dim, y_dim, z_dim, c)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if lo < hi and big[lo]:
+            for g in range(lo, hi):
+                s_z[g], s_zz[g], d_sem[g] = _box_sums(frames, index, axes, d_grid, sem[g], g)
+            continue
+        for _, ids, per_gaussian, vox, w, z in _pair_runs(frames, index, lo, hi, x_dim):
+            k = ids.size
+            g = np.repeat(np.arange(k), per_gaussian)
+            gup = d_scores[vox]
+            sem_pairs = sem[ids][g]
+            # dL/dw per pair, summed class by class so no pair depends on the run.
+            d_w = gup[:, 0] * sem_pairs[:, 0]
+            for cls in range(1, c):
+                d_w += gup[:, cls] * sem_pairs[:, cls]
+            s_z[ids], s_zz[ids] = pair_weights_vjp(g, k, w, z, d_w)
+            for cls in range(c):
+                d_sem[ids, cls] = np.bincount(g, w * gup[:, cls], minlength=k)
+    return s_z, s_zz, d_sem
 
 
 # The full-grid accumulator steps through (gaussian tile, voxel block) pairs

@@ -113,6 +113,51 @@ def test_score_capacity_checked_before_allocation_exit_2(small_scene, tmp_path, 
     assert not out.exists()
 
 
+def _not_reached(*args, **kwargs):
+    raise AssertionError("allocated before the capacity check")
+
+
+def test_gen_capacity_checked_before_allocation_exit_2(tmp_path, monkeypatch, capsys):
+    # 8^3 voxels of (x, y, z) float64 centers and uint8 labels are
+    # 512 * 25 = 12800 bytes, against a cap of 12799.
+    monkeypatch.setattr(importlib.import_module("gaussvox.splat"), "MAX_SCORE_BYTES", 12799)
+    monkeypatch.setattr(GridSpec, "voxel_centers", _not_reached)
+    shapes = tmp_path / "shapes.json"
+    shapes.write_text(json.dumps([{"kind": "sphere", "cls": 1, "center": [2, 2, 2],
+                                   "radius": 1.0}]))
+    out = tmp_path / "g.svox"
+    code, _ = run(["gen", *GRID_FLAGS, "--shapes", str(shapes), "--out", str(out),
+                   "--scene-out", str(tmp_path / "g.sgau")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "12800 bytes" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert not (tmp_path / "g.sgau").exists()
+
+
+def test_fit_capacity_checked_before_allocation_exit_2(tmp_path, monkeypatch, capsys):
+    # Per voxel and class, a fit holds 4 bytes of float32 scores, 8 of
+    # float64 gradient and 3 * 8 of loss buffers: 512 * 2 * 36 = 36864
+    # bytes on 8^3 voxels of 2 classes, against a cap of 36863.
+    shapes = tmp_path / "shapes.json"
+    shapes.write_text(json.dumps([{"kind": "box", "cls": 1, "min": [1, 1, 1],
+                                   "max": [3, 3, 3]}]))
+    truth = tmp_path / "truth.svox"
+    assert run(["gen", *GRID_FLAGS, "--shapes", str(shapes), "--out", str(truth)])[0] == 0
+    monkeypatch.setattr(importlib.import_module("gaussvox.splat"), "MAX_SCORE_BYTES", 36863)
+    monkeypatch.setattr(importlib.import_module("gaussvox.fitter"), "build_splat_index",
+                        _not_reached)
+    out = tmp_path / "fit.sgau"
+    code, _ = run(["fit", "--truth", str(truth), "--out", str(out), "--count", "8",
+                   "--iters", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "36864 bytes" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_data_errors_exit_2(tmp_path):
     code, _ = run(["info", str(tmp_path / "missing.sgau")])
     assert code == 2

@@ -8,6 +8,8 @@ cut relies on: in the reference's order, every coefficient after a class's
 last foreground entry is exactly 0.0.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -187,3 +189,17 @@ def test_tied_background_precedes_last_foreground():
     position = int(np.flatnonzero(order == 0)[0])
     assert position < int(np.flatnonzero(fg_sorted)[-1])
     assert coeffs[position] != 0.0
+
+
+def test_loss_holds_fewer_than_four_dense_gradients():
+    # The gradient is V x C float64.  The loss's (n, C) buffers, n of the V
+    # voxels, are freed before the gradient is allocated, except the one it
+    # is copied from, so the traced peak stays below four gradients.
+    pred, truth = driving_case()
+    tracemalloc.start()
+    try:
+        voxel_losses(pred, truth)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * pred.spec.num_voxels * pred.class_count * 8

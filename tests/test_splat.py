@@ -391,6 +391,31 @@ def test_sparse_splat_builds_no_voxel_centers(monkeypatch):
     assert len(fit(scene, truth, config).records) == 1
 
 
+def test_box_path_carries_sums_across_blocks(monkeypatch):
+    # With the pair cap above every box, each gaussian takes the pair path.
+    # At 600 pairs, every box of more than 600 pairs is read in blocks of
+    # at most 600 pairs and at least one x-layer: a covering box in eight
+    # blocks of two 16x16 layers, its sums carried from block to block.
+    # Every pair point of the box path comes from the per-axis center tables.
+    scene = mixed_scene(np.random.default_rng(41), 40, 5)
+    index = build_splat_index(scene, SPEC16, 3.0)
+    params = RawGaussianParams.from_scene(scene, 0.05, 6.0)
+    d_scores = np.random.default_rng(42).normal(size=(SPEC16.num_voxels, scene.class_count))
+    per_gaussian = np.diff(index.gaussian_starts)
+
+    monkeypatch.setattr(splat_module, "_SLAB_PAIRS", int(per_gaussian.max()))
+    pair_grads = backward_splat(params, index, SPEC16, d_scores, 0.05, 6.0)
+    monkeypatch.setattr(splat_module, "_SLAB_PAIRS", 600)
+    boxes = per_gaussian > 600
+    assert boxes.sum() >= 5 and not boxes.all()
+    assert np.all(index.counts[boxes, 0] > 2)
+    assert np.sum(index.counts[:, 0] == 16) >= 5
+    monkeypatch.setattr(GridSpec, "voxel_centers", _no_voxel_centers)
+    box_grads = backward_splat(params, index, SPEC16, d_scores, 0.05, 6.0)
+    for key, grad in box_grads.items():
+        assert np.array_equal(grad.view(np.uint64), pair_grads[key].view(np.uint64)), key
+
+
 def _add_one_gaussian_at_a_time(scene, centers, scores, g_lo, g_hi):
     # The accumulation order contract as a plain loop: one float32 add of
     # float32(w * sem) per gaussian, in ascending index.
