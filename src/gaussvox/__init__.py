@@ -2,9 +2,10 @@
 
 Scenes are sets of 3D Gaussians carrying per-class semantics.  The splatter
 converts a scene to a dense semantic occupancy grid by adding each gaussian
-over the box of voxels inside its cutoff neighborhood, one cache-sized slab
-of the grid at a time; the fitter recovers scenes from target grids by
-gradient descent on cross-entropy plus Lovasz-softmax losses.
+over the box of voxels inside its cutoff neighborhood: a large box as dense
+blocks of the grid, the others one cache-sized slab of the grid at a time;
+the fitter recovers scenes from target grids by gradient descent on
+cross-entropy plus Lovasz-softmax losses.
 """
 
 from .core import GaussianScene, gaussian_weight, quat_to_rotation

@@ -178,12 +178,11 @@ def backward_splat(
 
     Each gaussian accumulates only over its own neighborhood pairs, in
     ascending voxel order, mirroring the forward sparsity.  ``_pair_moments``
-    reads a gaussian of more than ``_SLAB_PAIRS`` pairs as its box, in dense
-    blocks of whole x-layers, and the others as pair runs from
-    ``_pair_runs``.  Either way every per-gaussian sum is added in pair order
-    from +0.0, so the result depends neither on the path nor on the run or
-    block size.  The rotation gradient is projected onto the
-    unit-quaternion tangent.
+    reads a gaussian of a large box as that box, in dense blocks of whole
+    x-layers, and the others as pair runs, split by the forward pass's rule.
+    Either way every per-gaussian sum is added in pair order from +0.0, so
+    the result depends neither on the path nor on the run or block size.
+    The rotation gradient is projected onto the unit-quaternion tangent.
     """
     span = s_max - s_min
     sig = sigmoid(params.raw_scales)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +34,9 @@ class GridSpec:
         dims = tuple(int(v) for v in self.dims)
         if len(origin) != 3 or len(cell) != 3 or len(dims) != 3:
             raise ValueError("origin, cell_size and dims must each have 3 entries")
-        if any(c <= 0 for c in cell):
-            raise ValueError(f"cell_size must be positive, got {cell}")
+        if not all(map(math.isfinite, origin + cell)) or min(cell) <= 0:
+            raise ValueError(f"origin must be finite and cell_size finite and positive, "
+                             f"got {origin} and {cell}")
         if any(d <= 0 for d in dims):
             raise ValueError(f"dims must be positive, got {dims}")
         if dims[0] * dims[1] * dims[2] > MAX_VOXELS:

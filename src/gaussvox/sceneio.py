@@ -17,6 +17,7 @@ SVOX grid file:
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -118,8 +119,12 @@ def read_grid(path) -> OccupancyGrid:
     actual = len(data) - hs
     if actual != expected:
         raise FormatError(f"payload is {actual} bytes, expected {expected}", hs)
-    if not all(s > 0 for s in (cx, cy, cz)):
-        raise FormatError(f"non-positive cell size ({cx}, {cy}, {cz})", 20)
+    # origin[3] and cell_size[3] are the six float32 fields from byte 20.
+    bad = [i for i, v in enumerate((ox, oy, oz, cx, cy, cz))
+           if not math.isfinite(v) or (i >= 3 and v <= 0)]
+    if bad:
+        raise FormatError(f"origin ({ox}, {oy}, {oz}) must be finite and cell size "
+                          f"({cx}, {cy}, {cz}) finite and positive", 20 + 4 * bad[0])
     labels = np.frombuffer(data, dtype=np.uint8, offset=hs, count=v)
     scores = None
     if kind == 1:

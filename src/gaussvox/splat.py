@@ -2,30 +2,21 @@
 
 The fast path embeds each Gaussian into the grid as the box of voxels
 inside its cutoff neighborhood, and accumulates per-voxel semantic scores
-from the neighboring Gaussians only.  The (gaussian, voxel) pairs of a box
-are written one chunk at a time, by the pass that uses them.
-``splat_oracle`` is the exact O(voxels * P) reference.  One elementwise
-kernel, ``pair_weights``, computes every pair weight, so a pair has the
-same bits in both paths and in the backward pass, and the fast path
-matches the oracle bit for bit on the pairs they share.
+from the neighboring Gaussians only.  ``splat_oracle`` is the exact
+O(voxels * P) reference and shares no accumulation code with it.  One
+elementwise kernel, ``pair_weights``, computes every pair weight, so a pair
+has the same bits in every path, the backward pass included.
 
 Accumulation is float32 in ascending gaussian index per voxel; this order is
-part of the contract so results are reproducible across runs, slab sizes
-and chunk sizes.  One generator, ``_pair_runs``, writes the pairs for both
-passes: it clips the boxes to x-slabs of the grid and yields each slab's
-pairs in runs of whole gaussians, ascending.  The forward pass takes
-cache-sized slabs, each a contiguous block of the scores, for the gaussians
-whose boxes do not cover the grid; a voxel lies in exactly one slab, so it
-still receives its adds one gaussian at a time, in ascending index, and the
-slabs change no bit.  The backward pass splits the gaussians by box size.
-A box of more than ``_SLAB_PAIRS`` pairs is a dense block of the grid, so
-``_box_sums`` reads it as blocks of whole x-layers: weights against
-broadcast axis centers, score cotangents through a view, semantics as
-per-gaussian scalars.  The other gaussians take ``_pair_runs`` with one
-slab, the whole grid, so each gaussian's pairs stay in one run.  A box's
-C-order is its pair order, and both paths add each per-gaussian sum
-sequentially in that order from +0.0, so the gradients have the same bits
-whichever path a gaussian takes.  Every pass runs on the calling thread.
+part of the contract so results are reproducible across runs and block,
+slab and chunk sizes.  Both passes split the gaussians into the same
+ascending runs by box size.  ``_box_blocks`` walks a large box, a dense
+block of the grid, in blocks of whole x-layers that are added to, or read
+from, a view of the scores.  ``_pair_runs`` writes the other boxes' pairs,
+clipped to x-slabs, in runs of whole gaussians; the forward pass scatters
+them into cache-sized slabs.  A box's C-order is its pair order, and both
+paths add each per-gaussian sum in that order from +0.0, so no result
+depends on a gaussian's path.  Every pass runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -56,9 +47,8 @@ class SplatIndex:
     voxels per axis; a box that misses the grid has all counts zero.
     ``gaussian_starts`` is the running pair count, so gaussian g owns pairs
     ``gaussian_starts[g] : gaussian_starts[g + 1]``.  No pair list is held:
-    the passes write their pairs run by run through ``_pair_runs``, and
-    ``voxels(a, b)`` writes the voxels of a run of gaussians for callers
-    that want them listed.
+    the passes walk the boxes, and ``voxels(a, b)`` writes the voxels of a
+    run of gaussians for callers that want them listed.
     """
 
     spec: GridSpec
@@ -82,15 +72,12 @@ class SplatIndex:
         """The voxels of gaussians [a, b), ascending per gaussian.
 
         Each (gaussian, i, j) line of a box is one contiguous run of
-        z-voxels, so the voxels are an ``arange`` plus a repeated per-line
-        offset, in (gaussian, voxel) order.
+        z-voxels, so the voxels are the lines' z-indices plus a repeated
+        per-line offset, in (gaussian, voxel) order.
         """
         _, y_dim, z_dim = self.spec.dims
-        lo, counts = self.lo[a:b], self.counts[a:b]
-        g, i, j = _box_lines(lo, counts)
-        run = counts[g, 2]
-        first = (i * y_dim + j) * z_dim + lo[g, 2]
-        return np.arange(run.sum()) + np.repeat(first - (np.cumsum(run) - run), run)
+        i, j, run, k = _box_lines(self.lo[a:b], self.counts[a:b])
+        return k + np.repeat((i * y_dim + j) * z_dim, run)
 
     @property
     def voxel_starts(self) -> np.ndarray:
@@ -153,15 +140,17 @@ def _box_lines(lo: np.ndarray, counts: np.ndarray):
     """The (gaussian, i, j) lines of a run of boxes, in (gaussian, i, j) order.
 
     ``lo`` and ``counts`` come from ``_axis_ranges``.  Returns each line's
-    gaussian within the run and its voxel indices i and j; the line itself
-    is the contiguous run of ``counts[g, 2]`` z-voxels from ``lo[g, 2]``.
+    voxel indices i and j and its length, the ``counts[g, 2]`` z-voxels from
+    ``lo[g, 2]``, and the z-index k of each pair of the lines in turn.
     """
     lines = counts[:, 0] * counts[:, 1]
     g = np.repeat(np.arange(lo.shape[0]), lines)
     line = np.arange(g.size) - np.repeat(np.cumsum(lines) - lines, lines)
     ny = counts[g, 1]
     di = line // ny
-    return g, lo[g, 0] + di, lo[g, 1] + line - di * ny
+    run = counts[g, 2]
+    k = np.arange(run.sum()) + np.repeat(lo[g, 2] - (np.cumsum(run) - run), run)
+    return lo[g, 0] + di, lo[g, 1] + line - di * ny, run, k
 
 
 def build_splat_index(
@@ -281,13 +270,19 @@ def frames_vjp(scales, rotations, s_z: np.ndarray, s_zz: np.ndarray):
 
 
 # Pairs are written one x-slab of the grid at a time, in runs of whole
-# gaussians of about _SLAB_PAIRS pairs.  The forward pass takes slabs of
-# whole x-layers of about _SLAB_BYTES of scores, a contiguous block that
-# stays in L2 while its pairs are scattered into it.  Gaussians are spread
-# over the whole volume, so scattering pairs in gaussian order across the
-# whole score array misses the cache on most adds.
+# gaussians of about _SLAB_PAIRS pairs, and a box in blocks of at most that
+# many.  The forward pass takes slabs of whole x-layers of about _SLAB_BYTES
+# of scores, a contiguous block that stays in L2 while its pairs are
+# scattered into it.  Gaussians are spread over the whole volume, so
+# scattering pairs in gaussian order across the whole score array misses
+# the cache on most adds.
 _SLAB_BYTES = 1 << 21
 _SLAB_PAIRS = 1 << 14
+# A gaussian of more than _BOX_PAIRS pairs is read as its box, a dense block
+# of the grid, by both passes.  Per pair the box path costs a half to a third
+# of a pair run, but about 120 us of fixed cost per gaussian, so both passes
+# broke even on cubic boxes of 1,000-2,000 pairs on 32^3 grids.
+_BOX_PAIRS = 1 << 11
 
 
 def _gaussian_chunks(starts: np.ndarray):
@@ -312,10 +307,8 @@ def _pair_runs(frames, index: SplatIndex, g_lo: int, g_hi: int, width: int):
     ``_SLAB_PAIRS`` pairs.  Each item is ``x0, ids, counts, vox, w, z``:
     the slab's first x-layer, the run's gaussians, the pair count of each,
     and per pair its voxel, counted from the slab's first voxel, and the
-    kernel's ``w, z``, in (gaussian, voxel) order.  ``frames`` come from
-    ``gaussian_frames``.  A pair's point comes from the per-axis center
-    tables, which have the bits of ``voxel_centers``.  With ``width`` at
-    ``dims[0]`` there is one slab, so each gaussian's pairs form one run.
+    kernel's ``w, z``, in (gaussian, voxel) order.  Pair points come from
+    the per-axis center tables, which have the bits of ``voxel_centers``.
     """
     spec = index.spec
     x_dim, y_dim, z_dim = spec.dims
@@ -339,11 +332,7 @@ def _pair_runs(frames, index: SplatIndex, g_lo: int, g_hi: int, width: int):
         xc = cx[x0:x1]
         for a, b in _gaussian_chunks(starts):
             per_gaussian = np.diff(starts[a : b + 1])
-            g, i, j = _box_lines(box_lo[a:b], box_counts[a:b])
-            run = box_counts[a:b][g, 2]
-            k = np.arange(starts[b] - starts[a]) + np.repeat(
-                box_lo[a:b][g, 2] - (np.cumsum(run) - run), run
-            )
+            i, j, run, k = _box_lines(box_lo[a:b], box_counts[a:b])
             vox = k + np.repeat((i * y_dim + j) * z_dim, run)
             pts = np.stack([np.repeat(xc[i], run), np.repeat(cy[j], run), cz[k]])
             ids = g_lo + gs[a:b]
@@ -355,54 +344,70 @@ def _pair_runs(frames, index: SplatIndex, g_lo: int, g_hi: int, width: int):
             yield x0, ids, per_gaussian, vox, w, z
 
 
-def _box_sums(frames, index: SplatIndex, axes, d_grid: np.ndarray, sem: np.ndarray, g: int):
-    """The moments and semantic cotangents of gaussian g, read from its box.
+def _box_blocks(frames, index: SplatIndex, axes, g: int):
+    """Yield gaussian g's box in blocks of whole x-layers, ascending.
 
-    ``axes`` are the grid's per-axis center tables, ``d_grid`` is the
-    (X, Y, Z, C) view of the score cotangents and ``sem`` the gaussian's C
-    semantics.  The box is read in blocks of whole x-layers, each at most
-    ``_SLAB_PAIRS`` pairs and at least one layer; each block's weights come
-    from ``pair_weights`` against broadcast axis centers, and its
-    cotangents from a view slice.  Returns ``s_z`` (3,), ``s_zz`` (3, 3)
-    and ``d_sem`` (C,), as ``_pair_moments`` defines them.  A box's C-order
-    is its (i, j, k) pair order in ``_pair_runs``, and each sum is added
-    sequentially in that order from +0.0, carried across blocks, so it has
-    the bits of the pair path's ``np.bincount`` sums.
+    ``axes`` are the grid's per-axis center tables.  A block is at most
+    ``_SLAB_PAIRS`` pairs and at least one layer.  Each item is the block's
+    (x, y, z) slices of the grid and its ``w, z`` from ``pair_weights``
+    against the broadcast (nx, 1, 1), (1, ny, 1) and (nz,) axis centers.
     """
     cx, cy, cz = axes
     (x_lo, y_lo, z_lo), (nx, ny, nz) = index.lo[g], index.counts[g]
     ys, zs = slice(y_lo, y_lo + ny), slice(z_lo, z_lo + nz)
     pts_y, pts_z = cy[ys, None], cz[zs]
     a, off = frames[0][..., g], frames[1][:, g]
-    c = sem.size
-    # One row per sum: c z (3), c z_i z_j for i <= j (6), w * d_score (C).
-    upper = np.triu_indices(3)
     layers = max(1, _SLAB_PAIRS // (ny * nz))
-    sums = np.zeros(9 + c)
-    terms = np.empty((9 + c, min(layers, nx) * ny * nz))
     for x0 in range(x_lo, x_lo + nx, layers):
         x1 = min(x0 + layers, x_lo + nx)
         w, z = pair_weights(a, off, (cx[x0:x1, None, None], pts_y, pts_z))
-        gup = d_grid[x0:x1, ys, zs]
+        yield (slice(x0, x1), ys, zs), w, z
+
+
+def _box_sums(frames, index: SplatIndex, axes, d_grid: np.ndarray, sem: np.ndarray, g: int):
+    """Gaussian g's ``s_z`` (3,), ``s_zz`` (3, 3) and ``d_sem`` (C,), read from its box.
+
+    ``d_grid`` is the (X, Y, Z, C) view of the score cotangents and ``sem``
+    the gaussian's C semantics.  Each sum is added sequentially in pair
+    order from +0.0, carried across blocks, so it has the bits of the pair
+    path's ``np.bincount`` sums.
+    """
+    c = sem.size
+    # One row per sum: c z (3), c z_i z_j for i <= j (6), w * d_score (C).
+    upper = np.triu_indices(3)
+    sums = np.zeros(9 + c)
+    terms = None
+    for block, w, z in _box_blocks(frames, index, axes, g):
+        gup = d_grid[block]
         d_w = gup[..., 0] * sem[0]
         for cls in range(1, c):
             d_w += gup[..., cls] * sem[cls]
         d_w *= w
         n = w.size
-        block = terms[:, :n].reshape(9 + c, *w.shape)
+        if terms is None:
+            # The first block is the largest.
+            terms = np.empty((9 + c, n))
+        rows = terms[:, :n].reshape(9 + c, *w.shape)
         for j in range(3):
-            np.multiply(d_w, z[j], out=block[j])
+            np.multiply(d_w, z[j], out=rows[j])
         for row, (i, j) in enumerate(zip(*upper), start=3):
-            np.multiply(block[i], z[j], out=block[row])
+            np.multiply(rows[i], z[j], out=rows[row])
         for cls in range(c):
-            np.multiply(w, gup[..., cls], out=block[9 + cls])
-        block = terms[:, :n]
-        block[:, 0] += sums
-        np.cumsum(block, axis=1, out=block)
-        sums = block[:, -1].copy()
+            np.multiply(w, gup[..., cls], out=rows[9 + cls])
+        rows = terms[:, :n]
+        rows[:, 0] += sums
+        np.cumsum(rows, axis=1, out=rows)
+        sums = rows[:, -1].copy()
     s_zz = np.empty((3, 3))
     s_zz[upper] = s_zz[upper[::-1]] = sums[3:9]
     return sums[:3], s_zz, sums[9:]
+
+
+def _path_runs(index: SplatIndex):
+    """Ascending runs ``(a, b, box)`` of gaussians; ``box``: over ``_BOX_PAIRS`` pairs each."""
+    box = np.diff(index.gaussian_starts) > _BOX_PAIRS
+    cuts = [0, *(np.flatnonzero(box[1:] != box[:-1]) + 1).tolist(), box.size]
+    return [(a, b, bool(box[a])) for a, b in zip(cuts[:-1], cuts[1:]) if a < b]
 
 
 def _pair_moments(frames, index: SplatIndex, d_scores: np.ndarray, sem: np.ndarray):
@@ -411,29 +416,22 @@ def _pair_moments(frames, index: SplatIndex, d_scores: np.ndarray, sem: np.ndarr
     ``d_scores`` (V, C) is the score cotangent and ``sem`` (P, C) the
     semantics.  Returns ``s_z`` (P, 3) and ``s_zz`` (P, 3, 3), the moments
     that ``pair_weights_vjp`` defines, and ``d_sem`` (P, C), the sum of
-    ``w * d_scores`` over each gaussian's pairs.  Gaussians of more than
-    ``_SLAB_PAIRS`` pairs, which ``_gaussian_chunks`` puts in runs of their
-    own, are read as boxes by ``_box_sums``.  The others take ``_pair_runs``
-    with one slab over the whole grid, so each gaussian's pairs lie in one
-    run, summed by ``np.bincount`` in pair order.  Both paths add every sum
-    in the same order, so the result does not depend on the path, the run
-    size or the block size.
+    ``w * d_scores`` over each gaussian's pairs.  Box runs are read by
+    ``_box_sums``; in the others each gaussian's pairs lie in one run,
+    summed by ``np.bincount`` in pair order.
     """
     p, c = sem.shape
-    x_dim, y_dim, z_dim = index.spec.dims
     s_z = np.zeros((p, 3))
     s_zz = np.zeros((p, 3, 3))
     d_sem = np.zeros((p, c))
-    big = np.diff(index.gaussian_starts) > _SLAB_PAIRS
-    cuts = [0, *(np.flatnonzero(big[1:] != big[:-1]) + 1).tolist(), p]
     axes = index.spec.axis_centers()
-    d_grid = d_scores.reshape(x_dim, y_dim, z_dim, c)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if lo < hi and big[lo]:
+    d_grid = d_scores.reshape(*index.spec.dims, c)
+    for lo, hi, box in _path_runs(index):
+        if box:
             for g in range(lo, hi):
                 s_z[g], s_zz[g], d_sem[g] = _box_sums(frames, index, axes, d_grid, sem[g], g)
             continue
-        for _, ids, per_gaussian, vox, w, z in _pair_runs(frames, index, lo, hi, x_dim):
+        for _, ids, per_gaussian, vox, w, z in _pair_runs(frames, index, lo, hi, d_grid.shape[0]):
             k = ids.size
             g = np.repeat(np.arange(k), per_gaussian)
             gup = d_scores[vox]
@@ -529,13 +527,9 @@ def _accumulate_slabs(
 ) -> None:
     """Add gaussians [g_lo, g_hi) over their boxes, one x-slab at a time.
 
-    Slabs are whole x-layers of about ``_SLAB_BYTES`` of scores, and
-    ``_pair_runs`` writes their pairs.  Each class of a slab's scores
-    receives a run's float32 products ``w * sem`` through one ``np.add.at``,
-    which applies them in pair order.  Every voxel lies in exactly one slab,
-    so it receives the float32 adds ``scores += float32(w_g * sem_g)`` for g
-    ascending, as a plain per-gaussian loop would; neither slab nor run size
-    changes a bit.
+    Slabs are whole x-layers of about ``_SLAB_BYTES`` of scores.  Each class
+    of a slab receives a run's float32 products ``w * sem`` through one
+    ``np.add.at``, which applies them in pair order.
     """
     _, y_dim, z_dim = index.spec.dims
     layer = y_dim * z_dim
@@ -560,29 +554,26 @@ def _accumulate(scene: GaussianScene, index: SplatIndex) -> np.ndarray:
     """The (V, C) float32 scores, added in ascending gaussian order per voxel.
 
     Their size is checked against ``MAX_SCORE_BYTES`` before they exist.
-    Runs of gaussians whose boxes cover the grid take the tiled full-grid
-    path, which alone needs every voxel center; the others take the slab
-    loop.  Runs go in ascending order, and within a run each voxel lies in
-    one slab, so every voxel receives its adds one gaussian at a time, in
-    ascending index, whatever the slab and chunk sizes.
+    Runs go in ascending order.  A box-path gaussian adds ``float32(w *
+    sem)`` to each block of its box through a view of the scores, one class
+    at a time; the others take the slab loop.  So every voxel receives one
+    float32 add per gaussian, in ascending index.
     """
-    p = len(scene)
     c = scene.class_count
     _check_dense_bytes(index.num_voxels, 4 * c)
     scores = np.zeros((index.num_voxels, c), dtype=np.float32)
-    if p == 0:
-        return scores
     frames = gaussian_frames(scene.means, scene.scales, scene.rotations)
-    covering = np.diff(index.gaussian_starts) == index.num_voxels
-    cuts = [0, *(np.flatnonzero(covering[1:] != covering[:-1]) + 1).tolist(), p]
-    pts = None
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if not covering[lo]:
+    axes = index.spec.axis_centers()
+    grid = scores.reshape(*index.spec.dims, c)
+    for lo, hi, box in _path_runs(index):
+        if not box:
             _accumulate_slabs(frames, scene.logits, index, scores, lo, hi)
             continue
-        if pts is None:
-            pts = np.ascontiguousarray(index.spec.voxel_centers().T)
-        _accumulate_full_grid(frames, scene.logits, pts, scores, lo, hi)
+        for g in range(lo, hi):
+            sem = scene.logits[g].astype(np.float64)
+            for block, w, _ in _box_blocks(frames, index, axes, g):
+                for cls in range(c):
+                    grid[(*block, cls)] += (w * sem[cls]).astype(np.float32)
     return scores
 
 
@@ -629,7 +620,8 @@ def splat_oracle(scene: GaussianScene, spec: GridSpec) -> OccupancyGrid:
     """Exact brute-force splat: every voxel sums every gaussian.
 
     O(voxels * P); intended for small instances and as the correctness
-    reference for the pair-list fast path.  The float32 scores and the
+    reference for the fast path's box and pair runs alike, whose code it
+    does not share.  The float32 scores and the
     float64 voxel centers, built and then transposed, are checked against
     ``MAX_SCORE_BYTES`` before they exist.
     """

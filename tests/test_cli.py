@@ -100,6 +100,41 @@ def test_splat_rejects_degenerate_gaussian_exit_2(small_scene, tmp_path, capsys,
     assert not (tmp_path / "g.svox").exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--origin", "nan,0,0"), ("--origin", "inf,0,0"), ("--origin", "0,0,-inf"),
+    ("--cell", "inf,0.5,0.5"), ("--cell", "0.5,nan,0.5"), ("--cell", "0.5,0.5,-inf"),
+])
+def test_splat_rejects_non_finite_grid_exit_2(small_scene, tmp_path, capsys, flag, value):
+    out = tmp_path / "g.svox"
+    code, _ = run(["splat", "--scene", str(small_scene), "--dims", "8,8,8", flag, value,
+                   "--out", str(out)])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("offset, value", [(20, float("nan")), (28, float("-inf")),
+                                           (32, float("inf")), (40, float("nan"))])
+def test_fit_rejects_non_finite_grid_header_exit_2(tmp_path, capsys, offset, value):
+    # origin[3] then cell_size[3], float32 each, start at byte 20 of a grid header.
+    shapes = tmp_path / "shapes.json"
+    shapes.write_text(json.dumps([{"kind": "box", "cls": 1, "min": [1, 1, 1],
+                                   "max": [3, 3, 3]}]))
+    truth = tmp_path / "truth.svox"
+    assert run(["gen", *GRID_FLAGS, "--shapes", str(shapes), "--out", str(truth)])[0] == 0
+    data = bytearray(truth.read_bytes())
+    data[offset : offset + 4] = struct.pack("<f", value)
+    truth.write_bytes(bytes(data))
+    out = tmp_path / "fit.sgau"
+    code, _ = run(["fit", "--truth", str(truth), "--out", str(out), "--count", "8",
+                   "--iters", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"byte offset {offset}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_score_capacity_checked_before_allocation_exit_2(small_scene, tmp_path, monkeypatch,
                                                         capsys):
     # 8^3 voxels of 4 float32 classes are 8192 bytes, against a cap of 8191.

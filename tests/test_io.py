@@ -183,6 +183,23 @@ def test_grid_oversize_dims(tmp_path):
         read_grid(bad)
 
 
+# origin[3] then cell_size[3], float32 each, start at byte 20 of the header.
+@pytest.mark.parametrize("offset, value", [
+    (20, float("nan")), (24, float("inf")), (28, float("-inf")),
+    (32, float("inf")), (36, float("nan")), (40, float("-inf")), (40, 0.0),
+])
+def test_grid_non_finite_geometry_names_its_offset(tmp_path, offset, value):
+    spec = GridSpec((0, 0, 0), (1, 1, 1), (2, 2, 2))
+    path = tmp_path / "g.svox"
+    write_grid(OccupancyGrid(spec, 2, np.zeros(8, np.uint8)), path)
+    data = bytearray(path.read_bytes())
+    data[offset : offset + 4] = struct.pack("<f", value)
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError) as e:
+        read_grid(path)
+    assert e.value.offset == offset
+
+
 def test_grid_payload_mismatch(tmp_path):
     spec = GridSpec((0, 0, 0), (1, 1, 1), (2, 2, 2))
     grid = OccupancyGrid(spec, 2, np.zeros(8, np.uint8))

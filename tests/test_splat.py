@@ -348,9 +348,10 @@ def test_pair_weight_bits_do_not_depend_on_the_batch():
 )
 def test_chunk_sizes_do_not_change_bits(monkeypatch, pair_chunk, slab_layers):
     # The base run splats the 16^3 grid as one slab; the patched runs cut
-    # every box across slabs of one or three x-layers, and the covering
-    # gaussians interleave with the slab runs.  The pair cap also cuts the
-    # backward pass's runs.
+    # every pair-path box across slabs of one or three x-layers, and send
+    # most gaussians through the box path, in blocks of one or more layers,
+    # interleaved with the slab runs.  The pair cap also cuts the backward
+    # pass's runs.
     scene = mixed_scene(np.random.default_rng(36), 80, 6)
     params = RawGaussianParams.from_scene(scene, 0.05, 6.0)
     d_scores = np.random.default_rng(37).normal(size=(SPEC16.num_voxels, scene.class_count))
@@ -363,9 +364,8 @@ def test_chunk_sizes_do_not_change_bits(monkeypatch, pair_chunk, slab_layers):
     base_scores, base_grads = run(1)
     layer_bytes = 4 * scene.class_count * 16 * 16
     monkeypatch.setattr(splat_module, "_SLAB_PAIRS", pair_chunk)
+    monkeypatch.setattr(splat_module, "_BOX_PAIRS", pair_chunk)
     monkeypatch.setattr(splat_module, "_SLAB_BYTES", slab_layers * layer_bytes)
-    monkeypatch.setattr(splat_module, "_FULL_GRID_TILE", 3)
-    monkeypatch.setattr(splat_module, "_FULL_GRID_STEP", 50)
     for threads in (1, 2):
         scores, grads = run(threads)
         assert np.array_equal(scores.view(np.uint32), base_scores.view(np.uint32))
@@ -403,8 +403,9 @@ def test_box_path_carries_sums_across_blocks(monkeypatch):
     d_scores = np.random.default_rng(42).normal(size=(SPEC16.num_voxels, scene.class_count))
     per_gaussian = np.diff(index.gaussian_starts)
 
-    monkeypatch.setattr(splat_module, "_SLAB_PAIRS", int(per_gaussian.max()))
+    monkeypatch.setattr(splat_module, "_BOX_PAIRS", int(per_gaussian.max()))
     pair_grads = backward_splat(params, index, SPEC16, d_scores, 0.05, 6.0)
+    monkeypatch.setattr(splat_module, "_BOX_PAIRS", 600)
     monkeypatch.setattr(splat_module, "_SLAB_PAIRS", 600)
     boxes = per_gaussian > 600
     assert boxes.sum() >= 5 and not boxes.all()
@@ -414,6 +415,60 @@ def test_box_path_carries_sums_across_blocks(monkeypatch):
     box_grads = backward_splat(params, index, SPEC16, d_scores, 0.05, 6.0)
     for key, grad in box_grads.items():
         assert np.array_equal(grad.view(np.uint64), pair_grads[key].view(np.uint64)), key
+
+
+def test_forward_box_path_keeps_the_add_order(monkeypatch):
+    # Even gaussians have boxes of over 600 pairs and odd ones of at most
+    # 64, so at a box cap of 600 the two paths alternate gaussian by
+    # gaussian over overlapping voxels.  At 600 pairs a block is at most
+    # 600 pairs and at least one x-layer, so every box spans several
+    # blocks.  The reference takes the pair path for every gaussian.
+    rng = np.random.default_rng(43)
+    count = 30
+    scales = np.where(np.arange(count)[:, None] % 2 == 0, 1.2, 0.2) * rng.uniform(
+        0.8, 1.2, (count, 3))
+    rotations = rng.normal(size=(count, 4))
+    scene = GaussianScene(rng.uniform(-1.5, 1.5, (count, 3)), scales,
+                          rotations / np.linalg.norm(rotations, axis=1, keepdims=True),
+                          rng.random((count, 4)))
+    index = build_splat_index(scene, SPEC16, 3.0)
+    per_gaussian = np.diff(index.gaussian_starts)
+    assert np.all(per_gaussian[::2] > 600) and np.all(per_gaussian[1::2] <= 64)
+    layers = np.maximum(1, 600 // (index.counts[::2, 1] * index.counts[::2, 2]))
+    assert np.all(index.counts[::2, 0] > layers)
+    boxes = np.zeros(SPEC16.num_voxels, dtype=bool)
+    for g in range(0, count, 2):
+        boxes[index.voxels(g, g + 1)] = True
+    assert all(boxes[index.voxels(g, g + 1)].any() for g in range(1, count, 2))
+
+    monkeypatch.setattr(splat_module, "_BOX_PAIRS", int(per_gaussian.max()))
+    expected = splat(scene, SPEC16, index=index).scores
+    monkeypatch.setattr(splat_module, "_BOX_PAIRS", 600)
+    monkeypatch.setattr(splat_module, "_SLAB_PAIRS", 600)
+    got = splat(scene, SPEC16, index=index).scores
+    assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
+
+
+def _no_full_grid(*args, **kwargs):
+    raise AssertionError("_accumulate_full_grid called")
+
+
+def test_exact_and_covering_splats_do_not_take_the_oracle_path(monkeypatch):
+    # Criterion 1 compares exact mode with the oracle, so exact mode, and a
+    # 3-sigma splat whose covering gaussians interleave with small ones, must
+    # not reach the oracle's accumulator or build the voxel centers.
+    scene = mixed_scene(np.random.default_rng(44), 40, 6)
+    index = build_splat_index(scene, SPEC16, 3.0)
+    assert np.sum(np.diff(index.gaussian_starts) == SPEC16.num_voxels) == 6
+    oracle = splat_oracle(scene, SPEC16).scores
+    sparse = splat(scene, SPEC16, 3.0).scores
+
+    monkeypatch.setattr(splat_module, "_accumulate_full_grid", _no_full_grid)
+    monkeypatch.setattr(GridSpec, "voxel_centers", _no_voxel_centers)
+    exact = splat(scene, SPEC16, cutoff_sigma=None).scores
+    assert np.array_equal(exact.view(np.uint32), oracle.view(np.uint32))
+    assert np.array_equal(splat(scene, SPEC16, 3.0).scores.view(np.uint32),
+                          sparse.view(np.uint32))
 
 
 def _add_one_gaussian_at_a_time(scene, centers, scores, g_lo, g_hi):
