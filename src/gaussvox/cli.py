@@ -21,7 +21,8 @@ from .errors import GaussvoxError
 from .fitter import FitConfig, SceneInit, fit
 from .grid import GridSpec
 from .metrics import confusion, miou, scene_completion_iou
-from .sceneio import gen_synthetic, read_grid, read_scene, write_grid, write_scene
+from .sceneio import (check_header_geometry, gen_synthetic, read_grid, read_scene,
+                      write_grid, write_scene)
 from .splat import DEFAULT_CUTOFF_SIGMA, build_splat_index, splat
 
 THREADS_ENV = "GAUSSVOX_THREADS"
@@ -146,6 +147,7 @@ def build_parser() -> _Parser:
 def _cmd_splat(args) -> int:
     scene = read_scene(args.scene)
     spec = _grid_spec(args)
+    check_header_geometry(spec)
     cutoff = None if args.exact else args.cutoff
     grid = splat(scene, spec, cutoff, threads=args.threads)
     if args.labels_only:
@@ -218,6 +220,7 @@ def _cmd_fit(args, out) -> int:
 
 def _cmd_gen(args, out) -> int:
     spec = _grid_spec(args)
+    check_header_geometry(spec)
     with open(args.shapes) as f:
         shapes = json.load(f)
     if not isinstance(shapes, list):

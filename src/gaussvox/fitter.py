@@ -295,9 +295,13 @@ def fit(
     given, receives each IterationRecord as it is produced.  ``threads`` is
     accepted for the callers that pass a thread count; every stage runs on
     the calling thread, so it changes neither the result nor the speed.
-    Each iteration's dense per-voxel arrays, the float32 scores, the
-    float64 score gradient and the loss's three (n, C) float64 buffers, are
-    checked against ``MAX_SCORE_BYTES`` before the first of them exists.
+    Each iteration's loss runs over the voxels in the index's boxes,
+    ``index.covered``: every other voxel has all-zero scores, and the
+    backward pass reads the score gradient only inside the boxes.  Each
+    iteration's dense per-voxel arrays, the float32 scores, the float64
+    score gradient and the loss's three float64 buffers, one row per
+    covered voxel, are checked against ``MAX_SCORE_BYTES`` before the first
+    of them exists.
     """
     _check_dense_bytes(truth.spec.num_voxels, (4 + 8 + 3 * 8) * truth.class_count)
     if np.count_nonzero(truth.labels != IGNORE_LABEL) == 0:
@@ -319,7 +323,7 @@ def fit(
         scene = params.activate(config.s_min, config.s_max)
         index = build_splat_index(scene, truth.spec, config.cutoff_sigma, threads=threads)
         grid = splat(scene, truth.spec, index=index)
-        lb = voxel_losses(grid, truth, config.loss_weights)
+        lb = voxel_losses(grid, truth, config.loss_weights, covered=index.covered)
         if not math.isfinite(lb.total):
             raise DivergenceError(it)
 

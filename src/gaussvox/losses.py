@@ -10,14 +10,27 @@ Each class's Lovasz gradient is a Jaccard difference over its errors in
 stable descending order.  After the last foreground entry of that order the
 intersection is 0, so every later coefficient is exactly 0.0: only the
 foreground and the background whose error reaches the smallest foreground
-error are sorted.  That kept set is a prefix of the full stable order, and
-the foreground count and running sums are exact integers, so the score
-gradients are bitwise those of a sort over every voxel.  Only the Lovasz
-scalar can differ, by the rounding of a shorter dot product.
+error are sorted.  That kept set is a prefix of the full stable order.
+
+A splat leaves every voxel outside its index's boxes with all-zero scores,
+so their softmax rows are one constant row.  Given that covered set, the
+dense passes run over the covered non-ignored rows only, and the constant
+row stands for the others: cross-entropy counts it once per label, and per
+class its entries form two tie groups, foreground at error ``1 - p`` and
+background at error ``p``, each in voxel order.  A sorted entry's position
+and foreground count in the full stable order are then exact integers, its
+covered rank plus the group members that precede it, so its coefficient has
+the bits of a sort over every voxel.  The scalar of a tie run telescopes to
+``error * (J_last - J_before)``.  So the score gradients at the covered
+non-ignored rows are bitwise those of dense passes and a full sort over
+every voxel; only the Lovasz and cross-entropy scalars can differ, by the
+rounding of shorter sums.  The gradient rows outside the covered set are
+left zero: the backward pass does not read them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,78 +44,153 @@ class LossBreakdown:
     total: float
     ce: float
     lovasz: float
-    d_scores: np.ndarray  # (num_voxels, C) float64, zero at ignored voxels
+    # (num_voxels, C) float64, zero at ignored voxels.  Given a covered mask,
+    # exact at covered valid rows and zero elsewhere.
+    d_scores: np.ndarray
 
 
-def _lovasz_grad_coeffs(fg_sorted: np.ndarray) -> np.ndarray:
-    """Gradient coefficients of the Lovasz extension for one sorted class.
+def _jaccard(fg_sum: float, fg: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Jaccard loss of a sorted class's prefixes of ``length`` entries, ``fg`` foreground.
 
-    ``fg_sorted`` may be any prefix of the sorted order that holds every
-    foreground entry; the coefficients it drops are the exact zeros.
+    ``fg_sum`` is the class's foreground count.  Counts are exact integers
+    in float64, so the intersection and union, and the loss, have the same
+    bits wherever the counts come from.
     """
-    fg_sum = fg_sorted.sum()
-    intersection = fg_sum - np.cumsum(fg_sorted)
-    union = fg_sum + np.cumsum(1.0 - fg_sorted)
-    jaccard = 1.0 - intersection / union
-    jaccard[1:] = jaccard[1:] - jaccard[:-1]
-    return jaccard
+    union = length - fg
+    union += fg_sum
+    loss = np.asarray(fg_sum - fg)
+    loss /= union
+    return np.subtract(1.0, loss, out=loss)
+
+
+def _run_jaccard(fg_sum, errors, fg, groups, err, side):
+    """The prefix before (``side="left"``) or through the tie run at ``err``.
+
+    ``errors`` and ``fg`` are a class's sorted covered entries, and
+    ``groups`` its tie groups as (foreground flag, error, size).  Returns
+    how many covered entries the prefix holds and its Jaccard loss.  Every
+    entry of the run lies between the two prefixes, so the run's share of
+    the Lovasz scalar is ``err`` times the difference of their losses.
+    """
+    k = int(np.searchsorted(-errors, -err, side))
+    ahead = [(is_fg, size) for is_fg, e, size in groups
+             if e > err or (side == "right" and e == err)]
+    return k, _jaccard(fg_sum, fg[:k].sum() + sum(size for is_fg, size in ahead if is_fg),
+                       k + sum(size for _, size in ahead))
 
 
 def voxel_losses(
     pred: OccupancyGrid,
     truth: OccupancyGrid,
     weights: tuple[float, float] = (1.0, 1.0),
+    covered: np.ndarray | None = None,
 ) -> LossBreakdown:
     """Weighted cross-entropy + Lovasz-softmax loss and its score gradients.
 
-    ``weights`` is (ce_weight, lovasz_weight).  Raises UndefinedLossError if
-    every truth voxel carries the ignore label.
+    ``weights`` is (ce_weight, lovasz_weight).  ``covered`` (V,) bool marks
+    the voxels whose scores may be nonzero, such as ``SplatIndex.covered``;
+    every other voxel must have all-zero scores, and its gradient row is
+    left zero.  ``None`` covers every voxel: ``d_scores`` is then exact at
+    every non-ignored voxel.  Raises UndefinedLossError if every truth voxel
+    carries the ignore label.
     """
     if pred.scores is None:
         raise ValueError("prediction grid must carry scores")
     if not grids_compatible(pred, truth):
         raise GridMismatchError("prediction and truth must share GridSpec and class count")
     ce_w, lov_w = (float(weights[0]), float(weights[1]))
+    v = pred.spec.num_voxels
+    if covered is not None and np.shape(covered) != (v,):
+        raise ValueError(f"covered must have {v} entries, got shape {np.shape(covered)}")
 
     valid = truth.labels != IGNORE_LABEL
     n = int(np.count_nonzero(valid))
     if n == 0:
         raise UndefinedLossError("all voxels are ignored")
-    labels = truth.labels[valid].astype(np.int64)
+    covered = np.ones(v, dtype=bool) if covered is None else np.asarray(covered, dtype=bool)
+    inside = valid & covered
+    outside = valid & ~covered
+    labels = truth.labels[inside].astype(np.int64)
+    out_labels = truth.labels[outside]
     c = pred.class_count
+    out_count = np.bincount(out_labels, minlength=c)
+    m = labels.size
     # One log-softmax serves both terms; the probabilities derive from it.
-    # Three (n, C) buffers serve every pass below, each op done in place.
-    logp = pred.scores[valid].astype(np.float64)
+    # Row m is all zero, the scores of every voxel outside the covered set,
+    # so the same ops give their constant row.  Three (m + 1, C) buffers
+    # serve every pass below, each op done in place.
+    logp = np.zeros((m + 1, c))
+    logp[:m] = pred.scores[inside]
     logp -= logp.max(axis=1, keepdims=True)
     probs = np.exp(logp)
     logp -= np.log(np.sum(probs, axis=1, keepdims=True))
     np.exp(logp, out=probs)
-    rows = np.arange(n)
+    p_out = probs[m].copy()
+    rows = np.arange(m)
     p_label = probs[rows, labels]
-    ce = float(-logp[rows, labels].mean())
+    ce = float(-(logp[rows, labels].sum() + np.dot(out_count, logp[m])) / n)
 
     # Lovasz-softmax over classes present in the truth.  Each class sorts its
     # foreground and the background whose error p reaches the smallest
     # foreground error, 1 - max(p[fg]): the prefix of the module docstring.
-    present = np.flatnonzero(np.bincount(labels, minlength=c))
+    fg_total = np.bincount(labels, minlength=c) + out_count
+    present = np.flatnonzero(fg_total)
     p_max = np.full(c, -np.inf)
     np.maximum.at(p_max, labels, p_label)
-    keep = probs >= 1.0 - p_max
+    p_max = np.where(out_count > 0, np.maximum(p_max, p_out), p_max)
+    keep = probs[:m] >= 1.0 - p_max
     keep[rows, labels] = True
     kept_cls, kept_rows = np.nonzero(keep.T)
     bounds = np.searchsorted(kept_cls, np.arange(c + 1))
     del keep, kept_cls
     lov = 0.0
     d_lov_probs = np.zeros_like(probs)
+
+    @functools.cache
+    def voxel_ids():
+        """The voxels of the covered and of the outside rows, found at the first exact tie."""
+        return np.flatnonzero(inside), np.flatnonzero(outside)
+
     for cls in present:
         idx = kept_rows[bounds[cls]:bounds[cls + 1]]
         fg = (labels[idx] == cls).astype(np.float64)
         errors = np.abs(fg - probs[idx, cls])
         order = np.argsort(-errors, kind="stable")
-        coeffs = _lovasz_grad_coeffs(fg[order])
-        lov += float(np.dot(errors[order], coeffs))
+        idx, fg, errors = idx[order], fg[order], errors[order]
+        del order  # one array fewer while the coefficients are built
+        # Each entry's prefix of the full stable order: its length and its
+        # foreground count, both exact.  The outside rows form two tie
+        # groups, which precede an entry of smaller error, and of equal
+        # error when their voxel is smaller.
+        seen = np.cumsum(fg)
+        length = np.arange(1.0, idx.size + 1)
+        groups = ((True, 1.0 - p_out[cls], out_count[cls]),
+                  (False, p_out[cls], out_labels.size - out_count[cls]))
+        for is_fg, err, size in groups:
+            if size == 0:
+                continue
+            ahead = np.where(errors < err, float(size), 0.0)
+            tie = errors == err
+            if tie.any():
+                in_voxels, out_voxels = voxel_ids()
+                members = out_voxels[(out_labels == cls) == is_fg]
+                ahead[tie] = np.searchsorted(members, in_voxels[idx[tie]])
+            length += ahead
+            if is_fg:
+                seen += ahead
+        fg_sum = float(fg_total[cls])
+        coeffs = _jaccard(fg_sum, seen, length)
+        seen -= fg
+        length -= 1.0
+        coeffs -= _jaccard(fg_sum, seen, length)
+        lov += float(np.dot(errors, coeffs))
+        # A tie run that holds a group enters whole, in place of its covered part.
+        for err in {err for _, err, size in groups if size}:
+            (lo, before), (hi, through) = (_run_jaccard(fg_sum, errors, fg, groups, err, side)
+                                           for side in ("left", "right"))
+            lov += float(err * (through - before) - np.dot(errors[lo:hi], coeffs[lo:hi]))
         # d|fg - p| / dp = -1 on foreground, +1 elsewhere
-        d_lov_probs[idx[order], cls] = coeffs * (1.0 - 2.0 * fg[order]) / present.size
+        d_lov_probs[idx, cls] = coeffs * (1.0 - 2.0 * fg) / present.size
     lov /= present.size
     # Chain through the softmax: ds = p * (g - <g, p>).
     np.multiply(d_lov_probs, probs, out=logp)
@@ -110,15 +198,15 @@ def voxel_losses(
     np.multiply(probs, lov_w, out=logp)
     logp *= d_lov_probs
     # Cross-entropy gradient, then the Lovasz part added to it.
-    d_scores_valid = probs
+    d_scores_valid = probs[:m]
     d_scores_valid[rows, labels] -= 1.0
     d_scores_valid *= ce_w / n
-    d_scores_valid += logp
-    # Two of the three (n, C) buffers are done: free them before the (V, C)
+    d_scores_valid += logp[:m]
+    # Two of the three buffers are done: free them before the (V, C)
     # gradient exists, so at most two such arrays are alive at once.
     del logp, d_lov_probs
 
     total = ce_w * ce + lov_w * lov
-    d_scores = np.zeros((pred.spec.num_voxels, c))
-    d_scores[valid] = d_scores_valid
+    d_scores = np.zeros((v, c))
+    d_scores[inside] = d_scores_valid
     return LossBreakdown(total=total, ce=ce, lovasz=lov, d_scores=d_scores)

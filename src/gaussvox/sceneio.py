@@ -17,7 +17,9 @@ SVOX grid file:
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 
 import numpy as np
@@ -35,13 +37,34 @@ _SCENE_HEADER = struct.Struct("<4sHHQ")
 _GRID_HEADER = struct.Struct("<4sHHIIIffffffB")
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """Open a new file beside ``path`` for writing, and move it onto ``path`` on success.
+
+    ``os.replace`` is atomic, so ``path`` holds either its old content or the
+    whole new file; a failure removes the partial file and leaves no output.
+    """
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    f = open(tmp, "xb")
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_scene(scene: GaussianScene, path) -> None:
     p = len(scene)
     c = scene.class_count
     records = np.concatenate(
         [scene.means, scene.scales, scene.rotations, scene.logits], axis=1
     ).astype("<f4")
-    with open(path, "wb") as f:
+    with _replacing(path) as f:
         f.write(_SCENE_HEADER.pack(SCENE_MAGIC, FORMAT_VERSION, c, p))
         f.write(records.tobytes())
 
@@ -76,10 +99,27 @@ def read_scene(path) -> GaussianScene:
         raise FormatError(str(e), _SCENE_HEADER.size + e.gaussian * (10 + c) * 4) from e
 
 
+def check_header_geometry(spec: GridSpec) -> None:
+    """Raise ValueError unless a grid header can hold ``spec``'s origin and cell size.
+
+    The header stores them as float32: a value that overflows float32, or a
+    cell size that rounds to 0, cannot be written.
+    """
+    try:
+        fields = struct.unpack("<6f", struct.pack("<6f", *spec.origin, *spec.cell_size))
+    except OverflowError:
+        fields = None
+    if fields is None or min(fields[3:]) <= 0:
+        raise ValueError(f"origin {spec.origin} and cell size {spec.cell_size} do not fit "
+                         f"the float32 fields of a grid header")
+
+
 def write_grid(grid: OccupancyGrid, path) -> None:
+    """Write a grid file; ``check_header_geometry`` runs before any file exists."""
     spec = grid.spec
+    check_header_geometry(spec)
     kind = 0 if grid.scores is None else 1
-    with open(path, "wb") as f:
+    with _replacing(path) as f:
         f.write(
             _GRID_HEADER.pack(
                 GRID_MAGIC, FORMAT_VERSION, grid.class_count,

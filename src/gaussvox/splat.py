@@ -79,13 +79,46 @@ class SplatIndex:
         i, j, run, k = _box_lines(self.lo[a:b], self.counts[a:b])
         return k + np.repeat((i * y_dim + j) * z_dim, run)
 
+    def _box_counts(self) -> np.ndarray:
+        """How many boxes hold each voxel, an (X, Y, Z) int64 view.
+
+        Each box adds +1 and -1 at its eight corners, by the parity of its
+        upper ends, in a grid one larger per axis; running sums along the
+        three axes then count, at each voxel, the boxes that hold it.  So the
+        cost follows the number of boxes and of voxels, not of pairs.
+        """
+        x_dim, y_dim, z_dim = self.spec.dims
+        hit = self.counts[:, 0] > 0
+        lo = self.lo[hit]
+        ends = np.stack([lo, lo + self.counts[hit]]) * np.array([(y_dim + 1) * (z_dim + 1),
+                                                                 z_dim + 1, 1])
+        x, y, z = ends[..., 0], ends[..., 1], ends[..., 2]
+        # Corner (a, b, c) of the ends is row 4a + 2b + c; rows 0, 3, 5 and
+        # 6 have an even count of upper ends.
+        corners = (x[:, None, None] + y[None, :, None] + z[None, None, :]).reshape(8, -1)
+        size = (x_dim + 1) * (y_dim + 1) * (z_dim + 1)
+        counts = np.bincount(corners[[0, 3, 5, 6]].ravel(), minlength=size)
+        counts -= np.bincount(corners[[1, 2, 4, 7]].ravel(), minlength=size)
+        counts = counts.reshape(x_dim + 1, y_dim + 1, z_dim + 1)
+        for axis in range(3):
+            np.cumsum(counts, axis=axis, out=counts)
+        return counts[:x_dim, :y_dim, :z_dim]
+
     @property
     def voxel_starts(self) -> np.ndarray:
         """Running pair count per voxel; its ``np.diff`` is each voxel's gaussian count."""
         starts = np.zeros(self.num_voxels + 1, dtype=np.int64)
-        for a, b in _gaussian_chunks(self.gaussian_starts):
-            starts[1:] += np.bincount(self.voxels(a, b), minlength=self.num_voxels)
-        return np.cumsum(starts, out=starts)
+        np.cumsum(self._box_counts(), out=starts[1:])
+        return starts
+
+    @property
+    def covered(self) -> np.ndarray:
+        """(V,) bool: whether each voxel lies in at least one box.
+
+        A splat leaves every other voxel with all-zero scores, and the
+        backward pass reads the score gradient at these voxels only.
+        """
+        return (self._box_counts() > 0).reshape(-1)
 
 
 def _scene_radii(scene: GaussianScene, cutoff_sigma: float | None) -> np.ndarray:

@@ -103,6 +103,8 @@ def test_splat_rejects_degenerate_gaussian_exit_2(small_scene, tmp_path, capsys,
 @pytest.mark.parametrize("flag, value", [
     ("--origin", "nan,0,0"), ("--origin", "inf,0,0"), ("--origin", "0,0,-inf"),
     ("--cell", "inf,0.5,0.5"), ("--cell", "0.5,nan,0.5"), ("--cell", "0.5,0.5,-inf"),
+    # Finite, but more than the float32 fields of a grid header can hold.
+    ("--origin", "1e308,0,0"), ("--cell", "1e300,0.5,0.5"),
 ])
 def test_splat_rejects_non_finite_grid_exit_2(small_scene, tmp_path, capsys, flag, value):
     out = tmp_path / "g.svox"
@@ -110,6 +112,19 @@ def test_splat_rejects_non_finite_grid_exit_2(small_scene, tmp_path, capsys, fla
                    "--out", str(out)])
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_rejects_geometry_the_header_cannot_hold_exit_2(tmp_path, capsys):
+    shapes = tmp_path / "shapes.json"
+    shapes.write_text(json.dumps([{"kind": "box", "cls": 1, "min": [1, 1, 1],
+                                   "max": [3, 3, 3]}]))
+    out = tmp_path / "g.svox"
+    code, _ = run(["gen", "--dims", "8,8,8", "--cell", "0.5,1e-50,0.5", "--shapes",
+                   str(shapes), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "float32" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """Round-trip and robustness tests for the binary scene/grid formats."""
 
+import importlib
 import struct
 
 import numpy as np
@@ -198,6 +199,67 @@ def test_grid_non_finite_geometry_names_its_offset(tmp_path, offset, value):
     with pytest.raises(FormatError) as e:
         read_grid(path)
     assert e.value.offset == offset
+
+
+@pytest.mark.parametrize("origin, cell", [((1e308, 0.0, 0.0), (0.5, 0.5, 0.5)),
+                                          ((0.0, 0.0, 0.0), (1e300, 0.5, 0.5)),
+                                          ((0.0, -3.5e38, 0.0), (0.5, 0.5, 0.5)),
+                                          ((0.0, 0.0, 0.0), (0.5, 1e-50, 0.5))])
+def test_grid_geometry_the_header_cannot_hold_is_rejected(tmp_path, origin, cell):
+    # Finite in float64, but float32 overflows or rounds the cell size to 0.
+    spec = GridSpec(origin, cell, (2, 2, 2))
+    path = tmp_path / "g.svox"
+    with pytest.raises(ValueError, match="float32"):
+        write_grid(OccupancyGrid(spec, 2, np.zeros(8, np.uint8)), path)
+    assert list(tmp_path.iterdir()) == []
+
+
+class _FailingFile:
+    """A binary file whose second write raises, as on a full disk."""
+
+    def __init__(self, f):
+        self.f = f
+        self.writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError("no space left on device")
+        return self.f.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("writer", ["scene", "grid"])
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch, writer, existing):
+    # The writers write beside the target and rename on success, so a write
+    # that fails midway leaves neither a partial file nor a temporary one,
+    # and an existing target keeps its bytes.
+    sceneio = importlib.import_module("gaussvox.sceneio")
+    rng = np.random.default_rng(66)
+    if writer == "scene":
+        obj, write = random_scene(rng, 5, 3), write_scene
+    else:
+        spec = GridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (4, 4, 4))
+        obj, write = splat(random_scene(rng, 5, 3), spec), write_grid
+    path = tmp_path / "out.bin"
+    if existing:
+        path.write_bytes(b"old")
+    monkeypatch.setattr(sceneio, "open", lambda *a: _FailingFile(open(*a)), raising=False)
+    with pytest.raises(OSError, match="no space"):
+        write(obj, path)
+    assert [p.name for p in tmp_path.iterdir()] == (["out.bin"] if existing else [])
+    if existing:
+        assert path.read_bytes() == b"old"
+    monkeypatch.undo()
+    write(obj, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+    assert path.stat().st_size > 16
 
 
 def test_grid_payload_mismatch(tmp_path):

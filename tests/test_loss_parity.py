@@ -6,6 +6,11 @@ reference's score gradients bit for bit (compared as uint64), and the loss
 scalars to 1e-12 relative, on the inputs below.  They also check the fact the
 cut relies on: in the reference's order, every coefficient after a class's
 last foreground entry is exactly 0.0.
+
+Given a covered mask, the library runs over the covered rows only and
+stands one constant row in for the others.  The covered tests hold its
+gradient at the covered non-ignored rows to the reference's dense gradient
+bit for bit, and require zeros elsewhere.
 """
 
 import tracemalloc
@@ -14,7 +19,14 @@ import numpy as np
 import pytest
 
 import loss_reference
-from gaussvox import GaussianScene, GridSpec, OccupancyGrid, splat, voxel_losses
+from gaussvox import (
+    GaussianScene,
+    GridSpec,
+    OccupancyGrid,
+    build_splat_index,
+    splat,
+    voxel_losses,
+)
 from gaussvox.grid import IGNORE_LABEL
 from test_acceptance import _octant_instance
 
@@ -28,8 +40,8 @@ def scored(spec, scores):
                          scores)
 
 
-def driving_case():
-    """A 64x64x25 driving-like truth scored by a splat of a jittered lattice scene."""
+def driving_scene(scale_range=(0.3, 0.6)):
+    """A 64x64x25 driving-like truth and a jittered lattice scene over it."""
     rng = np.random.default_rng(61)
     spec = GridSpec((-16.0, -16.0, -2.0), (0.5, 0.5, 0.5), (64, 64, 25))
     classes = 18
@@ -55,19 +67,41 @@ def driving_case():
     logits = rng.normal(size=(count, classes))
     semantics = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     scene = GaussianScene(means.astype(np.float32),
-                          rng.uniform(0.3, 0.6, (count, 3)).astype(np.float32),
+                          rng.uniform(*scale_range, (count, 3)).astype(np.float32),
                           rotations.astype(np.float32), semantics.astype(np.float32))
-    return splat(scene, spec), truth
+    return scene, truth
 
 
-def octant_case():
-    """Criterion 4's instance: the jittered start scored against the octant truth."""
+def sparse_driving_scene():
+    """The driving truth under small gaussians, whose boxes cover a fraction of the grid."""
+    return driving_scene((0.1, 0.2))
+
+
+def driving_case():
+    """The driving truth scored by a splat of its lattice scene."""
+    scene, truth = driving_scene()
+    return splat(scene, truth.spec), truth
+
+
+def sparse_driving_case():
+    scene, truth = sparse_driving_scene()
+    return splat(scene, truth.spec), truth
+
+
+def octant_scene():
+    """Criterion 4's instance: the jittered start and the octant truth."""
     spec, truth_scene, truth = _octant_instance()
     rng = np.random.default_rng(11)
     jitter = rng.normal(0.0, 0.5 * spec.cell_size[0], truth_scene.means.shape)
     initial = GaussianScene(truth_scene.means + jitter.astype(np.float32),
                             truth_scene.scales, truth_scene.rotations, truth_scene.logits)
-    return splat(initial, spec, cutoff_sigma=None), truth
+    return initial, truth
+
+
+def octant_case():
+    """The octant truth scored by the exact splat of the jittered start."""
+    initial, truth = octant_scene()
+    return splat(initial, truth.spec, cutoff_sigma=None), truth
 
 
 def tied_case(seed):
@@ -126,6 +160,7 @@ def tie_case():
 
 CASES = {
     "driving": driving_case,
+    "sparse-driving": sparse_driving_case,
     "octant": octant_case,
     "tied-a": lambda: tied_case(64),
     "tied-b": lambda: tied_case(65),
@@ -135,6 +170,41 @@ CASES = {
     "one-class": one_class_case,
     "tie": tie_case,
 }
+
+
+# Cases splatted from a scene take their covered mask from the scene's index.
+INDEXED = {
+    "driving": (driving_scene, 3.0),
+    "sparse-driving": (sparse_driving_scene, 3.0),
+    "octant": (octant_scene, None),
+}
+
+
+def covered_mask(case, pred):
+    """The real index's covered voxels for a splatted case; otherwise every
+    nonzero-score voxel and a random 30% of the others."""
+    if case in INDEXED:
+        make, cutoff = INDEXED[case]
+        scene, truth = make()
+        return build_splat_index(scene, truth.spec, cutoff).covered
+    rng = np.random.default_rng(67)
+    nonzero = np.any(pred.scores != 0, axis=1)
+    return nonzero | (rng.random(nonzero.size) < 0.3)
+
+
+def assert_covered_parity(pred, truth, covered, weights):
+    """Bitwise reference gradients at covered non-ignored rows, zeros elsewhere,
+    and the scalars within 1e-12."""
+    ref = loss_reference.voxel_losses(pred, truth, weights)
+    got = voxel_losses(pred, truth, weights, covered=covered)
+    rows = covered & (truth.labels != IGNORE_LABEL)
+    assert np.array_equal(got.d_scores[rows].view(np.uint64),
+                          ref.d_scores[rows].view(np.uint64)), weights
+    assert not got.d_scores[~rows].view(np.uint64).any(), weights
+    assert close(ref.total, got.total), (weights, ref.total, got.total)
+    assert close(ref.ce, got.ce), (weights, ref.ce, got.ce)
+    assert close(ref.lovasz, got.lovasz), (weights, ref.lovasz, got.lovasz)
+    return ref
 
 
 def reference_probs(pred, truth):
@@ -203,3 +273,61 @@ def test_loss_holds_fewer_than_four_dense_gradients():
     finally:
         tracemalloc.stop()
     assert peak < 4 * pred.spec.num_voxels * pred.class_count * 8
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_covered_rows_match_full_sort_reference(case):
+    pred, truth = CASES[case]()
+    covered = covered_mask(case, pred)
+    # The precondition of the covered loss: no score outside the mask.
+    assert not pred.scores[~covered].view(np.uint32).any()
+    for weights in WEIGHTS:
+        assert_covered_parity(pred, truth, covered, weights)
+
+
+def test_sparse_driving_mask_leaves_most_voxels_outside():
+    # The case stands for a fit whose boxes miss most of the grid.
+    pred, truth = sparse_driving_case()
+    assert covered_mask("sparse-driving", pred).mean() < 0.3
+
+
+@pytest.mark.parametrize("classes", [2, 3])
+def test_covered_zero_rows_tie_the_outside_row(classes):
+    # All-zero covered rows have exactly the outside rows' probabilities, so
+    # in every class they tie the outside tie groups and must fall between
+    # those groups' members by voxel index.  With two classes the outside
+    # row is (0.5, 0.5): its foreground and background groups tie as well.
+    rng = np.random.default_rng(68 + classes)
+    n = SMALL.num_voxels
+    scores = np.where(rng.random((n, 1)) < 0.5, 0.0,
+                      rng.integers(0, 3, (n, classes))).astype(np.float32)
+    labels = rng.integers(0, classes, n).astype(np.uint8)
+    labels[rng.random(n) < 0.1] = IGNORE_LABEL
+    pred, truth = scored(SMALL, scores), OccupancyGrid(SMALL, classes, labels)
+    zero = ~np.any(scores != 0, axis=1)
+    covered = ~zero | (np.arange(n) % 3 == 0)
+    valid = labels != IGNORE_LABEL
+    tied = np.flatnonzero(covered & zero & valid)
+    outside = np.flatnonzero(~covered & valid)
+    assert tied.size and outside.size
+    assert outside[0] < tied[-1] and tied[0] < outside[-1]
+    for weights in WEIGHTS:
+        assert_covered_parity(pred, truth, covered, weights)
+
+
+def test_covered_label_entries_keep_negative_zero():
+    # With no cross-entropy weight a label entry is (p - 1) * 0.0 = -0.0 plus
+    # the Lovasz part, which is -0.0 when p underflows to 0: the sign must
+    # survive.  Scores of +-500 against the label drive p to 0.
+    rng = np.random.default_rng(70)
+    n = SMALL.num_voxels
+    labels = rng.integers(0, 3, n).astype(np.uint8)
+    scores = np.where(rng.random((n, 1)) < 0.6, 0.0, rng.normal(size=(n, 3)))
+    against = rng.random(n) < 0.2
+    scores[against] = 500.0
+    scores[against, labels[against]] = -500.0
+    pred, truth = scored(SMALL, scores), OccupancyGrid(SMALL, 3, labels)
+    covered = np.any(scores != 0, axis=1) | (rng.random(n) < 0.3)
+    ref = assert_covered_parity(pred, truth, covered, (0.0, 1.0))
+    entries = ref.d_scores[np.flatnonzero(covered), labels[covered]]
+    assert np.any((entries == 0.0) & np.signbit(entries))

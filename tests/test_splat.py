@@ -186,6 +186,7 @@ def test_index_matches_brute_force_property(case):
     assert np.all(np.diff(index.gaussian_starts)[far] == 0)
     assert np.array_equal(np.diff(index.voxel_starts),
                           np.bincount(voxels, minlength=spec.num_voxels))
+    assert np.array_equal(index.covered, np.bincount(voxels, minlength=spec.num_voxels) > 0)
     two = build_splat_index(scene, spec, cutoff, threads=2)
     assert np.array_equal(two.voxels(0, len(scene)), voxels)
     assert np.array_equal(two.gaussian_starts, index.gaussian_starts)
@@ -240,6 +241,22 @@ def test_index_sorted_and_ranges_consistent():
     runs = [index.voxels(g, g + 1) for g in range(len(scene))]
     assert np.array_equal(np.concatenate(runs), voxels)
     assert voxels.size == index.pair_count
+
+
+@pytest.mark.parametrize("cutoff, box_pairs", [(3.0, 1 << 11), (3.0, 7), (1.0, 1 << 11),
+                                              (None, 1 << 11)])
+def test_splat_scores_are_zero_outside_covered(monkeypatch, cutoff, box_pairs):
+    # The loss stands one all-zero row in for every voxel outside
+    # index.covered, so a splat must leave each such voxel at +0.0 in every
+    # class, on the box path (a low _BOX_PAIRS) and the pair path alike.
+    monkeypatch.setattr(splat_module, "_BOX_PAIRS", box_pairs)
+    spec = GridSpec((-2.0, -2.0, -2.0), (0.25, 0.25, 0.25), (16, 16, 16))
+    scene = random_scene(np.random.default_rng(44), 30, s_lo=0.05, s_hi=0.3)
+    index = build_splat_index(scene, spec, cutoff)
+    scores = splat(scene, spec, index=index).scores
+    covered = index.covered
+    assert 0 < covered.mean() <= 1 and (cutoff is None) == covered.all()
+    assert not scores[~covered].view(np.uint32).any()
 
 
 def test_index_empty_scene():
