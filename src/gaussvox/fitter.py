@@ -173,11 +173,13 @@ def backward_splat(
     d_scores: np.ndarray,
     s_min: float,
     s_max: float,
+    voxels: np.ndarray | None = None,
 ) -> dict:
     """Chain the per-voxel score gradient back to the raw Gaussian parameters.
 
-    Each gaussian accumulates only over its own neighborhood pairs, in
-    ascending voxel order, mirroring the forward sparsity.  ``_pair_moments``
+    ``d_scores`` and ``voxels`` are the gradient rows as ``LossBreakdown``
+    holds them.  Each gaussian accumulates only over its own neighborhood
+    pairs, in ascending voxel order, mirroring the forward sparsity.  ``_pair_moments``
     reads a gaussian of a large box as that box, in dense blocks of whole
     x-layers, and the others as pair runs, split by the forward pass's rule.
     Either way every per-gaussian sum is added in pair order from +0.0, so
@@ -189,7 +191,7 @@ def backward_splat(
     sem = softmax(params.raw_logits, axis=1)
     scales = s_min + sig * span
     frames = gaussian_frames(params.means, scales, params.rotations)
-    s_z, s_zz, d_sem = _pair_moments(frames, index, d_scores, sem)
+    s_z, s_zz, d_sem = _pair_moments(frames, index, d_scores, sem, voxels)
     d_mean, d_scale, d_quat = frames_vjp(scales, params.rotations, s_z, s_zz)
     return {
         "means": d_mean,
@@ -297,11 +299,11 @@ def fit(
     the calling thread, so it changes neither the result nor the speed.
     Each iteration's loss runs over the voxels in the index's boxes,
     ``index.covered``: every other voxel has all-zero scores, and the
-    backward pass reads the score gradient only inside the boxes.  Each
-    iteration's dense per-voxel arrays, the float32 scores, the float64
-    score gradient and the loss's three float64 buffers, one row per
-    covered voxel, are checked against ``MAX_SCORE_BYTES`` before the first
-    of them exists.
+    backward pass reads the loss's gradient rows, one per covered voxel.
+    Each iteration's dense per-voxel arrays, the float32 scores, a float64
+    score gradient, which only box-path gaussians over a partly covered grid
+    need, and the loss's three float64 buffers are checked against
+    ``MAX_SCORE_BYTES`` before the first of them exists.
     """
     _check_dense_bytes(truth.spec.num_voxels, (4 + 8 + 3 * 8) * truth.class_count)
     if np.count_nonzero(truth.labels != IGNORE_LABEL) == 0:
@@ -327,7 +329,8 @@ def fit(
         if not math.isfinite(lb.total):
             raise DivergenceError(it)
 
-        grads = backward_splat(params, index, truth.spec, lb.d_scores, config.s_min, config.s_max)
+        grads = backward_splat(params, index, truth.spec, lb.d_scores, config.s_min,
+                               config.s_max, lb.voxels)
         deltas = opt.deltas(params, grads, config.lr_at(it))
         refine_step(
             params,

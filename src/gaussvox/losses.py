@@ -24,8 +24,10 @@ the bits of a sort over every voxel.  The scalar of a tie run telescopes to
 ``error * (J_last - J_before)``.  So the score gradients at the covered
 non-ignored rows are bitwise those of dense passes and a full sort over
 every voxel; only the Lovasz and cross-entropy scalars can differ, by the
-rounding of shorter sums.  The gradient rows outside the covered set are
-left zero: the backward pass does not read them.
+rounding of shorter sums.  The gradient is then returned as those rows, in
+voxel order, in the buffer they were computed in, whose last row is zeroed
+to stand for every other voxel: the backward pass reads no other row, so no
+(V, C) gradient is built.
 """
 
 from __future__ import annotations
@@ -44,9 +46,11 @@ class LossBreakdown:
     total: float
     ce: float
     lovasz: float
-    # (num_voxels, C) float64, zero at ignored voxels.  Given a covered mask,
-    # exact at covered valid rows and zero elsewhere.
+    # (rows, C) float64.  With ``voxels`` None, one row per voxel, zero at
+    # ignored voxels.  Otherwise row i is voxel ``voxels[i]``, and a last
+    # all-zero row stands for every voxel without a row.
     d_scores: np.ndarray
+    voxels: np.ndarray | None = None
 
 
 def _jaccard(fg_sum: float, fg: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -89,10 +93,12 @@ def voxel_losses(
 
     ``weights`` is (ce_weight, lovasz_weight).  ``covered`` (V,) bool marks
     the voxels whose scores may be nonzero, such as ``SplatIndex.covered``;
-    every other voxel must have all-zero scores, and its gradient row is
-    left zero.  ``None`` covers every voxel: ``d_scores`` is then exact at
-    every non-ignored voxel.  Raises UndefinedLossError if every truth voxel
-    carries the ignore label.
+    every other voxel must have all-zero scores.  ``d_scores`` then holds one
+    row per covered non-ignored voxel, listed in ``voxels``, plus the zero
+    row of every other voxel.  ``None`` covers every voxel and gives the
+    dense form: a (V, C) ``d_scores``, exact at every non-ignored voxel, and
+    ``voxels`` None; so does a mask when every voxel has a row, with no copy.
+    Raises UndefinedLossError if every truth voxel carries the ignore label.
     """
     if pred.scores is None:
         raise ValueError("prediction grid must carry scores")
@@ -107,7 +113,8 @@ def voxel_losses(
     n = int(np.count_nonzero(valid))
     if n == 0:
         raise UndefinedLossError("all voxels are ignored")
-    covered = np.ones(v, dtype=bool) if covered is None else np.asarray(covered, dtype=bool)
+    dense = covered is None
+    covered = np.ones(v, dtype=bool) if dense else np.asarray(covered, dtype=bool)
     inside = valid & covered
     outside = valid & ~covered
     labels = truth.labels[inside].astype(np.int64)
@@ -202,11 +209,17 @@ def voxel_losses(
     d_scores_valid[rows, labels] -= 1.0
     d_scores_valid *= ce_w / n
     d_scores_valid += logp[:m]
-    # Two of the three buffers are done: free them before the (V, C)
+    # Two of the three buffers are done: free them before a dense (V, C)
     # gradient exists, so at most two such arrays are alive at once.
     del logp, d_lov_probs
 
     total = ce_w * ce + lov_w * lov
+    probs[m] = 0.0
+    if m == v:  # every voxel has a row: the rows are the dense form
+        return LossBreakdown(total=total, ce=ce, lovasz=lov, d_scores=probs[:m])
+    if not dense:
+        return LossBreakdown(total=total, ce=ce, lovasz=lov, d_scores=probs,
+                             voxels=np.flatnonzero(inside))
     d_scores = np.zeros((v, c))
     d_scores[inside] = d_scores_valid
     return LossBreakdown(total=total, ce=ce, lovasz=lov, d_scores=d_scores)

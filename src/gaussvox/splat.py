@@ -443,39 +443,51 @@ def _path_runs(index: SplatIndex):
     return [(a, b, bool(box[a])) for a, b in zip(cuts[:-1], cuts[1:]) if a < b]
 
 
-def _pair_moments(frames, index: SplatIndex, d_scores: np.ndarray, sem: np.ndarray):
+def _pair_moments(frames, index: SplatIndex, d_scores: np.ndarray, sem: np.ndarray, voxels):
     """Every gaussian's pair moments and semantic cotangents.
 
-    ``d_scores`` (V, C) is the score cotangent and ``sem`` (P, C) the
-    semantics.  Returns ``s_z`` (P, 3) and ``s_zz`` (P, 3, 3), the moments
+    ``d_scores`` holds the score cotangent rows and ``sem`` (P, C) the
+    semantics.  Row i is voxel ``voxels[i]``, ascending, and the row after
+    the last stands for every voxel without a row; ``None`` means row v is
+    voxel v.  Returns ``s_z`` (P, 3) and ``s_zz`` (P, 3, 3), the moments
     that ``pair_weights_vjp`` defines, and ``d_sem`` (P, C), the sum of
     ``w * d_scores`` over each gaussian's pairs.  Box runs are read by
-    ``_box_sums``; in the others each gaussian's pairs lie in one run,
-    summed by ``np.bincount`` in pair order.
+    ``_box_sums`` from a (V, C) grid: the rows themselves when ``voxels``
+    is None, else one built at the first box run.  In the others each
+    gaussian's pairs lie in one run, read class-major through a (V,) row
+    map and summed by ``np.bincount`` in pair order.
     """
     p, c = sem.shape
+    dims, v = index.spec.dims, index.num_voxels
     s_z = np.zeros((p, 3))
     s_zz = np.zeros((p, 3, 3))
     d_sem = np.zeros((p, c))
     axes = index.spec.axis_centers()
-    d_grid = d_scores.reshape(*index.spec.dims, c)
+    if voxels is not None:
+        row_of = np.full(v, voxels.size, dtype=np.intp)
+        row_of[voxels] = np.arange(voxels.size)
+    d_grid = None
     for lo, hi, box in _path_runs(index):
         if box:
+            if d_grid is None:
+                dense = d_scores if voxels is None else np.take(d_scores, row_of, axis=0)
+                d_grid = dense.reshape(*dims, c)
             for g in range(lo, hi):
                 s_z[g], s_zz[g], d_sem[g] = _box_sums(frames, index, axes, d_grid, sem[g], g)
             continue
-        for _, ids, per_gaussian, vox, w, z in _pair_runs(frames, index, lo, hi, d_grid.shape[0]):
+        for _, ids, per_gaussian, vox, w, z in _pair_runs(frames, index, lo, hi, dims[0]):
             k = ids.size
             g = np.repeat(np.arange(k), per_gaussian)
-            gup = d_scores[vox]
-            sem_pairs = sem[ids][g]
+            rows = vox if voxels is None else np.take(row_of, vox)
+            gup = np.ascontiguousarray(np.take(d_scores, rows, axis=0).T)
+            sem_pairs = np.repeat(sem[ids].T, per_gaussian, axis=1)
             # dL/dw per pair, summed class by class so no pair depends on the run.
-            d_w = gup[:, 0] * sem_pairs[:, 0]
+            d_w = gup[0] * sem_pairs[0]
             for cls in range(1, c):
-                d_w += gup[:, cls] * sem_pairs[:, cls]
+                d_w += gup[cls] * sem_pairs[cls]
             s_z[ids], s_zz[ids] = pair_weights_vjp(g, k, w, z, d_w)
             for cls in range(c):
-                d_sem[ids, cls] = np.bincount(g, w * gup[:, cls], minlength=k)
+                d_sem[ids, cls] = np.bincount(g, w * gup[cls], minlength=k)
     return s_z, s_zz, d_sem
 
 
@@ -570,8 +582,9 @@ def _accumulate_slabs(
     width = max(1, _SLAB_BYTES // (4 * c * layer))
     for x0, ids, per_gaussian, vox, w, _ in _pair_runs(frames, index, g_lo, g_hi, width):
         slab = scores[x0 * layer : (x0 + width) * layer]
-        sem = np.repeat(logits[ids].T.astype(np.float64), per_gaussian, axis=1)
-        adds = (sem * w).astype(np.float32)
+        # float32(sem * w), multiplied in float64 and rounded once into the float32 buffer.
+        adds = np.repeat(logits[ids].T, per_gaussian, axis=1)
+        np.multiply(adds, w, out=adds, casting="same_kind")
         for cls in range(c):
             np.add.at(slab[:, cls], vox, adds[cls])
 

@@ -100,6 +100,61 @@ def test_splat_rejects_degenerate_gaussian_exit_2(small_scene, tmp_path, capsys,
     assert not (tmp_path / "g.svox").exists()
 
 
+# Every invalid value of every scene field, written into gaussian 3: the
+# four fields at their offsets within a record, each value over one
+# component, and a zero quaternion over all four.
+FIELDS = {"mean": 0, "scale": 3, "rotation": 6, "semantics": 10}
+INVALID_FIELDS = [(field, value) for field in FIELDS for value in ("nan", "inf", "-inf")]
+INVALID_FIELDS += [("scale", "0"), ("scale", "-0.5"), ("rotation", "zero")]
+
+
+@pytest.mark.parametrize("field, value", INVALID_FIELDS,
+                         ids=[f"{field}={value}" for field, value in INVALID_FIELDS])
+def test_splat_rejects_every_invalid_field_exit_2(small_scene, tmp_path, capsys, field, value):
+    # 16-byte header, then 10 + 4 float32 per gaussian.
+    offset = 16 + (3 * 14 + FIELDS[field]) * 4
+    if value == "zero":
+        payload = struct.pack("<4f", 0.0, 0.0, 0.0, 0.0)
+    else:
+        offset += 4
+        payload = struct.pack("<f", float(value))
+    data = bytearray(small_scene.read_bytes())
+    data[offset : offset + len(payload)] = payload
+    bad = tmp_path / "bad.sgau"
+    bad.write_bytes(bytes(data))
+    out = tmp_path / "g.svox"
+    code, _ = run(["splat", "--scene", str(bad), *GRID_FLAGS, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "gaussian 3" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", [21, 2**64 - 1])
+def test_splat_rejects_gaussian_count_beyond_the_file_exit_2(small_scene, tmp_path, capsys,
+                                                              count):
+    # The header's u64 gaussian_count, at byte 8, claims more than the 20 records held.
+    data = bytearray(small_scene.read_bytes())
+    data[8:16] = struct.pack("<Q", count)
+    bad = tmp_path / "bad.sgau"
+    bad.write_bytes(bytes(data))
+    out = tmp_path / "g.svox"
+    code, _ = run(["splat", "--scene", str(bad), *GRID_FLAGS, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "record section" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dims", ["100000,100000,100000", "0,8,8"])
+def test_splat_rejects_absurd_dims_exit_2(small_scene, tmp_path, capsys, dims):
+    out = tmp_path / "g.svox"
+    code, _ = run(["splat", "--scene", str(small_scene), "--dims", dims, "--out", str(out)])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--origin", "nan,0,0"), ("--origin", "inf,0,0"), ("--origin", "0,0,-inf"),
     ("--cell", "inf,0.5,0.5"), ("--cell", "0.5,nan,0.5"), ("--cell", "0.5,0.5,-inf"),

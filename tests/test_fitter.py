@@ -1,5 +1,8 @@
 """Tests for the gradient-based scene fitter."""
 
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,10 @@ from gaussvox import (
     voxel_losses,
 )
 from gaussvox.fitter import PARAM_KEYS
+from gaussvox.grid import IGNORE_LABEL
+from test_loss_parity import driving_scene, octant_scene, sparse_driving_scene
+
+splat_module = importlib.import_module("gaussvox.splat")
 
 SPEC8 = GridSpec((-1.0, -1.0, -1.0), (0.25, 0.25, 0.25), (8, 8, 8))
 S_MIN, S_MAX = 0.05, 0.6
@@ -315,3 +322,106 @@ def test_raw_params_roundtrip_through_activation():
     assert np.allclose(back.means, scene.means, atol=1e-6)
     assert np.allclose(back.scales, scene.scales, atol=1e-5)
     assert np.allclose(back.logits, sem, atol=1e-5)
+
+
+def partly_covered_scene():
+    """Box-path gaussians in two corners of a 24^3 grid, between runs of small
+    gaussians spread over it, against a truth with 10% ignored voxels."""
+    rng = np.random.default_rng(72)
+    spec = GridSpec((0.0, 0.0, 0.0), (0.25, 0.25, 0.25), (24, 24, 24))
+    small = [rng.uniform(0.5, 5.5, (40, 3)) for _ in range(3)]
+    big = [np.full((1, 3), 1.5), np.full((1, 3), 4.5)]
+    means = np.concatenate([small[0], big[0], small[1], big[1], small[2]])
+    scales = np.concatenate([np.full((40, 3), 0.1), np.full((1, 3), 0.58)] * 2
+                            + [np.full((40, 3), 0.1)])
+    count, classes = means.shape[0], 5
+    rotations = rng.normal(size=(count, 4))
+    rotations /= np.linalg.norm(rotations, axis=1, keepdims=True)
+    semantics = rng.dirichlet(np.ones(classes), count)
+    scene = GaussianScene(means.astype(np.float32), scales.astype(np.float32),
+                          rotations.astype(np.float32), semantics.astype(np.float32))
+    labels = rng.integers(0, classes, spec.num_voxels).astype(np.uint8)
+    labels[rng.random(spec.num_voxels) < 0.1] = IGNORE_LABEL
+    return scene, OccupancyGrid(spec, classes, labels)
+
+
+ROW_CASES = {
+    "driving": (driving_scene, 3.0),
+    "sparse-driving": (sparse_driving_scene, 3.0),
+    "octant": (octant_scene, None),
+    "partly-covered-boxes": (partly_covered_scene, 3.0),
+}
+
+
+@pytest.mark.parametrize("slab_pairs", [None, 7, 300])
+@pytest.mark.parametrize("case", list(ROW_CASES))
+def test_backward_reads_loss_rows_as_the_dense_gradient(monkeypatch, case, slab_pairs):
+    # The loss's rows, one per covered non-ignored voxel, and the dense
+    # gradient they stand for give the same bits.  Octant is exact mode:
+    # every gaussian takes the box path and every voxel has a row, so the
+    # loss hands over its rows as the grid.  The partly covered case builds
+    # its grid at the first box run.  The patched pair caps cut the runs
+    # and the blocks.
+    make, cutoff = ROW_CASES[case]
+    scene, truth = make()
+    spec = truth.spec
+    params = RawGaussianParams.from_scene(scene, S_MIN, S_MAX)
+    activated = params.activate(S_MIN, S_MAX)
+    index = build_splat_index(activated, spec, cutoff)
+    lb = voxel_losses(splat(activated, spec, index=index), truth, covered=index.covered)
+    boxes = np.diff(index.gaussian_starts) > splat_module._BOX_PAIRS
+    if case == "octant":
+        assert boxes.all() and lb.voxels is None
+    if case == "partly-covered-boxes":
+        assert boxes.sum() == 2 and not boxes[0]
+        assert index.covered.mean() < 0.9 and lb.voxels.size < index.covered.sum()
+    voxels = np.arange(spec.num_voxels) if lb.voxels is None else lb.voxels
+    dense = np.zeros((spec.num_voxels, truth.class_count))
+    dense[voxels] = lb.d_scores[:voxels.size]
+    if slab_pairs is not None:
+        monkeypatch.setattr(splat_module, "_SLAB_PAIRS", slab_pairs)
+    rows = backward_splat(params, index, spec, lb.d_scores, S_MIN, S_MAX, lb.voxels)
+    ref = backward_splat(params, index, spec, dense, S_MIN, S_MAX)
+    assert rows["means"].any() and rows["raw_logits"].any()
+    for key in PARAM_KEYS:
+        assert np.array_equal(rows[key].view(np.uint64), ref[key].view(np.uint64)), key
+
+
+def test_loss_and_backward_memory_grows_by_no_dense_gradient():
+    # Small gaussians inside a 32x32x16 grid, splatted into it and into the
+    # same grid padded with empty voxels to 64x64x16.  The padding may add
+    # O(V) masks and the backward pass's row map, at most 16 bytes per
+    # voxel, but not a dense float64 gradient of 8 * 6 bytes per voxel.
+    rng = np.random.default_rng(73)
+    count, classes = 300, 6
+    rotations = rng.normal(size=(count, 4))
+    scene = GaussianScene(
+        rng.uniform((1.0, 1.0, 0.5), (7.0, 7.0, 3.5), (count, 3)).astype(np.float32),
+        np.full((count, 3), 0.1, dtype=np.float32),
+        (rotations / np.linalg.norm(rotations, axis=1, keepdims=True)).astype(np.float32),
+        rng.dirichlet(np.ones(classes), count).astype(np.float32))
+    labels = rng.integers(0, classes, (32, 32, 16)).astype(np.uint8)
+
+    params = RawGaussianParams.from_scene(scene, S_MIN, S_MAX)
+    activated = params.activate(S_MIN, S_MAX)
+
+    def traced_peak(dims):
+        spec = GridSpec((0.0, 0.0, 0.0), (0.25, 0.25, 0.25), dims)
+        padded = np.zeros(dims, dtype=np.uint8)
+        padded[:32, :32] = labels
+        truth = OccupancyGrid(spec, classes, padded.ravel())
+        index = build_splat_index(activated, spec, 3.0)
+        grid = splat(activated, spec, index=index)
+        covered = index.covered
+        tracemalloc.start()
+        try:
+            lb = voxel_losses(grid, truth, covered=covered)
+            backward_splat(params, index, spec, lb.d_scores, S_MIN, S_MAX, lb.voxels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, spec.num_voxels
+
+    (small_peak, small_v), (large_peak, large_v) = (traced_peak((32, 32, 16)),
+                                                    traced_peak((64, 64, 16)))
+    assert large_peak - small_peak <= 16 * (large_v - small_v)

@@ -8,9 +8,10 @@ cut relies on: in the reference's order, every coefficient after a class's
 last foreground entry is exactly 0.0.
 
 Given a covered mask, the library runs over the covered rows only and
-stands one constant row in for the others.  The covered tests hold its
-gradient at the covered non-ignored rows to the reference's dense gradient
-bit for bit, and require zeros elsewhere.
+stands one constant row in for the others.  It returns the gradient as one
+row per covered non-ignored voxel plus a zero row for every other voxel.
+The covered tests hold each row to the reference's dense gradient at its
+voxel bit for bit, and require the zero row.
 """
 
 import tracemalloc
@@ -193,14 +194,19 @@ def covered_mask(case, pred):
 
 
 def assert_covered_parity(pred, truth, covered, weights):
-    """Bitwise reference gradients at covered non-ignored rows, zeros elsewhere,
-    and the scalars within 1e-12."""
+    """A row per covered non-ignored voxel, in voxel order, bitwise the
+    reference's gradient there; a zero row for every other voxel, unless
+    every voxel has a row; and the scalars within 1e-12."""
     ref = loss_reference.voxel_losses(pred, truth, weights)
     got = voxel_losses(pred, truth, weights, covered=covered)
-    rows = covered & (truth.labels != IGNORE_LABEL)
-    assert np.array_equal(got.d_scores[rows].view(np.uint64),
-                          ref.d_scores[rows].view(np.uint64)), weights
-    assert not got.d_scores[~rows].view(np.uint64).any(), weights
+    voxels = np.flatnonzero(covered & (truth.labels != IGNORE_LABEL))
+    rows = got.d_scores
+    if got.voxels is not None:
+        assert np.array_equal(got.voxels, voxels)
+        assert not rows[-1].view(np.uint64).any(), weights
+        rows = rows[:-1]
+    assert rows.shape == (voxels.size, truth.class_count)
+    assert np.array_equal(rows.view(np.uint64), ref.d_scores[voxels].view(np.uint64)), weights
     assert close(ref.total, got.total), (weights, ref.total, got.total)
     assert close(ref.ce, got.ce), (weights, ref.ce, got.ce)
     assert close(ref.lovasz, got.lovasz), (weights, ref.lovasz, got.lovasz)
@@ -236,6 +242,7 @@ def test_loss_matches_full_sort_reference(case):
     for weights in WEIGHTS:
         ref = loss_reference.voxel_losses(pred, truth, weights)
         got = voxel_losses(pred, truth, weights)
+        assert got.voxels is None
         assert np.array_equal(got.d_scores.view(np.uint64), ref.d_scores.view(np.uint64)), weights
         assert close(ref.total, got.total), (weights, ref.total, got.total)
         assert close(ref.ce, got.ce), (weights, ref.ce, got.ce)

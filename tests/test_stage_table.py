@@ -1,7 +1,8 @@
-"""The stage table tool times every stage of one fit iteration.
+"""The stage table tool times every stage of one fit iteration and takes its peak memory.
 
-Timings are not asserted: the test runs the tool on a few gaussians and
-checks that its table names each stage and holds one row per count.
+Timings and peaks are not asserted: the tests run the tool on a few
+gaussians and check that each table names each stage and holds one row
+per count.
 """
 
 import importlib.util
@@ -17,9 +18,18 @@ stage_table = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(stage_table)
 
 
-def test_table_names_every_stage(capsys):
+STAGES = ["activate", "index", "splat", "loss", "backward", "step"]
+
+
+def tables(capsys):
+    """The tool's time table and peak table for two counts, each as lines."""
     assert stage_table.main(["--counts", "40,80", "--repeats", "1"]) == 0
-    header, *rows = capsys.readouterr().out.splitlines()
+    times, peaks = capsys.readouterr().out.split("\n\n")
+    return times.splitlines(), peaks.splitlines()
+
+
+def test_table_names_every_stage(capsys):
+    (header, *rows), _ = tables(capsys)
     assert header.split() == ["gaussians", "activate", "index", "splat", "loss", "backward",
                               "step", "total"]
     assert [row.split()[0] for row in rows] == ["40", "80"]
@@ -27,6 +37,13 @@ def test_table_names_every_stage(capsys):
         times = [float(x) for x in row.split()[1:]]
         assert all(t >= 0 for t in times)
         assert abs(sum(times[:-1]) - times[-1]) < 1e-2
+
+
+def test_peak_table_names_every_stage(capsys):
+    _, (header, *rows) = tables(capsys)
+    assert header.split() == ["peak", "MB", *STAGES, "max"]
+    assert [row.split()[0] for row in rows] == ["40", "80"]
+    assert all(len(row.split()) == len(STAGES) + 2 for row in rows)
 
 
 def test_truth_is_driving_like():

@@ -1,4 +1,4 @@
-"""Print the wall time of each stage of one `fit` iteration at paper scale.
+"""Print the wall time and peak memory of each stage of one `fit` iteration at paper scale.
 
     PYTHONPATH=src python3 tools/stage_table.py [--repeats 3] [--counts 25600,144000]
 
@@ -17,6 +17,11 @@ seconds:
 - backward: ``backward_splat``;
 - step: the AdamW deltas and the refinement step.
 
+A second table follows, from one more iteration per count run under
+``tracemalloc``: each stage's traced peak in MB, counting every array the
+iteration has allocated and still holds, and in the last column the
+iteration's peak.  Tracing slows that iteration, so it is not timed.
+
 The timings are of this machine at the time of the run; compare two trees
 by alternating their runs.
 """
@@ -27,6 +32,7 @@ import argparse
 import statistics
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -55,15 +61,23 @@ def driving_truth(spec: GridSpec, seed: int = 0) -> OccupancyGrid:
     return OccupancyGrid(spec, CLASSES, labels)
 
 
-def iteration(params: RawGaussianParams, truth: OccupancyGrid) -> dict:
-    """Seconds per stage of one iteration from ``params``, which it leaves unchanged."""
-    times = {}
+def iteration(params: RawGaussianParams, truth: OccupancyGrid, memory: bool = False) -> dict:
+    """Seconds per stage of one iteration from ``params``, which it leaves unchanged.
+
+    With ``memory``, tracemalloc must be running, and each stage's traced
+    peak in bytes is given instead.
+    """
+    stages = {}
     clock = time.perf_counter()
 
     def lap(stage):
         nonlocal clock
         now = time.perf_counter()
-        times[stage] = now - clock
+        if memory:
+            stages[stage] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+        else:
+            stages[stage] = now - clock
         clock = now
 
     scene = params.activate(S_MIN, S_MAX)
@@ -74,7 +88,7 @@ def iteration(params: RawGaussianParams, truth: OccupancyGrid) -> dict:
     lap("splat")
     loss = voxel_losses(grid, truth, covered=index.covered)
     lap("loss")
-    grads = backward_splat(params, index, truth.spec, loss.d_scores, S_MIN, S_MAX)
+    grads = backward_splat(params, index, truth.spec, loss.d_scores, S_MIN, S_MAX, loss.voxels)
     lap("backward")
     stepped = params.copy()
     deltas = AdamW(stepped).deltas(stepped, grads, 0.01)
@@ -82,7 +96,7 @@ def iteration(params: RawGaussianParams, truth: OccupancyGrid) -> dict:
                                    *(getattr(stepped, k) + deltas[k]
                                      for k in ("raw_scales", "rotations", "raw_logits"))))
     lap("step")
-    return times
+    return stages
 
 
 def main(argv=None) -> int:
@@ -95,6 +109,7 @@ def main(argv=None) -> int:
     spec = GridSpec(*GRID_PRESETS["nuscenes"])
     truth = driving_truth(spec)
     print(f"{'gaussians':>10}" + "".join(f"{s:>10}" for s in STAGES) + f"{'total':>10}")
+    peaks = []
     for count in (int(c) for c in args.counts.split(",")):
         scene = random_bench_scene(count, spec, CLASSES, S_MAX, 0)
         params = RawGaussianParams.from_scene(scene, S_MIN, S_MAX)
@@ -103,6 +118,15 @@ def main(argv=None) -> int:
         totals = statistics.median(sum(run.values()) for run in runs)
         print(f"{count:>10}" + "".join(f"{m:>10.3f}" for m in medians) + f"{totals:>10.3f}",
               flush=True)
+        tracemalloc.start()
+        try:
+            peaks.append((count, iteration(params, truth, memory=True)))
+        finally:
+            tracemalloc.stop()
+    print(f"\n{'peak MB':>10}" + "".join(f"{s:>10}" for s in STAGES) + f"{'max':>10}")
+    for count, peak in peaks:
+        print(f"{count:>10}" + "".join(f"{peak[s] / 1e6:>10.1f}" for s in STAGES)
+              + f"{max(peak.values()) / 1e6:>10.1f}")
     return 0
 
 
