@@ -258,22 +258,23 @@ def random_bench_scene(count: int, spec: GridSpec, class_count: int, s_max: floa
 
 def run_bench(counts, spec: GridSpec, cutoff: float, class_count: int, s_max: float,
               seed: int, repeats: int, threads: int):
-    """Median splat latency and peak traced memory per gaussian count."""
-    rows = []
-    for count in counts:
-        scene = random_bench_scene(count, spec, class_count, s_max, seed)
-        timings = []
-        for _ in range(max(1, repeats)):
+    """Median splat latency and peak traced memory per count; repeats cycle over the counts."""
+    scenes = [random_bench_scene(count, spec, class_count, s_max, seed) for count in counts]
+    timings = [[] for _ in scenes]
+    for _ in range(max(1, repeats)):
+        for scene, times in zip(scenes, timings):
             t0 = time.perf_counter()
             index = build_splat_index(scene, spec, cutoff, threads=threads)
             splat(scene, spec, index=index)
-            timings.append((time.perf_counter() - t0) * 1e3)
+            times.append((time.perf_counter() - t0) * 1e3)
+    rows = []
+    for count, scene, times in zip(counts, scenes, timings):
         tracemalloc.start()
         index = build_splat_index(scene, spec, cutoff, threads=threads)
         splat(scene, spec, index=index)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        rows.append((count, statistics.median(timings), peak))
+        rows.append((count, statistics.median(times), peak))
     return rows
 
 

@@ -297,15 +297,14 @@ def fit(
     given, receives each IterationRecord as it is produced.  ``threads`` is
     accepted for the callers that pass a thread count; every stage runs on
     the calling thread, so it changes neither the result nor the speed.
-    Each iteration's loss runs over the voxels in the index's boxes,
-    ``index.covered``: every other voxel has all-zero scores, and the
-    backward pass reads the loss's gradient rows, one per covered voxel.
-    Each iteration's dense per-voxel arrays, the float32 scores, a float64
-    score gradient, which only box-path gaussians over a partly covered grid
-    need, and the loss's three float64 buffers are checked against
-    ``MAX_SCORE_BYTES`` before the first of them exists.
+    Each iteration splats into float32 score rows, one per voxel in the
+    index's boxes, ``index.covered``; the loss runs over them, and the
+    backward pass reads the loss's gradient rows.  The score rows, the
+    loss's two float64 buffers and a float64 score gradient grid, which only
+    box-path gaussians over a partly covered grid need, are checked against
+    ``MAX_SCORE_BYTES`` at one row per voxel before the first of them exists.
     """
-    _check_dense_bytes(truth.spec.num_voxels, (4 + 8 + 3 * 8) * truth.class_count)
+    _check_dense_bytes(truth.spec.num_voxels, (4 + 2 * 8 + 8) * truth.class_count)
     if np.count_nonzero(truth.labels != IGNORE_LABEL) == 0:
         raise ValueError("truth grid has no non-ignore voxel")
     if isinstance(initial, SceneInit):
@@ -324,8 +323,8 @@ def fit(
         t0 = time.perf_counter()
         scene = params.activate(config.s_min, config.s_max)
         index = build_splat_index(scene, truth.spec, config.cutoff_sigma, threads=threads)
-        grid = splat(scene, truth.spec, index=index)
-        lb = voxel_losses(grid, truth, config.loss_weights, covered=index.covered)
+        grid = splat(scene, truth.spec, index=index, rows=True)
+        lb = voxel_losses(grid, truth, config.loss_weights)
         if not math.isfinite(lb.total):
             raise DivergenceError(it)
 

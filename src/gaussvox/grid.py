@@ -92,13 +92,16 @@ class OccupancyGrid:
     ``labels`` holds one uint8 class index per voxel in linear-index order;
     255 marks ignored voxels.  When ``scores`` is present it holds the
     accumulated per-class semantic values (float32) and labels must be its
-    per-voxel argmax with lowest-index tie-break.
+    per-voxel argmax with lowest-index tie-break.  With ``voxels``, strictly
+    ascending voxel ids, the grid is in row form: ``scores`` holds one row
+    per listed voxel, and every other voxel's scores are zero.
     """
 
     spec: GridSpec
     class_count: int
     labels: np.ndarray
     scores: np.ndarray | None = field(default=None)
+    voxels: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         if not (1 <= self.class_count <= 255):
@@ -110,6 +113,12 @@ class OccupancyGrid:
         bad = (self.labels != IGNORE_LABEL) & (self.labels >= self.class_count)
         if np.any(bad):
             raise ValueError("labels contain class indices >= class_count")
+        if self.voxels is not None:
+            ids = self.voxels = np.ascontiguousarray(self.voxels, dtype=np.intp).reshape(-1)
+            bad = np.any(np.diff(ids) <= 0) or ids.size and not 0 <= ids[0] <= ids[-1] < v
+            if self.scores is None or bad:
+                raise ValueError(f"voxels must be strictly ascending ids below {v}, with scores")
+            v = ids.size
         if self.scores is not None:
             self.scores = np.ascontiguousarray(self.scores, dtype=np.float32)
             if self.scores.shape != (v, self.class_count):

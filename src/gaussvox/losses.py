@@ -13,21 +13,22 @@ foreground and the background whose error reaches the smallest foreground
 error are sorted.  That kept set is a prefix of the full stable order.
 
 A splat leaves every voxel outside its index's boxes with all-zero scores,
-so their softmax rows are one constant row.  Given that covered set, the
-dense passes run over the covered non-ignored rows only, and the constant
-row stands for the others: cross-entropy counts it once per label, and per
-class its entries form two tie groups, foreground at error ``1 - p`` and
-background at error ``p``, each in voxel order.  A sorted entry's position
-and foreground count in the full stable order are then exact integers, its
-covered rank plus the group members that precede it, so its coefficient has
-the bits of a sort over every voxel.  The scalar of a tie run telescopes to
-``error * (J_last - J_before)``.  So the score gradients at the covered
-non-ignored rows are bitwise those of dense passes and a full sort over
-every voxel; only the Lovasz and cross-entropy scalars can differ, by the
-rounding of shorter sums.  The gradient is then returned as those rows, in
-voxel order, in the buffer they were computed in, whose last row is zeroed
-to stand for every other voxel: the backward pass reads no other row, so no
-(V, C) gradient is built.
+so their softmax rows are one constant row.  Given a prediction in row form,
+one score row per covered voxel, the passes run over the covered non-ignored
+rows only, and the constant row stands for the others: cross-entropy counts
+it once per label, and per class its entries form two tie groups, foreground
+at error ``1 - p`` and background at error ``p``, each in voxel order.  A
+sorted entry's position and foreground count in the full stable order are
+then exact integers, its covered rank plus the group members that precede
+it, so its coefficient has the bits of a sort over every voxel.  The scalar
+of a tie run telescopes to ``error * (J_last - J_before)``.  So the score
+gradients at the covered non-ignored rows are bitwise those of dense passes
+and a full sort over every voxel; only the Lovasz and cross-entropy scalars
+can differ, by the rounding of shorter sums.  The gradient is then returned
+as those rows, in voxel order, in the buffer they were computed in, whose
+last row is zeroed to stand for every other voxel: the backward pass reads
+no other row, so no (V, C) gradient is built.  Two (rows, C) float64 buffers
+serve every pass.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ import numpy as np
 
 from .errors import GridMismatchError, UndefinedLossError
 from .grid import IGNORE_LABEL, OccupancyGrid, grids_compatible
+
+# Rows per block of the chain through the softmax; its scratch holds one block.
+_CHAIN_ROWS = 1 << 11
 
 
 @dataclass
@@ -87,17 +91,15 @@ def voxel_losses(
     pred: OccupancyGrid,
     truth: OccupancyGrid,
     weights: tuple[float, float] = (1.0, 1.0),
-    covered: np.ndarray | None = None,
 ) -> LossBreakdown:
     """Weighted cross-entropy + Lovasz-softmax loss and its score gradients.
 
-    ``weights`` is (ce_weight, lovasz_weight).  ``covered`` (V,) bool marks
-    the voxels whose scores may be nonzero, such as ``SplatIndex.covered``;
-    every other voxel must have all-zero scores.  ``d_scores`` then holds one
-    row per covered non-ignored voxel, listed in ``voxels``, plus the zero
-    row of every other voxel.  ``None`` covers every voxel and gives the
-    dense form: a (V, C) ``d_scores``, exact at every non-ignored voxel, and
-    ``voxels`` None; so does a mask when every voxel has a row, with no copy.
+    ``weights`` is (ce_weight, lovasz_weight).  For ``pred`` in row form,
+    such as ``splat(..., rows=True)`` gives, ``d_scores`` holds one row per
+    non-ignored voxel of ``pred.voxels``, listed in ``voxels``, plus the
+    zero row of every other voxel.  A dense ``pred`` gives the dense form:
+    a (V, C) ``d_scores``, exact at every non-ignored voxel, and ``voxels``
+    None; so does a row form where every voxel has a row, with no copy.
     Raises UndefinedLossError if every truth voxel carries the ignore label.
     """
     if pred.scores is None:
@@ -106,15 +108,15 @@ def voxel_losses(
         raise GridMismatchError("prediction and truth must share GridSpec and class count")
     ce_w, lov_w = (float(weights[0]), float(weights[1]))
     v = pred.spec.num_voxels
-    if covered is not None and np.shape(covered) != (v,):
-        raise ValueError(f"covered must have {v} entries, got shape {np.shape(covered)}")
 
     valid = truth.labels != IGNORE_LABEL
     n = int(np.count_nonzero(valid))
     if n == 0:
         raise UndefinedLossError("all voxels are ignored")
-    dense = covered is None
-    covered = np.ones(v, dtype=bool) if dense else np.asarray(covered, dtype=bool)
+    dense = pred.voxels is None
+    covered = np.full(v, dense)
+    if not dense:
+        covered[pred.voxels] = True
     inside = valid & covered
     outside = valid & ~covered
     labels = truth.labels[inside].astype(np.int64)
@@ -124,10 +126,10 @@ def voxel_losses(
     m = labels.size
     # One log-softmax serves both terms; the probabilities derive from it.
     # Row m is all zero, the scores of every voxel outside the covered set,
-    # so the same ops give their constant row.  Three (m + 1, C) buffers
+    # so the same ops give their constant row.  Two (m + 1, C) buffers
     # serve every pass below, each op done in place.
     logp = np.zeros((m + 1, c))
-    logp[:m] = pred.scores[inside]
+    logp[:m] = pred.scores[valid if dense else valid[pred.voxels]]
     logp -= logp.max(axis=1, keepdims=True)
     probs = np.exp(logp)
     logp -= np.log(np.sum(probs, axis=1, keepdims=True))
@@ -151,7 +153,8 @@ def voxel_losses(
     bounds = np.searchsorted(kept_cls, np.arange(c + 1))
     del keep, kept_cls
     lov = 0.0
-    d_lov_probs = np.zeros_like(probs)
+    d_lov_probs = logp  # the log-probabilities are done with: reuse their buffer
+    d_lov_probs.fill(0.0)
 
     @functools.cache
     def voxel_ids():
@@ -180,8 +183,8 @@ def voxel_losses(
             tie = errors == err
             if tie.any():
                 in_voxels, out_voxels = voxel_ids()
-                members = out_voxels[(out_labels == cls) == is_fg]
-                ahead[tie] = np.searchsorted(members, in_voxels[idx[tie]])
+                ahead[tie] = np.searchsorted(out_voxels[(out_labels == cls) == is_fg],
+                                             in_voxels[idx[tie]])
             length += ahead
             if is_fg:
                 seen += ahead
@@ -199,19 +202,23 @@ def voxel_losses(
         # d|fg - p| / dp = -1 on foreground, +1 elsewhere
         d_lov_probs[idx, cls] = coeffs * (1.0 - 2.0 * fg) / present.size
     lov /= present.size
-    # Chain through the softmax: ds = p * (g - <g, p>).
-    np.multiply(d_lov_probs, probs, out=logp)
-    d_lov_probs -= np.sum(logp, axis=1, keepdims=True)
-    np.multiply(probs, lov_w, out=logp)
-    logp *= d_lov_probs
+    voxel_ids.cache_clear()
+    # Chain through the softmax, a block of rows at a time: ds = p * (g - <g, p>).
+    scratch = np.empty((min(_CHAIN_ROWS, m), c))
+    for a in range(0, m, _CHAIN_ROWS):
+        b = min(a + _CHAIN_ROWS, m)
+        g, p = d_lov_probs[a:b], probs[a:b]
+        gp = np.multiply(g, p, out=scratch[:b - a])
+        g -= np.sum(gp, axis=1, keepdims=True)
+        g *= np.multiply(p, lov_w, out=gp)
     # Cross-entropy gradient, then the Lovasz part added to it.
     d_scores_valid = probs[:m]
     d_scores_valid[rows, labels] -= 1.0
     d_scores_valid *= ce_w / n
-    d_scores_valid += logp[:m]
-    # Two of the three buffers are done: free them before a dense (V, C)
-    # gradient exists, so at most two such arrays are alive at once.
-    del logp, d_lov_probs
+    d_scores_valid += d_lov_probs[:m]
+    # Free the other buffer before a dense (V, C) gradient exists, so at
+    # most two such arrays are alive at once.
+    del logp, d_lov_probs, scratch
 
     total = ce_w * ce + lov_w * lov
     probs[m] = 0.0
@@ -219,7 +226,7 @@ def voxel_losses(
         return LossBreakdown(total=total, ce=ce, lovasz=lov, d_scores=probs[:m])
     if not dense:
         return LossBreakdown(total=total, ce=ce, lovasz=lov, d_scores=probs,
-                             voxels=np.flatnonzero(inside))
+                             voxels=pred.voxels[valid[pred.voxels]])
     d_scores = np.zeros((v, c))
     d_scores[inside] = d_scores_valid
     return LossBreakdown(total=total, ce=ce, lovasz=lov, d_scores=d_scores)

@@ -115,7 +115,9 @@ def check_header_geometry(spec: GridSpec) -> None:
 
 
 def write_grid(grid: OccupancyGrid, path) -> None:
-    """Write a grid file; ``check_header_geometry`` runs before any file exists."""
+    """Write a dense grid file; every check runs before any file exists."""
+    if grid.voxels is not None:
+        raise ValueError("a grid file holds dense scores, not a grid in row form")
     spec = grid.spec
     check_header_geometry(spec)
     kind = 0 if grid.scores is None else 1

@@ -16,7 +16,8 @@ from, a view of the scores.  ``_pair_runs`` writes the other boxes' pairs,
 clipped to x-slabs, in runs of whole gaussians; the forward pass scatters
 them into cache-sized slabs.  A box's C-order is its pair order, and both
 paths add each per-gaussian sum in that order from +0.0, so no result
-depends on a gaussian's path.  Every pass runs on the calling thread.
+depends on a gaussian's path.  ``fit`` keeps one score row per voxel of the
+boxes, reached through a (V,) row map.  Every pass runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -443,6 +444,13 @@ def _path_runs(index: SplatIndex):
     return [(a, b, bool(box[a])) for a, b in zip(cuts[:-1], cuts[1:]) if a < b]
 
 
+def _row_map(voxels: np.ndarray, v: int) -> np.ndarray:
+    """(V,) row of each voxel: its place in the ascending ``voxels``, else ``voxels.size``."""
+    row_of = np.full(v, voxels.size, dtype=np.intp)
+    row_of[voxels] = np.arange(voxels.size)
+    return row_of
+
+
 def _pair_moments(frames, index: SplatIndex, d_scores: np.ndarray, sem: np.ndarray, voxels):
     """Every gaussian's pair moments and semantic cotangents.
 
@@ -463,9 +471,7 @@ def _pair_moments(frames, index: SplatIndex, d_scores: np.ndarray, sem: np.ndarr
     s_zz = np.zeros((p, 3, 3))
     d_sem = np.zeros((p, c))
     axes = index.spec.axis_centers()
-    if voxels is not None:
-        row_of = np.full(v, voxels.size, dtype=np.intp)
-        row_of[voxels] = np.arange(voxels.size)
+    row_of = None if voxels is None else _row_map(voxels, v)
     d_grid = None
     for lo, hi, box in _path_runs(index):
         if box:
@@ -569,19 +575,22 @@ def _accumulate_slabs(
     scores: np.ndarray,
     g_lo: int,
     g_hi: int,
+    row_of: np.ndarray | None,
 ) -> None:
     """Add gaussians [g_lo, g_hi) over their boxes, one x-slab at a time.
 
     Slabs are whole x-layers of about ``_SLAB_BYTES`` of scores.  Each class
     of a slab receives a run's float32 products ``w * sem`` through one
-    ``np.add.at``, which applies them in pair order.
+    ``np.add.at``, which applies them in pair order.  Score rows are reached
+    through the ``row_of`` map, and are the slab.
     """
     _, y_dim, z_dim = index.spec.dims
     layer = y_dim * z_dim
     c = scores.shape[1]
     width = max(1, _SLAB_BYTES // (4 * c * layer))
     for x0, ids, per_gaussian, vox, w, _ in _pair_runs(frames, index, g_lo, g_hi, width):
-        slab = scores[x0 * layer : (x0 + width) * layer]
+        slab = scores[x0 * layer : (x0 + width) * layer] if row_of is None else scores
+        vox = vox if row_of is None else np.take(row_of[x0 * layer :], vox)
         # float32(sem * w), multiplied in float64 and rounded once into the float32 buffer.
         adds = np.repeat(logits[ids].T, per_gaussian, axis=1)
         np.multiply(adds, w, out=adds, casting="same_kind")
@@ -596,30 +605,36 @@ def _check_dense_bytes(num_voxels: int, bytes_per_voxel: int) -> None:
         raise CapacityError(f"{size:.0f} bytes of dense per-voxel arrays exceed {MAX_SCORE_BYTES}")
 
 
-def _accumulate(scene: GaussianScene, index: SplatIndex) -> np.ndarray:
-    """The (V, C) float32 scores, added in ascending gaussian order per voxel.
+def _accumulate(scene: GaussianScene, index: SplatIndex, voxels=None) -> np.ndarray:
+    """The (V, C) float32 scores, or one row per voxel of ascending ``voxels``,
+    which must hold every box, added in ascending gaussian order per voxel.
 
     Their size is checked against ``MAX_SCORE_BYTES`` before they exist.
     Runs go in ascending order.  A box-path gaussian adds ``float32(w *
-    sem)`` to each block of its box through a view of the scores, one class
-    at a time; the others take the slab loop.  So every voxel receives one
-    float32 add per gaussian, in ascending index.
+    sem)`` to each block of its box, one class at a time, through a view of
+    the scores or its rows, gathered through the row map; the others take
+    the slab loop.  So every voxel gets one float32 add per gaussian, in order.
     """
-    c = scene.class_count
-    _check_dense_bytes(index.num_voxels, 4 * c)
-    scores = np.zeros((index.num_voxels, c), dtype=np.float32)
+    c, dims = scene.class_count, index.spec.dims
+    rows = index.num_voxels if voxels is None else voxels.size
+    _check_dense_bytes(rows, 4 * c)
+    scores = np.zeros((rows, c), dtype=np.float32)
     frames = gaussian_frames(scene.means, scene.scales, scene.rotations)
     axes = index.spec.axis_centers()
-    grid = scores.reshape(*index.spec.dims, c)
+    row_of = None if voxels is None else _row_map(voxels, index.num_voxels)
+    grid = scores.reshape(*dims, c) if voxels is None else row_of.reshape(dims)
     for lo, hi, box in _path_runs(index):
         if not box:
-            _accumulate_slabs(frames, scene.logits, index, scores, lo, hi)
+            _accumulate_slabs(frames, scene.logits, index, scores, lo, hi, row_of)
             continue
         for g in range(lo, hi):
             sem = scene.logits[g].astype(np.float64)
             for block, w, _ in _box_blocks(frames, index, axes, g):
+                part = grid[block] if voxels is None else scores[grid[block]]
                 for cls in range(c):
-                    grid[(*block, cls)] += (w * sem[cls]).astype(np.float32)
+                    part[..., cls] += (w * sem[cls]).astype(np.float32)
+                if voxels is not None:
+                    scores[grid[block]] = part
     return scores
 
 
@@ -635,10 +650,13 @@ def splat(
     cutoff_sigma: float | None = DEFAULT_CUTOFF_SIGMA,
     threads: int = 1,
     index: SplatIndex | None = None,
+    rows: bool = False,
 ) -> OccupancyGrid:
-    """Splat a scene into a dense occupancy grid with per-voxel scores.
+    """Splat a scene into an occupancy grid with per-voxel scores.
 
     Voxels with no neighboring gaussian keep zero scores and the empty label.
+    ``rows`` gives the row form over ``index.covered``, as ``fit`` runs it,
+    unless every voxel is covered; the bits are those of the dense form.
     A prebuilt ``index`` carries its own cutoff, so it must come alone,
     built for this scene and grid; anything else, a non-default ``threads``
     included, is a ValueError.  ``threads`` changes neither the result nor
@@ -658,8 +676,12 @@ def splat(
         raise ValueError(
             f"index was built for {index.num_gaussians} gaussians, the scene has {len(scene)}"
         )
-    scores = _accumulate(scene, index)
-    return OccupancyGrid(spec, scene.class_count, _argmax_labels(scores), scores)
+    covered = index.covered if rows else None
+    voxels = None if covered is None or covered.all() else np.flatnonzero(covered)
+    scores = _accumulate(scene, index, voxels)
+    labels = np.zeros(spec.num_voxels, dtype=np.uint8)  # an all-zero row's argmax
+    labels[slice(None) if voxels is None else voxels] = _argmax_labels(scores)
+    return OccupancyGrid(spec, scene.class_count, labels, scores, voxels)
 
 
 def splat_oracle(scene: GaussianScene, spec: GridSpec) -> OccupancyGrid:

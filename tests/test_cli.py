@@ -242,15 +242,15 @@ def test_gen_capacity_checked_before_allocation_exit_2(tmp_path, monkeypatch, ca
 
 
 def test_fit_capacity_checked_before_allocation_exit_2(tmp_path, monkeypatch, capsys):
-    # Per voxel and class, a fit holds 4 bytes of float32 scores, 8 of
-    # float64 gradient and 3 * 8 of loss buffers: 512 * 2 * 36 = 36864
-    # bytes on 8^3 voxels of 2 classes, against a cap of 36863.
+    # Per voxel and class, a fit holds 4 bytes of float32 score rows, 2 * 8
+    # of loss buffers and 8 of float64 gradient grid: 512 * 2 * 28 = 28672
+    # bytes on 8^3 voxels of 2 classes, against a cap of 28671.
     shapes = tmp_path / "shapes.json"
     shapes.write_text(json.dumps([{"kind": "box", "cls": 1, "min": [1, 1, 1],
                                    "max": [3, 3, 3]}]))
     truth = tmp_path / "truth.svox"
     assert run(["gen", *GRID_FLAGS, "--shapes", str(shapes), "--out", str(truth)])[0] == 0
-    monkeypatch.setattr(importlib.import_module("gaussvox.splat"), "MAX_SCORE_BYTES", 36863)
+    monkeypatch.setattr(importlib.import_module("gaussvox.splat"), "MAX_SCORE_BYTES", 28671)
     monkeypatch.setattr(importlib.import_module("gaussvox.fitter"), "build_splat_index",
                         _not_reached)
     out = tmp_path / "fit.sgau"
@@ -258,7 +258,7 @@ def test_fit_capacity_checked_before_allocation_exit_2(tmp_path, monkeypatch, ca
                    "--iters", "1"])
     err = capsys.readouterr().err
     assert code == 2
-    assert "36864 bytes" in err
+    assert "28672 bytes" in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -421,6 +421,24 @@ def test_bench_output(tmp_path):
     assert "latency_r2" in values
     assert "bench_50_latency_ms" in values
     assert "bench_100_peak_bytes" in values
+
+
+def test_bench_runs_each_repeat_over_every_count(monkeypatch):
+    # Repeat r of every count runs before repeat r + 1, so a burst of load
+    # from elsewhere spreads over the counts; the traced passes come last.
+    seen = []
+
+    def spy(scene, *args, **kwargs):
+        seen.append(len(scene))
+        return real(scene, *args, **kwargs)
+
+    real = cli.splat
+    monkeypatch.setattr(cli, "splat", spy)
+    spec = GridSpec((0, 0, 0), (0.5, 0.5, 0.5), (16, 16, 4))
+    rows = cli.run_bench([30, 50, 40], spec, cutoff=3.0, class_count=3, s_max=0.3, seed=0,
+                         repeats=3, threads=1)
+    assert seen == [30, 50, 40] * 4
+    assert [row[0] for row in rows] == [30, 50, 40]
 
 
 def test_bench_peak_uses_timed_thread_count(monkeypatch):

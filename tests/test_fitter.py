@@ -8,6 +8,7 @@ import pytest
 
 from gaussvox import (
     AdamW,
+    CapacityError,
     FitConfig,
     GaussianScene,
     GridSpec,
@@ -368,7 +369,7 @@ def test_backward_reads_loss_rows_as_the_dense_gradient(monkeypatch, case, slab_
     params = RawGaussianParams.from_scene(scene, S_MIN, S_MAX)
     activated = params.activate(S_MIN, S_MAX)
     index = build_splat_index(activated, spec, cutoff)
-    lb = voxel_losses(splat(activated, spec, index=index), truth, covered=index.covered)
+    lb = voxel_losses(splat(activated, spec, index=index, rows=True), truth)
     boxes = np.diff(index.gaussian_starts) > splat_module._BOX_PAIRS
     if case == "octant":
         assert boxes.all() and lb.voxels is None
@@ -387,11 +388,12 @@ def test_backward_reads_loss_rows_as_the_dense_gradient(monkeypatch, case, slab_
         assert np.array_equal(rows[key].view(np.uint64), ref[key].view(np.uint64)), key
 
 
-def test_loss_and_backward_memory_grows_by_no_dense_gradient():
-    # Small gaussians inside a 32x32x16 grid, splatted into it and into the
-    # same grid padded with empty voxels to 64x64x16.  The padding may add
-    # O(V) masks and the backward pass's row map, at most 16 bytes per
-    # voxel, but not a dense float64 gradient of 8 * 6 bytes per voxel.
+PADDED_DIMS = ((32, 32, 16), (64, 64, 16))
+
+
+def padded_case(dims):
+    """300 small gaussians inside the first 32x32x16 voxels of a grid of
+    ``dims``, and a random truth there, padded with class 0."""
     rng = np.random.default_rng(73)
     count, classes = 300, 6
     rotations = rng.normal(size=(count, 4))
@@ -401,27 +403,101 @@ def test_loss_and_backward_memory_grows_by_no_dense_gradient():
         (rotations / np.linalg.norm(rotations, axis=1, keepdims=True)).astype(np.float32),
         rng.dirichlet(np.ones(classes), count).astype(np.float32))
     labels = rng.integers(0, classes, (32, 32, 16)).astype(np.uint8)
-
     params = RawGaussianParams.from_scene(scene, S_MIN, S_MAX)
-    activated = params.activate(S_MIN, S_MAX)
+    spec = GridSpec((0.0, 0.0, 0.0), (0.25, 0.25, 0.25), dims)
+    padded = np.zeros(dims, dtype=np.uint8)
+    padded[:32, :32] = labels
+    return params, params.activate(S_MIN, S_MAX), spec, OccupancyGrid(spec, classes, padded.ravel())
 
-    def traced_peak(dims):
-        spec = GridSpec((0.0, 0.0, 0.0), (0.25, 0.25, 0.25), dims)
-        padded = np.zeros(dims, dtype=np.uint8)
-        padded[:32, :32] = labels
-        truth = OccupancyGrid(spec, classes, padded.ravel())
-        index = build_splat_index(activated, spec, 3.0)
-        grid = splat(activated, spec, index=index)
-        covered = index.covered
+
+def traced_growth(prepare, run):
+    """Growth per added voxel of the traced peak of ``run(*prepare(...))``,
+    from the small grid of ``padded_case`` to the large one; ``prepare`` runs
+    untraced."""
+    peaks = []
+    for dims in PADDED_DIMS:
+        state = prepare(*padded_case(dims))
         tracemalloc.start()
         try:
-            lb = voxel_losses(grid, truth, covered=covered)
-            backward_splat(params, index, spec, lb.d_scores, S_MIN, S_MAX, lb.voxels)
-            _, peak = tracemalloc.get_traced_memory()
+            run(*state)
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        return peak, spec.num_voxels
+    small, large = (int(np.prod(dims)) for dims in PADDED_DIMS)
+    return (peaks[1] - peaks[0]) / (large - small)
 
-    (small_peak, small_v), (large_peak, large_v) = (traced_peak((32, 32, 16)),
-                                                    traced_peak((64, 64, 16)))
-    assert large_peak - small_peak <= 16 * (large_v - small_v)
+
+def loss_and_backward(params, index, spec, grid, truth):
+    lb = voxel_losses(grid, truth)
+    backward_splat(params, index, spec, lb.d_scores, S_MIN, S_MAX, lb.voxels)
+
+
+def test_loss_and_backward_memory_grows_by_no_dense_gradient():
+    # The padding may add O(V) masks and the backward pass's row map, at
+    # most 16 bytes per voxel, but not a dense float64 gradient of 8 * 6
+    # bytes per voxel.
+    def splatted(params, activated, spec, truth):
+        index = build_splat_index(activated, spec, 3.0)
+        return params, index, spec, splat(activated, spec, index=index, rows=True), truth
+
+    assert traced_growth(splatted, loss_and_backward) <= 16
+
+
+def test_iteration_memory_grows_by_no_dense_scores():
+    # Index, splat, loss and backward as fit runs them.  The padding may add
+    # the index's per-voxel box counts while the covered mask is found, the
+    # row maps and masks, at most 24 bytes per voxel, but not the dense
+    # float32 scores of 4 * 6 bytes per voxel on top of them.
+    def iteration(params, activated, spec, truth):
+        index = build_splat_index(activated, spec, 3.0)
+        grid = splat(activated, spec, index=index, rows=True)
+        loss_and_backward(params, index, spec, grid, truth)
+
+    assert traced_growth(lambda *case: case, iteration) <= 24
+
+
+@pytest.mark.parametrize("slab_pairs", [7, 300])
+@pytest.mark.parametrize("case", list(ROW_CASES))
+def test_row_splat_matches_dense_splat(monkeypatch, case, slab_pairs):
+    # The row form holds the dense splat's scores at the covered voxels, bit
+    # for bit, and the same labels; the dense scores are zero elsewhere.
+    # Octant is exact mode: every voxel is covered, so the dense form comes
+    # back.  The patched pair caps cut the runs and the box blocks.
+    monkeypatch.setattr(splat_module, "_SLAB_PAIRS", slab_pairs)
+    make, cutoff = ROW_CASES[case]
+    scene, truth = make()
+    index = build_splat_index(scene, truth.spec, cutoff)
+    dense = splat(scene, truth.spec, index=index)
+    rows = splat(scene, truth.spec, index=index, rows=True)
+    covered = index.covered
+    assert np.array_equal(rows.labels, dense.labels)
+    if case == "octant":
+        assert covered.all() and rows.voxels is None
+        assert np.array_equal(rows.scores.view(np.uint32), dense.scores.view(np.uint32))
+        return
+    if case == "partly-covered-boxes":
+        assert (np.diff(index.gaussian_starts) > splat_module._BOX_PAIRS).sum() == 2
+    assert np.array_equal(rows.voxels, np.flatnonzero(covered))
+    assert np.array_equal(rows.scores.view(np.uint32), dense.scores[covered].view(np.uint32))
+    assert not dense.scores[~covered].view(np.uint32).any()
+
+
+def test_fit_checks_its_per_voxel_arrays_before_the_first(monkeypatch):
+    # Float32 score rows 4C, the loss's two float64 buffers 16C and the
+    # backward pass's float64 box grid 8C: 28C bytes per voxel, checked
+    # before the first splat.
+    rng = np.random.default_rng(74)
+    truth = random_truth(rng, SPEC8, 3)
+    splats = []
+    fitter_module = importlib.import_module("gaussvox.fitter")
+    real_splat = fitter_module.splat
+    monkeypatch.setattr(fitter_module, "splat",
+                        lambda *args, **kwargs: splats.append(1) or real_splat(*args, **kwargs))
+    bound = SPEC8.num_voxels * 28 * 3
+    monkeypatch.setattr(splat_module, "MAX_SCORE_BYTES", bound - 1)
+    with pytest.raises(CapacityError):
+        fit(SceneInit("uniform", 4), truth, FitConfig(iterations=1))
+    assert splats == []
+    monkeypatch.setattr(splat_module, "MAX_SCORE_BYTES", bound)
+    fit(SceneInit("uniform", 4), truth, FitConfig(iterations=1))
+    assert splats == [1]

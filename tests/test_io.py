@@ -214,6 +214,33 @@ def test_grid_geometry_the_header_cannot_hold_is_rejected(tmp_path, origin, cell
     assert list(tmp_path.iterdir()) == []
 
 
+def test_row_form_grid_is_rejected_before_any_file_exists(tmp_path):
+    # A grid file holds dense scores: a row-form grid must not become one,
+    # nor clobber an existing target.
+    spec = GridSpec((0, 0, 0), (1, 1, 1), (2, 2, 2))
+    rows = OccupancyGrid(spec, 2, np.zeros(8, np.uint8), np.ones((2, 2)), np.array([1, 6]))
+    path = tmp_path / "g.svox"
+    with pytest.raises(ValueError, match="row form"):
+        write_grid(rows, path)
+    assert list(tmp_path.iterdir()) == []
+    write_grid(OccupancyGrid(spec, 2, np.zeros(8, np.uint8)), path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="row form"):
+        write_grid(rows, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["g.svox"]
+
+
+@pytest.mark.parametrize("voxels, rows", [([1, 1], 2), ([3, 2], 2), ([-1, 2], 2), ([2, 8], 2),
+                                          ([1, 2], 3), ([1, 2], None)])
+def test_row_form_grid_validates_its_voxels(voxels, rows):
+    # Strictly ascending ids inside the grid, one score row each, scores present.
+    spec = GridSpec((0, 0, 0), (1, 1, 1), (2, 2, 2))
+    scores = None if rows is None else np.zeros((rows, 2))
+    with pytest.raises(ValueError):
+        OccupancyGrid(spec, 2, np.zeros(8, np.uint8), scores, np.array(voxels))
+
+
 class _FailingFile:
     """A binary file whose second write raises, as on a full disk."""
 

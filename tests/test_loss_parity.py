@@ -7,13 +7,15 @@ scalars to 1e-12 relative, on the inputs below.  They also check the fact the
 cut relies on: in the reference's order, every coefficient after a class's
 last foreground entry is exactly 0.0.
 
-Given a covered mask, the library runs over the covered rows only and
-stands one constant row in for the others.  It returns the gradient as one
-row per covered non-ignored voxel plus a zero row for every other voxel.
-The covered tests hold each row to the reference's dense gradient at its
-voxel bit for bit, and require the zero row.
+Given a prediction in row form, one score row per covered voxel, the
+library runs over the covered rows only and stands one constant row in for
+the others.  It returns the gradient as one row per covered non-ignored
+voxel plus a zero row for every other voxel.  The covered tests hold each
+row to the reference's dense gradient at its voxel bit for bit, and require
+the zero row.
 """
 
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -30,6 +32,8 @@ from gaussvox import (
 )
 from gaussvox.grid import IGNORE_LABEL
 from test_acceptance import _octant_instance
+
+losses_module = importlib.import_module("gaussvox.losses")
 
 WEIGHTS = [(1.0, 1.0), (0.7, 1.3), (1.0, 0.0), (0.0, 1.0)]
 SMALL = GridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (8, 8, 8))
@@ -193,12 +197,19 @@ def covered_mask(case, pred):
     return nonzero | (rng.random(nonzero.size) < 0.3)
 
 
+def row_form(pred, covered):
+    """The dense ``pred`` in row form over the ``covered`` voxels."""
+    voxels = np.flatnonzero(covered)
+    return OccupancyGrid(pred.spec, pred.class_count, pred.labels, pred.scores[voxels], voxels)
+
+
 def assert_covered_parity(pred, truth, covered, weights):
-    """A row per covered non-ignored voxel, in voxel order, bitwise the
-    reference's gradient there; a zero row for every other voxel, unless
-    every voxel has a row; and the scalars within 1e-12."""
+    """Given ``pred`` in row form over ``covered``: a row per covered
+    non-ignored voxel, in voxel order, bitwise the reference's gradient
+    there; a zero row for every other voxel, unless every voxel has a row;
+    and the scalars within 1e-12."""
     ref = loss_reference.voxel_losses(pred, truth, weights)
-    got = voxel_losses(pred, truth, weights, covered=covered)
+    got = voxel_losses(row_form(pred, covered), truth, weights)
     voxels = np.flatnonzero(covered & (truth.labels != IGNORE_LABEL))
     rows = got.d_scores
     if got.voxels is not None:
@@ -280,6 +291,37 @@ def test_loss_holds_fewer_than_four_dense_gradients():
     finally:
         tracemalloc.stop()
     assert peak < 4 * pred.spec.num_voxels * pred.class_count * 8
+
+
+def test_row_loss_holds_fewer_than_three_row_buffers():
+    # The loss's (m + 1, C) float64 buffers, m the covered non-ignored
+    # voxels: the log-probabilities' buffer takes the Lovasz gradient, so
+    # two of them and the chain's scratch make the traced peak.
+    pred, truth = driving_case()
+    covered = covered_mask("driving", pred)
+    grid = row_form(pred, covered)
+    m = np.count_nonzero(covered & (truth.labels != IGNORE_LABEL))
+    tracemalloc.start()
+    try:
+        voxel_losses(grid, truth)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (m + 1) * truth.class_count * 8
+
+
+@pytest.mark.parametrize("chain_rows", [1, 7])
+@pytest.mark.parametrize("case", ["sparse-driving", "tied-a", "tie"])
+def test_chain_blocks_keep_the_bits(monkeypatch, case, chain_rows):
+    # The chain through the softmax runs a block of rows at a time; neither
+    # form's gradient depends on the block size.
+    monkeypatch.setattr(losses_module, "_CHAIN_ROWS", chain_rows)
+    pred, truth = CASES[case]()
+    for weights in WEIGHTS[:2]:
+        ref = loss_reference.voxel_losses(pred, truth, weights)
+        got = voxel_losses(pred, truth, weights)
+        assert np.array_equal(got.d_scores.view(np.uint64), ref.d_scores.view(np.uint64))
+        assert_covered_parity(pred, truth, covered_mask(case, pred), weights)
 
 
 @pytest.mark.parametrize("case", list(CASES))

@@ -12,8 +12,9 @@ seconds:
 
 - activate: raw parameters to a scene;
 - index: ``build_splat_index``;
-- splat: the float32 scores;
-- loss: ``voxel_losses`` over the index's covered voxels, the mask included;
+- splat: the float32 score rows of the index's covered voxels, the covered
+  mask included, as ``fit`` asks for them (``rows=True``);
+- loss: ``voxel_losses`` over those rows;
 - backward: ``backward_splat``;
 - step: the AdamW deltas and the refinement step.
 
@@ -84,9 +85,9 @@ def iteration(params: RawGaussianParams, truth: OccupancyGrid, memory: bool = Fa
     lap("activate")
     index = build_splat_index(scene, truth.spec)
     lap("index")
-    grid = splat(scene, truth.spec, index=index)
+    grid = splat(scene, truth.spec, index=index, rows=True)
     lap("splat")
-    loss = voxel_losses(grid, truth, covered=index.covered)
+    loss = voxel_losses(grid, truth)
     lap("loss")
     grads = backward_splat(params, index, truth.spec, loss.d_scores, S_MIN, S_MAX, loss.voxels)
     lap("backward")
