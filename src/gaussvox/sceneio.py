@@ -35,6 +35,8 @@ FORMAT_VERSION = 1
 
 _SCENE_HEADER = struct.Struct("<4sHHQ")
 _GRID_HEADER = struct.Struct("<4sHHIIIffffffB")
+# A scene is read this many records at a time.
+_RECORD_CHUNK = 1 << 14
 
 
 @contextlib.contextmanager
@@ -70,33 +72,38 @@ def write_scene(scene: GaussianScene, path) -> None:
 
 
 def read_scene(path) -> GaussianScene:
+    """Read a scene file; its header and size are checked before any allocation.
+
+    Records are read ``_RECORD_CHUNK`` at a time through one buffer into the
+    four column arrays, so no other array grows with the scene."""
+    hs = _SCENE_HEADER.size
     with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < _SCENE_HEADER.size:
-        raise FormatError(
-            f"truncated header: need {_SCENE_HEADER.size} bytes, have {len(data)}",
-            len(data),
-        )
-    magic, version, c, p = _SCENE_HEADER.unpack_from(data, 0)
-    if magic != SCENE_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {SCENE_MAGIC!r}", 0)
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported version {version}", 4)
-    if c < 1:
-        raise FormatError("class_count must be >= 1", 6)
-    expected = p * (10 + c) * 4
-    actual = len(data) - _SCENE_HEADER.size
-    if actual != expected:
-        raise FormatError(
-            f"record section is {actual} bytes, expected {expected}", _SCENE_HEADER.size
-        )
-    records = np.frombuffer(data, dtype="<f4", offset=_SCENE_HEADER.size).reshape(p, 10 + c)
+        data = f.read(hs)
+        if (have := len(data)) < hs:
+            raise FormatError(f"truncated header: need {hs} bytes, have {have}", have)
+        magic, version, c, p = _SCENE_HEADER.unpack(data)
+        if magic != SCENE_MAGIC:
+            raise FormatError(f"bad magic {magic!r}, expected {SCENE_MAGIC!r}", 0)
+        if version != FORMAT_VERSION:
+            raise FormatError(f"unsupported version {version}", 4)
+        if c < 1:
+            raise FormatError("class_count must be >= 1", 6)
+        expected = p * (10 + c) * 4
+        actual = os.fstat(f.fileno()).st_size - hs
+        if actual != expected:
+            raise FormatError(f"record section is {actual} bytes, expected {expected}", hs)
+        columns = [np.empty((p, n), dtype=np.float32) for n in (3, 3, 4, c)]
+        buffer = np.empty((min(p, _RECORD_CHUNK), 10 + c), dtype="<f4")
+        for a in range(0, p, _RECORD_CHUNK):
+            records = buffer[: p - a]
+            if (got := f.readinto(records)) != records.nbytes:
+                raise FormatError("the file ended inside a record", hs + a * (10 + c) * 4 + got)
+            for column, fields in zip(columns, np.split(records, [3, 6, 10], axis=1)):
+                column[a : a + _RECORD_CHUNK] = fields
     try:
-        return GaussianScene(
-            records[:, 0:3], records[:, 3:6], records[:, 6:10], records[:, 10:]
-        )
+        return GaussianScene(*columns)
     except InvalidGaussianError as e:
-        raise FormatError(str(e), _SCENE_HEADER.size + e.gaussian * (10 + c) * 4) from e
+        raise FormatError(str(e), hs + e.gaussian * (10 + c) * 4) from e
 
 
 def check_header_geometry(spec: GridSpec) -> None:

@@ -16,8 +16,11 @@ from, a view of the scores.  ``_pair_runs`` writes the other boxes' pairs,
 clipped to x-slabs, in runs of whole gaussians; the forward pass scatters
 them into cache-sized slabs.  A box's C-order is its pair order, and both
 paths add each per-gaussian sum in that order from +0.0, so no result
-depends on a gaussian's path.  ``fit`` keeps one score row per voxel of the
-boxes, reached through a (V,) row map.  Every pass runs on the calling thread.
+depends on a gaussian's path.  The forward pass builds the kernel's float64
+frames per slab and per box run, not for the whole scene, and the index is
+found in chunks, so a splat holds the scene, the index, the scores and little
+else.  ``fit`` keeps one score row per voxel of the boxes, reached through a
+(V,) row map.  Every pass runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from .errors import CapacityError
 from .grid import GridSpec, OccupancyGrid
 
 DEFAULT_CUTOFF_SIGMA = 3.0
+# The index finds the boxes of this many gaussians at a time.
+_INDEX_CHUNK = 1 << 14
 
 # Cap on a scene's (gaussian, voxel) pairs.  Pairs exist only one chunk at a
 # time, so this bounds the work of a pass over the index, not its memory.
@@ -122,8 +127,8 @@ class SplatIndex:
         return (self._box_counts() > 0).reshape(-1)
 
 
-def _scene_radii(scene: GaussianScene, cutoff_sigma: float | None) -> np.ndarray:
-    """Half-extents (P, 3) of the axis-aligned cutoff boxes.
+def _scene_radii(scene: GaussianScene, cutoff_sigma: float | None, rows=slice(None)):
+    """Half-extents (k, 3) of the axis-aligned cutoff boxes of gaussians ``rows``.
 
     The box cutoff_sigma * max(scale) per axis contains the ellipsoid of
     Mahalanobis distance <= cutoff_sigma for any rotation.  ``None`` is
@@ -133,7 +138,7 @@ def _scene_radii(scene: GaussianScene, cutoff_sigma: float | None) -> np.ndarray
         cutoff_sigma = np.inf
     if not cutoff_sigma > 0:
         raise ValueError(f"cutoff_sigma must be > 0, got {cutoff_sigma}")
-    r = cutoff_sigma * scene.scales.astype(np.float64).max(axis=1)
+    r = cutoff_sigma * scene.scales[rows].astype(np.float64).max(axis=1)
     return np.repeat(r[:, None], 3, axis=1)
 
 
@@ -203,16 +208,24 @@ def build_splat_index(
     checked against ``MAX_PAIRS``, before any pair is written.  ``threads``
     is accepted for the callers that pass a thread count; every pass runs on
     the calling thread, so it changes neither the result nor the speed.
+    The boxes are found ``_INDEX_CHUNK`` gaussians at a time and written
+    into the index's own arrays, so no other array grows with the scene.
     """
-    radii = _scene_radii(scene, cutoff_sigma)
-    lo, counts = _axis_ranges(scene.means.astype(np.float64), radii, spec)
-    per_gaussian = counts[:, 0] * counts[:, 1] * counts[:, 2]
+    p = len(scene)
+    lo, counts = np.empty((2, p, 3), dtype=np.int64)
+    gaussian_starts = np.zeros(p + 1, dtype=np.int64)
+    # At least one chunk, so that an empty scene's cutoff_sigma is checked too.
+    for a in range(0, max(p, 1), _INDEX_CHUNK):
+        rows = slice(a, a + _INDEX_CHUNK)
+        radii = _scene_radii(scene, cutoff_sigma, rows)
+        lo[rows], counts[rows] = _axis_ranges(scene.means[rows].astype(np.float64), radii, spec)
+        x, y, z = counts[rows].T
+        gaussian_starts[a + 1 : a + 1 + _INDEX_CHUNK] = x * y * z
     # Summed in float64, which cannot wrap around as an int64 sum could.
-    total = per_gaussian.sum(dtype=np.float64)
+    total = gaussian_starts.sum(dtype=np.float64)
     if total > MAX_PAIRS:
         raise CapacityError(f"{total:.0f} (gaussian, voxel) pairs exceed {MAX_PAIRS}")
-    gaussian_starts = np.zeros(len(scene) + 1, dtype=np.int64)
-    np.cumsum(per_gaussian, out=gaussian_starts[1:])
+    np.cumsum(gaussian_starts, out=gaussian_starts)
     return SplatIndex(spec, lo, counts, gaussian_starts)
 
 
@@ -333,12 +346,14 @@ def _gaussian_chunks(starts: np.ndarray):
         a = b
 
 
-def _pair_runs(frames, index: SplatIndex, g_lo: int, g_hi: int, width: int):
+def _pair_runs(frames_of, index: SplatIndex, g_lo: int, g_hi: int, width: int):
     """Yield the pairs of gaussians [g_lo, g_hi), slab by slab and run by run.
 
     Each box is clipped to x-slabs of ``width`` layers, and each slab's
     pairs come in runs of whole gaussians, ascending, of at most
-    ``_SLAB_PAIRS`` pairs.  Each item is ``x0, ids, counts, vox, w, z``:
+    ``_SLAB_PAIRS`` pairs.  ``frames_of(ids)`` gives the ``gaussian_frames``
+    of gaussians ``ids``; it is asked once per slab, for the slab's gaussians
+    only.  Each item is ``x0, ids, counts, vox, w, z``:
     the slab's first x-layer, the run's gaussians, the pair count of each,
     and per pair its voxel, counted from the slab's first voxel, and the
     kernel's ``w, z``, in (gaussian, voxel) order.  Pair points come from
@@ -364,23 +379,25 @@ def _pair_runs(frames, index: SplatIndex, g_lo: int, g_hi: int, width: int):
         starts = np.zeros(gs.size + 1, dtype=np.int64)
         np.cumsum(box_counts[:, 0] * box_counts[:, 1] * box_counts[:, 2], out=starts[1:])
         xc = cx[x0:x1]
+        ids = g_lo + gs
+        slab = frames_of(ids)
         for a, b in _gaussian_chunks(starts):
             per_gaussian = np.diff(starts[a : b + 1])
             i, j, run, k = _box_lines(box_lo[a:b], box_counts[a:b])
             vox = k + np.repeat((i * y_dim + j) * z_dim, run)
             pts = np.stack([np.repeat(xc[i], run), np.repeat(cy[j], run), cz[k]])
-            ids = g_lo + gs[a:b]
             w, z = pair_weights(
-                np.repeat(frames[0][..., ids], per_gaussian, axis=-1),
-                np.repeat(frames[1][:, ids], per_gaussian, axis=-1),
+                np.repeat(slab[0][..., a:b], per_gaussian, axis=-1),
+                np.repeat(slab[1][:, a:b], per_gaussian, axis=-1),
                 pts,
             )
-            yield x0, ids, per_gaussian, vox, w, z
+            yield x0, ids[a:b], per_gaussian, vox, w, z
 
 
-def _box_blocks(frames, index: SplatIndex, axes, g: int):
+def _box_blocks(frame, index: SplatIndex, axes, g: int):
     """Yield gaussian g's box in blocks of whole x-layers, ascending.
 
+    ``frame`` is g's ``gaussian_frames``, shaped (3, 3) and (3,), and
     ``axes`` are the grid's per-axis center tables.  A block is at most
     ``_SLAB_PAIRS`` pairs and at least one layer.  Each item is the block's
     (x, y, z) slices of the grid and its ``w, z`` from ``pair_weights``
@@ -390,7 +407,7 @@ def _box_blocks(frames, index: SplatIndex, axes, g: int):
     (x_lo, y_lo, z_lo), (nx, ny, nz) = index.lo[g], index.counts[g]
     ys, zs = slice(y_lo, y_lo + ny), slice(z_lo, z_lo + nz)
     pts_y, pts_z = cy[ys, None], cz[zs]
-    a, off = frames[0][..., g], frames[1][:, g]
+    a, off = frame
     layers = max(1, _SLAB_PAIRS // (ny * nz))
     for x0 in range(x_lo, x_lo + nx, layers):
         x1 = min(x0 + layers, x_lo + nx)
@@ -411,7 +428,7 @@ def _box_sums(frames, index: SplatIndex, axes, d_grid: np.ndarray, sem: np.ndarr
     upper = np.triu_indices(3)
     sums = np.zeros(9 + c)
     terms = None
-    for block, w, z in _box_blocks(frames, index, axes, g):
+    for block, w, z in _box_blocks((frames[0][..., g], frames[1][:, g]), index, axes, g):
         gup = d_grid[block]
         d_w = gup[..., 0] * sem[0]
         for cls in range(1, c):
@@ -473,6 +490,10 @@ def _pair_moments(frames, index: SplatIndex, d_scores: np.ndarray, sem: np.ndarr
     axes = index.spec.axis_centers()
     row_of = None if voxels is None else _row_map(voxels, v)
     d_grid = None
+
+    def take(ids):
+        return frames[0][..., ids], frames[1][:, ids]
+
     for lo, hi, box in _path_runs(index):
         if box:
             if d_grid is None:
@@ -481,7 +502,10 @@ def _pair_moments(frames, index: SplatIndex, d_scores: np.ndarray, sem: np.ndarr
             for g in range(lo, hi):
                 s_z[g], s_zz[g], d_sem[g] = _box_sums(frames, index, axes, d_grid, sem[g], g)
             continue
-        for _, ids, per_gaussian, vox, w, z in _pair_runs(frames, index, lo, hi, dims[0]):
+        # Each run is its own whole-grid slab, so only its frames are gathered.
+        runs = (item for a, b in _gaussian_chunks(index.gaussian_starts[lo : hi + 1])
+                for item in _pair_runs(take, index, lo + a, lo + b, dims[0]))
+        for _, ids, per_gaussian, vox, w, z in runs:
             k = ids.size
             g = np.repeat(np.arange(k), per_gaussian)
             rows = vox if voxels is None else np.take(row_of, vox)
@@ -569,7 +593,7 @@ def _accumulate_full_grid(
 
 
 def _accumulate_slabs(
-    frames,
+    frames_of,
     logits: np.ndarray,
     index: SplatIndex,
     scores: np.ndarray,
@@ -588,7 +612,7 @@ def _accumulate_slabs(
     layer = y_dim * z_dim
     c = scores.shape[1]
     width = max(1, _SLAB_BYTES // (4 * c * layer))
-    for x0, ids, per_gaussian, vox, w, _ in _pair_runs(frames, index, g_lo, g_hi, width):
+    for x0, ids, per_gaussian, vox, w, _ in _pair_runs(frames_of, index, g_lo, g_hi, width):
         slab = scores[x0 * layer : (x0 + width) * layer] if row_of is None else scores
         vox = vox if row_of is None else np.take(row_of[x0 * layer :], vox)
         # float32(sem * w), multiplied in float64 and rounded once into the float32 buffer.
@@ -619,17 +643,21 @@ def _accumulate(scene: GaussianScene, index: SplatIndex, voxels=None) -> np.ndar
     rows = index.num_voxels if voxels is None else voxels.size
     _check_dense_bytes(rows, 4 * c)
     scores = np.zeros((rows, c), dtype=np.float32)
-    frames = gaussian_frames(scene.means, scene.scales, scene.rotations)
     axes = index.spec.axis_centers()
     row_of = None if voxels is None else _row_map(voxels, index.num_voxels)
     grid = scores.reshape(*dims, c) if voxels is None else row_of.reshape(dims)
+
+    def frames_of(ids):
+        return gaussian_frames(scene.means[ids], scene.scales[ids], scene.rotations[ids])
+
     for lo, hi, box in _path_runs(index):
         if not box:
-            _accumulate_slabs(frames, scene.logits, index, scores, lo, hi, row_of)
+            _accumulate_slabs(frames_of, scene.logits, index, scores, lo, hi, row_of)
             continue
+        a, off = frames_of(slice(lo, hi))
         for g in range(lo, hi):
             sem = scene.logits[g].astype(np.float64)
-            for block, w, _ in _box_blocks(frames, index, axes, g):
+            for block, w, _ in _box_blocks((a[..., g - lo], off[:, g - lo]), index, axes, g):
                 part = grid[block] if voxels is None else scores[grid[block]]
                 for cls in range(c):
                     part[..., cls] += (w * sem[cls]).astype(np.float32)

@@ -2,6 +2,7 @@
 
 import importlib
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -150,6 +151,64 @@ def test_scene_bad_record_offset(tmp_path, field, payload, error):
     assert e.value.__cause__.gaussian == 2
 
 
+sceneio = importlib.import_module("gaussvox.sceneio")
+
+
+def chunk_scene_file(path, count=23, class_count=5):
+    """A scene file of ``count`` records, with a -0.0 and a subnormal among its values."""
+    scene = random_scene(np.random.default_rng(67), count, class_count)
+    scene.means[3, 1] = -0.0
+    scene.logits[5, 2] = np.float32(1e-45)
+    write_scene(scene, path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_scene_read_in_chunks_keeps_the_bits(tmp_path, monkeypatch, chunk):
+    path = tmp_path / "scene.sgau"
+    data = chunk_scene_file(path)
+    records = np.frombuffer(data, dtype="<f4", offset=16).reshape(-1, 15)
+    monkeypatch.setattr(sceneio, "_RECORD_CHUNK", chunk)
+    back = read_scene(path)
+    for got, want in zip((back.means, back.scales, back.rotations, back.logits),
+                         np.split(records, [3, 6, 10], axis=1)):
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_invalid_gaussian_in_a_later_chunk_names_its_offset(tmp_path, monkeypatch, chunk):
+    path = tmp_path / "scene.sgau"
+    data = bytearray(chunk_scene_file(path))
+    at = 16 + (17 * 15 + 4) * 4  # gaussian 17's y scale, in the third chunk of 7
+    data[at : at + 4] = struct.pack("<f", -1.0)
+    path.write_bytes(bytes(data))
+    monkeypatch.setattr(sceneio, "_RECORD_CHUNK", chunk)
+    with pytest.raises(FormatError) as e:
+        read_scene(path)
+    assert e.value.offset == 16 + 17 * 15 * 4
+    assert type(e.value.__cause__) is InvalidScaleError
+    assert e.value.__cause__.gaussian == 17
+
+
+def test_scene_cut_inside_a_record_is_a_format_error(tmp_path, monkeypatch):
+    path = tmp_path / "scene.sgau"
+    data = chunk_scene_file(path)
+    cut = 16 + 9 * 15 * 4 + 20  # inside record 9, in the second chunk of 7
+    path.write_bytes(data[:cut])
+    monkeypatch.setattr(sceneio, "_RECORD_CHUNK", 7)
+    # The size check rejects the file before any record is read.
+    with pytest.raises(FormatError, match="record section") as e:
+        read_scene(path)
+    assert e.value.offset == 16
+    # A file that shrinks after its size was taken ends inside a chunk.
+    monkeypatch.setattr(sceneio, "os", SimpleNamespace(fstat=lambda fd: SimpleNamespace(
+        st_size=len(data))))
+    with pytest.raises(FormatError, match="ended inside a record") as e:
+        read_scene(path)
+    assert e.value.offset == cut
+
+
 def test_grid_bad_magic_and_version(tmp_path):
     spec = GridSpec((0, 0, 0), (1, 1, 1), (2, 2, 2))
     grid = OccupancyGrid(spec, 2, np.zeros(8, np.uint8))
@@ -267,7 +326,6 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch, writer, existing):
     # The writers write beside the target and rename on success, so a write
     # that fails midway leaves neither a partial file nor a temporary one,
     # and an existing target keeps its bytes.
-    sceneio = importlib.import_module("gaussvox.sceneio")
     rng = np.random.default_rng(66)
     if writer == "scene":
         obj, write = random_scene(rng, 5, 3), write_scene

@@ -226,6 +226,19 @@ def test_oracle_checks_dense_bytes_before_allocation(monkeypatch):
         splat_oracle(scene, SPEC8)
 
 
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("cutoff", [3.0, None], ids=["3sigma", "exact"])
+def test_index_chunks_do_not_change_the_index(monkeypatch, chunk, cutoff):
+    # Means span twice the grid, so some boxes miss it.
+    scene = random_scene(np.random.default_rng(43), 40, lo=-4.0, hi=4.0)
+    base = build_splat_index(scene, SPEC8, cutoff)
+    monkeypatch.setattr(splat_module, "_INDEX_CHUNK", chunk)
+    index = build_splat_index(scene, SPEC8, cutoff)
+    assert (base.counts[:, 0] == 0).any() or cutoff is None
+    for name in ("lo", "counts", "gaussian_starts"):
+        assert np.array_equal(getattr(index, name), getattr(base, name)), name
+
+
 def test_index_sorted_and_ranges_consistent():
     rng = np.random.default_rng(13)
     scene = random_scene(rng, 40)
@@ -268,6 +281,9 @@ def test_index_empty_scene():
     grid = splat(scene, SPEC8, 3.0)
     assert np.all(grid.labels == 0)
     assert np.all(grid.scores == 0)
+    for cutoff in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="cutoff_sigma"):
+            build_splat_index(scene, SPEC8, cutoff)
 
 
 def test_index_tiny_gaussian_single_voxel():
@@ -341,6 +357,19 @@ def test_sparse_splat_matches_plain_loop_bitwise(seed, broad):
     assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
 
 
+def test_frames_of_a_subset_keep_their_bits():
+    # The forward pass builds frames per slab and per box run: a subset's
+    # frames are the same rows of the whole scene's, bit for bit.
+    scene = random_scene(np.random.default_rng(41), 50)
+    a, off = frames_of(scene)
+    rng = np.random.default_rng(42)
+    for ids in ([7], rng.choice(50, 13, replace=False), np.arange(50)[::-3], slice(10, 31)):
+        sub_a, sub_off = gaussian_frames(scene.means[ids], scene.scales[ids],
+                                         scene.rotations[ids])
+        assert np.array_equal(sub_a.view(np.uint64), a[..., ids].view(np.uint64))
+        assert np.array_equal(sub_off.view(np.uint64), off[:, ids].view(np.uint64))
+
+
 def test_pair_weight_bits_do_not_depend_on_the_batch():
     scene = mixed_scene(np.random.default_rng(34), 20, 2)
     frames = frames_of(scene)
@@ -350,7 +379,8 @@ def test_pair_weight_bits_do_not_depend_on_the_batch():
     tile, _ = pair_weights(a[..., None], off[..., None], pts)
     # Every pair as one pair list, (gaussian, voxel) order.
     index = build_splat_index(scene, SPEC8, None)
-    runs = splat_module._pair_runs(frames, index, 0, len(scene), SPEC8.dims[0])
+    runs = splat_module._pair_runs(lambda ids: (a[..., ids], off[:, ids]), index, 0,
+                                   len(scene), SPEC8.dims[0])
     chunk = np.concatenate([w for *_, w, _ in runs])
     assert np.array_equal(chunk.reshape(tile.shape).view(np.uint64), tile.view(np.uint64))
     rng = np.random.default_rng(35)
@@ -544,6 +574,28 @@ def test_full_grid_memory_does_not_grow_with_gaussians():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= peaks[0] + 4096, peaks
+
+
+def test_splat_memory_grows_by_no_per_gaussian_frames(monkeypatch):
+    # Runs of at most 256 pairs keep the run arrays the same size at 2,000
+    # and 8,000 small gaussians, so what the dense splat of a prebuilt index
+    # adds with the count is what it holds per gaussian.  Measured: 30 bytes
+    # per added gaussian, the frames of one of 32 one-layer slabs; the whole
+    # scene's float64 frames, built at once, added 264.
+    monkeypatch.setattr(splat_module, "_SLAB_BYTES", 1)
+    monkeypatch.setattr(splat_module, "_SLAB_PAIRS", 256)
+    spec = GridSpec((0.0, 0.0, 0.0), (0.25, 0.25, 0.25), (32, 32, 32))
+    peaks = []
+    for count in (2000, 8000):
+        scene = random_scene(np.random.default_rng(44), count, 4, 0.0, 8.0, 0.05, 0.15)
+        index = build_splat_index(scene, spec, 3.0)
+        tracemalloc.start()
+        try:
+            splat(scene, spec, index=index)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 64 * 6000, peaks
 
 
 def test_exact_index_holds_no_pair_array():
