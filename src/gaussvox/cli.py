@@ -23,7 +23,7 @@ from .grid import GridSpec
 from .metrics import confusion, miou, scene_completion_iou
 from .sceneio import (check_header_geometry, gen_synthetic, read_grid, read_scene,
                       write_grid, write_scene)
-from .splat import DEFAULT_CUTOFF_SIGMA, build_splat_index, splat
+from .splat import DEFAULT_CUTOFF_SIGMA, build_splat_index, splat, splat_chunks
 
 THREADS_ENV = "GAUSSVOX_THREADS"
 THREADS_HELP = (f"thread count (default: {THREADS_ENV}, else 1); must be a positive "
@@ -149,9 +149,8 @@ def _cmd_splat(args) -> int:
     spec = _grid_spec(args)
     check_header_geometry(spec)
     cutoff = None if args.exact else args.cutoff
-    grid = splat(scene, spec, cutoff, threads=args.threads)
-    if args.labels_only:
-        grid.scores = None
+    grid = splat_chunks(scene, spec, cutoff, threads=args.threads)
+    grid.scores = not args.labels_only
     write_grid(grid, args.out)
     return 0
 

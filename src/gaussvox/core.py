@@ -17,11 +17,11 @@ from .errors import DegenerateRotationError, InvalidScaleError, NonFiniteValueEr
 QUAT_NORM_EPS = 1e-12
 
 
-def quat_to_rotation(rotation) -> np.ndarray:
-    """Convert (w, x, y, z) quaternions, shape (..., 4), to rotation matrices.
+def _rotation_entries(rotation) -> list[list[np.ndarray]]:
+    """The rotation matrix entries ``R[i][j]`` of (w, x, y, z) quaternions (..., 4).
 
-    Returns shape (..., 3, 3).  Each quaternion is normalized internally; a
-    norm of 1e-12 or below raises DegenerateRotationError.
+    Each entry is an array of shape (...).  Each quaternion is normalized
+    internally; a norm of 1e-12 or below raises DegenerateRotationError.
     """
     q = np.asarray(rotation, dtype=np.float64)
     if q.shape[-1:] != (4,):
@@ -30,12 +30,20 @@ def quat_to_rotation(rotation) -> np.ndarray:
     if np.any(norm <= QUAT_NORM_EPS):
         raise DegenerateRotationError(f"quaternion norm {np.min(norm):.3e} too small")
     w, x, y, z = np.moveaxis(q / norm, -1, 0)
-    rows = [
+    return [
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
         [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
     ]
-    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
+
+
+def quat_to_rotation(rotation) -> np.ndarray:
+    """Convert (w, x, y, z) quaternions, shape (..., 4), to rotation matrices.
+
+    Returns shape (..., 3, 3).  Each quaternion is normalized internally; a
+    norm of 1e-12 or below raises DegenerateRotationError.
+    """
+    return np.moveaxis(np.array(_rotation_entries(rotation)), (0, 1), (-2, -1))
 
 
 def _rotation_jacobian(q_unit) -> np.ndarray:

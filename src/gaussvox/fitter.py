@@ -303,6 +303,10 @@ def fit(
     loss's two float64 buffers and a float64 score gradient grid, which only
     box-path gaussians over a partly covered grid need, are checked against
     ``MAX_SCORE_BYTES`` at one row per voxel before the first of them exists.
+    Only the parameters and the AdamW moments live from one iteration into
+    the next: the score rows are dropped after the loss, the gradient rows
+    after the backward pass, and the gradients, the scene and the index
+    after the step.
     """
     _check_dense_bytes(truth.spec.num_voxels, (4 + 2 * 8 + 8) * truth.class_count)
     if np.count_nonzero(truth.labels != IGNORE_LABEL) == 0:
@@ -325,12 +329,15 @@ def fit(
         index = build_splat_index(scene, truth.spec, config.cutoff_sigma, threads=threads)
         grid = splat(scene, truth.spec, index=index, rows=True)
         lb = voxel_losses(grid, truth, config.loss_weights)
+        grid.scores = None  # the metrics read the labels only
         if not math.isfinite(lb.total):
             raise DivergenceError(it)
 
         grads = backward_splat(params, index, truth.spec, lb.d_scores, config.s_min,
                                config.s_max, lb.voxels)
+        lb.d_scores = None
         deltas = opt.deltas(params, grads, config.lr_at(it))
+        grads = None
         refine_step(
             params,
             Proposals(
@@ -340,6 +347,7 @@ def fit(
                 raw_logits=params.raw_logits + deltas["raw_logits"],
             ),
         )
+        scene = index = deltas = None
 
         try:
             cm = confusion(grid, truth)

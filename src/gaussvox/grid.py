@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,8 +105,7 @@ class OccupancyGrid:
     voxels: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        if not (1 <= self.class_count <= 255):
-            raise ValueError(f"class_count must be in [1, 255], got {self.class_count}")
+        _check_class_count(self.class_count)
         v = self.spec.num_voxels
         self.labels = np.ascontiguousarray(self.labels, dtype=np.uint8).reshape(-1)
         if self.labels.shape != (v,):
@@ -125,6 +125,30 @@ class OccupancyGrid:
                 raise ValueError(
                     f"scores must be ({v}, {self.class_count}), got {self.scores.shape}"
                 )
+
+
+@dataclass
+class GridChunks:
+    """A dense grid as a stream of chunks of consecutive voxels, for writing.
+
+    ``chunks`` yields ``(labels, scores)`` per chunk, in voxel order: (n,)
+    uint8 labels and (n, C) float32 scores, and covers every voxel once.  A
+    chunk may reuse the previous one's buffer, so each is used before the
+    next is asked for.  With ``scores`` False a writer keeps the labels only.
+    """
+
+    spec: GridSpec
+    class_count: int
+    chunks: Iterator[tuple[np.ndarray, np.ndarray]]
+    scores: bool = True
+
+    def __post_init__(self):
+        _check_class_count(self.class_count)
+
+
+def _check_class_count(class_count: int) -> None:
+    if not (1 <= class_count <= 255):
+        raise ValueError(f"class_count must be in [1, 255], got {class_count}")
 
 
 def grids_compatible(a: OccupancyGrid, b: OccupancyGrid) -> bool:

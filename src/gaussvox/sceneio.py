@@ -1,7 +1,10 @@
 """Bit-exact binary formats for scenes and grids, plus synthetic targets.
 
 Both formats are little-endian with no padding so files parse identically on
-any platform.
+any platform.  ``write_grid`` writes a grid, or a stream of chunks of
+consecutive voxels such as ``splat_chunks`` gives: it seeks past the label
+section, writes each chunk's scores as the chunk comes and the labels last,
+so a streamed grid is never held whole.
 
 SGAU scene file:
     magic "SGAU" | u16 version (=1) | u16 class_count | u64 gaussian_count
@@ -26,7 +29,7 @@ import numpy as np
 
 from .core import GaussianScene
 from .errors import CapacityError, FormatError, InvalidGaussianError
-from .grid import MAX_VOXELS, GridSpec, OccupancyGrid
+from .grid import MAX_VOXELS, GridChunks, GridSpec, OccupancyGrid
 from .splat import _check_dense_bytes
 
 SCENE_MAGIC = b"SGAU"
@@ -121,25 +124,45 @@ def check_header_geometry(spec: GridSpec) -> None:
                          f"the float32 fields of a grid header")
 
 
-def write_grid(grid: OccupancyGrid, path) -> None:
-    """Write a dense grid file; every check runs before any file exists."""
-    if grid.voxels is not None:
-        raise ValueError("a grid file holds dense scores, not a grid in row form")
+def write_grid(grid: OccupancyGrid | GridChunks, path) -> None:
+    """Write a grid file from a dense grid or from a stream of chunks.
+
+    A grid is written as one chunk.  After the header the file seeks past
+    the label section and writes each chunk's scores as the chunk comes,
+    gathering its labels, one byte per voxel, which are written last.  Every
+    check on the grid runs before any file exists, and the file appears at
+    ``path`` only once it is whole.
+    """
+    if isinstance(grid, OccupancyGrid):
+        if grid.voxels is not None:
+            raise ValueError("a grid file holds dense scores, not a grid in row form")
+        kind, chunks = grid.scores is not None, [(grid.labels, grid.scores)]
+    else:
+        kind, chunks = grid.scores, grid.chunks
     spec = grid.spec
     check_header_geometry(spec)
-    kind = 0 if grid.scores is None else 1
+    hs, v = _GRID_HEADER.size, spec.num_voxels
+    labels = np.empty(v, dtype=np.uint8)
     with _replacing(path) as f:
         f.write(
             _GRID_HEADER.pack(
                 GRID_MAGIC, FORMAT_VERSION, grid.class_count,
-                *spec.dims, *spec.origin, *spec.cell_size, kind,
+                *spec.dims, *spec.origin, *spec.cell_size, int(kind),
             )
         )
-        f.write(grid.labels.tobytes())
-        if kind == 1:
-            # Written through its buffer: on a little-endian host the C-order
-            # float32 scores are already "<f4", so no copy is made.
-            f.write(np.ascontiguousarray(grid.scores, dtype="<f4"))
+        f.seek(hs + v)
+        done = 0
+        for chunk_labels, scores in chunks:
+            labels[done : done + chunk_labels.size] = chunk_labels
+            done += chunk_labels.size
+            if kind:
+                # Written through its buffer: on a little-endian host the C-order
+                # float32 scores are already "<f4", so no copy is made.
+                f.write(np.ascontiguousarray(scores, dtype="<f4"))
+        if done != v:
+            raise ValueError(f"the chunks hold {done} voxels, the grid {v}")
+        f.seek(hs)
+        f.write(labels)
 
 
 def read_grid(path) -> OccupancyGrid:

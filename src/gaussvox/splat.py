@@ -16,11 +16,15 @@ from, a view of the scores.  ``_pair_runs`` writes the other boxes' pairs,
 clipped to x-slabs, in runs of whole gaussians; the forward pass scatters
 them into cache-sized slabs.  A box's C-order is its pair order, and both
 paths add each per-gaussian sum in that order from +0.0, so no result
-depends on a gaussian's path.  The forward pass builds the kernel's float64
-frames per slab and per box run, not for the whole scene, and the index is
-found in chunks, so a splat holds the scene, the index, the scores and little
-else.  ``fit`` keeps one score row per voxel of the boxes, reached through a
-(V,) row map.  Every pass runs on the calling thread.
+depends on a gaussian's path.  The forward pass is one loop over chunks of
+whole x-layers, with every run's boxes clipped to the chunk.  It builds the
+kernel's float64 frames per slab, and once per chunk for the chunk's box-path
+gaussians, not for the whole scene, and the index is found in chunks.
+``splat`` adds the whole grid as one chunk, so it holds the scene, the
+index, the scores and little else; ``splat_chunks``, from which the CLI
+writes its grid file, holds one chunk of scores in place of all of them.
+``fit`` keeps one score row per voxel of the boxes, reached through a (V,)
+row map.  Every pass runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianScene, _rotation_jacobian, quat_to_rotation
+from .core import GaussianScene, _rotation_entries, _rotation_jacobian, quat_to_rotation
 from .errors import CapacityError
-from .grid import GridSpec, OccupancyGrid
+from .grid import GridChunks, GridSpec, OccupancyGrid
 
 DEFAULT_CUTOFF_SIGMA = 3.0
 # The index finds the boxes of this many gaussians at a time.
@@ -238,7 +242,11 @@ def gaussian_frames(means, scales, rotations):
     """
     m = np.asarray(means, dtype=np.float64)
     s = np.asarray(scales, dtype=np.float64)
-    a = np.ascontiguousarray((quat_to_rotation(rotations) / s[:, None, :]).transpose(1, 2, 0))
+    rot = _rotation_entries(rotations)
+    a = np.empty((3, 3, s.shape[0]))
+    for i in range(3):
+        for j in range(3):
+            np.divide(rot[i][j], s[:, j], out=a[i, j])
     return a, m[:, 0] * a[0] + m[:, 1] * a[1] + m[:, 2] * a[2]
 
 
@@ -330,6 +338,10 @@ _SLAB_PAIRS = 1 << 14
 # of a pair run, but about 120 us of fixed cost per gaussian, so both passes
 # broke even on cubic boxes of 1,000-2,000 pairs on 32^3 grids.
 _BOX_PAIRS = 1 << 11
+# A streamed splat adds its scores in chunks of whole x-layers of about
+# _CHUNK_BYTES, each a whole number of slabs.  Narrower chunks cut large
+# boxes into more, smaller blocks, which slows the box path.
+_CHUNK_BYTES = 1 << 23
 
 
 def _gaussian_chunks(starts: np.ndarray):
@@ -346,28 +358,31 @@ def _gaussian_chunks(starts: np.ndarray):
         a = b
 
 
-def _pair_runs(frames_of, index: SplatIndex, g_lo: int, g_hi: int, width: int):
+def _pair_runs(frames_of, index: SplatIndex, g_lo: int, g_hi: int, width: int, x_range=None):
     """Yield the pairs of gaussians [g_lo, g_hi), slab by slab and run by run.
 
-    Each box is clipped to x-slabs of ``width`` layers, and each slab's
-    pairs come in runs of whole gaussians, ascending, of at most
-    ``_SLAB_PAIRS`` pairs.  ``frames_of(ids)`` gives the ``gaussian_frames``
+    Each box is clipped to the x-layers ``x_range = (start, stop)``, by
+    default the whole grid, and to x-slabs of ``width`` layers from
+    ``start``, and each slab's pairs come in runs of whole gaussians,
+    ascending, of at most ``_SLAB_PAIRS`` pairs.  ``frames_of(ids)`` gives the ``gaussian_frames``
     of gaussians ``ids``; it is asked once per slab, for the slab's gaussians
     only.  Each item is ``x0, ids, counts, vox, w, z``:
-    the slab's first x-layer, the run's gaussians, the pair count of each,
-    and per pair its voxel, counted from the slab's first voxel, and the
-    kernel's ``w, z``, in (gaussian, voxel) order.  Pair points come from
-    the per-axis center tables, which have the bits of ``voxel_centers``.
+    the slab's first x-layer, counted from ``start``, the run's gaussians,
+    the pair count of each, and per pair its voxel, counted from the slab's
+    first voxel, and the kernel's ``w, z``, in (gaussian, voxel) order.
+    Pair points come from the per-axis center tables, which have the bits
+    of ``voxel_centers``.
     """
     spec = index.spec
-    x_dim, y_dim, z_dim = spec.dims
+    _, y_dim, z_dim = spec.dims
     cx, cy, cz = spec.axis_centers()
     lo = index.lo[g_lo:g_hi]
     counts = index.counts[g_lo:g_hi]
     x_lo = lo[:, 0]
     x_hi = x_lo + counts[:, 0]
-    for x0 in range(0, x_dim, width):
-        x1 = min(x0 + width, x_dim)
+    start, stop = (0, spec.dims[0]) if x_range is None else x_range
+    for x0 in range(start, stop, width):
+        x1 = min(x0 + width, stop)
         gs = np.flatnonzero((x_lo < x1) & (x_hi > x0))
         if gs.size == 0:
             continue
@@ -391,28 +406,32 @@ def _pair_runs(frames_of, index: SplatIndex, g_lo: int, g_hi: int, width: int):
                 np.repeat(slab[1][:, a:b], per_gaussian, axis=-1),
                 pts,
             )
-            yield x0, ids[a:b], per_gaussian, vox, w, z
+            yield x0 - start, ids[a:b], per_gaussian, vox, w, z
 
 
-def _box_blocks(frame, index: SplatIndex, axes, g: int):
-    """Yield gaussian g's box in blocks of whole x-layers, ascending.
+def _box_blocks(frame, index: SplatIndex, axes, g: int, x_range=None):
+    """Yield gaussian g's box, clipped to the x-layers ``x_range``, in blocks.
 
     ``frame`` is g's ``gaussian_frames``, shaped (3, 3) and (3,), and
-    ``axes`` are the grid's per-axis center tables.  A block is at most
-    ``_SLAB_PAIRS`` pairs and at least one layer.  Each item is the block's
-    (x, y, z) slices of the grid and its ``w, z`` from ``pair_weights``
-    against the broadcast (nx, 1, 1), (1, ny, 1) and (nz,) axis centers.
+    ``axes`` are the grid's per-axis center tables, and ``x_range`` is
+    ``(start, stop)``, by default the whole grid.  Blocks are whole
+    x-layers, ascending, at most ``_SLAB_PAIRS`` pairs and at least one
+    layer.  Each item is the block's (x, y, z) slices of the grid, with x
+    counted from ``start``, and its ``w, z`` from ``pair_weights`` against
+    the broadcast (nx, 1, 1), (1, ny, 1) and (nz,) axis centers.
     """
     cx, cy, cz = axes
     (x_lo, y_lo, z_lo), (nx, ny, nz) = index.lo[g], index.counts[g]
     ys, zs = slice(y_lo, y_lo + ny), slice(z_lo, z_lo + nz)
     pts_y, pts_z = cy[ys, None], cz[zs]
     a, off = frame
+    start, stop = (0, index.spec.dims[0]) if x_range is None else x_range
+    x_end = min(x_lo + nx, stop)
     layers = max(1, _SLAB_PAIRS // (ny * nz))
-    for x0 in range(x_lo, x_lo + nx, layers):
-        x1 = min(x0 + layers, x_lo + nx)
+    for x0 in range(max(x_lo, start), x_end, layers):
+        x1 = min(x0 + layers, x_end)
         w, z = pair_weights(a, off, (cx[x0:x1, None, None], pts_y, pts_z))
-        yield (slice(x0, x1), ys, zs), w, z
+        yield (slice(x0 - start, x1 - start), ys, zs), w, z
 
 
 def _box_sums(frames, index: SplatIndex, axes, d_grid: np.ndarray, sem: np.ndarray, g: int):
@@ -600,19 +619,22 @@ def _accumulate_slabs(
     g_lo: int,
     g_hi: int,
     row_of: np.ndarray | None,
+    x_range,
+    width: int,
 ) -> None:
-    """Add gaussians [g_lo, g_hi) over their boxes, one x-slab at a time.
+    """Add gaussians [g_lo, g_hi) over their boxes in ``x_range``, one x-slab at a time.
 
-    Slabs are whole x-layers of about ``_SLAB_BYTES`` of scores.  Each class
-    of a slab receives a run's float32 products ``w * sem`` through one
-    ``np.add.at``, which applies them in pair order.  Score rows are reached
-    through the ``row_of`` map, and are the slab.
+    ``scores`` start at ``x_range``'s first layer, and slabs are ``width``
+    whole x-layers of them.  Each class of a slab receives a run's float32
+    products ``w * sem`` through one ``np.add.at``, which applies them in
+    pair order.  Score rows are reached through the ``row_of`` map, which
+    also starts at that layer, and are the slab.
     """
     _, y_dim, z_dim = index.spec.dims
     layer = y_dim * z_dim
     c = scores.shape[1]
-    width = max(1, _SLAB_BYTES // (4 * c * layer))
-    for x0, ids, per_gaussian, vox, w, _ in _pair_runs(frames_of, index, g_lo, g_hi, width):
+    for x0, ids, per_gaussian, vox, w, _ in _pair_runs(frames_of, index, g_lo, g_hi, width,
+                                                        x_range):
         slab = scores[x0 * layer : (x0 + width) * layer] if row_of is None else scores
         vox = vox if row_of is None else np.take(row_of[x0 * layer :], vox)
         # float32(sem * w), multiplied in float64 and rounded once into the float32 buffer.
@@ -629,41 +651,73 @@ def _check_dense_bytes(num_voxels: int, bytes_per_voxel: int) -> None:
         raise CapacityError(f"{size:.0f} bytes of dense per-voxel arrays exceed {MAX_SCORE_BYTES}")
 
 
-def _accumulate(scene: GaussianScene, index: SplatIndex, voxels=None) -> np.ndarray:
-    """The (V, C) float32 scores, or one row per voxel of ascending ``voxels``,
-    which must hold every box, added in ascending gaussian order per voxel.
+def _accumulate(scene: GaussianScene, index: SplatIndex, voxels=None, chunk_bytes=None):
+    """Yield the float32 scores chunk by chunk, added in ascending gaussian order per voxel.
 
-    Their size is checked against ``MAX_SCORE_BYTES`` before they exist.
-    Runs go in ascending order.  A box-path gaussian adds ``float32(w *
+    A chunk is the scores of consecutive whole x-layers, about
+    ``chunk_bytes`` of them and a whole number of slabs; ``None`` is one
+    chunk of the whole grid.  The row form, one row per voxel of ascending
+    ``voxels``, which must hold every box, is always one chunk.  Every chunk
+    is the same buffer, cleared for the next one, so a caller uses each
+    before it asks for the next; the caller checks the scores' size against
+    ``MAX_SCORE_BYTES``.  Within a chunk the runs go in ascending order,
+    clipped to the chunk's x-layers.  A box-path gaussian adds ``float32(w *
     sem)`` to each block of its box, one class at a time, through a view of
     the scores or its rows, gathered through the row map; the others take
     the slab loop.  So every voxel gets one float32 add per gaussian, in order.
     """
     c, dims = scene.class_count, index.spec.dims
-    rows = index.num_voxels if voxels is None else voxels.size
-    _check_dense_bytes(rows, 4 * c)
-    scores = np.zeros((rows, c), dtype=np.float32)
+    x_dim, y_dim, z_dim = dims
+    layer = y_dim * z_dim
+    width = max(1, _SLAB_BYTES // (4 * c * layer))
+    layers = x_dim
+    if chunk_bytes is not None:
+        layers = width * max(1, chunk_bytes // (4 * c * layer * width))
+    scores = np.zeros((min(layers, x_dim) * layer if voxels is None else voxels.size, c),
+                      dtype=np.float32)
     axes = index.spec.axis_centers()
     row_of = None if voxels is None else _row_map(voxels, index.num_voxels)
-    grid = scores.reshape(*dims, c) if voxels is None else row_of.reshape(dims)
+    x_lo = index.lo[:, 0]
+    x_hi = x_lo + index.counts[:, 0]
+    runs = _path_runs(index)
+    # Each run's x-layers, so that a chunk skips the runs it does not meet.
+    firsts = [a for a, _, _ in runs]
+    run_lo = np.minimum.reduceat(x_lo, firsts) if runs else []
+    run_hi = np.maximum.reduceat(x_hi, firsts) if runs else []
+    boxes = np.flatnonzero(np.diff(index.gaussian_starts) > _BOX_PAIRS)
 
     def frames_of(ids):
         return gaussian_frames(scene.means[ids], scene.scales[ids], scene.rotations[ids])
 
-    for lo, hi, box in _path_runs(index):
-        if not box:
-            _accumulate_slabs(frames_of, scene.logits, index, scores, lo, hi, row_of)
-            continue
-        a, off = frames_of(slice(lo, hi))
-        for g in range(lo, hi):
-            sem = scene.logits[g].astype(np.float64)
-            for block, w, _ in _box_blocks((a[..., g - lo], off[:, g - lo]), index, axes, g):
-                part = grid[block] if voxels is None else scores[grid[block]]
-                for cls in range(c):
-                    part[..., cls] += (w * sem[cls]).astype(np.float32)
-                if voxels is not None:
-                    scores[grid[block]] = part
-    return scores
+    for x0 in range(0, x_dim, layers):
+        x1 = min(x0 + layers, x_dim)
+        if x0:
+            scores[...] = 0
+        chunk = scores[: (x1 - x0) * layer] if voxels is None else scores
+        if voxels is None:
+            grid, rows = chunk.reshape(x1 - x0, y_dim, z_dim, c), None
+        else:
+            grid, rows = row_of.reshape(dims)[x0:x1], row_of[x0 * layer :]
+        # The frames of the chunk's box-path gaussians, built once.
+        hit = boxes[(x_lo[boxes] < x1) & (x_hi[boxes] > x0)]
+        a, off = frames_of(hit)
+        for (lo, hi, box), first, end in zip(runs, run_lo, run_hi):
+            if first >= x1 or end <= x0:
+                continue
+            if not box:
+                _accumulate_slabs(frames_of, scene.logits, index, chunk, lo, hi, rows, (x0, x1),
+                                  width)
+                continue
+            for k in range(*np.searchsorted(hit, [lo, hi])):
+                g = hit[k]
+                sem = scene.logits[g].astype(np.float64)
+                for block, w, _ in _box_blocks((a[..., k], off[:, k]), index, axes, g, (x0, x1)):
+                    part = grid[block] if voxels is None else chunk[grid[block]]
+                    for cls in range(c):
+                        part[..., cls] += (w * sem[cls]).astype(np.float32)
+                    if voxels is not None:
+                        chunk[grid[block]] = part
+        yield chunk
 
 
 def _argmax_labels(scores: np.ndarray) -> np.ndarray:
@@ -685,6 +739,9 @@ def splat(
     Voxels with no neighboring gaussian keep zero scores and the empty label.
     ``rows`` gives the row form over ``index.covered``, as ``fit`` runs it,
     unless every voxel is covered; the bits are those of the dense form.
+    The scores are added as one chunk of the whole grid, or of every row,
+    by the loop that ``splat_chunks`` runs chunk by chunk, so both give
+    the same bits; their size is checked against ``MAX_SCORE_BYTES`` first.
     A prebuilt ``index`` carries its own cutoff, so it must come alone,
     built for this scene and grid; anything else, a non-default ``threads``
     included, is a ValueError.  ``threads`` changes neither the result nor
@@ -706,10 +763,34 @@ def splat(
         )
     covered = index.covered if rows else None
     voxels = None if covered is None or covered.all() else np.flatnonzero(covered)
-    scores = _accumulate(scene, index, voxels)
+    _check_dense_bytes(spec.num_voxels if voxels is None else voxels.size, 4 * scene.class_count)
+    (scores,) = _accumulate(scene, index, voxels)
     labels = np.zeros(spec.num_voxels, dtype=np.uint8)  # an all-zero row's argmax
     labels[slice(None) if voxels is None else voxels] = _argmax_labels(scores)
     return OccupancyGrid(spec, scene.class_count, labels, scores, voxels)
+
+
+def splat_chunks(
+    scene: GaussianScene,
+    spec: GridSpec,
+    cutoff_sigma: float | None = DEFAULT_CUTOFF_SIGMA,
+    threads: int = 1,
+) -> GridChunks:
+    """``splat``'s dense grid as chunks of whole x-layers, for a writer to store.
+
+    Every check runs before this returns: the class count, the index with
+    its pair cap, and the V * C * 4 bytes of scores against
+    ``MAX_SCORE_BYTES``.  The scores are added as the chunks are read, in
+    one buffer of about ``_CHUNK_BYTES`` that every chunk reuses, so reading
+    them holds the scene, the index and one chunk of scores; the bits are
+    those of ``splat``.
+    """
+    if scene.class_count < 1:
+        raise ValueError("scene must have at least one class")
+    index = build_splat_index(scene, spec, cutoff_sigma, threads=threads)
+    _check_dense_bytes(spec.num_voxels, 4 * scene.class_count)
+    chunks = _accumulate(scene, index, chunk_bytes=_CHUNK_BYTES)
+    return GridChunks(spec, scene.class_count, ((_argmax_labels(s), s) for s in chunks))
 
 
 def splat_oracle(scene: GaussianScene, spec: GridSpec) -> OccupancyGrid:

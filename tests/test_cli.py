@@ -4,11 +4,13 @@ import importlib
 import io
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gaussvox import GaussianScene, GridSpec, read_grid, read_scene, write_scene
+from gaussvox import (GaussianScene, GridSpec, read_grid, read_scene, splat, write_grid,
+                      write_scene)
 from gaussvox import cli
 from gaussvox.cli import GRID_PRESETS, main
 
@@ -454,3 +456,120 @@ def test_bench_peak_uses_timed_thread_count(monkeypatch):
     cli.run_bench([50], spec, cutoff=3.0, class_count=3, s_max=0.3, seed=0,
                   repeats=2, threads=2)
     assert seen == [2, 2, 2]
+
+
+splat_module = importlib.import_module("gaussvox.splat")
+
+
+def _random_scene(rng, count, lo, hi, s_lo, s_hi, classes):
+    rotations = rng.normal(size=(count, 4))
+    return GaussianScene(rng.uniform(lo, hi, (count, 3)), rng.uniform(s_lo, s_hi, (count, 3)),
+                         rotations / np.linalg.norm(rotations, axis=1, keepdims=True),
+                         rng.random((count, classes)))
+
+
+SMALL_FLAGS = ["--dims", "40,24,16", "--origin", "0,0,0", "--cell", "0.4,0.4,0.4"]
+SMALL_BOX = ((-1, -1, -1), (17, 10.6, 7.4))
+# name: scene, grid flags, splat flags, layers per slab and per chunk.
+STREAM_CASES = {
+    "kitti360": (lambda rng: _random_scene(rng, 300, (0, -25.6, -2), (51.2, 25.6, 4.4),
+                                           0.02, 1.2, 2),
+                 ["--preset", "kitti360"], [], 2, 16),
+    # Box-path and pair-path runs alternate, and boxes cross chunk edges.
+    "mixed": (lambda rng: _random_scene(rng, 3000, *SMALL_BOX, 0.02, 1.2, 18), SMALL_FLAGS, [],
+              2, 4),
+    "exact": (lambda rng: _random_scene(rng, 30, 0, 4, 0.1, 0.6, 4), GRID_FLAGS, ["--exact"],
+              1, 1),
+    "labels-only": (lambda rng: _random_scene(rng, 300, *SMALL_BOX, 0.02, 1.2, 5),
+                    SMALL_FLAGS, ["--labels-only"], 1, 3),
+    "exact-labels-only": (lambda rng: _random_scene(rng, 30, 0, 4, 0.1, 0.6, 4), GRID_FLAGS,
+                          ["--exact", "--labels-only"], 1, 1),
+    "one-class": (lambda rng: _random_scene(rng, 300, *SMALL_BOX, 0.02, 1.2, 1),
+                  SMALL_FLAGS, [], 1, 3),
+    "all-miss": (lambda rng: _random_scene(rng, 50, 20, 30, 0.1, 1.0, 3), SMALL_FLAGS, [], 1, 3),
+}
+
+
+@pytest.mark.parametrize("case", list(STREAM_CASES))
+def test_streamed_splat_file_matches_the_grid_writer(tmp_path, monkeypatch, case):
+    # The CLI writes its grid chunk by chunk; the file has the bytes of
+    # write_grid(splat(...)), which adds the whole grid as one chunk.
+    make, grid_flags, flags, slab_layers, chunk_layers = STREAM_CASES[case]
+    scene_path = tmp_path / "scene.sgau"
+    write_scene(make(np.random.default_rng(81)), scene_path)
+    scene = read_scene(scene_path)
+    spec = cli._grid_spec(cli.build_parser().parse_args(
+        ["splat", "--scene", "s", *grid_flags, "--out", "o"]))
+    cutoff = None if "--exact" in flags else 3.0
+    expected = splat(scene, spec, cutoff)
+    if "--labels-only" in flags:
+        expected.scores = None
+    write_grid(expected, tmp_path / "expected.svox")
+
+    if case == "mixed":
+        runs = splat_module._path_runs(splat_module.build_splat_index(scene, spec, 3.0))
+        assert sum(box for *_, box in runs) >= 400 and sum(not box for *_, box in runs) >= 400
+
+    layer_bytes = 4 * scene.class_count * spec.dims[1] * spec.dims[2]
+    monkeypatch.setattr(splat_module, "_SLAB_BYTES", slab_layers * layer_bytes)
+    monkeypatch.setattr(splat_module, "_CHUNK_BYTES", chunk_layers * layer_bytes)
+    chunks = []
+    real = splat_module._argmax_labels
+    monkeypatch.setattr(splat_module, "_argmax_labels",
+                        lambda scores: chunks.append(len(scores)) or real(scores))
+    out = tmp_path / "out.svox"
+    code, _ = run(["splat", "--scene", str(scene_path), *grid_flags, *flags, "--out", str(out)])
+    assert code == 0
+    assert len(chunks) == -(-spec.dims[0] // chunk_layers) >= 8
+    assert out.read_bytes() == (tmp_path / "expected.svox").read_bytes()
+
+
+def test_streamed_splat_holds_no_dense_scores(tmp_path, monkeypatch):
+    # 64x64x16 voxels of 18 classes are 4.7 MB of float32 scores, added in
+    # 10 chunks of 7 layers; runs of at most 1,024 pairs keep the pair
+    # arrays small.  The CLI's traced peak stays below half of the scores.
+    # Measured: 1.4 MB, against 5.8 MB when the scores are splatted whole.
+    monkeypatch.setattr(splat_module, "_SLAB_BYTES", 1 << 17)
+    monkeypatch.setattr(splat_module, "_CHUNK_BYTES", 1 << 19)
+    monkeypatch.setattr(splat_module, "_SLAB_PAIRS", 1 << 10)
+    scene_path = tmp_path / "scene.sgau"
+    write_scene(_random_scene(np.random.default_rng(82), 2000, 0, (12.8, 12.8, 3.2),
+                              0.05, 0.3, 18), scene_path)
+    dense = 64 * 64 * 16 * 18 * 4
+    tracemalloc.start()
+    try:
+        code, _ = run(["splat", "--scene", str(scene_path), "--dims", "64,64,16",
+                       "--origin", "0,0,0", "--cell", "0.2,0.2,0.2",
+                       "--out", str(tmp_path / "g.svox")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < dense / 2, peak
+
+
+def test_stream_failing_part_way_leaves_the_old_file(small_scene, tmp_path, monkeypatch,
+                                                     capsys):
+    # One-layer chunks; the second chunk's labels raise, as a full disk
+    # would, once the first chunk has gone to the temporary file.
+    monkeypatch.setattr(splat_module, "_SLAB_BYTES", 1)
+    monkeypatch.setattr(splat_module, "_CHUNK_BYTES", 1)
+    real = splat_module._argmax_labels
+    chunks = []
+
+    def failing(scores):
+        chunks.append(len(scores))
+        if len(chunks) == 2:
+            raise OSError("no space left on device")
+        return real(scores)
+
+    monkeypatch.setattr(splat_module, "_argmax_labels", failing)
+    out = tmp_path / "g.svox"
+    out.write_bytes(b"the previous grid")
+    code, _ = run(["splat", "--scene", str(small_scene), *GRID_FLAGS, "--out", str(out)])
+    assert code == 2
+    assert "no space" in capsys.readouterr().err
+    # The first chunk, one 8x8 layer, went to the writer before the second failed.
+    assert chunks == [64, 64]
+    assert out.read_bytes() == b"the previous grid"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.svox", "scene.sgau"]

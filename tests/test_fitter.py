@@ -456,6 +456,38 @@ def test_iteration_memory_grows_by_no_dense_scores():
     assert traced_growth(lambda *case: case, iteration) <= 24
 
 
+def test_fit_holds_no_iteration_into_the_next(monkeypatch):
+    # 300 gaussians of 18 classes cover most of the first 32x32x16 voxels of
+    # a 64x64x16 grid.  Runs of at most 256 pairs keep the backward pass
+    # small, so the loss's two float64 row buffers set the peak.  Three
+    # iterations may peak above one by 4 bytes per voxel, for the previous
+    # labels and the like; measured: 2.1.  Holding the loss's gradient rows
+    # into the next iteration's loss added 32.
+    monkeypatch.setattr(splat_module, "_SLAB_PAIRS", 256)
+    rng = np.random.default_rng(74)
+    count, classes = 300, 18
+    rotations = rng.normal(size=(count, 4))
+    scene = GaussianScene(
+        rng.uniform((0.5, 0.5, 0.5), (7.5, 7.5, 3.5), (count, 3)).astype(np.float32),
+        np.full((count, 3), 0.2, dtype=np.float32),
+        (rotations / np.linalg.norm(rotations, axis=1, keepdims=True)).astype(np.float32),
+        rng.dirichlet(np.ones(classes), count).astype(np.float32))
+    spec = GridSpec((0.0, 0.0, 0.0), (0.25, 0.25, 0.25), (64, 64, 16))
+    labels = np.zeros(spec.dims, dtype=np.uint8)
+    labels[:32, :32] = rng.integers(0, classes, (32, 32, 16))
+    truth = OccupancyGrid(spec, classes, labels.ravel())
+    peaks = []
+    for iterations in (1, 3):
+        config = FitConfig(iterations=iterations, s_min=0.05, s_max=0.6, cutoff_sigma=3.0)
+        tracemalloc.start()
+        try:
+            fit(scene, truth, config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 4 * spec.num_voxels, peaks
+
+
 @pytest.mark.parametrize("slab_pairs", [7, 300])
 @pytest.mark.parametrize("case", list(ROW_CASES))
 def test_row_splat_matches_dense_splat(monkeypatch, case, slab_pairs):

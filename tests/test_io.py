@@ -313,6 +313,9 @@ class _FailingFile:
             raise OSError("no space left on device")
         return self.f.write(data)
 
+    def seek(self, offset):
+        return self.f.seek(offset)
+
     def __enter__(self):
         return self
 
