@@ -299,16 +299,15 @@ def fit(
     the calling thread, so it changes neither the result nor the speed.
     Each iteration splats into float32 score rows, one per voxel in the
     index's boxes, ``index.covered``; the loss runs over them, and the
-    backward pass reads the loss's gradient rows.  The score rows, the
-    loss's two float64 buffers and a float64 score gradient grid, which only
-    box-path gaussians over a partly covered grid need, are checked against
-    ``MAX_SCORE_BYTES`` at one row per voxel before the first of them exists.
+    backward pass reads the loss's gradient rows.  The score rows and the
+    loss's two float64 buffers are checked against ``MAX_SCORE_BYTES`` at
+    one row per voxel before the first of them exists.
     Only the parameters and the AdamW moments live from one iteration into
     the next: the score rows are dropped after the loss, the gradient rows
     after the backward pass, and the gradients, the scene and the index
     after the step.
     """
-    _check_dense_bytes(truth.spec.num_voxels, (4 + 2 * 8 + 8) * truth.class_count)
+    _check_dense_bytes(truth.spec.num_voxels, (4 + 2 * 8) * truth.class_count)
     if np.count_nonzero(truth.labels != IGNORE_LABEL) == 0:
         raise ValueError("truth grid has no non-ignore voxel")
     if isinstance(initial, SceneInit):

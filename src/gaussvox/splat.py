@@ -3,7 +3,8 @@
 The fast path embeds each Gaussian into the grid as the box of voxels
 inside its cutoff neighborhood, and accumulates per-voxel semantic scores
 from the neighboring Gaussians only.  ``splat_oracle`` is the exact
-O(voxels * P) reference and shares no accumulation code with it.  One
+O(voxels * P) reference, a plain loop over the gaussians and every voxel
+center that shares only the frames and the kernel with it.  One
 elementwise kernel, ``pair_weights``, computes every pair weight, so a pair
 has the same bits in every path, the backward pass included.
 
@@ -23,8 +24,8 @@ gaussians, not for the whole scene, and the index is found in chunks.
 ``splat`` adds the whole grid as one chunk, so it holds the scene, the
 index, the scores and little else; ``splat_chunks``, from which the CLI
 writes its grid file, holds one chunk of scores in place of all of them.
-``fit`` keeps one score row per voxel of the boxes, reached through a (V,)
-row map.  Every pass runs on the calling thread.
+``fit`` keeps one score row and one gradient row per voxel of the boxes,
+both reached through a (V,) row map.  Every pass runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -256,10 +257,9 @@ def pair_weights(a: np.ndarray, off: np.ndarray, pts: np.ndarray):
     ``a`` (3, 3, ...) and ``off`` (3, ...) come from ``gaussian_frames``,
     ``pts`` holds the x, y and z coordinates of voxel centers, as a (3, ...)
     array or as three arrays; the trailing axes broadcast.  A pair list
-    passes equal trailing shapes, a tile of k gaussians by n voxels passes
-    (k, 1) geometry against (n,) points, and a block of one gaussian's box
-    passes (3, 3) geometry against (nx, 1, 1), (1, ny, 1) and (nz,) axis
-    coordinates.
+    passes equal trailing shapes, the oracle passes one gaussian's (3, 3)
+    geometry against (V,) points, and a block of one gaussian's box passes
+    it against (nx, 1, 1), (1, ny, 1) and (nz,) axis coordinates.
 
     Returns ``w = exp(-|z|^2 / 2)`` and ``z = R^T (p - m) / s``, computed as
     ``p . a - off``, shaped (...) and (3, ...).  Only elementwise ufuncs are
@@ -434,21 +434,25 @@ def _box_blocks(frame, index: SplatIndex, axes, g: int, x_range=None):
         yield (slice(x0 - start, x1 - start), ys, zs), w, z
 
 
-def _box_sums(frames, index: SplatIndex, axes, d_grid: np.ndarray, sem: np.ndarray, g: int):
+def _box_sums(frames, index: SplatIndex, axes, d_scores: np.ndarray, row_grid, sem: np.ndarray,
+              g: int):
     """Gaussian g's ``s_z`` (3,), ``s_zz`` (3, 3) and ``d_sem`` (C,), read from its box.
 
-    ``d_grid`` is the (X, Y, Z, C) view of the score cotangents and ``sem``
-    the gaussian's C semantics.  Each sum is added sequentially in pair
+    ``d_scores`` holds the score cotangent rows and ``sem`` the gaussian's C
+    semantics.  ``row_grid`` is the (X, Y, Z) view of the row map, through
+    which each block gathers its rows, or None when row v is voxel v and a
+    block is a view of the rows.  Each sum is added sequentially in pair
     order from +0.0, carried across blocks, so it has the bits of the pair
     path's ``np.bincount`` sums.
     """
     c = sem.size
+    d_grid = d_scores.reshape(*index.spec.dims, c) if row_grid is None else None
     # One row per sum: c z (3), c z_i z_j for i <= j (6), w * d_score (C).
     upper = np.triu_indices(3)
     sums = np.zeros(9 + c)
     terms = None
     for block, w, z in _box_blocks((frames[0][..., g], frames[1][:, g]), index, axes, g):
-        gup = d_grid[block]
+        gup = d_grid[block] if row_grid is None else d_scores[row_grid[block]]
         d_w = gup[..., 0] * sem[0]
         for cls in range(1, c):
             d_w += gup[..., cls] * sem[cls]
@@ -496,10 +500,10 @@ def _pair_moments(frames, index: SplatIndex, d_scores: np.ndarray, sem: np.ndarr
     voxel v.  Returns ``s_z`` (P, 3) and ``s_zz`` (P, 3, 3), the moments
     that ``pair_weights_vjp`` defines, and ``d_sem`` (P, C), the sum of
     ``w * d_scores`` over each gaussian's pairs.  Box runs are read by
-    ``_box_sums`` from a (V, C) grid: the rows themselves when ``voxels``
-    is None, else one built at the first box run.  In the others each
-    gaussian's pairs lie in one run, read class-major through a (V,) row
-    map and summed by ``np.bincount`` in pair order.
+    ``_box_sums`` in blocks, each gathered through the (V,) row map; when
+    ``voxels`` is None a block is a view of the rows.  In the others each
+    gaussian's pairs lie in one run, read class-major through the row map
+    and summed by ``np.bincount`` in pair order.
     """
     p, c = sem.shape
     dims, v = index.spec.dims, index.num_voxels
@@ -508,18 +512,16 @@ def _pair_moments(frames, index: SplatIndex, d_scores: np.ndarray, sem: np.ndarr
     d_sem = np.zeros((p, c))
     axes = index.spec.axis_centers()
     row_of = None if voxels is None else _row_map(voxels, v)
-    d_grid = None
+    row_grid = None if voxels is None else row_of.reshape(dims)
 
     def take(ids):
         return frames[0][..., ids], frames[1][:, ids]
 
     for lo, hi, box in _path_runs(index):
         if box:
-            if d_grid is None:
-                dense = d_scores if voxels is None else np.take(d_scores, row_of, axis=0)
-                d_grid = dense.reshape(*dims, c)
             for g in range(lo, hi):
-                s_z[g], s_zz[g], d_sem[g] = _box_sums(frames, index, axes, d_grid, sem[g], g)
+                s_z[g], s_zz[g], d_sem[g] = _box_sums(frames, index, axes, d_scores, row_grid,
+                                                      sem[g], g)
             continue
         # Each run is its own whole-grid slab, so only its frames are gathered.
         runs = (item for a, b in _gaussian_chunks(index.gaussian_starts[lo : hi + 1])
@@ -538,77 +540,6 @@ def _pair_moments(frames, index: SplatIndex, d_scores: np.ndarray, sem: np.ndarr
             for cls in range(c):
                 d_sem[ids, cls] = np.bincount(g, w * gup[cls], minlength=k)
     return s_z, s_zz, d_sem
-
-
-# The full-grid accumulator steps through (gaussian tile, voxel block) pairs
-# of about _FULL_GRID_STEP weights: 4 gaussians by 8192 voxels, or wider
-# blocks for shorter runs.  Short tiles give the kernel long runs of voxels
-# per ufunc loop, which measured fastest.  Its buffers hold one step, so
-# they do not grow with the number of gaussians.
-_FULL_GRID_TILE = 4
-_FULL_GRID_STEP = 1 << 15
-
-
-def _add_rows_in_order(rows: np.ndarray, out: np.ndarray) -> None:
-    """out = (rows[0] + rows[1]) + rows[2] + ..., one row after another."""
-    if rows.shape[1] > 1:
-        # Reducing the outer axis adds whole rows in sequence; numpy sums
-        # pairwise only along the inner loop axis.
-        np.add.reduce(rows, axis=0, out=out)
-    else:
-        # A single column would make the row axis the inner loop.
-        out[:] = rows[0]
-        for row in rows[1:]:
-            out += row
-
-
-def _accumulate_full_grid(
-    frames,
-    logits: np.ndarray,
-    pts: np.ndarray,
-    scores: np.ndarray,
-    g_lo: int,
-    g_hi: int,
-) -> None:
-    """Add gaussians [g_lo, g_hi) over every voxel, ascending index per voxel.
-
-    ``frames`` come from ``gaussian_frames`` and ``pts`` holds the voxel
-    centers, shaped (3, V).  Gaussians are cut into tiles of
-    ``_FULL_GRID_TILE`` and voxels into near-equal blocks of about
-    ``_FULL_GRID_STEP / tile`` voxels.  For one tile and block the float64
-    weights are held gaussian-major, one row per gaussian.  For each class
-    the products ``w * sem`` are cast to float32, the block's running
-    scores are added to row 0, and the rows are then added one after another
-    into the scores.  Tiles run in ascending order and each starts from the
-    sums the previous one left, so every voxel receives exactly the float32
-    adds ``scores += float32(w_g * sem_g)`` for g ascending, as a plain
-    per-gaussian loop would; neither block nor tile size changes a bit.
-    """
-    v = pts.shape[1]
-    k_max = min(_FULL_GRID_TILE, g_hi - g_lo)
-    # Blocks have at most ceil(STEP / k) voxels, so a step fits STEP + k weights.
-    size = min(k_max * v, _FULL_GRID_STEP + k_max)
-    prod_buf = np.empty(size)
-    part_buf = np.empty(size, dtype=np.float32)
-    for a in range(g_lo, g_hi, _FULL_GRID_TILE):
-        b = min(a + _FULL_GRID_TILE, g_hi)
-        k = b - a
-        blocks = -(-v * k // _FULL_GRID_STEP)
-        bounds = [v * i // blocks for i in range(blocks + 1)]
-        tile_a = frames[0][..., a:b, None]
-        tile_off = frames[1][:, a:b, None]
-        sems = logits[a:b].astype(np.float64)
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            n = hi - lo
-            w, _ = pair_weights(tile_a, tile_off, pts[:, lo:hi])
-            prod = prod_buf[: k * n].reshape(k, n)
-            part = part_buf[: k * n].reshape(k, n)
-            for c in range(scores.shape[1]):
-                np.multiply(w, sems[:, c : c + 1], out=prod)
-                part[...] = prod
-                col = scores[lo:hi, c]
-                part[0] += col
-                _add_rows_in_order(part, col)
 
 
 def _accumulate_slabs(
@@ -793,19 +724,37 @@ def splat_chunks(
     return GridChunks(spec, scene.class_count, ((_argmax_labels(s), s) for s in chunks))
 
 
+def _add_gaussians_in_order(frames, logits: np.ndarray, pts: np.ndarray,
+                            scores: np.ndarray) -> None:
+    """Add every gaussian to every voxel, one gaussian at a time, ascending.
+
+    ``frames`` come from ``gaussian_frames``, ``pts`` holds the (3, V) voxel
+    centers and ``scores`` the (V, C) float32 sums.  Each voxel receives one
+    float32 add of ``float32(w * sem)`` per gaussian and class, in the order
+    that the contract fixes.
+    """
+    a, off = frames
+    for g in range(logits.shape[0]):
+        w, _ = pair_weights(a[..., g], off[:, g], pts)
+        sem = logits[g].astype(np.float64)
+        for c in range(scores.shape[1]):
+            scores[:, c] += (w * sem[c]).astype(np.float32)
+
+
 def splat_oracle(scene: GaussianScene, spec: GridSpec) -> OccupancyGrid:
     """Exact brute-force splat: every voxel sums every gaussian.
 
     O(voxels * P); intended for small instances and as the correctness
-    reference for the fast path's box and pair runs alike, whose code it
-    does not share.  The float32 scores and the
-    float64 voxel centers, built and then transposed, are checked against
-    ``MAX_SCORE_BYTES`` before they exist.
+    reference for the fast path's box and pair runs alike.  It shares only
+    ``gaussian_frames`` and ``pair_weights`` with them, and its points are
+    ``voxel_centers``, copied coordinate-major.  The float32 scores, both
+    center arrays and the loop's float64 per-voxel buffers, 52 bytes for
+    the kernel's z, w and scratch row, a product and its float32 cast, are
+    checked against ``MAX_SCORE_BYTES`` before they exist.
     """
-    _check_dense_bytes(spec.num_voxels, 4 * scene.class_count + 2 * 24)
+    _check_dense_bytes(spec.num_voxels, 4 * scene.class_count + 2 * 24 + 52)
     pts = np.ascontiguousarray(spec.voxel_centers().T)
     scores = np.zeros((spec.num_voxels, scene.class_count), dtype=np.float32)
     frames = gaussian_frames(scene.means, scene.scales, scene.rotations)
-    _accumulate_full_grid(frames, scene.logits, pts, scores, 0, len(scene))
+    _add_gaussians_in_order(frames, scene.logits, pts, scores)
     return OccupancyGrid(spec, scene.class_count, _argmax_labels(scores), scores)
-

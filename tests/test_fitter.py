@@ -360,9 +360,9 @@ def test_backward_reads_loss_rows_as_the_dense_gradient(monkeypatch, case, slab_
     # The loss's rows, one per covered non-ignored voxel, and the dense
     # gradient they stand for give the same bits.  Octant is exact mode:
     # every gaussian takes the box path and every voxel has a row, so the
-    # loss hands over its rows as the grid.  The partly covered case builds
-    # its grid at the first box run.  The patched pair caps cut the runs
-    # and the blocks.
+    # loss hands over its rows as the grid.  The partly covered case's box
+    # blocks gather their rows through the row map.  The patched pair caps
+    # cut the runs and the blocks.
     make, cutoff = ROW_CASES[case]
     scene, truth = make()
     spec = truth.spec
@@ -443,6 +443,26 @@ def test_loss_and_backward_memory_grows_by_no_dense_gradient():
     assert traced_growth(splatted, loss_and_backward) <= 16
 
 
+def test_box_path_backward_memory_grows_by_no_dense_gradient(monkeypatch):
+    # Every gaussian takes the box path, and no box reaches the padding, so
+    # the gradient comes as rows.  The padding may add the backward pass's
+    # row map, 8 bytes per voxel, and at most 8 more, but not a dense
+    # float64 gradient of 8 * 6 bytes per voxel gathered for the boxes.
+    # Measured: 5.4; with the dense gradient, 55.8.
+    monkeypatch.setattr(splat_module, "_BOX_PAIRS", 0)
+
+    def lossed(params, activated, spec, truth):
+        index = build_splat_index(activated, spec, 3.0)
+        lb = voxel_losses(splat(activated, spec, index=index, rows=True), truth)
+        assert lb.voxels is not None
+        return params, index, spec, lb
+
+    def backward(params, index, spec, lb):
+        backward_splat(params, index, spec, lb.d_scores, S_MIN, S_MAX, lb.voxels)
+
+    assert traced_growth(lossed, backward) <= 16
+
+
 def test_iteration_memory_grows_by_no_dense_scores():
     # Index, splat, loss and backward as fit runs them.  The padding may add
     # the index's per-voxel box counts while the covered mask is found, the
@@ -515,9 +535,8 @@ def test_row_splat_matches_dense_splat(monkeypatch, case, slab_pairs):
 
 
 def test_fit_checks_its_per_voxel_arrays_before_the_first(monkeypatch):
-    # Float32 score rows 4C, the loss's two float64 buffers 16C and the
-    # backward pass's float64 box grid 8C: 28C bytes per voxel, checked
-    # before the first splat.
+    # Float32 score rows 4C and the loss's two float64 buffers 16C: 20C
+    # bytes per voxel, checked before the first splat.
     rng = np.random.default_rng(74)
     truth = random_truth(rng, SPEC8, 3)
     splats = []
@@ -525,7 +544,7 @@ def test_fit_checks_its_per_voxel_arrays_before_the_first(monkeypatch):
     real_splat = fitter_module.splat
     monkeypatch.setattr(fitter_module, "splat",
                         lambda *args, **kwargs: splats.append(1) or real_splat(*args, **kwargs))
-    bound = SPEC8.num_voxels * 28 * 3
+    bound = SPEC8.num_voxels * 20 * 3
     monkeypatch.setattr(splat_module, "MAX_SCORE_BYTES", bound - 1)
     with pytest.raises(CapacityError):
         fit(SceneInit("uniform", 4), truth, FitConfig(iterations=1))

@@ -22,7 +22,7 @@ from gaussvox import (
     splat_oracle,
 )
 from gaussvox.splat import (
-    _accumulate_full_grid,
+    _add_gaussians_in_order,
     _scene_radii,
     gaussian_frames,
     pair_weights,
@@ -214,15 +214,16 @@ def _no_voxel_centers(self):
 
 
 def test_oracle_checks_dense_bytes_before_allocation(monkeypatch):
-    # SPEC8's 512 voxels hold 3 float32 classes and two (V, 3) float64
-    # center arrays, 512 * 60 = 30720 bytes.
+    # SPEC8's 512 voxels hold 3 float32 classes, two (V, 3) float64 center
+    # arrays and the loop's 52 bytes of float64 buffers and float32 cast,
+    # 512 * 112 = 57344 bytes.
     scene = random_scene(np.random.default_rng(40), 5)
-    monkeypatch.setattr(splat_module, "MAX_SCORE_BYTES", 30720)
+    monkeypatch.setattr(splat_module, "MAX_SCORE_BYTES", 57344)
     assert splat_oracle(scene, SPEC8).scores.any()
 
-    monkeypatch.setattr(splat_module, "MAX_SCORE_BYTES", 30719)
+    monkeypatch.setattr(splat_module, "MAX_SCORE_BYTES", 57343)
     monkeypatch.setattr(GridSpec, "voxel_centers", _no_voxel_centers)
-    with pytest.raises(CapacityError, match="30720 bytes"):
+    with pytest.raises(CapacityError, match="57344 bytes"):
         splat_oracle(scene, SPEC8)
 
 
@@ -375,7 +376,7 @@ def test_pair_weight_bits_do_not_depend_on_the_batch():
     frames = frames_of(scene)
     a, off = frames
     pts = np.ascontiguousarray(SPEC8.voxel_centers().T)
-    # Every pair inside one full-grid tile, gaussian-major.
+    # Every pair in one (gaussian, voxel) block, gaussian-major.
     tile, _ = pair_weights(a[..., None], off[..., None], pts)
     # Every pair as one pair list, (gaussian, voxel) order.
     index = build_splat_index(scene, SPEC8, None)
@@ -496,21 +497,21 @@ def test_forward_box_path_keeps_the_add_order(monkeypatch):
     assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
 
 
-def _no_full_grid(*args, **kwargs):
-    raise AssertionError("_accumulate_full_grid called")
+def _no_oracle_loop(*args, **kwargs):
+    raise AssertionError("_add_gaussians_in_order called")
 
 
 def test_exact_and_covering_splats_do_not_take_the_oracle_path(monkeypatch):
     # Criterion 1 compares exact mode with the oracle, so exact mode, and a
     # 3-sigma splat whose covering gaussians interleave with small ones, must
-    # not reach the oracle's accumulator or build the voxel centers.
+    # not reach the oracle's loop or build the voxel centers.
     scene = mixed_scene(np.random.default_rng(44), 40, 6)
     index = build_splat_index(scene, SPEC16, 3.0)
     assert np.sum(np.diff(index.gaussian_starts) == SPEC16.num_voxels) == 6
     oracle = splat_oracle(scene, SPEC16).scores
     sparse = splat(scene, SPEC16, 3.0).scores
 
-    monkeypatch.setattr(splat_module, "_accumulate_full_grid", _no_full_grid)
+    monkeypatch.setattr(splat_module, "_add_gaussians_in_order", _no_oracle_loop)
     monkeypatch.setattr(GridSpec, "voxel_centers", _no_voxel_centers)
     exact = splat(scene, SPEC16, cutoff_sigma=None).scores
     assert np.array_equal(exact.view(np.uint32), oracle.view(np.uint32))
@@ -518,43 +519,54 @@ def test_exact_and_covering_splats_do_not_take_the_oracle_path(monkeypatch):
                           sparse.view(np.uint32))
 
 
-def _add_one_gaussian_at_a_time(scene, centers, scores, g_lo, g_hi):
+def _add_one_gaussian_at_a_time(scene, centers, scores):
     # The accumulation order contract as a plain loop: one float32 add of
     # float32(w * sem) per gaussian, in ascending index.
     frames = frames_of(scene)
-    for g in range(g_lo, g_hi):
+    for g in range(len(scene)):
         w = kernel_weights(frames, g, centers)
         sem = scene.logits[g].astype(np.float64)
         scores += (w[:, None] * sem).astype(np.float32)
 
 
+def _fast_path_called(*args, **kwargs):
+    raise AssertionError("the fast path was called")
+
+
+def test_oracle_shares_no_code_with_the_fast_path(monkeypatch):
+    # The oracle is the reference that exact mode and the cutoff are checked
+    # against, so it may share the frames and the kernel with the fast path
+    # but not its index, boxes, pair runs, accumulator or axis tables.
+    scene = mixed_scene(np.random.default_rng(45), 40, 6)
+    expected = np.zeros((SPEC16.num_voxels, scene.class_count), dtype=np.float32)
+    _add_one_gaussian_at_a_time(scene, SPEC16.voxel_centers(), expected)
+    for name in ("_accumulate", "_pair_runs", "_box_blocks", "build_splat_index"):
+        monkeypatch.setattr(splat_module, name, _fast_path_called)
+    monkeypatch.setattr(GridSpec, "axis_centers", _fast_path_called)
+    got = splat_oracle(scene, SPEC16).scores
+    assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
+
+
 @pytest.mark.parametrize(
-    "count, classes, dims, g_range, nonzero_start",
+    "count, classes, dims",
     [
-        (150, 3, (8, 8, 16), None, False),  # whole call, several tiles and blocks
-        (150, 3, (8, 8, 16), (37, 141), True),  # sub-range on top of earlier sums
-        (90, 1, (8, 8, 8), None, False),
-        (90, 7, (8, 8, 8), None, False),
-        (150, 4, (9, 10, 11), None, False),  # 990 voxels, not a block multiple
-        (100, 2, (1, 1, 1), (5, 95), True),  # one-voxel grid
+        (150, 3, (8, 8, 16)),
+        (90, 1, (8, 8, 8)),
+        (90, 7, (8, 8, 8)),
+        (150, 4, (9, 10, 11)),  # 990 voxels
+        (100, 2, (1, 1, 1)),  # one-voxel grid
     ],
 )
-def test_full_grid_adds_in_ascending_gaussian_order(
-    count, classes, dims, g_range, nonzero_start
-):
+def test_full_grid_adds_in_ascending_gaussian_order(count, classes, dims):
     rng = np.random.default_rng(22)
     scene = random_scene(rng, count, class_count=classes, s_lo=0.5, s_hi=2.0)
     spec = GridSpec((-2.0, -2.0, -2.0), (0.5, 0.5, 0.5), dims)
     centers = spec.voxel_centers()
-    g_lo, g_hi = g_range or (0, count)
-    start = np.zeros((spec.num_voxels, classes), dtype=np.float32)
-    if nonzero_start:
-        start += rng.random(start.shape).astype(np.float32) * 10
-    expected = start.copy()
-    _add_one_gaussian_at_a_time(scene, centers, expected, g_lo, g_hi)
-    got = start.copy()
+    expected = np.zeros((spec.num_voxels, classes), dtype=np.float32)
+    _add_one_gaussian_at_a_time(scene, centers, expected)
+    got = np.zeros_like(expected)
     pts = np.ascontiguousarray(centers.T)
-    _accumulate_full_grid(frames_of(scene), scene.logits, pts, got, g_lo, g_hi)
+    _add_gaussians_in_order(frames_of(scene), scene.logits, pts, got)
     assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
 
 
@@ -569,7 +581,7 @@ def test_full_grid_memory_does_not_grow_with_gaussians():
         scores = np.zeros((spec.num_voxels, scene.class_count), dtype=np.float32)
         tracemalloc.start()
         try:
-            _accumulate_full_grid(frames, scene.logits, pts, scores, 0, count)
+            _add_gaussians_in_order(frames, scene.logits, pts, scores)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
