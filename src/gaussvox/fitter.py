@@ -19,7 +19,7 @@ import numpy as np
 from .core import GaussianScene, sigmoid, softmax
 from .errors import DivergenceError, UndefinedMetricError
 from .grid import IGNORE_LABEL, GridSpec, OccupancyGrid
-from .losses import voxel_losses
+from .losses import _ROW_BYTES, voxel_losses
 from .metrics import confusion, miou, scene_completion_iou
 from .splat import (
     SplatIndex,
@@ -185,13 +185,16 @@ def backward_splat(
     Either way every per-gaussian sum is added in pair order from +0.0, so
     the result depends neither on the path nor on the run or block size.
     The rotation gradient is projected onto the unit-quaternion tangent.
+    The frames are dropped once the moments are summed, and ``frames_vjp``
+    takes the gaussians in blocks, so beyond one run's or one block's
+    scratch the pass holds per-gaussian parameters, moments and gradients.
     """
     span = s_max - s_min
     sig = sigmoid(params.raw_scales)
     sem = softmax(params.raw_logits, axis=1)
     scales = s_min + sig * span
-    frames = gaussian_frames(params.means, scales, params.rotations)
-    s_z, s_zz, d_sem = _pair_moments(frames, index, d_scores, sem, voxels)
+    s_z, s_zz, d_sem = _pair_moments(gaussian_frames(params.means, scales, params.rotations),
+                                      index, d_scores, sem, voxels)
     d_mean, d_scale, d_quat = frames_vjp(scales, params.rotations, s_z, s_zz)
     return {
         "means": d_mean,
@@ -299,15 +302,16 @@ def fit(
     the calling thread, so it changes neither the result nor the speed.
     Each iteration splats into float32 score rows, one per voxel in the
     index's boxes, ``index.covered``; the loss runs over them, and the
-    backward pass reads the loss's gradient rows.  The score rows and the
-    loss's two float64 buffers are checked against ``MAX_SCORE_BYTES`` at
+    backward pass reads the loss's gradient rows.  The score rows, the
+    loss's one float64 buffer and its per-row arrays, ``4 C + 8 C +
+    _ROW_BYTES`` bytes per row, are checked against ``MAX_SCORE_BYTES`` at
     one row per voxel before the first of them exists.
     Only the parameters and the AdamW moments live from one iteration into
-    the next: the score rows are dropped after the loss, the gradient rows
-    after the backward pass, and the gradients, the scene and the index
-    after the step.
+    the next: the scene is dropped after the splat, the score rows after
+    the loss, the gradient rows after the backward pass, and the gradients
+    and the index after the step.
     """
-    _check_dense_bytes(truth.spec.num_voxels, (4 + 2 * 8) * truth.class_count)
+    _check_dense_bytes(truth.spec.num_voxels, (4 + 8) * truth.class_count + _ROW_BYTES)
     if np.count_nonzero(truth.labels != IGNORE_LABEL) == 0:
         raise ValueError("truth grid has no non-ignore voxel")
     if isinstance(initial, SceneInit):
@@ -327,6 +331,7 @@ def fit(
         scene = params.activate(config.s_min, config.s_max)
         index = build_splat_index(scene, truth.spec, config.cutoff_sigma, threads=threads)
         grid = splat(scene, truth.spec, index=index, rows=True)
+        scene = None  # the backward pass reads the parameters
         lb = voxel_losses(grid, truth, config.loss_weights)
         grid.scores = None  # the metrics read the labels only
         if not math.isfinite(lb.total):
@@ -346,7 +351,7 @@ def fit(
                 raw_logits=params.raw_logits + deltas["raw_logits"],
             ),
         )
-        scene = index = deltas = None
+        index = deltas = None
 
         try:
             cm = confusion(grid, truth)

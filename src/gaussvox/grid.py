@@ -70,13 +70,20 @@ class GridSpec:
         )
 
     def voxel_centers(self) -> np.ndarray:
-        """World coordinates of every voxel center, (num_voxels, 3) float64."""
-        x, y, z = self.dims
-        idx = np.stack(
-            np.meshgrid(np.arange(x), np.arange(y), np.arange(z), indexing="ij"),
-            axis=-1,
-        ).reshape(-1, 3)
-        return np.asarray(self.origin) + (idx + 0.5) * np.asarray(self.cell_size)
+        """World coordinates of every voxel center, (num_voxels, 3) float64.
+
+        Each axis's coordinates, with the ops and bits of ``axis_centers``,
+        are broadcast into the one result array, so nothing else of the
+        grid's size is allocated.  They are not taken from ``axis_centers``,
+        which only the fast splat path reads: the oracle's centers come from
+        here.
+        """
+        centers = np.empty((*self.dims, 3))
+        for axis, (o, c, d) in enumerate(zip(self.origin, self.cell_size, self.dims)):
+            shape = [1, 1, 1]
+            shape[axis] = d
+            centers[..., axis] = (o + (np.arange(d) + 0.5) * c).reshape(shape)
+        return centers.reshape(-1, 3)
 
     def point_to_ijk(self, points: np.ndarray) -> np.ndarray:
         """Integer cell coordinates of points under the half-open cell convention."""

@@ -26,14 +26,20 @@ gradients at the covered non-ignored rows are bitwise those of dense passes
 and a full sort over every voxel; only the Lovasz and cross-entropy scalars
 can differ, by the rounding of shorter sums.  The gradient is then returned
 as those rows, in voxel order, in the buffer they were computed in, whose
-last row is zeroed to stand for every other voxel: the backward pass reads
-no other row, so no (V, C) gradient is built.  Two (rows, C) float64 buffers
-serve every pass.
+last row is zero to stand for every other voxel: the backward pass reads
+no other row, so no (V, C) gradient is built.
+
+One (rows, C) float64 buffer serves every pass: it holds the Lovasz
+gradient and then the score gradient.  No probability is stored.  Each row
+keeps its max and its log-sum-exp, found from blocks of the score rows, and
+a probability is recomputed wherever it is needed, by the ops of a dense
+log-softmax, ``exp((float64(s) - max) - lse)``, so it has the same bits
+every time: one class column at a time in the Lovasz sort, and a block of
+rows at a time in the chain through the softmax.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +47,12 @@ import numpy as np
 from .errors import GridMismatchError, UndefinedLossError
 from .grid import IGNORE_LABEL, OccupancyGrid, grids_compatible
 
-# Rows per block of the chain through the softmax; its scratch holds one block.
+# Rows per block of the passes over the score rows; their scratch holds two blocks.
 _CHAIN_ROWS = 1 << 11
+# Bytes per row that voxel_losses holds beside its (rows, C) float64 buffer:
+# the row index, the row max, the log-sum-exp and one class's probabilities,
+# 8 bytes each, and 8 bytes of labels and masks.
+_ROW_BYTES = 40
 
 
 @dataclass
@@ -87,6 +97,32 @@ def _run_jaccard(fg_sum, errors, fg, groups, err, side):
                        k + sum(size for _, size in ahead))
 
 
+def _log_sum_exp(rows: np.ndarray, row_max: np.ndarray, lse: np.ndarray) -> None:
+    """Write the max and the log-sum-exp of each float64 row of ``rows``, which it overwrites."""
+    rows.max(axis=1, out=row_max)
+    rows -= row_max[:, None]
+    np.sum(np.exp(rows, out=rows), axis=1, out=lse)
+    np.log(lse, out=lse)
+
+
+def _probs(rows: np.ndarray, row_max: np.ndarray, lse: np.ndarray) -> np.ndarray:
+    """``exp((rows - max) - lse)`` in place, for (k, C) float64 score rows or one class's (k,)."""
+    if rows.ndim == 2:
+        row_max, lse = row_max[:, None], lse[:, None]
+    rows -= row_max
+    rows -= lse
+    return np.exp(rows, out=rows)
+
+
+def _count_before(mask: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """How many True entries of the (V,) ``mask`` precede each of the ascending ``ids``.
+
+    ``mask`` is False at every id, so each segment sum between two ids,
+    which includes the first of them, counts the entries between.
+    """
+    return np.cumsum(np.add.reduceat(mask, np.concatenate(([0], ids)), dtype=np.intp)[:-1])
+
+
 def voxel_losses(
     pred: OccupancyGrid,
     truth: OccupancyGrid,
@@ -100,6 +136,9 @@ def voxel_losses(
     zero row of every other voxel.  A dense ``pred`` gives the dense form:
     a (V, C) ``d_scores``, exact at every non-ignored voxel, and ``voxels``
     None; so does a row form where every voxel has a row, with no copy.
+    Beside the (m + 1, C) float64 rows of ``d_scores``, m the rows, the
+    loss holds about ``_ROW_BYTES`` per row, and the dense form a (V, C)
+    copy at the end.
     Raises UndefinedLossError if every truth voxel carries the ignore label.
     """
     if pred.scores is None:
@@ -114,30 +153,43 @@ def voxel_losses(
     if n == 0:
         raise UndefinedLossError("all voxels are ignored")
     dense = pred.voxels is None
-    covered = np.full(v, dense)
-    if not dense:
-        covered[pred.voxels] = True
-    inside = valid & covered
-    outside = valid & ~covered
-    labels = truth.labels[inside].astype(np.int64)
+    # The score row of each covered non-ignored voxel, ascending, and the
+    # non-ignored voxels without a row.
+    if dense:
+        src = np.flatnonzero(valid)
+        outside = np.zeros(v, dtype=bool)
+    else:
+        src = np.flatnonzero(valid[pred.voxels])
+        outside = valid.copy()
+        outside[pred.voxels] = False
+    del valid
+
+    def voxels_of(rows):
+        return src[rows] if dense else pred.voxels[src[rows]]
+
+    scores = pred.scores
+    labels = truth.labels[voxels_of(slice(None))]
     out_labels = truth.labels[outside]
     c = pred.class_count
     out_count = np.bincount(out_labels, minlength=c)
     m = labels.size
-    # One log-softmax serves both terms; the probabilities derive from it.
-    # Row m is all zero, the scores of every voxel outside the covered set,
-    # so the same ops give their constant row.  Two (m + 1, C) buffers
-    # serve every pass below, each op done in place.
-    logp = np.zeros((m + 1, c))
-    logp[:m] = pred.scores[valid if dense else valid[pred.voxels]]
-    logp -= logp.max(axis=1, keepdims=True)
-    probs = np.exp(logp)
-    logp -= np.log(np.sum(probs, axis=1, keepdims=True))
-    np.exp(logp, out=probs)
-    p_out = probs[m].copy()
-    rows = np.arange(m)
-    p_label = probs[rows, labels]
-    ce = float(-(logp[rows, labels].sum() + np.dot(out_count, logp[m])) / n)
+    # Each row's max and log-sum-exp, found a block of rows at a time.  Row m
+    # is all zero, the scores of every voxel outside the covered set, so the
+    # same ops give their constant row.
+    row_max, lse = np.empty((2, m + 1))
+    scratch = np.empty((2, min(_CHAIN_ROWS, m), c))
+    for a in range(0, m, _CHAIN_ROWS):
+        b = min(a + _CHAIN_ROWS, m)
+        block = scratch[0, :b - a]
+        block[...] = scores[src[a:b]]
+        _log_sum_exp(block, row_max[a:b], lse[a:b])
+    _log_sum_exp(np.zeros((1, c)), row_max[m:], lse[m:])
+    logp_out = (np.zeros(c) - row_max[m]) - lse[m]
+    p_out = np.exp(logp_out)
+    logp_label = scores[src, labels].astype(np.float64)
+    logp_label -= row_max[:m]
+    logp_label -= lse[:m]
+    ce = float(-(logp_label.sum() + np.dot(out_count, logp_out)) / n)
 
     # Lovasz-softmax over classes present in the truth.  Each class sorts its
     # foreground and the background whose error p reaches the smallest
@@ -145,26 +197,23 @@ def voxel_losses(
     fg_total = np.bincount(labels, minlength=c) + out_count
     present = np.flatnonzero(fg_total)
     p_max = np.full(c, -np.inf)
-    np.maximum.at(p_max, labels, p_label)
+    np.maximum.at(p_max, labels, np.exp(logp_label, out=logp_label))
+    del logp_label
     p_max = np.where(out_count > 0, np.maximum(p_max, p_out), p_max)
-    keep = probs[:m] >= 1.0 - p_max
-    keep[rows, labels] = True
-    kept_cls, kept_rows = np.nonzero(keep.T)
-    bounds = np.searchsorted(kept_cls, np.arange(c + 1))
-    del keep, kept_cls
+    threshold = 1.0 - p_max
     lov = 0.0
-    d_lov_probs = logp  # the log-probabilities are done with: reuse their buffer
-    d_lov_probs.fill(0.0)
-
-    @functools.cache
-    def voxel_ids():
-        """The voxels of the covered and of the outside rows, found at the first exact tie."""
-        return np.flatnonzero(inside), np.flatnonzero(outside)
+    # The one (m + 1, C) buffer: the Lovasz gradient, then the score gradient.
+    d_scores = np.zeros((m + 1, c))
 
     for cls in present:
-        idx = kept_rows[bounds[cls]:bounds[cls + 1]]
+        probs = _probs(scores[src, cls].astype(np.float64), row_max[:m], lse[:m])
+        keep = probs >= threshold[cls]
+        keep[labels == cls] = True
+        idx = np.flatnonzero(keep)
+        del keep
         fg = (labels[idx] == cls).astype(np.float64)
-        errors = np.abs(fg - probs[idx, cls])
+        errors = np.abs(fg - probs[idx])
+        del probs
         order = np.argsort(-errors, kind="stable")
         idx, fg, errors = idx[order], fg[order], errors[order]
         del order  # one array fewer while the coefficients are built
@@ -182,9 +231,11 @@ def voxel_losses(
             ahead = np.where(errors < err, float(size), 0.0)
             tie = errors == err
             if tie.any():
-                in_voxels, out_voxels = voxel_ids()
-                ahead[tie] = np.searchsorted(out_voxels[(out_labels == cls) == is_fg],
-                                             in_voxels[idx[tie]])
+                # The tied entries have one error, so the stable sort left
+                # them in ascending voxel order.
+                group = outside & ((truth.labels == cls) == is_fg)
+                ahead[tie] = _count_before(group, voxels_of(idx[tie]))
+                del group
             length += ahead
             if is_fg:
                 seen += ahead
@@ -200,33 +251,30 @@ def voxel_losses(
                                            for side in ("left", "right"))
             lov += float(err * (through - before) - np.dot(errors[lo:hi], coeffs[lo:hi]))
         # d|fg - p| / dp = -1 on foreground, +1 elsewhere
-        d_lov_probs[idx, cls] = coeffs * (1.0 - 2.0 * fg) / present.size
+        d_scores[idx, cls] = coeffs * (1.0 - 2.0 * fg) / present.size
     lov /= present.size
-    voxel_ids.cache_clear()
-    # Chain through the softmax, a block of rows at a time: ds = p * (g - <g, p>).
-    scratch = np.empty((min(_CHAIN_ROWS, m), c))
+    # A block of rows at a time: the chain through the softmax,
+    # ds = p * (g - <g, p>), then the cross-entropy gradient added to it.
     for a in range(0, m, _CHAIN_ROWS):
         b = min(a + _CHAIN_ROWS, m)
-        g, p = d_lov_probs[a:b], probs[a:b]
-        gp = np.multiply(g, p, out=scratch[:b - a])
+        p, gp = scratch[:, :b - a]
+        p[...] = scores[src[a:b]]
+        _probs(p, row_max[a:b], lse[a:b])
+        g = d_scores[a:b]
+        np.multiply(g, p, out=gp)
         g -= np.sum(gp, axis=1, keepdims=True)
         g *= np.multiply(p, lov_w, out=gp)
-    # Cross-entropy gradient, then the Lovasz part added to it.
-    d_scores_valid = probs[:m]
-    d_scores_valid[rows, labels] -= 1.0
-    d_scores_valid *= ce_w / n
-    d_scores_valid += d_lov_probs[:m]
-    # Free the other buffer before a dense (V, C) gradient exists, so at
-    # most two such arrays are alive at once.
-    del logp, d_lov_probs, scratch
+        p[np.arange(b - a), labels[a:b]] -= 1.0
+        p *= ce_w / n
+        g += p  # a float add commutes, so the sum has the bits of ce + lovasz
+    del scratch
 
     total = ce_w * ce + lov_w * lov
-    probs[m] = 0.0
     if m == v:  # every voxel has a row: the rows are the dense form
-        return LossBreakdown(total=total, ce=ce, lovasz=lov, d_scores=probs[:m])
+        return LossBreakdown(total=total, ce=ce, lovasz=lov, d_scores=d_scores[:m])
     if not dense:
-        return LossBreakdown(total=total, ce=ce, lovasz=lov, d_scores=probs,
-                             voxels=pred.voxels[valid[pred.voxels]])
-    d_scores = np.zeros((v, c))
-    d_scores[inside] = d_scores_valid
+        return LossBreakdown(total=total, ce=ce, lovasz=lov, d_scores=d_scores,
+                             voxels=voxels_of(slice(None)))
+    rows, d_scores = d_scores, np.zeros((v, c))
+    d_scores[src] = rows[:m]
     return LossBreakdown(total=total, ce=ce, lovasz=lov, d_scores=d_scores)

@@ -41,6 +41,8 @@ from .grid import GridChunks, GridSpec, OccupancyGrid
 DEFAULT_CUTOFF_SIGMA = 3.0
 # The index finds the boxes of this many gaussians at a time.
 _INDEX_CHUNK = 1 << 14
+# frames_vjp takes this many gaussians at a time.
+_VJP_GAUSSIANS = 1 << 12
 
 # Cap on a scene's (gaussian, voxel) pairs.  Pairs exist only one chunk at a
 # time, so this bounds the work of a pass over the index, not its memory.
@@ -310,17 +312,40 @@ def frames_vjp(scales, rotations, s_z: np.ndarray, s_zz: np.ndarray):
     scale, and for the rotation ``-(p - m) (z / s)^T`` with
     ``p - m = R diag(s) z``.  The quaternion gradient is projected onto the
     tangent of the unit sphere, matching derivatives taken through
-    renormalization.
+    renormalization.  Gaussians are taken ``_VJP_GAUSSIANS`` at a time, so
+    the rotations and their (n, 4, 3, 3) Jacobian exist for one block only;
+    each gaussian's gradients come from its own entries alone, in an order
+    that does not depend on the block's size.
     """
-    s = np.asarray(scales, dtype=np.float64)
-    q = np.asarray(rotations, dtype=np.float64)
-    q = q / np.sqrt(np.sum(q * q, axis=1, keepdims=True))
-    rot = quat_to_rotation(q)
-    d_mean = np.einsum("gij,gj->gi", rot, s_z / s)
-    d_scale = np.einsum("gjj->gj", s_zz) / s
-    d_rot = -np.einsum("gil,gl,glj->gij", rot, s, s_zz) / s[:, None, :]
-    d_quat = np.einsum("gkij,gij->gk", _rotation_jacobian(q), d_rot)
-    d_quat -= np.sum(d_quat * q, axis=1, keepdims=True) * q
+    scales = np.asarray(scales, dtype=np.float64)
+    rotations = np.asarray(rotations, dtype=np.float64)
+    p = scales.shape[0]
+    d_mean, d_scale, d_quat = np.empty((p, 3)), np.empty((p, 3)), np.empty((p, 4))
+    for a in range(0, p, _VJP_GAUSSIANS):
+        b = min(a + _VJP_GAUSSIANS, p)
+        s, q, zz = scales[a:b], rotations[a:b], s_zz[a:b]
+        q = q / np.sqrt(np.sum(q * q, axis=1, keepdims=True))
+        rot = quat_to_rotation(q)
+        # Each contraction adds its products to +0.0 in a fixed order, so a
+        # gaussian's bits do not depend on the size of its block.
+        z_s = s_z[a:b] / s
+        dm = np.zeros((b - a, 3))
+        d_rot = np.zeros((b - a, 3, 3))
+        for l in range(3):
+            dm += rot[:, :, l] * z_s[:, None, l]
+            d_rot += (rot[:, :, l, None] * s[:, None, l, None]) * zz[:, None, l, :]
+        d_mean[a:b] = dm
+        d_scale[a:b] = np.diagonal(zz, axis1=1, axis2=2) / s
+        d_rot = -d_rot / s[:, None, :]
+        # dR/dq against d_rot, row by row: each row's three products are
+        # summed left to right, then added.
+        jac = _rotation_jacobian(q)
+        dq = np.zeros((b - a, 4))
+        for i in range(3):
+            row = [jac[:, :, i, j] * d_rot[:, None, i, j] for j in range(3)]
+            dq += (row[0] + row[1]) + row[2]
+        dq -= np.sum(dq * q, axis=1, keepdims=True) * q
+        d_quat[a:b] = dq
     return d_mean, d_scale, d_quat
 
 
@@ -503,7 +528,8 @@ def _pair_moments(frames, index: SplatIndex, d_scores: np.ndarray, sem: np.ndarr
     ``_box_sums`` in blocks, each gathered through the (V,) row map; when
     ``voxels`` is None a block is a view of the rows.  In the others each
     gaussian's pairs lie in one run, read class-major through the row map
-    and summed by ``np.bincount`` in pair order.
+    and summed by ``np.bincount`` in pair order; each class's semantics are
+    repeated over the run's pairs in turn, so no (C, pairs) copy is made.
     """
     p, c = sem.shape
     dims, v = index.spec.dims, index.num_voxels
@@ -531,11 +557,10 @@ def _pair_moments(frames, index: SplatIndex, d_scores: np.ndarray, sem: np.ndarr
             g = np.repeat(np.arange(k), per_gaussian)
             rows = vox if voxels is None else np.take(row_of, vox)
             gup = np.ascontiguousarray(np.take(d_scores, rows, axis=0).T)
-            sem_pairs = np.repeat(sem[ids].T, per_gaussian, axis=1)
             # dL/dw per pair, summed class by class so no pair depends on the run.
-            d_w = gup[0] * sem_pairs[0]
+            d_w = gup[0] * np.repeat(sem[ids, 0], per_gaussian)
             for cls in range(1, c):
-                d_w += gup[cls] * sem_pairs[cls]
+                d_w += gup[cls] * np.repeat(sem[ids, cls], per_gaussian)
             s_z[ids], s_zz[ids] = pair_weights_vjp(g, k, w, z, d_w)
             for cls in range(c):
                 d_sem[ids, cls] = np.bincount(g, w * gup[cls], minlength=k)

@@ -463,6 +463,59 @@ def test_box_path_backward_memory_grows_by_no_dense_gradient(monkeypatch):
     assert traced_growth(lossed, backward) <= 16
 
 
+def small_gaussians_case(count):
+    """``count`` small gaussians over a 32x32x16 grid of 6 classes, its
+    index and the loss's gradient rows, as ``backward_splat`` takes them."""
+    rng = np.random.default_rng(75)
+    classes = 6
+    spec = GridSpec((0.0, 0.0, 0.0), (0.25, 0.25, 0.25), (32, 32, 16))
+    rotations = rng.normal(size=(count, 4))
+    scene = GaussianScene(
+        rng.uniform((0.5, 0.5, 0.5), (7.5, 7.5, 3.5), (count, 3)).astype(np.float32),
+        np.full((count, 3), 0.1, dtype=np.float32),
+        (rotations / np.linalg.norm(rotations, axis=1, keepdims=True)).astype(np.float32),
+        rng.dirichlet(np.ones(classes), count).astype(np.float32))
+    truth = OccupancyGrid(spec, classes, rng.integers(0, classes, spec.num_voxels))
+    params = RawGaussianParams.from_scene(scene, S_MIN, S_MAX)
+    activated = params.activate(S_MIN, S_MAX)
+    index = build_splat_index(activated, spec, 3.0)
+    return params, index, spec, voxel_losses(splat(activated, spec, index=index, rows=True),
+                                             truth)
+
+
+def test_backward_memory_per_gaussian_is_bounded():
+    # From 6,000 to 18,000 gaussians on one grid, the backward pass's traced
+    # peak may grow by the per-gaussian parameters, moments and gradients,
+    # but not by a whole-scene frames_vjp, whose rotation Jacobian alone is
+    # 288 bytes per gaussian and is built three times over.  Measured: 336
+    # bytes per gaussian; with frames_vjp over the whole scene, 1,189.  The
+    # bound lies between them.
+    peaks = []
+    counts = (6000, 18000)
+    for count in counts:
+        params, index, spec, lb = small_gaussians_case(count)
+        tracemalloc.start()
+        try:
+            backward_splat(params, index, spec, lb.d_scores, S_MIN, S_MAX, lb.voxels)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (counts[1] - counts[0]) <= 600, peaks
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_frames_vjp_blocks_keep_the_bits(monkeypatch, block):
+    # frames_vjp takes a block of gaussians at a time; no gradient depends
+    # on the block size.
+    params, index, spec, lb = small_gaussians_case(300)
+    ref = backward_splat(params, index, spec, lb.d_scores, S_MIN, S_MAX, lb.voxels)
+    monkeypatch.setattr(splat_module, "_VJP_GAUSSIANS", block)
+    got = backward_splat(params, index, spec, lb.d_scores, S_MIN, S_MAX, lb.voxels)
+    assert ref["rotations"].any()
+    for key in PARAM_KEYS:
+        assert np.array_equal(got[key].view(np.uint64), ref[key].view(np.uint64)), key
+
+
 def test_iteration_memory_grows_by_no_dense_scores():
     # Index, splat, loss and backward as fit runs them.  The padding may add
     # the index's per-voxel box counts while the covered mask is found, the
@@ -535,8 +588,9 @@ def test_row_splat_matches_dense_splat(monkeypatch, case, slab_pairs):
 
 
 def test_fit_checks_its_per_voxel_arrays_before_the_first(monkeypatch):
-    # Float32 score rows 4C and the loss's two float64 buffers 16C: 20C
-    # bytes per voxel, checked before the first splat.
+    # Float32 score rows 4C, the loss's one float64 buffer 8C and its 40
+    # bytes of per-row arrays: 12C + 40 bytes per voxel, checked before the
+    # first splat.
     rng = np.random.default_rng(74)
     truth = random_truth(rng, SPEC8, 3)
     splats = []
@@ -544,7 +598,7 @@ def test_fit_checks_its_per_voxel_arrays_before_the_first(monkeypatch):
     real_splat = fitter_module.splat
     monkeypatch.setattr(fitter_module, "splat",
                         lambda *args, **kwargs: splats.append(1) or real_splat(*args, **kwargs))
-    bound = SPEC8.num_voxels * 20 * 3
+    bound = SPEC8.num_voxels * (12 * 3 + 40)
     monkeypatch.setattr(splat_module, "MAX_SCORE_BYTES", bound - 1)
     with pytest.raises(CapacityError):
         fit(SceneInit("uniform", 4), truth, FitConfig(iterations=1))

@@ -2,6 +2,7 @@
 
 import importlib
 import struct
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -384,6 +385,25 @@ def test_gen_synthetic_box_containment():
     inside = np.all((centers >= 1.0) & (centers <= 3.2), axis=1)
     assert np.all(grid.labels[inside] == 2)
     assert np.all(grid.labels[~inside] == 0)
+
+
+def test_voxel_centers_hold_one_result_array():
+    # The centers are the result's 24 bytes per voxel and nothing else of the
+    # grid's size: the per-axis tables and the loop's small arrays fit in the
+    # stated 16 KiB.  Measured: 24.02 bytes per voxel.  Built from an int64
+    # index meshgrid, they peaked at 72.5.  The bits are that build's.
+    spec = GridSpec((-3.1, 0.7, 12.25), (0.3, 0.17, 1.1), (64, 64, 32))
+    tracemalloc.start()
+    try:
+        centers = spec.voxel_centers()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * spec.num_voxels + 16384, peak / spec.num_voxels
+    idx = np.stack(np.meshgrid(*(np.arange(d) for d in spec.dims), indexing="ij"),
+                   axis=-1).reshape(-1, 3)
+    expected = np.asarray(spec.origin) + (idx + 0.5) * np.asarray(spec.cell_size)
+    assert np.array_equal(centers.view(np.uint64), expected.view(np.uint64))
 
 
 def test_gen_synthetic_empty_and_overwrite():
