@@ -40,6 +40,8 @@ _SCENE_HEADER = struct.Struct("<4sHHQ")
 _GRID_HEADER = struct.Struct("<4sHHIIIffffffB")
 # A scene is read this many records at a time.
 _RECORD_CHUNK = 1 << 14
+# gen tests its shapes against this many voxel centers at a time.
+_SHAPE_BLOCK = 1 << 14
 
 
 @contextlib.contextmanager
@@ -240,7 +242,9 @@ def gen_synthetic(
     as well: one small gaussian per occupied voxel whose cutoff splat
     reproduces the labels on the non-empty voxels.  The (V, 3) float64
     voxel centers and the V labels are checked against ``MAX_SCORE_BYTES``
-    before they exist.
+    before they exist; each shape is tested ``_SHAPE_BLOCK`` voxels at a
+    time, so its temporaries do not grow with the grid, and the centers are
+    dropped before the grid checks its labels.
     """
     _check_dense_bytes(spec.num_voxels, 24 + 1)
     centers = spec.voxel_centers()
@@ -249,12 +253,17 @@ def gen_synthetic(
         cls = int(shape["cls"])
         if not (0 <= cls < class_count):
             raise ValueError(f"shape class {cls} out of range for {class_count} classes")
-        labels[_shape_mask(shape, centers)] = cls
+        for a in range(0, spec.num_voxels, _SHAPE_BLOCK):
+            block = slice(a, a + _SHAPE_BLOCK)
+            labels[block][_shape_mask(shape, centers[block])] = cls
+    if emit_scene:
+        occupied = np.flatnonzero(labels != 0)
+        means = centers[occupied].astype(np.float32)
+    del centers
     grid = OccupancyGrid(spec, class_count, labels)
     if not emit_scene:
         return grid
 
-    occupied = np.flatnonzero(labels != 0)
     n = occupied.size
     cell = np.asarray(spec.cell_size)
     scales = np.tile((0.4 * cell).astype(np.float32), (n, 1))
@@ -262,7 +271,4 @@ def gen_synthetic(
     rotations[:, 0] = 1.0
     sem = np.full((n, class_count), 0.1 / max(1, class_count - 1), dtype=np.float32)
     sem[np.arange(n), labels[occupied]] = 0.9
-    scene = GaussianScene(
-        centers[occupied].astype(np.float32), scales, rotations, sem
-    )
-    return grid, scene
+    return grid, GaussianScene(means, scales, rotations, sem)

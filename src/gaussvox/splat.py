@@ -20,10 +20,11 @@ paths add each per-gaussian sum in that order from +0.0, so no result
 depends on a gaussian's path.  The forward pass is one loop over chunks of
 whole x-layers, with every run's boxes clipped to the chunk.  It builds the
 kernel's float64 frames per slab, and once per chunk for the chunk's box-path
-gaussians, not for the whole scene, and the index is found in chunks.
+gaussians, not for the whole scene, and the index is found in chunks and
+stored as int32 box ends.  A run's products are formed one class at a time.
 ``splat`` adds the whole grid as one chunk, so it holds the scene, the
 index, the scores and little else; ``splat_chunks``, from which the CLI
-writes its grid file, holds one chunk of scores in place of all of them.
+writes its grid file, holds one slab of scores in place of all of them.
 ``fit`` keeps one score row and one gradient row per voxel of the boxes,
 both reached through a (V,) row map.  Every pass runs on the calling thread.
 """
@@ -36,11 +37,13 @@ import numpy as np
 
 from .core import GaussianScene, _rotation_entries, _rotation_jacobian, quat_to_rotation
 from .errors import CapacityError
-from .grid import GridChunks, GridSpec, OccupancyGrid
+from .grid import GridChunks, GridSpec, OccupancyGrid, _check_class_count
 
 DEFAULT_CUTOFF_SIGMA = 3.0
 # The index finds the boxes of this many gaussians at a time.
 _INDEX_CHUNK = 1 << 14
+# The index stores box ends as int32, so no axis may have more voxels.
+_MAX_AXIS = np.iinfo(np.int32).max
 # frames_vjp takes this many gaussians at a time.
 _VJP_GAUSSIANS = 1 << 12
 
@@ -57,11 +60,13 @@ class SplatIndex:
     """Each gaussian's neighborhood as a box of voxels, in gaussian order.
 
     Gaussian g's box starts at voxel ``lo[g]`` and spans ``counts[g]``
-    voxels per axis; a box that misses the grid has all counts zero.
-    ``gaussian_starts`` is the running pair count, so gaussian g owns pairs
-    ``gaussian_starts[g] : gaussian_starts[g + 1]``.  No pair list is held:
-    the passes walk the boxes, and ``voxels(a, b)`` writes the voxels of a
-    run of gaussians for callers that want them listed.
+    voxels per axis, both int32, since no axis may reach 2^31 voxels; a box
+    that misses the grid has all counts zero.  ``gaussian_starts`` is the
+    running pair count, int64, so gaussian g owns pairs
+    ``gaussian_starts[g] : gaussian_starts[g + 1]``.  Voxel ids, box sizes
+    and pair counts are formed in int64 from the int32 entries.  No pair
+    list is held: the passes walk the boxes, and ``voxels(a, b)`` writes the
+    voxels of a run of gaussians for callers that want them listed.
     """
 
     spec: GridSpec
@@ -103,8 +108,8 @@ class SplatIndex:
         x_dim, y_dim, z_dim = self.spec.dims
         hit = self.counts[:, 0] > 0
         lo = self.lo[hit]
-        ends = np.stack([lo, lo + self.counts[hit]]) * np.array([(y_dim + 1) * (z_dim + 1),
-                                                                 z_dim + 1, 1])
+        ends = np.stack([lo, lo + self.counts[hit]], dtype=np.int64)
+        ends *= np.array([(y_dim + 1) * (z_dim + 1), z_dim + 1, 1])
         x, y, z = ends[..., 0], ends[..., 1], ends[..., 2]
         # Corner (a, b, c) of the ends is row 4a + 2b + c; rows 0, 3, 5 and
         # 6 have an even count of upper ends.
@@ -176,7 +181,8 @@ def _axis_ranges(means: np.ndarray, radii: np.ndarray, spec: GridSpec):
     hi -= offset(hi) > radii
     hi += offset(hi + 1) <= radii
 
-    lo = np.maximum(lo, 0)
+    # A box that starts past the grid keeps a count of zero at lo = dims.
+    lo = np.clip(lo, 0, dims)
     counts = np.maximum(np.minimum(hi, dims - 1) - lo + 1, 0)
     counts[np.any(counts == 0, axis=1)] = 0
     return lo, counts
@@ -185,10 +191,12 @@ def _axis_ranges(means: np.ndarray, radii: np.ndarray, spec: GridSpec):
 def _box_lines(lo: np.ndarray, counts: np.ndarray):
     """The (gaussian, i, j) lines of a run of boxes, in (gaussian, i, j) order.
 
-    ``lo`` and ``counts`` come from ``_axis_ranges``.  Returns each line's
-    voxel indices i and j and its length, the ``counts[g, 2]`` z-voxels from
-    ``lo[g, 2]``, and the z-index k of each pair of the lines in turn.
+    ``lo`` and ``counts`` come from ``_axis_ranges``, and are widened to
+    int64.  Returns each line's voxel indices i and j and its length, the
+    ``counts[g, 2]`` z-voxels from ``lo[g, 2]``, and the z-index k of each
+    pair of the lines in turn.
     """
+    lo, counts = lo.astype(np.int64, copy=False), counts.astype(np.int64, copy=False)
     lines = counts[:, 0] * counts[:, 1]
     g = np.repeat(np.arange(lo.shape[0]), lines)
     line = np.arange(g.size) - np.repeat(np.cumsum(lines) - lines, lines)
@@ -217,16 +225,23 @@ def build_splat_index(
     the calling thread, so it changes neither the result nor the speed.
     The boxes are found ``_INDEX_CHUNK`` gaussians at a time and written
     into the index's own arrays, so no other array grows with the scene.
+    The box ends are int32, so a grid with an axis of 2^31 or more voxels
+    is a CapacityError, raised before anything is allocated.  Such a grid
+    has more voxels than ``MAX_SCORE_BYTES`` lets a splat hold scores for.
     """
+    if max(spec.dims) > _MAX_AXIS:
+        raise CapacityError(f"an axis of {max(spec.dims)} voxels exceeds the index's "
+                            f"limit of {_MAX_AXIS}")
     p = len(scene)
-    lo, counts = np.empty((2, p, 3), dtype=np.int64)
+    lo, counts = np.empty((2, p, 3), dtype=np.int32)
     gaussian_starts = np.zeros(p + 1, dtype=np.int64)
     # At least one chunk, so that an empty scene's cutoff_sigma is checked too.
     for a in range(0, max(p, 1), _INDEX_CHUNK):
         rows = slice(a, a + _INDEX_CHUNK)
         radii = _scene_radii(scene, cutoff_sigma, rows)
-        lo[rows], counts[rows] = _axis_ranges(scene.means[rows].astype(np.float64), radii, spec)
-        x, y, z = counts[rows].T
+        box_lo, box_counts = _axis_ranges(scene.means[rows].astype(np.float64), radii, spec)
+        lo[rows], counts[rows] = box_lo, box_counts
+        x, y, z = box_counts.T
         gaussian_starts[a + 1 : a + 1 + _INDEX_CHUNK] = x * y * z
     # Summed in float64, which cannot wrap around as an int64 sum could.
     total = gaussian_starts.sum(dtype=np.float64)
@@ -364,9 +379,11 @@ _SLAB_PAIRS = 1 << 14
 # broke even on cubic boxes of 1,000-2,000 pairs on 32^3 grids.
 _BOX_PAIRS = 1 << 11
 # A streamed splat adds its scores in chunks of whole x-layers of about
-# _CHUNK_BYTES, each a whole number of slabs.  Narrower chunks cut large
-# boxes into more, smaller blocks, which slows the box path.
-_CHUNK_BYTES = 1 << 23
+# _CHUNK_BYTES, each a whole number of slabs: by default one slab, so that
+# it holds no more scores than a slab.  A large box is cut into blocks at
+# each chunk's ends, so narrower chunks give the box path more, smaller
+# blocks.
+_CHUNK_BYTES = _SLAB_BYTES
 
 
 def _gaussian_chunks(starts: np.ndarray):
@@ -403,21 +420,22 @@ def _pair_runs(frames_of, index: SplatIndex, g_lo: int, g_hi: int, width: int, x
     cx, cy, cz = spec.axis_centers()
     lo = index.lo[g_lo:g_hi]
     counts = index.counts[g_lo:g_hi]
-    x_lo = lo[:, 0]
-    x_hi = x_lo + counts[:, 0]
+    x_lo, x_n = lo[:, 0], counts[:, 0]
     start, stop = (0, spec.dims[0]) if x_range is None else x_range
     for x0 in range(start, stop, width):
         x1 = min(x0 + width, stop)
-        gs = np.flatnonzero((x_lo < x1) & (x_hi > x0))
+        gs = np.flatnonzero((x_lo < x1) & (x_n > x0 - x_lo))
         if gs.size == 0:
             continue
         box_lo = lo[gs]
         box_counts = counts[gs]
-        box_lo[:, 0] = np.maximum(x_lo[gs], x0)
-        box_counts[:, 0] = np.minimum(x_hi[gs], x1) - box_lo[:, 0]
+        x_hi = box_lo[:, 0] + box_counts[:, 0]
+        box_lo[:, 0] = np.maximum(box_lo[:, 0], x0)
+        box_counts[:, 0] = np.minimum(x_hi, x1) - box_lo[:, 0]
         box_lo[:, 0] -= x0
         starts = np.zeros(gs.size + 1, dtype=np.int64)
-        np.cumsum(box_counts[:, 0] * box_counts[:, 1] * box_counts[:, 2], out=starts[1:])
+        np.cumsum(box_counts[:, 0].astype(np.int64) * box_counts[:, 1] * box_counts[:, 2],
+                  out=starts[1:])
         xc = cx[x0:x1]
         ids = g_lo + gs
         slab = frames_of(ids)
@@ -446,7 +464,7 @@ def _box_blocks(frame, index: SplatIndex, axes, g: int, x_range=None):
     the broadcast (nx, 1, 1), (1, ny, 1) and (nz,) axis centers.
     """
     cx, cy, cz = axes
-    (x_lo, y_lo, z_lo), (nx, ny, nz) = index.lo[g], index.counts[g]
+    (x_lo, y_lo, z_lo), (nx, ny, nz) = index.lo[g].tolist(), index.counts[g].tolist()
     ys, zs = slice(y_lo, y_lo + ny), slice(z_lo, z_lo + nz)
     pts_y, pts_z = cy[ys, None], cz[zs]
     a, off = frame
@@ -583,8 +601,10 @@ def _accumulate_slabs(
     ``scores`` start at ``x_range``'s first layer, and slabs are ``width``
     whole x-layers of them.  Each class of a slab receives a run's float32
     products ``w * sem`` through one ``np.add.at``, which applies them in
-    pair order.  Score rows are reached through the ``row_of`` map, which
-    also starts at that layer, and are the slab.
+    pair order.  The products are formed one class at a time in one (pairs,)
+    buffer, from a class-major copy of the run's semantics.  Score rows are
+    reached through the ``row_of`` map, which also starts at that layer, and
+    are the slab.
     """
     _, y_dim, z_dim = index.spec.dims
     layer = y_dim * z_dim
@@ -593,11 +613,12 @@ def _accumulate_slabs(
                                                         x_range):
         slab = scores[x0 * layer : (x0 + width) * layer] if row_of is None else scores
         vox = vox if row_of is None else np.take(row_of[x0 * layer :], vox)
-        # float32(sem * w), multiplied in float64 and rounded once into the float32 buffer.
-        adds = np.repeat(logits[ids].T, per_gaussian, axis=1)
-        np.multiply(adds, w, out=adds, casting="same_kind")
+        sem = np.ascontiguousarray(logits[ids].T)
+        adds = np.empty(w.size, dtype=np.float32)
         for cls in range(c):
-            np.add.at(slab[:, cls], vox, adds[cls])
+            # float32(sem * w), multiplied in float64 and rounded once into the float32 buffer.
+            np.multiply(sem[cls].repeat(per_gaussian), w, out=adds, casting="same_kind")
+            np.add.at(slab[:, cls], vox, adds)
 
 
 def _check_dense_bytes(num_voxels: int, bytes_per_voxel: int) -> None:
@@ -611,9 +632,10 @@ def _accumulate(scene: GaussianScene, index: SplatIndex, voxels=None, chunk_byte
     """Yield the float32 scores chunk by chunk, added in ascending gaussian order per voxel.
 
     A chunk is the scores of consecutive whole x-layers, about
-    ``chunk_bytes`` of them and a whole number of slabs; ``None`` is one
-    chunk of the whole grid.  The row form, one row per voxel of ascending
-    ``voxels``, which must hold every box, is always one chunk.  Every chunk
+    ``chunk_bytes`` of them and a whole number of slabs, at least one;
+    ``None`` is one chunk of the whole grid.  The row form, one row per
+    voxel of ascending ``voxels``, which must hold every box, is always one
+    chunk.  Every chunk
     is the same buffer, cleared for the next one, so a caller uses each
     before it asks for the next; the caller checks the scores' size against
     ``MAX_SCORE_BYTES``.  Within a chunk the runs go in ascending order,
@@ -621,6 +643,8 @@ def _accumulate(scene: GaussianScene, index: SplatIndex, voxels=None, chunk_byte
     sem)`` to each block of its box, one class at a time, through a view of
     the scores or its rows, gathered through the row map; the others take
     the slab loop.  So every voxel gets one float32 add per gaussian, in order.
+    Beside the index and the scores, nothing of the scene's size is held:
+    the runs' x-extents are taken once, before the scores exist.
     """
     c, dims = scene.class_count, index.spec.dims
     x_dim, y_dim, z_dim = dims
@@ -629,18 +653,19 @@ def _accumulate(scene: GaussianScene, index: SplatIndex, voxels=None, chunk_byte
     layers = x_dim
     if chunk_bytes is not None:
         layers = width * max(1, chunk_bytes // (4 * c * layer * width))
-    scores = np.zeros((min(layers, x_dim) * layer if voxels is None else voxels.size, c),
-                      dtype=np.float32)
-    axes = index.spec.axis_centers()
-    row_of = None if voxels is None else _row_map(voxels, index.num_voxels)
-    x_lo = index.lo[:, 0]
-    x_hi = x_lo + index.counts[:, 0]
+    x_lo, x_n = index.lo[:, 0], index.counts[:, 0]
     runs = _path_runs(index)
     # Each run's x-layers, so that a chunk skips the runs it does not meet.
     firsts = [a for a, _, _ in runs]
     run_lo = np.minimum.reduceat(x_lo, firsts) if runs else []
-    run_hi = np.maximum.reduceat(x_hi, firsts) if runs else []
+    run_hi = np.maximum.reduceat(x_lo + x_n, firsts) if runs else []
     boxes = np.flatnonzero(np.diff(index.gaussian_starts) > _BOX_PAIRS)
+    box_x_lo = x_lo[boxes]
+    box_x_hi = box_x_lo + x_n[boxes]
+    scores = np.zeros((min(layers, x_dim) * layer if voxels is None else voxels.size, c),
+                      dtype=np.float32)
+    axes = index.spec.axis_centers()
+    row_of = None if voxels is None else _row_map(voxels, index.num_voxels)
 
     def frames_of(ids):
         return gaussian_frames(scene.means[ids], scene.scales[ids], scene.rotations[ids])
@@ -655,7 +680,7 @@ def _accumulate(scene: GaussianScene, index: SplatIndex, voxels=None, chunk_byte
         else:
             grid, rows = row_of.reshape(dims)[x0:x1], row_of[x0 * layer :]
         # The frames of the chunk's box-path gaussians, built once.
-        hit = boxes[(x_lo[boxes] < x1) & (x_hi[boxes] > x0)]
+        hit = boxes[(box_x_lo < x1) & (box_x_hi > x0)]
         a, off = frames_of(hit)
         for (lo, hi, box), first, end in zip(runs, run_lo, run_hi):
             if first >= x1 or end <= x0:
@@ -693,8 +718,10 @@ def splat(
     """Splat a scene into an occupancy grid with per-voxel scores.
 
     Voxels with no neighboring gaussian keep zero scores and the empty label.
-    ``rows`` gives the row form over ``index.covered``, as ``fit`` runs it,
-    unless every voxel is covered; the bits are those of the dense form.
+    A class count outside [1, 255], which no grid can hold, is a ValueError
+    raised before any work.  ``rows`` gives the row form over
+    ``index.covered``, as ``fit`` runs it, unless every voxel is covered;
+    the bits are those of the dense form.
     The scores are added as one chunk of the whole grid, or of every row,
     by the loop that ``splat_chunks`` runs chunk by chunk, so both give
     the same bits; their size is checked against ``MAX_SCORE_BYTES`` first.
@@ -703,8 +730,7 @@ def splat(
     included, is a ValueError.  ``threads`` changes neither the result nor
     the speed: every pass runs on the calling thread.
     """
-    if scene.class_count < 1:
-        raise ValueError("scene must have at least one class")
+    _check_class_count(scene.class_count)
     if index is None:
         index = build_splat_index(scene, spec, cutoff_sigma, threads=threads)
     elif cutoff_sigma != DEFAULT_CUTOFF_SIGMA or threads != 1:
@@ -734,15 +760,14 @@ def splat_chunks(
 ) -> GridChunks:
     """``splat``'s dense grid as chunks of whole x-layers, for a writer to store.
 
-    Every check runs before this returns: the class count, the index with
-    its pair cap, and the V * C * 4 bytes of scores against
+    Every check runs before this returns: the class count, first, then the
+    index with its pair cap, and the V * C * 4 bytes of scores against
     ``MAX_SCORE_BYTES``.  The scores are added as the chunks are read, in
-    one buffer of about ``_CHUNK_BYTES`` that every chunk reuses, so reading
-    them holds the scene, the index and one chunk of scores; the bits are
-    those of ``splat``.
+    one buffer of about ``_CHUNK_BYTES``, one slab, that every chunk reuses,
+    so reading them holds the scene, the int32 index, one slab of scores and
+    one run of pairs; the bits are those of ``splat``.
     """
-    if scene.class_count < 1:
-        raise ValueError("scene must have at least one class")
+    _check_class_count(scene.class_count)
     index = build_splat_index(scene, spec, cutoff_sigma, threads=threads)
     _check_dense_bytes(spec.num_voxels, 4 * scene.class_count)
     chunks = _accumulate(scene, index, chunk_bytes=_CHUNK_BYTES)

@@ -548,6 +548,30 @@ def test_streamed_splat_holds_no_dense_scores(tmp_path, monkeypatch):
     assert peak < dense / 2, peak
 
 
+def test_streamed_splat_holds_the_scene_the_index_and_one_slab(tmp_path):
+    # At the default constants, on the nuScenes grid: above the scene's
+    # float32 columns and the index's int32 box ends and int64 pair starts,
+    # the CLI holds one slab of scores, the writer's label per voxel and one
+    # run's pair arrays, stated as 256 bytes per pair of a run.  Measured:
+    # 3.3 MB for the run, 6.0 MB above scene and index in all; with 8 MiB
+    # chunks, int64 box ends and (C, pairs) products, 13.7 MB.
+    count, classes = 20000, 18
+    write_scene(_random_scene(np.random.default_rng(83), count, (-50, -50, -5), (50, 50, 3),
+                              0.015, 0.3, classes), tmp_path / "scene.sgau")
+    tracemalloc.start()
+    try:
+        code, _ = run(["splat", "--scene", str(tmp_path / "scene.sgau"), "--preset", "nuscenes",
+                       "--out", str(tmp_path / "g.svox")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    held = count * (10 + classes) * 4 + count * 2 * 3 * 4 + (count + 1) * 8
+    labels = GridSpec(*GRID_PRESETS["nuscenes"]).num_voxels
+    run_bound = 256 * splat_module._SLAB_PAIRS
+    assert peak - held <= splat_module._SLAB_BYTES + labels + run_bound, peak - held
+
+
 def test_stream_failing_part_way_leaves_the_old_file(small_scene, tmp_path, monkeypatch,
                                                      capsys):
     # One-layer chunks; the second chunk's labels raise, as a full disk

@@ -406,6 +406,36 @@ def test_voxel_centers_hold_one_result_array():
     assert np.array_equal(centers.view(np.uint64), expected.view(np.uint64))
 
 
+def test_gen_holds_what_its_capacity_check_counts():
+    # gen's check counts 25 bytes per voxel: the (V, 3) float64 centers and
+    # the labels.  The shapes are tested _SHAPE_BLOCK voxels at a time, whose
+    # temporaries take at most 64 bytes per voxel of a block.  Measured: 26.2
+    # bytes per voxel; tested against the whole grid at once, 57.0.  The
+    # labels and the scene's means have the bits of those whole-grid tests.
+    spec = GridSpec((-3.1, 0.7, 0.25), (0.1, 0.07, 0.1), (96, 96, 47))
+    shapes = [{"kind": "box", "cls": 1, "min": [-2.0, 2.0, 1.0], "max": [3.0, 6.0, 3.3]},
+              {"kind": "sphere", "cls": 2, "center": [1.7, 4.1, 2.2], "radius": 1.9},
+              {"kind": "plane", "cls": 3, "axis": "z", "offset": 0.6, "thickness": 0.3}]
+    tracemalloc.start()
+    try:
+        grid = gen_synthetic(spec, shapes[:2], 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = importlib.import_module("gaussvox.sceneio")._SHAPE_BLOCK
+    assert peak <= 25 * spec.num_voxels + 64 * block, peak / spec.num_voxels
+
+    centers = spec.voxel_centers()
+    expected = np.zeros(spec.num_voxels, dtype=np.uint8)
+    expected[np.all((centers >= shapes[0]["min"]) & (centers <= shapes[0]["max"]), axis=1)] = 1
+    expected[np.sum((centers - shapes[1]["center"]) ** 2, axis=1) <= 1.9 * 1.9] = 2
+    assert np.array_equal(grid.labels, expected)
+    expected[np.abs(centers[:, 2] - 0.6) <= 0.15] = 3
+    with_scene, scene = gen_synthetic(spec, shapes, 4, emit_scene=True)
+    assert np.array_equal(with_scene.labels, expected)
+    assert np.array_equal(scene.means, centers[expected != 0].astype(np.float32))
+
+
 def test_gen_synthetic_empty_and_overwrite():
     spec = GridSpec((0, 0, 0), (1, 1, 1), (4, 4, 4))
     empty = gen_synthetic(spec, [], 2)

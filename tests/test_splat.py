@@ -625,6 +625,109 @@ def test_exact_index_holds_no_pair_array():
     assert peak < 1_000_000, peak
 
 
+def _axis_voxels(spec, mean, radius, axis):
+    """int64 voxels of one axis whose centers lie within ``radius`` of ``mean``.
+
+    Each voxel of a window around the mean, ten voxels wider than the
+    radius on each side, takes the per-voxel test; the passing ones must lie
+    inside the window, clear of its ends where they do not meet the grid.
+    """
+    o, c, d = spec.origin[axis], spec.cell_size[axis], spec.dims[axis]
+    first = int(np.floor((mean - radius - o) / c)) - 10
+    stop = int(np.ceil((mean + radius - o) / c)) + 10
+    i = np.arange(max(first, 0), min(max(stop, 0), d), dtype=np.int64)
+    passing = i[np.abs(o + (i + 0.5) * c - mean) <= radius]
+    assert passing.size == 0 or (passing[0] > first and passing[-1] < stop - 1)
+    return passing
+
+
+@pytest.mark.parametrize("dims, cell, corner", [
+    ((2048, 2048, 1024), (1.0, 1.0, 1.0), (2046.0, 2045.0, 1021.0)),
+    ((2**31 - 1, 2, 2), (2.0**-20, 2.0**-20, 2.0**-20), (2047.99998, 1e-6, 1e-6)),
+], ids=["2^32-voxels", "2^31-1-layers"])
+def test_index_past_int32_voxel_ids_matches_int64_brute_force(dims, cell, corner):
+    # Gaussians near the far corner have voxel ids past 2^31, which the
+    # int32 box ends must not wrap: the voxels, their order and the pair
+    # starts equal an int64 brute force.  One gaussian lies past the far
+    # corner and misses the grid, one straddles its edge, one sits at the
+    # origin.  No array of the grid's size is built.
+    spec = GridSpec((0.0, 0.0, 0.0), cell, dims)
+    rng = np.random.default_rng(45)
+    far = np.asarray(corner) + rng.uniform(-2.0, 2.0, (6, 3)) * np.asarray(cell)
+    means = np.concatenate([far, [np.asarray(spec.upper) + 1000 * np.asarray(cell),
+                                  np.asarray(spec.upper) - 0.5 * np.asarray(cell),
+                                  np.asarray(cell)]])
+    scales = cell[0] * rng.uniform(1.0, 1.5, (means.shape[0], 3))
+    scene = scene_of(*((m, s, (1.0, 0.2, -0.3, 0.1), (0.5, 0.5))
+                       for m, s in zip(means, scales)))
+    tracemalloc.start()
+    try:
+        index = build_splat_index(scene, spec, 3.0)
+        voxels = index.voxels(0, len(scene))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
+
+    expected, sizes = [], []
+    for g in range(len(scene)):
+        radius = 3.0 * scene.scales[g].astype(np.float64).max()
+        i, j, k = (_axis_voxels(spec, float(scene.means[g, a]), radius, a) for a in range(3))
+        ids = (i[:, None, None] * dims[1] + j[None, :, None]) * dims[2] + k[None, None, :]
+        expected.append(ids.ravel())
+        sizes.append(ids.size)
+    expected = np.concatenate(expected)
+    assert sizes[6] == 0 and min(sizes[:6]) > 0 and sizes[7] > 0
+    assert expected.max() >= 2**31
+    assert index.lo.dtype == index.counts.dtype == np.int32
+    assert np.all((index.lo >= 0) & (index.lo <= dims))
+    assert np.array_equal(voxels, expected)
+    assert np.array_equal(index.gaussian_starts, np.concatenate([[0], np.cumsum(sizes)]))
+    # In exact mode one box is the whole grid, of 2^32 or more pairs.
+    exact = build_splat_index(scene_of((means[0], scales[0], (1, 0, 0, 0), (1.0,))), spec, None)
+    assert exact.pair_count == spec.num_voxels
+
+    # The backward pass walks the pairs as runs over one whole-grid slab.
+    # Its per-axis center tables would take 16 GiB on 2^31 - 1 layers.
+    if max(dims) > 2048:
+        return
+
+    def take(ids):
+        return gaussian_frames(scene.means[ids], scene.scales[ids], scene.rotations[ids])
+
+    runs = splat_module._pair_runs(take, index, 0, len(scene), dims[0])
+    assert np.array_equal(np.concatenate([vox for _, _, _, vox, _, _ in runs]), expected)
+
+
+def test_index_rejects_an_axis_of_2_31_voxels_before_allocating():
+    # The index's box ends are int32.  A grid of 2^31 x-layers needs 8 GiB
+    # of scores even at one class, past MAX_SCORE_BYTES, so no splat of it
+    # could run; the index says so before it allocates 24 bytes per gaussian.
+    spec = GridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2**31, 1, 1))
+    scene = random_scene(np.random.default_rng(46), 100_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="2147483648"):
+            build_splat_index(scene, spec, 3.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 65536, peak
+
+
+def test_splats_reject_more_than_255_classes_before_any_work(monkeypatch):
+    # A grid holds at most 255 classes.  Both splats refuse 300 before they
+    # build the index, let alone accumulate scores.
+    calls = []
+    monkeypatch.setattr(splat_module, "build_splat_index",
+                        lambda *args, **kwargs: calls.append(args))
+    scene = random_scene(np.random.default_rng(47), 5, class_count=300)
+    for run in (splat_module.splat, splat_module.splat_chunks):
+        with pytest.raises(ValueError, match="class_count must be in"):
+            run(scene, SPEC8, 3.0)
+    assert calls == []
+
+
 def test_splat_independent_of_threads():
     rng = np.random.default_rng(17)
     scene = random_scene(rng, 120)
