@@ -21,7 +21,7 @@ from .errors import GaussvoxError
 from .fitter import FitConfig, SceneInit, fit
 from .grid import GridSpec
 from .metrics import confusion, miou, scene_completion_iou
-from .sceneio import (check_header_geometry, gen_synthetic, read_grid, read_scene,
+from .sceneio import (SceneFile, check_header_geometry, gen_synthetic, read_grid, read_scene,
                       write_grid, write_scene)
 from .splat import DEFAULT_CUTOFF_SIGMA, build_splat_index, splat, splat_chunks
 
@@ -145,13 +145,17 @@ def build_parser() -> _Parser:
 
 
 def _cmd_splat(args) -> int:
-    scene = read_scene(args.scene)
-    spec = _grid_spec(args)
-    check_header_geometry(spec)
-    cutoff = None if args.exact else args.cutoff
-    grid = splat_chunks(scene, spec, cutoff, threads=args.threads)
-    grid.scores = not args.labels_only
-    write_grid(grid, args.out)
+    """Splat the scene file into the grid file, never holding the scene.
+
+    The scene file stays open for the splat: the index's pass checks every
+    record, and each gather of the splat reads the rows it needs from it."""
+    with SceneFile(args.scene) as scene:
+        spec = _grid_spec(args)
+        check_header_geometry(spec)
+        cutoff = None if args.exact else args.cutoff
+        grid = splat_chunks(scene, spec, cutoff, threads=args.threads)
+        grid.scores = not args.labels_only
+        write_grid(grid, args.out)
     return 0
 
 
@@ -315,7 +319,9 @@ def _cmd_info(args, out) -> int:
     with open(args.path, "rb") as f:
         magic = f.read(4)
     if magic == b"SGAU":
-        scene = read_scene(args.path)
+        with SceneFile(args.path) as scene:
+            for _ in scene.geometry():  # checks every record, holding one block
+                pass
         out.write("format=SGAU\n")
         out.write("version=1\n")
         out.write(f"class_count={scene.class_count}\n")

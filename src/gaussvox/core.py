@@ -3,7 +3,9 @@
 A scene primitive is a 3D Gaussian with a per-class semantic vector: mean,
 per-axis standard deviations, a unit rotation quaternion (w, x, y, z) and
 semantic values, one per class (class 0 is the empty class).  Stored values
-are float32; all internal math runs in float64.
+are float32; all internal math runs in float64.  ``RowChecks`` holds the
+checks a scene's rows must pass, for a scene in memory and for a scene file
+read block by block alike.
 """
 
 from __future__ import annotations
@@ -59,13 +61,61 @@ def _rotation_jacobian(q_unit) -> np.ndarray:
     return 2.0 * np.moveaxis(np.array(blocks), (0, 1, 2), (-3, -2, -1))
 
 
+# A scene's rows are checked this many at a time.
+_CHECK_ROWS = 1 << 14
+# The checks on a gaussian's fields, in the order that picks the error to
+# raise: the first failing gaussian of the first check that fails.
+_CHECKS = (
+    (NonFiniteValueError, "means must be finite"),
+    (NonFiniteValueError, "logits must be finite"),
+    (InvalidScaleError, "scale components must be finite and > 0"),
+    (DegenerateRotationError, f"quaternion must be finite with norm above {QUAT_NORM_EPS}"),
+)
+
+
+class RowChecks:
+    """``GaussianScene``'s checks, over blocks of rows given in ascending order.
+
+    ``add`` records, for each check, the first failing gaussian of a block,
+    unless an earlier block had one, and says whether every row so far has
+    passed.  ``raise_first`` then raises the error of the first check that
+    failed, naming its first failing gaussian, so blocks of any size give
+    the error of the whole-scene checks run one after another.
+    """
+
+    def __init__(self):
+        self.first: list[int | None] = [None] * len(_CHECKS)
+
+    def add(self, start: int, means, scales, rotations, logits) -> bool:
+        norms = np.sqrt(np.sum(rotations.astype(np.float64) ** 2, axis=1))
+        passed = (
+            np.isfinite(means),
+            np.isfinite(logits),
+            np.isfinite(scales) & (scales > 0),
+            np.isfinite(norms) & (norms > QUAT_NORM_EPS),
+        )
+        for k, ok in enumerate(passed):
+            if self.first[k] is None and not ok.all():
+                # In C order the first failing entry lies in the first failing row.
+                self.first[k] = start + int(np.unravel_index(np.argmin(ok), ok.shape)[0])
+        return all(g is None for g in self.first)
+
+    def raise_first(self) -> None:
+        for (error, message), g in zip(_CHECKS, self.first):
+            if g is not None:
+                raise error(message, g)
+
+
 @dataclass
 class GaussianScene:
     """Ordered collection of semantic Gaussians.
 
     Backed by packed float32 arrays so that splatting and fitting can run
     vectorized.  Every value must be finite, every scale component > 0 and
-    every quaternion row must have a norm above 1e-12.
+    every quaternion row must have a norm above 1e-12.  The rows are checked
+    ``_CHECK_ROWS`` at a time through ``RowChecks``, so the checks' masks
+    and float64 quaternion squares exist for one block only; the error
+    raised is that of the first failing check over the whole scene.
     """
 
     means: np.ndarray  # (P, 3) float32
@@ -84,19 +134,12 @@ class GaussianScene:
             raise ValueError("logits must be (P, C)")
         if self.class_names is not None and len(self.class_names) != self.class_count:
             raise ValueError("class_names length must equal class count")
-        for name in ("means", "logits"):
-            bad = np.flatnonzero(~np.all(np.isfinite(getattr(self, name)), axis=1))
-            if bad.size:
-                raise NonFiniteValueError(f"{name} must be finite", int(bad[0]))
-        bad = np.flatnonzero(~np.all(np.isfinite(self.scales) & (self.scales > 0), axis=1))
-        if bad.size:
-            raise InvalidScaleError("scale components must be finite and > 0", int(bad[0]))
-        norms = np.sqrt(np.sum(self.rotations.astype(np.float64) ** 2, axis=1))
-        bad = np.flatnonzero(~(np.isfinite(norms) & (norms > QUAT_NORM_EPS)))
-        if bad.size:
-            raise DegenerateRotationError(
-                f"quaternion must be finite with norm above {QUAT_NORM_EPS}", int(bad[0])
-            )
+        checks = RowChecks()
+        for a in range(0, p, _CHECK_ROWS):
+            rows = slice(a, a + _CHECK_ROWS)
+            checks.add(a, self.means[rows], self.scales[rows], self.rotations[rows],
+                       self.logits[rows])
+        checks.raise_first()
 
     def __len__(self) -> int:
         return self.means.shape[0]

@@ -6,11 +6,16 @@ class GaussvoxError(Exception):
 
 
 class InvalidGaussianError(GaussvoxError):
-    """A gaussian parameter no scene may hold; ``gaussian`` is its index, when known."""
+    """A gaussian parameter no scene may hold; ``gaussian`` is its index, when known.
+
+    ``detail`` is the message without the index, so that the error can be
+    raised again for the same gaussian under another index.
+    """
 
     def __init__(self, message: str, gaussian: int | None = None):
         super().__init__(message if gaussian is None else f"gaussian {gaussian}: {message}")
         self.gaussian = gaussian
+        self.detail = message
 
 
 class DegenerateRotationError(InvalidGaussianError):

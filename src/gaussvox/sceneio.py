@@ -4,7 +4,12 @@ Both formats are little-endian with no padding so files parse identically on
 any platform.  ``write_grid`` writes a grid, or a stream of chunks of
 consecutive voxels such as ``splat_chunks`` gives: it seeks past the label
 section, writes each chunk's scores as the chunk comes and the labels last,
-so a streamed grid is never held whole.
+so a streamed grid is never held whole.  Scene records are written and read
+``_RECORD_CHUNK`` at a time through one buffer.  ``SceneFile`` keeps a scene
+file open and reads its records in blocks: ``read_scene`` reads them all
+into a scene, the CLI's splat checks them in the index's pass and then
+gathers only the rows that each few chunks of the grid need, so it never
+holds the scene.
 
 SGAU scene file:
     magic "SGAU" | u16 version (=1) | u16 class_count | u64 gaussian_count
@@ -27,7 +32,7 @@ import struct
 
 import numpy as np
 
-from .core import GaussianScene
+from .core import GaussianScene, RowChecks
 from .errors import CapacityError, FormatError, InvalidGaussianError
 from .grid import MAX_VOXELS, GridChunks, GridSpec, OccupancyGrid
 from .splat import _check_dense_bytes
@@ -66,24 +71,46 @@ def _replacing(path):
 
 
 def write_scene(scene: GaussianScene, path) -> None:
+    """Write a scene file, ``_RECORD_CHUNK`` records at a time through one buffer."""
     p = len(scene)
     c = scene.class_count
-    records = np.concatenate(
-        [scene.means, scene.scales, scene.rotations, scene.logits], axis=1
-    ).astype("<f4")
+    columns = (scene.means, scene.scales, scene.rotations, scene.logits)
+    buffer = np.empty((min(p, _RECORD_CHUNK), 10 + c), dtype="<f4")
     with _replacing(path) as f:
         f.write(_SCENE_HEADER.pack(SCENE_MAGIC, FORMAT_VERSION, c, p))
-        f.write(records.tobytes())
+        for a in range(0, p, _RECORD_CHUNK):
+            records = buffer[: p - a]
+            for column, fields in zip(columns, np.split(records, [3, 6, 10], axis=1)):
+                fields[...] = column[a : a + _RECORD_CHUNK]
+            f.write(records)
 
 
-def read_scene(path) -> GaussianScene:
-    """Read a scene file; its header and size are checked before any allocation.
+class SceneFile:
+    """An open scene file whose records are read in blocks, as they are needed.
 
-    Records are read ``_RECORD_CHUNK`` at a time through one buffer into the
-    four column arrays, so no other array grows with the scene."""
-    hs = _SCENE_HEADER.size
-    with open(path, "rb") as f:
-        data = f.read(hs)
+    Opening reads the header and checks it and the record section's size,
+    before anything grows with the scene.  The file stays open until
+    ``close``, and the record section is read ``_RECORD_CHUNK`` records at a
+    time through one buffer: whole by ``read_scene``, checked and handed out
+    as geometry by ``geometry``, and picked over for some gaussians' rows by
+    ``gather``.  Each gather checks the file's size and mtime against those
+    at opening, on the open descriptor, and checks the rows it read, so a
+    file changed while it is open is a FormatError, not a wrong grid.
+    """
+
+    def __init__(self, path):
+        self._f = open(path, "rb")
+        try:
+            self._read_header()
+        except BaseException:
+            self._f.close()
+            raise
+        self._buffer = np.empty((min(self._count, _RECORD_CHUNK), 10 + self.class_count),
+                                dtype="<f4")
+
+    def _read_header(self) -> None:
+        hs = _SCENE_HEADER.size
+        data = self._f.read(hs)
         if (have := len(data)) < hs:
             raise FormatError(f"truncated header: need {hs} bytes, have {have}", have)
         magic, version, c, p = _SCENE_HEADER.unpack(data)
@@ -93,22 +120,103 @@ def read_scene(path) -> GaussianScene:
             raise FormatError(f"unsupported version {version}", 4)
         if c < 1:
             raise FormatError("class_count must be >= 1", 6)
+        self._stat = os.fstat(self._f.fileno())
         expected = p * (10 + c) * 4
-        actual = os.fstat(f.fileno()).st_size - hs
+        actual = self._stat.st_size - hs
         if actual != expected:
             raise FormatError(f"record section is {actual} bytes, expected {expected}", hs)
-        columns = [np.empty((p, n), dtype=np.float32) for n in (3, 3, 4, c)]
-        buffer = np.empty((min(p, _RECORD_CHUNK), 10 + c), dtype="<f4")
+        self.class_count, self._count = c, p
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self) -> None:
+        self._f.close()
+
+    def _offset(self, g: int) -> int:
+        """The byte offset of gaussian g's record."""
+        return _SCENE_HEADER.size + g * (10 + self.class_count) * 4
+
+    def _blocks(self):
+        """Yield ``a, records`` for each block of records in turn, all in one buffer."""
+        p = self._count
+        self._f.seek(_SCENE_HEADER.size)
         for a in range(0, p, _RECORD_CHUNK):
-            records = buffer[: p - a]
-            if (got := f.readinto(records)) != records.nbytes:
-                raise FormatError("the file ended inside a record", hs + a * (10 + c) * 4 + got)
+            records = self._buffer[: p - a]
+            if (got := self._f.readinto(records)) != records.nbytes:
+                raise FormatError("the file ended inside a record", self._offset(a) + got)
+            yield a, records
+
+    def _scene(self, columns, ids=None) -> GaussianScene:
+        """The scene of ``columns``, whose row i is gaussian ``ids[i]``, or i by default.
+
+        A row that fails the checks is a FormatError at its gaussian's record."""
+        try:
+            return GaussianScene(*columns)
+        except InvalidGaussianError as e:
+            self._raise_at_record(e if ids is None else type(e)(e.detail, int(ids[e.gaussian])))
+
+    def _raise_at_record(self, e: InvalidGaussianError):
+        raise FormatError(str(e), self._offset(e.gaussian)) from e
+
+    def geometry(self):
+        """Yield ``a, means, scales`` of each block of records, checked, from the first.
+
+        The rows go through ``GaussianScene``'s checks, carried from block to
+        block; once every record has passed them, or once one fails and the
+        rest have been read, the first fault is raised as ``read_scene``
+        raises it, with its gaussian and byte offset.  A block is yielded
+        only while no row has failed, as views of the reader's buffer.
+        """
+        checks = RowChecks()
+        for a, records in self._blocks():
+            means, scales, rotations, logits = np.split(records, [3, 6, 10], axis=1)
+            if checks.add(a, means, scales, rotations, logits):
+                yield a, means, scales
+        try:
+            checks.raise_first()
+        except InvalidGaussianError as e:
+            self._raise_at_record(e)
+
+    def gather(self, ids: np.ndarray) -> GaussianScene:
+        """The scene of ascending gaussians ``ids``, whose row i is gaussian ``ids[i]``.
+
+        One pass over the record section picks each block's rows out of the
+        buffer.  The file's size and mtime must still be those at opening,
+        and the rows must pass ``GaussianScene``'s checks.
+        """
+        columns = [np.empty((ids.size, n), dtype=np.float32) for n in (3, 3, 4, self.class_count)]
+        ends = np.searchsorted(ids, [*range(0, self._count, _RECORD_CHUNK), self._count])
+        for (a, records), i, j in zip(self._blocks(), ends[:-1], ends[1:]):
+            if i < j:
+                rows = records[ids[i:j] - a]
+                for column, fields in zip(columns, np.split(rows, [3, 6, 10], axis=1)):
+                    column[i:j] = fields
+        stat = os.fstat(self._f.fileno())
+        if (stat.st_size, stat.st_mtime_ns) != (self._stat.st_size, self._stat.st_mtime_ns):
+            raise FormatError("the file changed while it was open", _SCENE_HEADER.size)
+        return self._scene(columns, ids)
+
+
+def read_scene(path) -> GaussianScene:
+    """Read a scene file; its header and size are checked before any allocation.
+
+    Records are read ``_RECORD_CHUNK`` at a time through one buffer into the
+    four column arrays, so no other array grows with the scene; the scene
+    then checks its rows in blocks."""
+    with SceneFile(path) as scene_file:
+        p, c = len(scene_file), scene_file.class_count
+        columns = [np.empty((p, n), dtype=np.float32) for n in (3, 3, 4, c)]
+        for a, records in scene_file._blocks():
             for column, fields in zip(columns, np.split(records, [3, 6, 10], axis=1)):
                 column[a : a + _RECORD_CHUNK] = fields
-    try:
-        return GaussianScene(*columns)
-    except InvalidGaussianError as e:
-        raise FormatError(str(e), hs + e.gaussian * (10 + c) * 4) from e
+        return scene_file._scene(columns)
 
 
 def check_header_geometry(spec: GridSpec) -> None:

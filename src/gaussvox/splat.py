@@ -21,10 +21,13 @@ depends on a gaussian's path.  The forward pass is one loop over chunks of
 whole x-layers, with every run's boxes clipped to the chunk.  It builds the
 kernel's float64 frames per slab, and once per chunk for the chunk's box-path
 gaussians, not for the whole scene, and the index is found in chunks and
-stored as int32 box ends.  A run's products are formed one class at a time.
-``splat`` adds the whole grid as one chunk, so it holds the scene, the
-index, the scores and little else; ``splat_chunks``, from which the CLI
-writes its grid file, holds one slab of scores in place of all of them.
+stored as int32 box ends.  A run's products are formed one class at a time,
+and a run is released before the next is built.  ``splat`` adds the whole
+grid as one chunk, so it holds the scene, the index, the scores and little
+else.  ``splat_chunks``, from which the CLI writes its grid file, holds one
+slab of scores in place of all of them, and it can take a scene file in
+place of the scene: the index's pass reads and checks every record, and
+each few chunks read the rows of the gaussians that meet them.
 ``fit`` keeps one score row and one gradient row per voxel of the boxes,
 both reached through a (V,) row map.  Every pass runs on the calling thread.
 """
@@ -40,7 +43,8 @@ from .errors import CapacityError
 from .grid import GridChunks, GridSpec, OccupancyGrid, _check_class_count
 
 DEFAULT_CUTOFF_SIGMA = 3.0
-# The index finds the boxes of this many gaussians at a time.
+# The index finds the boxes of this many gaussians at a time, and a streamed
+# splat of a scene file gathers the rows of about this many at a time.
 _INDEX_CHUNK = 1 << 14
 # The index stores box ends as int32, so no axis may have more voxels.
 _MAX_AXIS = np.iinfo(np.int32).max
@@ -139,18 +143,23 @@ class SplatIndex:
         return (self._box_counts() > 0).reshape(-1)
 
 
-def _scene_radii(scene: GaussianScene, cutoff_sigma: float | None, rows=slice(None)):
-    """Half-extents (k, 3) of the axis-aligned cutoff boxes of gaussians ``rows``.
+def _cutoff(cutoff_sigma: float | None) -> float:
+    """The cutoff in sigmas, ``inf`` for exact mode (``None``); ValueError unless > 0."""
+    if cutoff_sigma is None:
+        return np.inf
+    if not cutoff_sigma > 0:
+        raise ValueError(f"cutoff_sigma must be > 0, got {cutoff_sigma}")
+    return cutoff_sigma
+
+
+def _cutoff_radii(scales: np.ndarray, cutoff_sigma: float | None):
+    """Half-extents (k, 3) of the axis-aligned cutoff boxes of gaussians of ``scales`` (k, 3).
 
     The box cutoff_sigma * max(scale) per axis contains the ellipsoid of
     Mahalanobis distance <= cutoff_sigma for any rotation.  ``None`` is
     exact mode: an infinite radius, whose box is the whole grid.
     """
-    if cutoff_sigma is None:
-        cutoff_sigma = np.inf
-    if not cutoff_sigma > 0:
-        raise ValueError(f"cutoff_sigma must be > 0, got {cutoff_sigma}")
-    r = cutoff_sigma * scene.scales[rows].astype(np.float64).max(axis=1)
+    r = _cutoff(cutoff_sigma) * scales.astype(np.float64).max(axis=1)
     return np.repeat(r[:, None], 3, axis=1)
 
 
@@ -207,8 +216,23 @@ def _box_lines(lo: np.ndarray, counts: np.ndarray):
     return lo[g, 0] + di, lo[g, 1] + line - di * ny, run, k
 
 
+def _geometry(scene):
+    """Yield ``a, means, scales`` of the gaussians in blocks, from gaussian a on.
+
+    An in-memory scene gives row slices of ``_INDEX_CHUNK`` gaussians; any
+    other scene, such as ``sceneio.SceneFile``, gives the blocks of its
+    ``geometry()``.
+    """
+    if not isinstance(scene, GaussianScene):
+        yield from scene.geometry()
+        return
+    for a in range(0, len(scene), _INDEX_CHUNK):
+        rows = slice(a, a + _INDEX_CHUNK)
+        yield a, scene.means[rows], scene.scales[rows]
+
+
 def build_splat_index(
-    scene: GaussianScene,
+    scene,
     spec: GridSpec,
     cutoff_sigma: float | None = DEFAULT_CUTOFF_SIGMA,
     threads: int = 1,
@@ -223,8 +247,11 @@ def build_splat_index(
     checked against ``MAX_PAIRS``, before any pair is written.  ``threads``
     is accepted for the callers that pass a thread count; every pass runs on
     the calling thread, so it changes neither the result nor the speed.
-    The boxes are found ``_INDEX_CHUNK`` gaussians at a time and written
-    into the index's own arrays, so no other array grows with the scene.
+    The boxes are found a block of gaussians at a time and written into the
+    index's own arrays, so no other array grows with the scene.  ``scene``
+    is a ``GaussianScene``, taken ``_INDEX_CHUNK`` rows at a time, or an
+    open ``sceneio.SceneFile``, whose records are read, checked and indexed
+    in one pass, a block at a time, and raise its first fault once read.
     The box ends are int32, so a grid with an axis of 2^31 or more voxels
     is a CapacityError, raised before anything is allocated.  Such a grid
     has more voxels than ``MAX_SCORE_BYTES`` lets a splat hold scores for.
@@ -232,17 +259,17 @@ def build_splat_index(
     if max(spec.dims) > _MAX_AXIS:
         raise CapacityError(f"an axis of {max(spec.dims)} voxels exceeds the index's "
                             f"limit of {_MAX_AXIS}")
+    _cutoff(cutoff_sigma)  # checked before any block, so an empty scene's is checked too
     p = len(scene)
     lo, counts = np.empty((2, p, 3), dtype=np.int32)
     gaussian_starts = np.zeros(p + 1, dtype=np.int64)
-    # At least one chunk, so that an empty scene's cutoff_sigma is checked too.
-    for a in range(0, max(p, 1), _INDEX_CHUNK):
-        rows = slice(a, a + _INDEX_CHUNK)
-        radii = _scene_radii(scene, cutoff_sigma, rows)
-        box_lo, box_counts = _axis_ranges(scene.means[rows].astype(np.float64), radii, spec)
-        lo[rows], counts[rows] = box_lo, box_counts
+    for a, means, scales in _geometry(scene):
+        b = a + len(means)
+        box_lo, box_counts = _axis_ranges(means.astype(np.float64),
+                                          _cutoff_radii(scales, cutoff_sigma), spec)
+        lo[a:b], counts[a:b] = box_lo, box_counts
         x, y, z = box_counts.T
-        gaussian_starts[a + 1 : a + 1 + _INDEX_CHUNK] = x * y * z
+        gaussian_starts[a + 1 : b + 1] = x * y * z
     # Summed in float64, which cannot wrap around as an int64 sum could.
     total = gaussian_starts.sum(dtype=np.float64)
     if total > MAX_PAIRS:
@@ -416,7 +443,6 @@ def _pair_runs(frames_of, index: SplatIndex, g_lo: int, g_hi: int, width: int, x
     of ``voxel_centers``.
     """
     spec = index.spec
-    _, y_dim, z_dim = spec.dims
     cx, cy, cz = spec.axis_centers()
     lo = index.lo[g_lo:g_hi]
     counts = index.counts[g_lo:g_hi]
@@ -424,7 +450,8 @@ def _pair_runs(frames_of, index: SplatIndex, g_lo: int, g_hi: int, width: int, x
     start, stop = (0, spec.dims[0]) if x_range is None else x_range
     for x0 in range(start, stop, width):
         x1 = min(x0 + width, stop)
-        gs = np.flatnonzero((x_lo < x1) & (x_n > x0 - x_lo))
+        # A box that misses the grid has counts of zero, but may keep its lo in the slab.
+        gs = np.flatnonzero((x_n > 0) & (x_lo < x1) & (x_n > x0 - x_lo))
         if gs.size == 0:
             continue
         box_lo = lo[gs]
@@ -436,20 +463,35 @@ def _pair_runs(frames_of, index: SplatIndex, g_lo: int, g_hi: int, width: int, x
         starts = np.zeros(gs.size + 1, dtype=np.int64)
         np.cumsum(box_counts[:, 0].astype(np.int64) * box_counts[:, 1] * box_counts[:, 2],
                   out=starts[1:])
-        xc = cx[x0:x1]
         ids = g_lo + gs
         slab = frames_of(ids)
         for a, b in _gaussian_chunks(starts):
             per_gaussian = np.diff(starts[a : b + 1])
-            i, j, run, k = _box_lines(box_lo[a:b], box_counts[a:b])
-            vox = k + np.repeat((i * y_dim + j) * z_dim, run)
-            pts = np.stack([np.repeat(xc[i], run), np.repeat(cy[j], run), cz[k]])
-            w, z = pair_weights(
-                np.repeat(slab[0][..., a:b], per_gaussian, axis=-1),
-                np.repeat(slab[1][:, a:b], per_gaussian, axis=-1),
-                pts,
-            )
-            yield x0 - start, ids[a:b], per_gaussian, vox, w, z
+            # Built by a call and yielded unbound, so that nothing of this run
+            # is held here while the next one is built.
+            yield x0 - start, ids[a:b], per_gaussian, *_run_pairs(
+                (slab[0][..., a:b], slab[1][:, a:b]), box_lo[a:b], box_counts[a:b], per_gaussian,
+                (cx[x0:x1], cy, cz), spec.dims)
+
+
+def _run_pairs(frames, box_lo, box_counts, per_gaussian, axes, dims):
+    """The voxels and the kernel's ``w, z`` of one run of ``_pair_runs``' clipped boxes.
+
+    ``frames`` are the run's gaussians' frames, ``axes`` the center tables
+    of the slab's x-layers and of the grid's y and z.  Voxels are counted
+    from the slab's first, in (gaussian, voxel) order.
+    """
+    _, y_dim, z_dim = dims
+    xc, cy, cz = axes
+    i, j, run, k = _box_lines(box_lo, box_counts)
+    vox = k + np.repeat((i * y_dim + j) * z_dim, run)
+    pts = np.stack([np.repeat(xc[i], run), np.repeat(cy[j], run), cz[k]])
+    w, z = pair_weights(
+        np.repeat(frames[0], per_gaussian, axis=-1),
+        np.repeat(frames[1], per_gaussian, axis=-1),
+        pts,
+    )
+    return vox, w, z
 
 
 def _box_blocks(frame, index: SplatIndex, axes, g: int, x_range=None):
@@ -587,7 +629,7 @@ def _pair_moments(frames, index: SplatIndex, d_scores: np.ndarray, sem: np.ndarr
 
 def _accumulate_slabs(
     frames_of,
-    logits: np.ndarray,
+    sem_of,
     index: SplatIndex,
     scores: np.ndarray,
     g_lo: int,
@@ -602,23 +644,27 @@ def _accumulate_slabs(
     whole x-layers of them.  Each class of a slab receives a run's float32
     products ``w * sem`` through one ``np.add.at``, which applies them in
     pair order.  The products are formed one class at a time in one (pairs,)
-    buffer, from a class-major copy of the run's semantics.  Score rows are
-    reached through the ``row_of`` map, which also starts at that layer, and
-    are the slab.
+    buffer, from a class-major copy of the run's semantics, which
+    ``sem_of(ids)`` gives as ``frames_of(ids)`` gives the frames.  Score rows
+    are reached through the ``row_of`` map, which also starts at that layer,
+    and are the slab.  A run's arrays are released before the next is built.
     """
     _, y_dim, z_dim = index.spec.dims
     layer = y_dim * z_dim
     c = scores.shape[1]
-    for x0, ids, per_gaussian, vox, w, _ in _pair_runs(frames_of, index, g_lo, g_hi, width,
+    for x0, ids, per_gaussian, vox, w, z in _pair_runs(frames_of, index, g_lo, g_hi, width,
                                                         x_range):
+        del z
         slab = scores[x0 * layer : (x0 + width) * layer] if row_of is None else scores
         vox = vox if row_of is None else np.take(row_of[x0 * layer :], vox)
-        sem = np.ascontiguousarray(logits[ids].T)
+        sem = np.ascontiguousarray(sem_of(ids).T)
         adds = np.empty(w.size, dtype=np.float32)
         for cls in range(c):
             # float32(sem * w), multiplied in float64 and rounded once into the float32 buffer.
             np.multiply(sem[cls].repeat(per_gaussian), w, out=adds, casting="same_kind")
             np.add.at(slab[:, cls], vox, adds)
+        # Released before the next run is built.
+        del vox, w, sem, adds
 
 
 def _check_dense_bytes(num_voxels: int, bytes_per_voxel: int) -> None:
@@ -628,7 +674,57 @@ def _check_dense_bytes(num_voxels: int, bytes_per_voxel: int) -> None:
         raise CapacityError(f"{size:.0f} bytes of dense per-voxel arrays exceed {MAX_SCORE_BYTES}")
 
 
-def _accumulate(scene: GaussianScene, index: SplatIndex, voxels=None, chunk_bytes=None):
+def _gathers(scene, index: SplatIndex, layers: int):
+    """Yield ``x0, x1, rows, ids``: the chunks' x-layers [x0, x1) and their gaussians' rows.
+
+    An in-memory scene is its own rows for the whole grid, row g being
+    gaussian g, and ``ids`` is None.  A scene file, such as
+    ``sceneio.SceneFile``, gathers the rows of the ascending gaussians
+    ``ids`` whose boxes meet the chunks, row i being gaussian ``ids[i]``.
+    Each gather covers as many whole chunks of ``layers`` x-layers as keep
+    it to ``_INDEX_CHUNK`` gaussians, one at least, so that each chunk's
+    gaussians are read in one pass over the file; their count is taken
+    from the boxes' first and last chunks.
+    """
+    x_dim = index.spec.dims[0]
+    if isinstance(scene, GaussianScene):
+        yield 0, x_dim, scene, None
+        return
+    x_lo, x_n = index.lo[:, 0], index.counts[:, 0]
+    hit = x_n > 0
+    n = -(-x_dim // layers)
+    # Boxes whose first chunk is at most k, and whose last chunk is below k.
+    begun = np.cumsum(np.bincount(x_lo[hit] // layers, minlength=n))
+    ended = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount((x_lo[hit] + x_n[hit] - 1) // layers, minlength=n), out=ended[1:])
+    k0 = 0
+    while k0 < n:
+        k1 = k0 + 1
+        while k1 < n and begun[k1] - ended[k0] <= _INDEX_CHUNK:
+            k1 += 1
+        x0, x1 = k0 * layers, min(k1 * layers, x_dim)
+        ids = np.flatnonzero(hit & (x_lo < x1) & (x_n > x0 - x_lo))
+        yield x0, x1, scene.gather(ids), ids
+        k0 = k1
+
+
+def _takers(rows, ids):
+    """``frames_of(g)`` and ``sem_of(g)`` of gaussians g from the rows of ``_gathers``."""
+
+    def at(g):
+        return g if ids is None else np.searchsorted(ids, g)
+
+    def frames_of(g):
+        r = at(g)
+        return gaussian_frames(rows.means[r], rows.scales[r], rows.rotations[r])
+
+    def sem_of(g):
+        return rows.logits[at(g)]
+
+    return frames_of, sem_of
+
+
+def _accumulate(scene, index: SplatIndex, voxels=None, chunk_bytes=None):
     """Yield the float32 scores chunk by chunk, added in ascending gaussian order per voxel.
 
     A chunk is the scores of consecutive whole x-layers, about
@@ -643,7 +739,10 @@ def _accumulate(scene: GaussianScene, index: SplatIndex, voxels=None, chunk_byte
     sem)`` to each block of its box, one class at a time, through a view of
     the scores or its rows, gathered through the row map; the others take
     the slab loop.  So every voxel gets one float32 add per gaussian, in order.
-    Beside the index and the scores, nothing of the scene's size is held:
+    The gaussians' parameters come from ``_gathers``: an in-memory scene is
+    read in place, and a scene file is read for the gaussians of a few
+    chunks at a time, each gather released before the next.  Beside the
+    index, the scores and one gather, nothing of the scene's size is held:
     the runs' x-extents are taken once, before the scores exist.
     """
     c, dims = scene.class_count, index.spec.dims
@@ -667,38 +766,40 @@ def _accumulate(scene: GaussianScene, index: SplatIndex, voxels=None, chunk_byte
     axes = index.spec.axis_centers()
     row_of = None if voxels is None else _row_map(voxels, index.num_voxels)
 
-    def frames_of(ids):
-        return gaussian_frames(scene.means[ids], scene.scales[ids], scene.rotations[ids])
-
-    for x0 in range(0, x_dim, layers):
-        x1 = min(x0 + layers, x_dim)
-        if x0:
-            scores[...] = 0
-        chunk = scores[: (x1 - x0) * layer] if voxels is None else scores
-        if voxels is None:
-            grid, rows = chunk.reshape(x1 - x0, y_dim, z_dim, c), None
-        else:
-            grid, rows = row_of.reshape(dims)[x0:x1], row_of[x0 * layer :]
-        # The frames of the chunk's box-path gaussians, built once.
-        hit = boxes[(box_x_lo < x1) & (box_x_hi > x0)]
-        a, off = frames_of(hit)
-        for (lo, hi, box), first, end in zip(runs, run_lo, run_hi):
-            if first >= x1 or end <= x0:
-                continue
-            if not box:
-                _accumulate_slabs(frames_of, scene.logits, index, chunk, lo, hi, rows, (x0, x1),
-                                  width)
-                continue
-            for k in range(*np.searchsorted(hit, [lo, hi])):
-                g = hit[k]
-                sem = scene.logits[g].astype(np.float64)
-                for block, w, _ in _box_blocks((a[..., k], off[:, k]), index, axes, g, (x0, x1)):
-                    part = grid[block] if voxels is None else chunk[grid[block]]
-                    for cls in range(c):
-                        part[..., cls] += (w * sem[cls]).astype(np.float32)
-                    if voxels is not None:
-                        chunk[grid[block]] = part
-        yield chunk
+    for x_start, x_end, rows, ids in _gathers(scene, index, layers):
+        frames_of, sem_of = _takers(rows, ids)
+        for x0 in range(x_start, x_end, layers):
+            x1 = min(x0 + layers, x_dim)
+            if x0:
+                scores[...] = 0
+            chunk = scores[: (x1 - x0) * layer] if voxels is None else scores
+            if voxels is None:
+                grid, grid_rows = chunk.reshape(x1 - x0, y_dim, z_dim, c), None
+            else:
+                grid, grid_rows = row_of.reshape(dims)[x0:x1], row_of[x0 * layer :]
+            # The frames of the chunk's box-path gaussians, built once.
+            hit = boxes[(box_x_lo < x1) & (box_x_hi > x0)]
+            a, off = frames_of(hit)
+            for (lo, hi, box), first, end in zip(runs, run_lo, run_hi):
+                if first >= x1 or end <= x0:
+                    continue
+                if not box:
+                    _accumulate_slabs(frames_of, sem_of, index, chunk, lo, hi, grid_rows,
+                                      (x0, x1), width)
+                    continue
+                for k in range(*np.searchsorted(hit, [lo, hi])):
+                    g = hit[k]
+                    sem = sem_of(g).astype(np.float64)
+                    for block, w, _ in _box_blocks((a[..., k], off[:, k]), index, axes, g,
+                                                   (x0, x1)):
+                        part = grid[block] if voxels is None else chunk[grid[block]]
+                        for cls in range(c):
+                            part[..., cls] += (w * sem[cls]).astype(np.float32)
+                        if voxels is not None:
+                            chunk[grid[block]] = part
+            yield chunk
+        # Released before the next gather is read.
+        del rows, ids, frames_of, sem_of
 
 
 def _argmax_labels(scores: np.ndarray) -> np.ndarray:
@@ -753,19 +854,22 @@ def splat(
 
 
 def splat_chunks(
-    scene: GaussianScene,
+    scene,
     spec: GridSpec,
     cutoff_sigma: float | None = DEFAULT_CUTOFF_SIGMA,
     threads: int = 1,
 ) -> GridChunks:
     """``splat``'s dense grid as chunks of whole x-layers, for a writer to store.
 
-    Every check runs before this returns: the class count, first, then the
-    index with its pair cap, and the V * C * 4 bytes of scores against
-    ``MAX_SCORE_BYTES``.  The scores are added as the chunks are read, in
-    one buffer of about ``_CHUNK_BYTES``, one slab, that every chunk reuses,
-    so reading them holds the scene, the int32 index, one slab of scores and
-    one run of pairs; the bits are those of ``splat``.
+    ``scene`` is a ``GaussianScene`` or an open ``sceneio.SceneFile``, which
+    must stay open until the last chunk is read.  Every check runs before
+    this returns: the class count, first, then the index with its pair cap,
+    and the V * C * 4 bytes of scores against ``MAX_SCORE_BYTES``; a scene
+    file's records are checked in the index's pass.  The scores are added as
+    the chunks are read, in one buffer of about ``_CHUNK_BYTES``, one slab,
+    that every chunk reuses, so reading them holds the int32 index, one slab
+    of scores, one run of pairs and the scene, or, for a scene file, the
+    rows of the gaussians of a few chunks; the bits are those of ``splat``.
     """
     _check_class_count(scene.class_count)
     index = build_splat_index(scene, spec, cutoff_sigma, threads=threads)

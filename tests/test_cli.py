@@ -3,14 +3,15 @@
 import importlib
 import io
 import json
+import os
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from gaussvox import (GaussianScene, GridSpec, read_grid, read_scene, splat, write_grid,
-                      write_scene)
+from gaussvox import (FormatError, GaussianScene, GridSpec, NonFiniteValueError, read_grid,
+                      read_scene, splat, write_grid, write_scene)
 from gaussvox import cli
 from gaussvox.cli import GRID_PRESETS, main
 
@@ -459,6 +460,7 @@ def test_bench_peak_uses_timed_thread_count(monkeypatch):
 
 
 splat_module = importlib.import_module("gaussvox.splat")
+sceneio = importlib.import_module("gaussvox.sceneio")
 
 
 def _random_scene(rng, count, lo, hi, s_lo, s_hi, classes):
@@ -548,13 +550,17 @@ def test_streamed_splat_holds_no_dense_scores(tmp_path, monkeypatch):
     assert peak < dense / 2, peak
 
 
-def test_streamed_splat_holds_the_scene_the_index_and_one_slab(tmp_path):
-    # At the default constants, on the nuScenes grid: above the scene's
-    # float32 columns and the index's int32 box ends and int64 pair starts,
-    # the CLI holds one slab of scores, the writer's label per voxel and one
-    # run's pair arrays, stated as 256 bytes per pair of a run.  Measured:
-    # 3.3 MB for the run, 6.0 MB above scene and index in all; with 8 MiB
-    # chunks, int64 box ends and (C, pairs) products, 13.7 MB.
+def test_streamed_splat_holds_the_index_one_slab_and_one_gather(tmp_path, monkeypatch):
+    # At the default slab and run sizes, on the nuScenes grid, with the
+    # reader's block and each gather at 4,096 records: above the index's
+    # int32 box ends and int64 pair starts, the CLI holds one slab of
+    # scores, the writer's label per voxel, one run's pair arrays, stated as
+    # 224 bytes per pair of a run, the reader's block and one gather of
+    # rows.  Nothing is held for the scene.  Measured: 212 bytes per pair
+    # for the run, 7.1 MB above the index in all; with the scene held, int64
+    # box ends and (C, pairs) products, 16.0 MB.
+    monkeypatch.setattr(splat_module, "_INDEX_CHUNK", 4096)
+    monkeypatch.setattr(sceneio, "_RECORD_CHUNK", 4096)
     count, classes = 20000, 18
     write_scene(_random_scene(np.random.default_rng(83), count, (-50, -50, -5), (50, 50, 3),
                               0.015, 0.3, classes), tmp_path / "scene.sgau")
@@ -566,10 +572,173 @@ def test_streamed_splat_holds_the_scene_the_index_and_one_slab(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
-    held = count * (10 + classes) * 4 + count * 2 * 3 * 4 + (count + 1) * 8
+    index = count * 2 * 3 * 4 + (count + 1) * 8
     labels = GridSpec(*GRID_PRESETS["nuscenes"]).num_voxels
-    run_bound = 256 * splat_module._SLAB_PAIRS
-    assert peak - held <= splat_module._SLAB_BYTES + labels + run_bound, peak - held
+    run_bound = 224 * splat_module._SLAB_PAIRS
+    rows = 2 * 4096 * (10 + classes) * 4
+    assert peak - index <= splat_module._SLAB_BYTES + labels + run_bound + rows, peak - index
+
+
+def test_streamed_splat_peak_has_no_term_in_gaussians_times_classes(tmp_path, monkeypatch):
+    # 20,000 gaussians of 2 and of 34 classes: the scene grows by 2.56 MB.
+    # With one-layer chunks, runs of at most 1,024 pairs and gathers of at
+    # most 1,024 records, what the CLI holds per class is one layer of
+    # scores, the reader's block, one gather and a run's semantics, at most
+    # one gaussian per pair.  Measured: +0.48 MB; with the scene held, +2.80 MB.
+    monkeypatch.setattr(splat_module, "_SLAB_BYTES", 1)
+    monkeypatch.setattr(splat_module, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(splat_module, "_SLAB_PAIRS", 1024)
+    monkeypatch.setattr(splat_module, "_INDEX_CHUNK", 1024)
+    monkeypatch.setattr(sceneio, "_RECORD_CHUNK", 1024)
+    count, few, many = 20000, 2, 34
+    peaks = []
+    for classes in (few, many):
+        write_scene(_random_scene(np.random.default_rng(84), count, (-50, -50, -5), (50, 50, 3),
+                                  0.015, 0.3, classes), tmp_path / "scene.sgau")
+        tracemalloc.start()
+        try:
+            code, _ = run(["splat", "--scene", str(tmp_path / "scene.sgau"), "--preset",
+                           "nuscenes", "--out", str(tmp_path / "g.svox")])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    layer = 200 * 16
+    per_class = 4 * layer + 2 * 4 * 1024 + 8 * 1024
+    assert peaks[1] - peaks[0] <= (many - few) * per_class < count * (many - few) * 4 / 2, peaks
+
+
+def test_splat_and_info_never_read_the_whole_scene(small_scene, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "read_scene", _not_reached)
+    out = tmp_path / "g.svox"
+    code, _ = run(["splat", "--scene", str(small_scene), *GRID_FLAGS, "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == _grid_bytes(tmp_path, sceneio.read_scene(small_scene), GRID_FLAGS)
+    code, text = run(["info", str(small_scene)])
+    assert code == 0
+    assert text == "format=SGAU\nversion=1\nclass_count=4\ngaussian_count=20\n"
+
+
+def _grid_bytes(tmp_path, scene, grid_flags, flags=()):
+    """The bytes of ``write_grid(splat(...))`` for the CLI's grid flags."""
+    spec = cli._grid_spec(cli.build_parser().parse_args(
+        ["splat", "--scene", "s", *grid_flags, "--out", "o"]))
+    expected = splat(scene, spec, None if "--exact" in flags else 3.0)
+    if "--labels-only" in flags:
+        expected.scores = None
+    write_grid(expected, tmp_path / "expected.svox")
+    return (tmp_path / "expected.svox").read_bytes()
+
+
+@pytest.mark.parametrize("bound, gathers", [(64, 10), (1500, 4)])
+def test_streamed_splat_in_many_gathers_keeps_the_bytes(tmp_path, monkeypatch, bound, gathers):
+    # The "mixed" case's ten chunks of four layers each need 829-1,099
+    # gaussians.  Gathers of at most 64 take one chunk each, past the bound;
+    # gathers of at most 1,500 take two or three chunks each.  The reader
+    # reads 64 records at a time.
+    make, grid_flags, flags, slab_layers, chunk_layers = STREAM_CASES["mixed"]
+    scene_path = tmp_path / "scene.sgau"
+    write_scene(make(np.random.default_rng(85)), scene_path)
+    scene = read_scene(scene_path)
+    expected = _grid_bytes(tmp_path, scene, grid_flags, flags)
+    layer_bytes = 4 * scene.class_count * 24 * 16
+    monkeypatch.setattr(splat_module, "_SLAB_BYTES", slab_layers * layer_bytes)
+    monkeypatch.setattr(splat_module, "_CHUNK_BYTES", chunk_layers * layer_bytes)
+    monkeypatch.setattr(splat_module, "_INDEX_CHUNK", bound)
+    monkeypatch.setattr(sceneio, "_RECORD_CHUNK", 64)
+    gathered = []
+    real = sceneio.SceneFile.gather
+    monkeypatch.setattr(sceneio.SceneFile, "gather",
+                        lambda self, ids: gathered.append(ids) or real(self, ids))
+    out = tmp_path / "out.svox"
+    code, _ = run(["splat", "--scene", str(scene_path), *grid_flags, *flags, "--out", str(out)])
+    assert code == 0
+    assert len(gathered) == gathers
+    assert all(np.all(np.diff(ids) > 0) for ids in gathered)
+    assert gathers == 10 or max(ids.size for ids in gathered) <= bound
+    assert out.read_bytes() == expected
+
+
+def test_checks_across_blocks_report_the_first_failing_check_exit_2(tmp_path, monkeypatch,
+                                                                    capsys):
+    # A zero scale at gaussian 4 and a NaN logit at gaussian 17, read in
+    # blocks of 3 records and checked in blocks of 2 rows: the logits are
+    # checked over the whole scene before the scales, so the logit is
+    # reported, as read_scene reports it.
+    path = tmp_path / "scene.sgau"
+    classes = 5
+    write_scene(_random_scene(np.random.default_rng(86), 23, 0.5, 3.5, 0.2, 0.7, classes), path)
+    record = (10 + classes) * 4
+    data = bytearray(path.read_bytes())
+    data[16 + 4 * record + 5 * 4 : 16 + 4 * record + 6 * 4] = struct.pack("<f", 0.0)
+    data[16 + 17 * record + 12 * 4 : 16 + 17 * record + 13 * 4] = struct.pack("<f", float("nan"))
+    path.write_bytes(bytes(data))
+    monkeypatch.setattr(sceneio, "_RECORD_CHUNK", 3)
+    monkeypatch.setattr(importlib.import_module("gaussvox.core"), "_CHECK_ROWS", 2)
+    out = tmp_path / "g.svox"
+    code, _ = run(["splat", "--scene", str(path), *GRID_FLAGS, "--out", str(out)])
+    assert code == 2
+    message = f"gaussian 17: logits must be finite (at byte offset {16 + 17 * record})"
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    with sceneio.SceneFile(path) as scene_file:
+        with pytest.raises(FormatError) as e:
+            splat_module.splat_chunks(scene_file, GridSpec((0, 0, 0), (0.5, 0.5, 0.5),
+                                                           (8, 8, 8)))
+    assert e.value.offset == 16 + 17 * record
+    assert type(e.value.__cause__) is NonFiniteValueError
+    assert e.value.__cause__.gaussian == 17
+
+
+@pytest.mark.parametrize("change", ["nan", "mtime"])
+def test_scene_file_changed_mid_splat_exits_2(tmp_path, monkeypatch, capsys, change):
+    # One-layer chunks, each with its own gather of the file.  Once the
+    # first chunk's labels are taken, a NaN is written into the record of a
+    # gaussian that only later chunks meet, with the mtime put back, or the
+    # mtime is moved with the bytes unchanged.  A later gather finds either
+    # change, by the rows' checks or by the mtime: exit 2, and the old
+    # output stays.
+    make, grid_flags = STREAM_CASES["labels-only"][:2]
+    scene_path = tmp_path / "scene.sgau"
+    scene = make(np.random.default_rng(87))
+    write_scene(scene, scene_path)
+    spec = cli._grid_spec(cli.build_parser().parse_args(
+        ["splat", "--scene", "s", *grid_flags, "--out", "o"]))
+    index = splat_module.build_splat_index(scene, spec, 3.0)
+    late = np.flatnonzero((index.counts[:, 0] > 0) & (index.lo[:, 0] >= spec.dims[0] // 2))
+    g = int(late[0])
+    monkeypatch.setattr(splat_module, "_SLAB_BYTES", 1)
+    monkeypatch.setattr(splat_module, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(splat_module, "_INDEX_CHUNK", 1)
+    real = splat_module._argmax_labels
+    chunks = []
+
+    def rewrite(scores):
+        chunks.append(len(scores))
+        if len(chunks) == 1:
+            stat = scene_path.stat()
+            if change == "nan":
+                with open(scene_path, "r+b") as f:
+                    f.seek(16 + g * (10 + scene.class_count) * 4)
+                    f.write(struct.pack("<f", float("nan")))
+            os.utime(scene_path, ns=(stat.st_atime_ns,
+                                     stat.st_mtime_ns + (change == "mtime") * 10**9))
+        return real(scores)
+
+    monkeypatch.setattr(splat_module, "_argmax_labels", rewrite)
+    out = tmp_path / "g.svox"
+    out.write_bytes(b"the previous grid")
+    code, _ = run(["splat", "--scene", str(scene_path), *grid_flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert 1 <= len(chunks) < spec.dims[0]
+    if change == "mtime":
+        assert "changed while it was open" in err
+    else:
+        offset = 16 + g * (10 + scene.class_count) * 4
+        assert f"gaussian {g}: means must be finite (at byte offset {offset})" in err
+    assert out.read_bytes() == b"the previous grid"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.svox", "scene.sgau"]
 
 
 def test_stream_failing_part_way_leaves_the_old_file(small_scene, tmp_path, monkeypatch,

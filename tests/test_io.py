@@ -192,6 +192,62 @@ def test_invalid_gaussian_in_a_later_chunk_names_its_offset(tmp_path, monkeypatc
     assert e.value.__cause__.gaussian == 17
 
 
+core = importlib.import_module("gaussvox.core")
+
+
+def later_nan_logit_earlier_zero_scale(path):
+    """A scene file with a zero scale at gaussian 4 and a NaN logit at gaussian 17.
+
+    Returns the offset of gaussian 17's record, which the checks must name:
+    the logits are checked over the whole scene before the scales.
+    """
+    data = bytearray(chunk_scene_file(path))
+    data[16 + (4 * 15 + 5) * 4 : 16 + (4 * 15 + 6) * 4] = struct.pack("<f", 0.0)
+    data[16 + (17 * 15 + 12) * 4 : 16 + (17 * 15 + 13) * 4] = struct.pack("<f", float("nan"))
+    path.write_bytes(bytes(data))
+    return 16 + 17 * 15 * 4
+
+
+@pytest.mark.parametrize("records, rows", [(3, 2), (7, 1), (1 << 14, 1 << 14)])
+def test_checks_across_blocks_report_the_first_failing_check(tmp_path, monkeypatch, records,
+                                                             rows):
+    path = tmp_path / "scene.sgau"
+    offset = later_nan_logit_earlier_zero_scale(path)
+    monkeypatch.setattr(sceneio, "_RECORD_CHUNK", records)
+    monkeypatch.setattr(core, "_CHECK_ROWS", rows)
+    with pytest.raises(FormatError, match="gaussian 17: logits must be finite") as e:
+        read_scene(path)
+    assert e.value.offset == offset
+    assert type(e.value.__cause__) is NonFiniteValueError
+    assert e.value.__cause__.gaussian == 17
+    # The streamed check pass raises the same error once it has read every block.
+    with sceneio.SceneFile(path) as scene_file:
+        with pytest.raises(FormatError, match="gaussian 17: logits must be finite") as e:
+            for _ in scene_file.geometry():
+                pass
+    assert e.value.offset == offset
+    assert type(e.value.__cause__) is NonFiniteValueError
+
+
+def test_scene_written_in_blocks_holds_one_block(tmp_path, monkeypatch):
+    # 10,000 records of 18 classes are 1.1 MB; written 256 at a time, the
+    # writer holds one 28.7 kB block and the file's buffer.  Measured: 36.8 kB;
+    # the whole-scene copy peaked at 14.7 MB on a 65,536-gaussian scene.
+    monkeypatch.setattr(sceneio, "_RECORD_CHUNK", 256)
+    scene = random_scene(np.random.default_rng(68), 10_000, 18)
+    block = 256 * (10 + 18) * 4
+    tracemalloc.start()
+    try:
+        write_scene(scene, tmp_path / "blocks.sgau")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * block, peak
+    monkeypatch.undo()
+    write_scene(scene, tmp_path / "whole.sgau")
+    assert (tmp_path / "blocks.sgau").read_bytes() == (tmp_path / "whole.sgau").read_bytes()
+
+
 def test_scene_cut_inside_a_record_is_a_format_error(tmp_path, monkeypatch):
     path = tmp_path / "scene.sgau"
     data = chunk_scene_file(path)

@@ -23,7 +23,7 @@ from gaussvox import (
 )
 from gaussvox.splat import (
     _add_gaussians_in_order,
-    _scene_radii,
+    _cutoff_radii,
     gaussian_frames,
     pair_weights,
 )
@@ -76,13 +76,13 @@ def kernel_weights(frames, g, points):
 
 def test_neighborhood_radius_values():
     g = scene_of(([0, 0, 0], [1, 1, 1], [1, 0, 0, 0], [1.0]))
-    assert np.allclose(_scene_radii(g, 3.0), [[3, 3, 3]])
+    assert np.allclose(_cutoff_radii(g.scales, 3.0), [[3, 3, 3]])
     g = scene_of(([0, 0, 0], [0.1, 0.2, 0.3], [1, 0, 0, 0], [1.0]))
-    assert np.allclose(_scene_radii(g, 3.0), [[0.9, 0.9, 0.9]], atol=1e-7)
+    assert np.allclose(_cutoff_radii(g.scales, 3.0), [[0.9, 0.9, 0.9]], atol=1e-7)
     with pytest.raises(ValueError):
-        _scene_radii(g, 0.0)
+        _cutoff_radii(g.scales, 0.0)
     with pytest.raises(ValueError):
-        _scene_radii(g, float("nan"))
+        _cutoff_radii(g.scales, float("nan"))
 
 
 def test_neighborhood_box_contains_cutoff_ellipsoid():
@@ -93,7 +93,7 @@ def test_neighborhood_box_contains_cutoff_ellipsoid():
         sc = scene_of(
             (rng.normal(size=3), 0.1 + rng.random(3), rng.normal(size=4), [1.0])
         )
-        r = _scene_radii(sc, 3.0)[0]
+        r = _cutoff_radii(sc.scales, 3.0)[0]
         dirs = rng.normal(size=(200, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         # points just past the box surface along each direction
@@ -369,6 +369,35 @@ def test_frames_of_a_subset_keep_their_bits():
                                          scene.rotations[ids])
         assert np.array_equal(sub_a.view(np.uint64), a[..., ids].view(np.uint64))
         assert np.array_equal(sub_off.view(np.uint64), off[:, ids].view(np.uint64))
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_pair_runs_ask_frames_only_for_gaussians_with_pairs(width):
+    # At scales of 0.015-0.05, 3 sigma misses every cell center of SPEC8
+    # around most means: such a box is empty, but keeps its lo, clipped into
+    # the grid, and so may start inside a slab of several layers.
+    scene = random_scene(np.random.default_rng(48), 300, lo=-2.0, hi=2.0, s_lo=0.015,
+                         s_hi=0.05)
+    index = build_splat_index(scene, SPEC8, 3.0)
+    empty = index.counts[:, 0] == 0
+    assert empty.sum() >= 30 and (index.lo[empty, 0] % width > 0).any()
+    a, off = frames_of(scene)
+    asked = []
+
+    def spy(ids):
+        asked.append(ids)
+        return a[..., ids], off[:, ids]
+
+    runs = list(splat_module._pair_runs(spy, index, 0, len(scene), width))
+    # frames_of is asked once per slab, for exactly the gaussians of its runs.
+    slabs = {}
+    for x0, ids, per_gaussian, *_ in runs:
+        assert per_gaussian.min() > 0
+        slabs.setdefault(x0, []).append(ids)
+    assert len(asked) == len(slabs)
+    for ids, parts in zip(asked, slabs.values()):
+        assert np.array_equal(ids, np.concatenate(parts))
+        assert not empty[ids].any()
 
 
 def test_pair_weight_bits_do_not_depend_on_the_batch():
