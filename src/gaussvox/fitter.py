@@ -177,11 +177,14 @@ def backward_splat(
 ) -> dict:
     """Chain the per-voxel score gradient back to the raw Gaussian parameters.
 
-    ``d_scores`` and ``voxels`` are the gradient rows as ``LossBreakdown``
-    holds them.  Each gaussian accumulates only over its own neighborhood
-    pairs, in ascending voxel order, mirroring the forward sparsity.  ``_pair_moments``
-    reads a gaussian of a large box as that box, in dense blocks of whole
-    x-layers, and the others as pair runs, split by the forward pass's rule.
+    ``d_scores`` has the rows of the scores the loss read: (V, C) with
+    ``voxels`` None, else row i is voxel ``voxels[i]``, ascending, and every
+    voxel of the index's boxes has a row; any other shape is a ValueError,
+    raised before any pass.  Each gaussian accumulates only over its own
+    neighborhood pairs, in ascending voxel order, mirroring the forward
+    sparsity.  ``_pair_moments`` reads a gaussian of a large box as that
+    box, in dense blocks of whole x-layers, and the others as pair runs,
+    split by the forward pass's rule.
     Either way every per-gaussian sum is added in pair order from +0.0, so
     the result depends neither on the path nor on the run or block size.
     The rotation gradient is projected onto the unit-quaternion tangent.
@@ -189,6 +192,9 @@ def backward_splat(
     takes the gaussians in blocks, so beyond one run's or one block's
     scratch the pass holds per-gaussian parameters, moments and gradients.
     """
+    shape = (index.num_voxels if voxels is None else voxels.size, params.raw_logits.shape[1])
+    if d_scores.shape != shape:
+        raise ValueError(f"d_scores is {d_scores.shape}, not the rows' {shape}")
     span = s_max - s_min
     sig = sigmoid(params.raw_scales)
     sem = softmax(params.raw_logits, axis=1)
@@ -301,17 +307,18 @@ def fit(
     accepted for the callers that pass a thread count; every stage runs on
     the calling thread, so it changes neither the result nor the speed.
     Each iteration splats into float32 score rows, one per voxel in the
-    index's boxes, ``index.covered``; the loss runs over them, and the
-    backward pass reads the loss's gradient rows.  The score rows, the
-    loss's one float64 buffer and its per-row arrays, ``4 C + 8 C +
-    _ROW_BYTES`` bytes per row, are checked against ``MAX_SCORE_BYTES`` at
-    one row per voxel before the first of them exists.
+    index's boxes, ``index.covered``; the loss runs over them and gives its
+    gradient in the same rows, which the backward pass reads.  The score
+    rows with their voxel ids and the labels, ``4 C + 9`` bytes per row,
+    and the loss's one float64 buffer and its per-row arrays, ``8 C +
+    _ROW_BYTES``, are checked against ``MAX_SCORE_BYTES`` at one row per
+    voxel before the first of them exists.
     Only the parameters and the AdamW moments live from one iteration into
     the next: the scene is dropped after the splat, the score rows after
     the loss, the gradient rows after the backward pass, and the gradients
     and the index after the step.
     """
-    _check_dense_bytes(truth.spec.num_voxels, (4 + 8) * truth.class_count + _ROW_BYTES)
+    _check_dense_bytes(truth.spec.num_voxels, (4 + 8) * truth.class_count + 9 + _ROW_BYTES)
     if np.count_nonzero(truth.labels != IGNORE_LABEL) == 0:
         raise ValueError("truth grid has no non-ignore voxel")
     if isinstance(initial, SceneInit):
@@ -338,7 +345,7 @@ def fit(
             raise DivergenceError(it)
 
         grads = backward_splat(params, index, truth.spec, lb.d_scores, config.s_min,
-                               config.s_max, lb.voxels)
+                               config.s_max, grid.voxels)
         lb.d_scores = None
         deltas = opt.deltas(params, grads, config.lr_at(it))
         grads = None

@@ -22,12 +22,10 @@ sorted entry's position and foreground count in the full stable order are
 then exact integers, its covered rank plus the group members that precede
 it, so its coefficient has the bits of a sort over every voxel.  The scalar
 of a tie run telescopes to ``error * (J_last - J_before)``.  So the score
-gradients at the covered non-ignored rows are bitwise those of dense passes
-and a full sort over every voxel; only the Lovasz and cross-entropy scalars
-can differ, by the rounding of shorter sums.  The gradient is then returned
-as those rows, in voxel order, in the buffer they were computed in, whose
-last row is zero to stand for every other voxel: the backward pass reads
-no other row, so no (V, C) gradient is built.
+gradients at the covered rows are bitwise those of dense passes and a full
+sort over every voxel; only the Lovasz and cross-entropy scalars can differ,
+by the rounding of shorter sums.  The gradient has the prediction's rows, so
+no (V, C) gradient is built for a prediction in row form.
 
 One (rows, C) float64 buffer serves every pass: it holds the Lovasz
 gradient and then the score gradient.  No probability is stored.  Each row
@@ -49,10 +47,13 @@ from .grid import IGNORE_LABEL, OccupancyGrid, grids_compatible
 
 # Rows per block of the passes over the score rows; their scratch holds two blocks.
 _CHAIN_ROWS = 1 << 11
-# Bytes per row that voxel_losses holds beside its (rows, C) float64 buffer:
-# the row index, the row max, the log-sum-exp and one class's probabilities,
-# 8 bytes each, and 8 bytes of labels and masks.
-_ROW_BYTES = 40
+# Bytes per row that voxel_losses holds at most beside its (rows, C) float64
+# buffer: the labels, the ignored mask and the outside mask; the row max and
+# the log-sum-exp; and over one class's kept rows, which can be every row,
+# two masks and ten 8-byte arrays: the ids, the foreground flags, the errors,
+# two prefix counts, and the coefficients with two Jaccard temporaries or
+# the tie groups' counts with the four arrays that place the tied rows.
+_ROW_BYTES = 3 + 2 * 8 + 2 + 10 * 8
 
 
 @dataclass
@@ -60,11 +61,9 @@ class LossBreakdown:
     total: float
     ce: float
     lovasz: float
-    # (rows, C) float64.  With ``voxels`` None, one row per voxel, zero at
-    # ignored voxels.  Otherwise row i is voxel ``voxels[i]``, and a last
-    # all-zero row stands for every voxel without a row.
+    # (rows, C) float64, the rows of the prediction's scores; +0.0 at
+    # ignored voxels.
     d_scores: np.ndarray
-    voxels: np.ndarray | None = None
 
 
 def _jaccard(fg_sum: float, fg: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -130,15 +129,11 @@ def voxel_losses(
 ) -> LossBreakdown:
     """Weighted cross-entropy + Lovasz-softmax loss and its score gradients.
 
-    ``weights`` is (ce_weight, lovasz_weight).  For ``pred`` in row form,
-    such as ``splat(..., rows=True)`` gives, ``d_scores`` holds one row per
-    non-ignored voxel of ``pred.voxels``, listed in ``voxels``, plus the
-    zero row of every other voxel.  A dense ``pred`` gives the dense form:
-    a (V, C) ``d_scores``, exact at every non-ignored voxel, and ``voxels``
-    None; so does a row form where every voxel has a row, with no copy.
-    Beside the (m + 1, C) float64 rows of ``d_scores``, m the rows, the
-    loss holds about ``_ROW_BYTES`` per row, and the dense form a (V, C)
-    copy at the end.
+    ``weights`` is (ce_weight, lovasz_weight).  ``d_scores`` has the rows of
+    ``pred.scores``: one per voxel for a dense ``pred``, and row i for voxel
+    ``pred.voxels[i]`` in row form, such as ``splat(..., rows=True)`` gives.
+    A row whose voxel is ignored stays +0.0.  Beside the (rows, C) float64
+    buffer that it returns, the loss holds at most ``_ROW_BYTES`` per row.
     Raises UndefinedLossError if every truth voxel carries the ignore label.
     """
     if pred.scores is None:
@@ -146,69 +141,65 @@ def voxel_losses(
     if not grids_compatible(pred, truth):
         raise GridMismatchError("prediction and truth must share GridSpec and class count")
     ce_w, lov_w = (float(weights[0]), float(weights[1]))
-    v = pred.spec.num_voxels
 
-    valid = truth.labels != IGNORE_LABEL
-    n = int(np.count_nonzero(valid))
+    # The non-ignored voxels, then those of them without a row.
+    outside = truth.labels != IGNORE_LABEL
+    n = int(np.count_nonzero(outside))
     if n == 0:
         raise UndefinedLossError("all voxels are ignored")
     dense = pred.voxels is None
-    # The score row of each covered non-ignored voxel, ascending, and the
-    # non-ignored voxels without a row.
-    if dense:
-        src = np.flatnonzero(valid)
-        outside = np.zeros(v, dtype=bool)
-    else:
-        src = np.flatnonzero(valid[pred.voxels])
-        outside = valid.copy()
-        outside[pred.voxels] = False
-    del valid
+    outside[slice(None) if dense else pred.voxels] = False
 
     def voxels_of(rows):
-        return src[rows] if dense else pred.voxels[src[rows]]
+        return rows if dense else pred.voxels[rows]
 
     scores = pred.scores
-    labels = truth.labels[voxels_of(slice(None))]
+    labels = truth.labels if dense else truth.labels[pred.voxels]
+    # The rows that the passes read; an ignored row's gradient stays +0.0.
+    valid = labels != IGNORE_LABEL
+    valid_labels = labels[valid]
     out_labels = truth.labels[outside]
     c = pred.class_count
     out_count = np.bincount(out_labels, minlength=c)
     m = labels.size
-    # Each row's max and log-sum-exp, found a block of rows at a time.  Row m
-    # is all zero, the scores of every voxel outside the covered set, so the
-    # same ops give their constant row.
-    row_max, lse = np.empty((2, m + 1))
+    # Each row's max and log-sum-exp, found a block of rows at a time.  The
+    # same ops on an all-zero row give the constant row of every voxel
+    # outside the covered set.
+    row_max, lse = np.empty((2, m))
     scratch = np.empty((2, min(_CHAIN_ROWS, m), c))
     for a in range(0, m, _CHAIN_ROWS):
         b = min(a + _CHAIN_ROWS, m)
         block = scratch[0, :b - a]
-        block[...] = scores[src[a:b]]
+        block[...] = scores[a:b]
         _log_sum_exp(block, row_max[a:b], lse[a:b])
-    _log_sum_exp(np.zeros((1, c)), row_max[m:], lse[m:])
-    logp_out = (np.zeros(c) - row_max[m]) - lse[m]
+    zero_max, zero_lse = np.empty((2, 1))
+    _log_sum_exp(np.zeros((1, c)), zero_max, zero_lse)
+    logp_out = (np.zeros(c) - zero_max) - zero_lse
     p_out = np.exp(logp_out)
-    logp_label = scores[src, labels].astype(np.float64)
-    logp_label -= row_max[:m]
-    logp_label -= lse[:m]
+    logp_label = scores[valid, valid_labels].astype(np.float64)
+    logp_label -= row_max[valid]
+    logp_label -= lse[valid]
     ce = float(-(logp_label.sum() + np.dot(out_count, logp_out)) / n)
 
     # Lovasz-softmax over classes present in the truth.  Each class sorts its
     # foreground and the background whose error p reaches the smallest
     # foreground error, 1 - max(p[fg]): the prefix of the module docstring.
-    fg_total = np.bincount(labels, minlength=c) + out_count
+    fg_total = np.bincount(valid_labels, minlength=c) + out_count
     present = np.flatnonzero(fg_total)
     p_max = np.full(c, -np.inf)
-    np.maximum.at(p_max, labels, np.exp(logp_label, out=logp_label))
-    del logp_label
+    np.maximum.at(p_max, valid_labels, np.exp(logp_label, out=logp_label))
+    del logp_label, valid_labels
     p_max = np.where(out_count > 0, np.maximum(p_max, p_out), p_max)
     threshold = 1.0 - p_max
     lov = 0.0
-    # The one (m + 1, C) buffer: the Lovasz gradient, then the score gradient.
-    d_scores = np.zeros((m + 1, c))
+    # The one (rows, C) buffer: the Lovasz gradient, then the score gradient.
+    d_scores = np.zeros((m, c))
 
     for cls in present:
-        probs = _probs(scores[src, cls].astype(np.float64), row_max[:m], lse[:m])
+        probs = _probs(scores[:, cls].astype(np.float64), row_max, lse)
         keep = probs >= threshold[cls]
         keep[labels == cls] = True
+        keep &= valid
         idx = np.flatnonzero(keep)
         del keep
         fg = (labels[idx] == cls).astype(np.float64)
@@ -252,29 +243,24 @@ def voxel_losses(
             lov += float(err * (through - before) - np.dot(errors[lo:hi], coeffs[lo:hi]))
         # d|fg - p| / dp = -1 on foreground, +1 elsewhere
         d_scores[idx, cls] = coeffs * (1.0 - 2.0 * fg) / present.size
+        del idx, fg, errors, seen, length, coeffs  # before the next class builds its own
     lov /= present.size
     # A block of rows at a time: the chain through the softmax,
     # ds = p * (g - <g, p>), then the cross-entropy gradient added to it.
     for a in range(0, m, _CHAIN_ROWS):
         b = min(a + _CHAIN_ROWS, m)
         p, gp = scratch[:, :b - a]
-        p[...] = scores[src[a:b]]
+        p[...] = scores[a:b]
         _probs(p, row_max[a:b], lse[a:b])
         g = d_scores[a:b]
         np.multiply(g, p, out=gp)
         g -= np.sum(gp, axis=1, keepdims=True)
         g *= np.multiply(p, lov_w, out=gp)
-        p[np.arange(b - a), labels[a:b]] -= 1.0
+        ok = valid[a:b]
+        p[ok, labels[a:b][ok]] -= 1.0
         p *= ce_w / n
         g += p  # a float add commutes, so the sum has the bits of ce + lovasz
+        g[~ok] = 0.0  # an ignored row has no gradient, whatever the weights' signs
     del scratch
 
-    total = ce_w * ce + lov_w * lov
-    if m == v:  # every voxel has a row: the rows are the dense form
-        return LossBreakdown(total=total, ce=ce, lovasz=lov, d_scores=d_scores[:m])
-    if not dense:
-        return LossBreakdown(total=total, ce=ce, lovasz=lov, d_scores=d_scores,
-                             voxels=voxels_of(slice(None)))
-    rows, d_scores = d_scores, np.zeros((v, c))
-    d_scores[src] = rows[:m]
-    return LossBreakdown(total=total, ce=ce, lovasz=lov, d_scores=d_scores)
+    return LossBreakdown(total=ce_w * ce + lov_w * lov, ce=ce, lovasz=lov, d_scores=d_scores)

@@ -28,9 +28,6 @@ class ConfusionMatrix:
     def class_count(self) -> int:
         return int(self.counts.shape[0])
 
-    def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        return ConfusionMatrix(self.counts + other.counts, self.ignore_count + other.ignore_count)
-
 
 def confusion(pred: OccupancyGrid, truth: OccupancyGrid) -> ConfusionMatrix:
     """Tally predicted vs ground-truth labels, excluding 255-ignore truth voxels."""

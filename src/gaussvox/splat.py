@@ -570,7 +570,8 @@ def _path_runs(index: SplatIndex):
 
 
 def _row_map(voxels: np.ndarray, v: int) -> np.ndarray:
-    """(V,) row of each voxel: its place in the ascending ``voxels``, else ``voxels.size``."""
+    """(V,) row of each voxel: its place in the ascending ``voxels``, else
+    ``voxels.size``, past the last row, so that reading it raises IndexError."""
     row_of = np.full(v, voxels.size, dtype=np.intp)
     row_of[voxels] = np.arange(voxels.size)
     return row_of
@@ -580,10 +581,10 @@ def _pair_moments(frames, index: SplatIndex, d_scores: np.ndarray, sem: np.ndarr
     """Every gaussian's pair moments and semantic cotangents.
 
     ``d_scores`` holds the score cotangent rows and ``sem`` (P, C) the
-    semantics.  Row i is voxel ``voxels[i]``, ascending, and the row after
-    the last stands for every voxel without a row; ``None`` means row v is
-    voxel v.  Returns ``s_z`` (P, 3) and ``s_zz`` (P, 3, 3), the moments
-    that ``pair_weights_vjp`` defines, and ``d_sem`` (P, C), the sum of
+    semantics.  Row i is voxel ``voxels[i]``, ascending, and every voxel of
+    the index's boxes has a row; ``None`` means row v is voxel v.  Returns
+    ``s_z`` (P, 3) and ``s_zz`` (P, 3, 3), the moments that
+    ``pair_weights_vjp`` defines, and ``d_sem`` (P, C), the sum of
     ``w * d_scores`` over each gaussian's pairs.  Box runs are read by
     ``_box_sums`` in blocks, each gathered through the (V,) row map; when
     ``voxels`` is None a block is a view of the rows.  In the others each

@@ -246,14 +246,15 @@ def test_gen_capacity_checked_before_allocation_exit_2(tmp_path, monkeypatch, ca
 
 def test_fit_capacity_checked_before_allocation_exit_2(tmp_path, monkeypatch, capsys):
     # Per voxel, a fit holds 4 bytes per class of float32 score rows, 8 of
-    # the loss's buffer and 40 of its per-row arrays: 512 * (2 * 12 + 40) =
-    # 32768 bytes on 8^3 voxels of 2 classes, against a cap of 32767.
+    # the loss's buffer, 9 of voxel ids and labels and 101 of the loss's
+    # per-row arrays: 512 * (2 * 12 + 110) = 68608 bytes on 8^3 voxels of 2
+    # classes, against a cap of 68607.
     shapes = tmp_path / "shapes.json"
     shapes.write_text(json.dumps([{"kind": "box", "cls": 1, "min": [1, 1, 1],
                                    "max": [3, 3, 3]}]))
     truth = tmp_path / "truth.svox"
     assert run(["gen", *GRID_FLAGS, "--shapes", str(shapes), "--out", str(truth)])[0] == 0
-    monkeypatch.setattr(importlib.import_module("gaussvox.splat"), "MAX_SCORE_BYTES", 32767)
+    monkeypatch.setattr(importlib.import_module("gaussvox.splat"), "MAX_SCORE_BYTES", 68607)
     monkeypatch.setattr(importlib.import_module("gaussvox.fitter"), "build_splat_index",
                         _not_reached)
     out = tmp_path / "fit.sgau"
@@ -261,7 +262,7 @@ def test_fit_capacity_checked_before_allocation_exit_2(tmp_path, monkeypatch, ca
                    "--iters", "1"])
     err = capsys.readouterr().err
     assert code == 2
-    assert "32768 bytes" in err
+    assert "68608 bytes" in err
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -29,6 +29,7 @@ from gaussvox.grid import IGNORE_LABEL
 from test_loss_parity import driving_scene, octant_scene, sparse_driving_scene
 
 splat_module = importlib.import_module("gaussvox.splat")
+losses_module = importlib.import_module("gaussvox.losses")
 
 SPEC8 = GridSpec((-1.0, -1.0, -1.0), (0.25, 0.25, 0.25), (8, 8, 8))
 S_MIN, S_MAX = 0.05, 0.6
@@ -357,31 +358,32 @@ ROW_CASES = {
 @pytest.mark.parametrize("slab_pairs", [None, 7, 300])
 @pytest.mark.parametrize("case", list(ROW_CASES))
 def test_backward_reads_loss_rows_as_the_dense_gradient(monkeypatch, case, slab_pairs):
-    # The loss's rows, one per covered non-ignored voxel, and the dense
-    # gradient they stand for give the same bits.  Octant is exact mode:
-    # every gaussian takes the box path and every voxel has a row, so the
-    # loss hands over its rows as the grid.  The partly covered case's box
-    # blocks gather their rows through the row map.  The patched pair caps
-    # cut the runs and the blocks.
+    # The loss's rows, one per covered voxel, and the dense gradient they
+    # stand for give the same bits.  Octant is exact mode: every gaussian
+    # takes the box path and every voxel has a row, so the rows are the
+    # grid.  The partly covered case's box blocks gather their rows through
+    # the row map.  The patched pair caps cut the runs and the blocks.
     make, cutoff = ROW_CASES[case]
     scene, truth = make()
     spec = truth.spec
     params = RawGaussianParams.from_scene(scene, S_MIN, S_MAX)
     activated = params.activate(S_MIN, S_MAX)
     index = build_splat_index(activated, spec, cutoff)
-    lb = voxel_losses(splat(activated, spec, index=index, rows=True), truth)
+    grid = splat(activated, spec, index=index, rows=True)
+    lb = voxel_losses(grid, truth)
     boxes = np.diff(index.gaussian_starts) > splat_module._BOX_PAIRS
     if case == "octant":
-        assert boxes.all() and lb.voxels is None
+        assert boxes.all() and grid.voxels is None
     if case == "partly-covered-boxes":
         assert boxes.sum() == 2 and not boxes[0]
-        assert index.covered.mean() < 0.9 and lb.voxels.size < index.covered.sum()
-    voxels = np.arange(spec.num_voxels) if lb.voxels is None else lb.voxels
+        assert index.covered.mean() < 0.9
+        assert (truth.labels[grid.voxels] == IGNORE_LABEL).any()
+    voxels = np.arange(spec.num_voxels) if grid.voxels is None else grid.voxels
     dense = np.zeros((spec.num_voxels, truth.class_count))
-    dense[voxels] = lb.d_scores[:voxels.size]
+    dense[voxels] = lb.d_scores
     if slab_pairs is not None:
         monkeypatch.setattr(splat_module, "_SLAB_PAIRS", slab_pairs)
-    rows = backward_splat(params, index, spec, lb.d_scores, S_MIN, S_MAX, lb.voxels)
+    rows = backward_splat(params, index, spec, lb.d_scores, S_MIN, S_MAX, grid.voxels)
     ref = backward_splat(params, index, spec, dense, S_MIN, S_MAX)
     assert rows["means"].any() and rows["raw_logits"].any()
     for key in PARAM_KEYS:
@@ -429,7 +431,7 @@ def traced_growth(prepare, run):
 
 def loss_and_backward(params, index, spec, grid, truth):
     lb = voxel_losses(grid, truth)
-    backward_splat(params, index, spec, lb.d_scores, S_MIN, S_MAX, lb.voxels)
+    backward_splat(params, index, spec, lb.d_scores, S_MIN, S_MAX, grid.voxels)
 
 
 def test_loss_and_backward_memory_grows_by_no_dense_gradient():
@@ -453,19 +455,20 @@ def test_box_path_backward_memory_grows_by_no_dense_gradient(monkeypatch):
 
     def lossed(params, activated, spec, truth):
         index = build_splat_index(activated, spec, 3.0)
-        lb = voxel_losses(splat(activated, spec, index=index, rows=True), truth)
-        assert lb.voxels is not None
-        return params, index, spec, lb
+        grid = splat(activated, spec, index=index, rows=True)
+        assert grid.voxels is not None
+        return params, index, spec, voxel_losses(grid, truth), grid.voxels
 
-    def backward(params, index, spec, lb):
-        backward_splat(params, index, spec, lb.d_scores, S_MIN, S_MAX, lb.voxels)
+    def backward(params, index, spec, lb, voxels):
+        backward_splat(params, index, spec, lb.d_scores, S_MIN, S_MAX, voxels)
 
     assert traced_growth(lossed, backward) <= 16
 
 
 def small_gaussians_case(count):
     """``count`` small gaussians over a 32x32x16 grid of 6 classes, its
-    index and the loss's gradient rows, as ``backward_splat`` takes them."""
+    index, the loss and the voxels of its gradient rows, as
+    ``backward_splat`` takes them."""
     rng = np.random.default_rng(75)
     classes = 6
     spec = GridSpec((0.0, 0.0, 0.0), (0.25, 0.25, 0.25), (32, 32, 16))
@@ -479,8 +482,8 @@ def small_gaussians_case(count):
     params = RawGaussianParams.from_scene(scene, S_MIN, S_MAX)
     activated = params.activate(S_MIN, S_MAX)
     index = build_splat_index(activated, spec, 3.0)
-    return params, index, spec, voxel_losses(splat(activated, spec, index=index, rows=True),
-                                             truth)
+    grid = splat(activated, spec, index=index, rows=True)
+    return params, index, spec, voxel_losses(grid, truth), grid.voxels
 
 
 def test_backward_memory_per_gaussian_is_bounded():
@@ -493,10 +496,10 @@ def test_backward_memory_per_gaussian_is_bounded():
     peaks = []
     counts = (6000, 18000)
     for count in counts:
-        params, index, spec, lb = small_gaussians_case(count)
+        params, index, spec, lb, voxels = small_gaussians_case(count)
         tracemalloc.start()
         try:
-            backward_splat(params, index, spec, lb.d_scores, S_MIN, S_MAX, lb.voxels)
+            backward_splat(params, index, spec, lb.d_scores, S_MIN, S_MAX, voxels)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -507,10 +510,10 @@ def test_backward_memory_per_gaussian_is_bounded():
 def test_frames_vjp_blocks_keep_the_bits(monkeypatch, block):
     # frames_vjp takes a block of gaussians at a time; no gradient depends
     # on the block size.
-    params, index, spec, lb = small_gaussians_case(300)
-    ref = backward_splat(params, index, spec, lb.d_scores, S_MIN, S_MAX, lb.voxels)
+    params, index, spec, lb, voxels = small_gaussians_case(300)
+    ref = backward_splat(params, index, spec, lb.d_scores, S_MIN, S_MAX, voxels)
     monkeypatch.setattr(splat_module, "_VJP_GAUSSIANS", block)
-    got = backward_splat(params, index, spec, lb.d_scores, S_MIN, S_MAX, lb.voxels)
+    got = backward_splat(params, index, spec, lb.d_scores, S_MIN, S_MAX, voxels)
     assert ref["rotations"].any()
     for key in PARAM_KEYS:
         assert np.array_equal(got[key].view(np.uint64), ref[key].view(np.uint64)), key
@@ -588,9 +591,9 @@ def test_row_splat_matches_dense_splat(monkeypatch, case, slab_pairs):
 
 
 def test_fit_checks_its_per_voxel_arrays_before_the_first(monkeypatch):
-    # Float32 score rows 4C, the loss's one float64 buffer 8C and its 40
-    # bytes of per-row arrays: 12C + 40 bytes per voxel, checked before the
-    # first splat.
+    # Float32 score rows 4C, their voxel ids and the labels 9, the loss's one
+    # float64 buffer 8C and its 101 bytes of per-row arrays: 12C + 110 bytes
+    # per voxel, checked before the first splat.
     rng = np.random.default_rng(74)
     truth = random_truth(rng, SPEC8, 3)
     splats = []
@@ -598,7 +601,7 @@ def test_fit_checks_its_per_voxel_arrays_before_the_first(monkeypatch):
     real_splat = fitter_module.splat
     monkeypatch.setattr(fitter_module, "splat",
                         lambda *args, **kwargs: splats.append(1) or real_splat(*args, **kwargs))
-    bound = SPEC8.num_voxels * (12 * 3 + 40)
+    bound = SPEC8.num_voxels * (12 * 3 + 110)
     monkeypatch.setattr(splat_module, "MAX_SCORE_BYTES", bound - 1)
     with pytest.raises(CapacityError):
         fit(SceneInit("uniform", 4), truth, FitConfig(iterations=1))
@@ -606,3 +609,61 @@ def test_fit_checks_its_per_voxel_arrays_before_the_first(monkeypatch):
     monkeypatch.setattr(splat_module, "MAX_SCORE_BYTES", bound)
     fit(SceneInit("uniform", 4), truth, FitConfig(iterations=1))
     assert splats == [1]
+
+
+PEAK_SPEC = GridSpec((0.0, 0.0, 0.0), (0.25, 0.25, 0.25), (32, 32, 32))
+
+
+def peak_case(full, ignored, classes):
+    """40 gaussians about the centre of a 32^3 grid, broad enough that their
+    boxes cover every voxel or most of them, and a random truth of
+    ``classes`` with an ``ignored`` share of ignored voxels."""
+    rng = np.random.default_rng(76 + classes)
+    count = 40
+    rotations = rng.normal(size=(count, 4))
+    scene = GaussianScene(
+        rng.uniform(3.0, 5.0, (count, 3)).astype(np.float32),
+        np.full((count, 3), 3.0 if full else 0.8, dtype=np.float32),
+        (rotations / np.linalg.norm(rotations, axis=1, keepdims=True)).astype(np.float32),
+        rng.dirichlet(np.ones(classes), count).astype(np.float32))
+    labels = rng.integers(0, classes, PEAK_SPEC.num_voxels).astype(np.uint8)
+    labels[rng.random(labels.size) < ignored] = IGNORE_LABEL
+    return scene, OccupancyGrid(PEAK_SPEC, classes, labels), FitConfig(iterations=1, s_min=0.5,
+                                                                       s_max=4.0)
+
+
+@pytest.mark.parametrize("classes", [1, 4, 18])
+@pytest.mark.parametrize("ignored", [0.0, 0.05])
+@pytest.mark.parametrize("full", [True, False])
+def test_fit_peaks_within_its_capacity_check(monkeypatch, full, ignored, classes):
+    # A 1-iteration fit's traced peak stays within the bytes per voxel that
+    # fit checks before its first array, plus 1 MiB for the scratch whose
+    # size does not follow the grid: the loss's blocks of rows, and the
+    # backward pass's runs and box blocks, which the patched pair cap keeps
+    # small.  One class keeps every row in its sort, and in the partly
+    # covered grid every kept row ties the outside rows.  Measured: 56 to
+    # 310 bytes per voxel below the bound.  The loss that copied its rows
+    # into a (V, C) gradient for a fully covered grid with ignored voxels
+    # peaked 42 bytes per voxel above it at 18 classes.
+    monkeypatch.setattr(splat_module, "_SLAB_PAIRS", 256)
+    scene, truth, config = peak_case(full, ignored, classes)
+    assert build_splat_index(scene, PEAK_SPEC, config.cutoff_sigma).covered.all() == full
+    tracemalloc.start()
+    try:
+        fit(scene, truth, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = PEAK_SPEC.num_voxels * ((4 + 8) * classes + 9 + losses_module._ROW_BYTES) + (1 << 20)
+    assert peak <= bound, (bound - peak) / PEAK_SPEC.num_voxels
+
+
+def test_backward_rejects_gradient_rows_of_another_shape():
+    # Row-form rows without their voxels, and a dense gradient with them,
+    # are refused before any pass.
+    params, index, spec, lb, voxels = small_gaussians_case(300)
+    assert voxels is not None
+    dense = np.zeros((spec.num_voxels, lb.d_scores.shape[1]))
+    for d_scores, rows in ((lb.d_scores, None), (dense, voxels), (lb.d_scores[:-1], voxels)):
+        with pytest.raises(ValueError, match="d_scores"):
+            backward_splat(params, index, spec, d_scores, S_MIN, S_MAX, rows)

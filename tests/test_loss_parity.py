@@ -9,10 +9,9 @@ last foreground entry is exactly 0.0.
 
 Given a prediction in row form, one score row per covered voxel, the
 library runs over the covered rows only and stands one constant row in for
-the others.  It returns the gradient as one row per covered non-ignored
-voxel plus a zero row for every other voxel.  The covered tests hold each
-row to the reference's dense gradient at its voxel bit for bit, and require
-the zero row.
+the others.  It returns the gradient in the prediction's rows.  The covered
+tests hold every covered row, ignored rows included, to the reference's
+dense gradient at its voxel bit for bit.
 """
 
 import importlib
@@ -204,20 +203,15 @@ def row_form(pred, covered):
 
 
 def assert_covered_parity(pred, truth, covered, weights):
-    """Given ``pred`` in row form over ``covered``: a row per covered
-    non-ignored voxel, in voxel order, bitwise the reference's gradient
-    there; a zero row for every other voxel, unless every voxel has a row;
-    and the scalars within 1e-12."""
+    """Given ``pred`` in row form over ``covered``: a row per covered voxel,
+    ignored voxels included, in voxel order, bitwise the reference's
+    gradient there; and the scalars within 1e-12."""
     ref = loss_reference.voxel_losses(pred, truth, weights)
     got = voxel_losses(row_form(pred, covered), truth, weights)
-    voxels = np.flatnonzero(covered & (truth.labels != IGNORE_LABEL))
-    rows = got.d_scores
-    if got.voxels is not None:
-        assert np.array_equal(got.voxels, voxels)
-        assert not rows[-1].view(np.uint64).any(), weights
-        rows = rows[:-1]
-    assert rows.shape == (voxels.size, truth.class_count)
-    assert np.array_equal(rows.view(np.uint64), ref.d_scores[voxels].view(np.uint64)), weights
+    voxels = np.flatnonzero(covered)
+    assert got.d_scores.shape == (voxels.size, truth.class_count)
+    assert np.array_equal(got.d_scores.view(np.uint64),
+                          ref.d_scores[voxels].view(np.uint64)), weights
     assert close(ref.total, got.total), (weights, ref.total, got.total)
     assert close(ref.ce, got.ce), (weights, ref.ce, got.ce)
     assert close(ref.lovasz, got.lovasz), (weights, ref.lovasz, got.lovasz)
@@ -253,7 +247,6 @@ def test_loss_matches_full_sort_reference(case):
     for weights in WEIGHTS:
         ref = loss_reference.voxel_losses(pred, truth, weights)
         got = voxel_losses(pred, truth, weights)
-        assert got.voxels is None
         assert np.array_equal(got.d_scores.view(np.uint64), ref.d_scores.view(np.uint64)), weights
         assert close(ref.total, got.total), (weights, ref.total, got.total)
         assert close(ref.ce, got.ce), (weights, ref.ce, got.ce)
@@ -280,9 +273,9 @@ def test_tied_background_precedes_last_foreground():
 
 
 def test_loss_holds_fewer_than_four_dense_gradients():
-    # The gradient is V x C float64.  The loss's (n, C) buffers, n of the V
-    # voxels, are freed before the gradient is allocated, except the one it
-    # is copied from, so the traced peak stays below four gradients.
+    # The gradient is V x C float64, the loss's one buffer for a dense
+    # prediction; with its per-row arrays the traced peak stays below four
+    # gradients.
     pred, truth = driving_case()
     tracemalloc.start()
     try:
@@ -294,9 +287,9 @@ def test_loss_holds_fewer_than_four_dense_gradients():
 
 
 def test_row_loss_holds_fewer_than_three_row_buffers():
-    # The loss's (m + 1, C) float64 buffers, m the covered non-ignored
-    # voxels: no more than two of them and the blocks' scratch make the
-    # traced peak.
+    # The loss's float64 buffers of the covered rows: no more than two of
+    # them and the blocks' scratch make the traced peak.  The bound counts
+    # (m, C) buffers, m the covered non-ignored rows, 5% fewer.
     pred, truth = driving_case()
     covered = covered_mask("driving", pred)
     grid = row_form(pred, covered)
@@ -307,15 +300,16 @@ def test_row_loss_holds_fewer_than_three_row_buffers():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * (m + 1) * truth.class_count * 8
+    assert peak < 3 * m * truth.class_count * 8
 
 
 def test_row_loss_holds_fewer_than_two_row_buffers():
-    # The loss holds one (m + 1, C) float64 buffer, which takes the Lovasz
-    # gradient and then the score gradient.  Its per-row arrays, one class's
-    # probabilities at a time and the per-voxel masks come to less than one
-    # more.  Measured: 1.63 buffers; with the probabilities in a second
-    # buffer, as before, 2.71.
+    # The loss holds one float64 buffer of the covered rows, which takes
+    # the Lovasz gradient and then the score gradient.  Its per-row arrays,
+    # one class's probabilities at a time and the per-voxel masks come to
+    # less than one more.  The bound counts (m, C) buffers, m the covered
+    # non-ignored rows, 5% fewer.  Measured: 1.64 buffers; with the
+    # probabilities in a second buffer, as before, 2.71.
     pred, truth = driving_case()
     covered = covered_mask("driving", pred)
     grid = row_form(pred, covered)
@@ -326,7 +320,7 @@ def test_row_loss_holds_fewer_than_two_row_buffers():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * (m + 1) * truth.class_count * 8, peak / ((m + 1) * truth.class_count * 8)
+    assert peak < 2 * m * truth.class_count * 8, peak / (m * truth.class_count * 8)
 
 
 @pytest.mark.parametrize("chain_rows", [1, 7])
@@ -401,3 +395,17 @@ def test_covered_label_entries_keep_negative_zero():
     ref = assert_covered_parity(pred, truth, covered, (0.0, 1.0))
     entries = ref.d_scores[np.flatnonzero(covered), labels[covered]]
     assert np.any((entries == 0.0) & np.signbit(entries))
+
+
+@pytest.mark.parametrize("case", ["tied-a", "sparse-driving"])
+def test_ignored_rows_stay_positive_zero_under_negative_weights(case):
+    # An ignored row is left out of every pass, so its gradient is +0.0 as
+    # in the reference, even where a negative weight would turn a zero
+    # product into -0.0.
+    pred, truth = CASES[case]()
+    weights = (-0.5, -1.0)
+    ref = loss_reference.voxel_losses(pred, truth, weights)
+    got = voxel_losses(pred, truth, weights)
+    assert np.array_equal(got.d_scores.view(np.uint64), ref.d_scores.view(np.uint64))
+    assert not got.d_scores[truth.labels == IGNORE_LABEL].view(np.uint64).any()
+    assert_covered_parity(pred, truth, covered_mask(case, pred), weights)

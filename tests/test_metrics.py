@@ -61,8 +61,8 @@ def test_confusion_additive():
     t_a, t_b = t.copy(), t.copy()
     t_a[4:] = 255
     t_b[:4] = 255
-    parts = confusion(grid(p), grid(t_a)) + confusion(grid(p), grid(t_b))
-    assert np.array_equal(whole.counts, parts.counts)
+    parts = confusion(grid(p), grid(t_a)).counts + confusion(grid(p), grid(t_b)).counts
+    assert np.array_equal(whole.counts, parts)
 
 
 def test_miou_perfect():

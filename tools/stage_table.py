@@ -89,7 +89,7 @@ def iteration(params: RawGaussianParams, truth: OccupancyGrid, memory: bool = Fa
     lap("splat")
     loss = voxel_losses(grid, truth)
     lap("loss")
-    grads = backward_splat(params, index, truth.spec, loss.d_scores, S_MIN, S_MAX, loss.voxels)
+    grads = backward_splat(params, index, truth.spec, loss.d_scores, S_MIN, S_MAX, grid.voxels)
     lap("backward")
     stepped = params.copy()
     deltas = AdamW(stepped).deltas(stepped, grads, 0.01)
