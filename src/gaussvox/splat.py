@@ -9,27 +9,32 @@ elementwise kernel, ``pair_weights``, computes every pair weight, so a pair
 has the same bits in every path, the backward pass included.
 
 Accumulation is float32 in ascending gaussian index per voxel; this order is
-part of the contract so results are reproducible across runs and block,
-slab and chunk sizes.  Both passes split the gaussians into the same
-ascending runs by box size.  ``_box_blocks`` walks a large box, a dense
-block of the grid, in blocks of whole x-layers that are added to, or read
-from, a view of the scores.  ``_pair_runs`` writes the other boxes' pairs,
-clipped to x-slabs, in runs of whole gaussians; the forward pass scatters
-them into cache-sized slabs.  A box's C-order is its pair order, and both
-paths add each per-gaussian sum in that order from +0.0, so no result
-depends on a gaussian's path.  The forward pass is one loop over chunks of
-whole x-layers, with every run's boxes clipped to the chunk.  It builds the
-kernel's float64 frames per slab, and once per chunk for the chunk's box-path
-gaussians, not for the whole scene, and the index is found in chunks and
-stored as int32 box ends.  A run's products are formed one class at a time,
-and a run is released before the next is built.  ``splat`` adds the whole
-grid as one chunk, so it holds the scene, the index, the scores and little
-else.  ``splat_chunks``, from which the CLI writes its grid file, holds one
-slab of scores in place of all of them, and it can take a scene file in
-place of the scene: the index's pass reads and checks every record, and
-each few chunks read the rows of the gaussians that meet them.
-``fit`` keeps one score row and one gradient row per voxel of the boxes,
-both reached through a (V,) row map.  Every pass runs on the calling thread.
+part of the contract so results are reproducible across runs and block, run
+and slab sizes.  Both passes split the gaussians into the same ascending
+runs by box size.  ``_box_blocks`` walks a large box, a dense block of the
+grid, in blocks of whole x-layers that are added to, or read from, a view
+of the scores.  ``_pair_runs`` writes the other boxes' pairs, clipped to
+one range of x-layers, in runs of whole gaussians.  A box's C-order is its
+pair order, and both paths add each per-gaussian sum in that order from
++0.0, so no result depends on a gaussian's path.
+
+The forward pass cuts the grid along x one way only, into slabs of whole
+x-layers of about ``_SLAB_BYTES`` of scores, a block that stays in cache
+while pairs are scattered into it.  Slab by slab, it takes every run in
+ascending order, clipped to the slab, and builds the kernel's float64 frames
+for the slab's gaussians only, never for the whole scene.  A run's products
+are formed one class at a time, and a run is released before the next is
+built.  ``splat`` adds each slab in place in its dense (V, C) scores, or,
+in the row form that ``fit`` runs, into one score row per voxel of the
+boxes, reached through a (V,) row map; so it holds the scene, the index,
+the scores and little else.  ``splat_chunks``, from which the CLI writes
+its grid file, adds each slab into one slab's buffer, which it yields and
+then reuses, and it can take a scene file in place of the scene: the
+index's pass reads and checks every record, and each few slabs read the
+rows of the gaussians that meet them.  The index is found in blocks of
+gaussians and stored as int32 box ends.  The backward pass takes the pairs
+over the whole grid, and ``fit`` gives it one gradient row per score row.
+Every pass runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ _MAX_AXIS = np.iinfo(np.int32).max
 # frames_vjp takes this many gaussians at a time.
 _VJP_GAUSSIANS = 1 << 12
 
-# Cap on a scene's (gaussian, voxel) pairs.  Pairs exist only one chunk at a
+# Cap on a scene's (gaussian, voxel) pairs.  Pairs exist only one run at a
 # time, so this bounds the work of a pass over the index, not its memory.
 MAX_PAIRS = 1 << 33
 # Cap on the dense per-voxel arrays of a splat, such as its V * C * 4 bytes
@@ -69,8 +74,8 @@ class SplatIndex:
     running pair count, int64, so gaussian g owns pairs
     ``gaussian_starts[g] : gaussian_starts[g + 1]``.  Voxel ids, box sizes
     and pair counts are formed in int64 from the int32 entries.  No pair
-    list is held: the passes walk the boxes, and ``voxels(a, b)`` writes the
-    voxels of a run of gaussians for callers that want them listed.
+    list is held: the passes walk the boxes, and ``_pair_runs`` writes a
+    range's pairs run by run.
     """
 
     spec: GridSpec
@@ -89,17 +94,6 @@ class SplatIndex:
     @property
     def pair_count(self) -> int:
         return int(self.gaussian_starts[-1])
-
-    def voxels(self, a: int, b: int) -> np.ndarray:
-        """The voxels of gaussians [a, b), ascending per gaussian.
-
-        Each (gaussian, i, j) line of a box is one contiguous run of
-        z-voxels, so the voxels are the lines' z-indices plus a repeated
-        per-line offset, in (gaussian, voxel) order.
-        """
-        _, y_dim, z_dim = self.spec.dims
-        i, j, run, k = _box_lines(self.lo[a:b], self.counts[a:b])
-        return k + np.repeat((i * y_dim + j) * z_dim, run)
 
     def _box_counts(self) -> np.ndarray:
         """How many boxes hold each voxel, an (X, Y, Z) int64 view.
@@ -391,13 +385,14 @@ def frames_vjp(scales, rotations, s_z: np.ndarray, s_zz: np.ndarray):
     return d_mean, d_scale, d_quat
 
 
-# Pairs are written one x-slab of the grid at a time, in runs of whole
-# gaussians of about _SLAB_PAIRS pairs, and a box in blocks of at most that
-# many.  The forward pass takes slabs of whole x-layers of about _SLAB_BYTES
-# of scores, a contiguous block that stays in L2 while its pairs are
-# scattered into it.  Gaussians are spread over the whole volume, so
-# scattering pairs in gaussian order across the whole score array misses
-# the cache on most adds.
+# Pairs are written in runs of whole gaussians of about _SLAB_PAIRS pairs,
+# and a box in blocks of at most that many.  The forward pass adds its
+# scores one slab of whole x-layers at a time, about _SLAB_BYTES of them, a
+# contiguous block that stays in L2 while its pairs are scattered into it.
+# Gaussians are spread over the whole volume, so scattering pairs in
+# gaussian order across the whole score array misses the cache on most
+# adds.  A streamed splat holds one slab of scores, and a large box is cut
+# into blocks at each slab's ends.
 _SLAB_BYTES = 1 << 21
 _SLAB_PAIRS = 1 << 14
 # A gaussian of more than _BOX_PAIRS pairs is read as its box, a dense block
@@ -405,12 +400,6 @@ _SLAB_PAIRS = 1 << 14
 # of a pair run, but about 120 us of fixed cost per gaussian, so both passes
 # broke even on cubic boxes of 1,000-2,000 pairs on 32^3 grids.
 _BOX_PAIRS = 1 << 11
-# A streamed splat adds its scores in chunks of whole x-layers of about
-# _CHUNK_BYTES, each a whole number of slabs: by default one slab, so that
-# it holds no more scores than a slab.  A large box is cut into blocks at
-# each chunk's ends, so narrower chunks give the box path more, smaller
-# blocks.
-_CHUNK_BYTES = _SLAB_BYTES
 
 
 def _gaussian_chunks(starts: np.ndarray):
@@ -427,59 +416,56 @@ def _gaussian_chunks(starts: np.ndarray):
         a = b
 
 
-def _pair_runs(frames_of, index: SplatIndex, g_lo: int, g_hi: int, width: int, x_range=None):
-    """Yield the pairs of gaussians [g_lo, g_hi), slab by slab and run by run.
+def _pair_runs(frames_of, index: SplatIndex, g_lo: int, g_hi: int, x_range=None):
+    """Yield the pairs of gaussians [g_lo, g_hi) in the x-layers ``x_range``, run by run.
 
-    Each box is clipped to the x-layers ``x_range = (start, stop)``, by
-    default the whole grid, and to x-slabs of ``width`` layers from
-    ``start``, and each slab's pairs come in runs of whole gaussians,
-    ascending, of at most ``_SLAB_PAIRS`` pairs.  ``frames_of(ids)`` gives the ``gaussian_frames``
-    of gaussians ``ids``; it is asked once per slab, for the slab's gaussians
-    only.  Each item is ``x0, ids, counts, vox, w, z``:
-    the slab's first x-layer, counted from ``start``, the run's gaussians,
-    the pair count of each, and per pair its voxel, counted from the slab's
-    first voxel, and the kernel's ``w, z``, in (gaussian, voxel) order.
-    Pair points come from the per-axis center tables, which have the bits
-    of ``voxel_centers``.
+    Each box is clipped to the layers [x0, x1) of ``x_range = (x0, x1)``,
+    by default the whole grid, and the pairs come in runs of whole
+    gaussians, ascending, of at most ``_SLAB_PAIRS`` pairs.
+    ``frames_of(ids)`` gives the ``gaussian_frames`` of gaussians ``ids``;
+    it is asked once, for the gaussians with pairs in the range only.  Each
+    item is ``ids, counts, vox, w, z``: the run's gaussians, the pair count
+    of each, and per pair its voxel, counted from the range's first voxel,
+    and the kernel's ``w, z``, in (gaussian, voxel) order.  Pair points
+    come from the per-axis center tables, which have the bits of
+    ``voxel_centers``.
     """
     spec = index.spec
     cx, cy, cz = spec.axis_centers()
     lo = index.lo[g_lo:g_hi]
     counts = index.counts[g_lo:g_hi]
     x_lo, x_n = lo[:, 0], counts[:, 0]
-    start, stop = (0, spec.dims[0]) if x_range is None else x_range
-    for x0 in range(start, stop, width):
-        x1 = min(x0 + width, stop)
-        # A box that misses the grid has counts of zero, but may keep its lo in the slab.
-        gs = np.flatnonzero((x_n > 0) & (x_lo < x1) & (x_n > x0 - x_lo))
-        if gs.size == 0:
-            continue
-        box_lo = lo[gs]
-        box_counts = counts[gs]
-        x_hi = box_lo[:, 0] + box_counts[:, 0]
-        box_lo[:, 0] = np.maximum(box_lo[:, 0], x0)
-        box_counts[:, 0] = np.minimum(x_hi, x1) - box_lo[:, 0]
-        box_lo[:, 0] -= x0
-        starts = np.zeros(gs.size + 1, dtype=np.int64)
-        np.cumsum(box_counts[:, 0].astype(np.int64) * box_counts[:, 1] * box_counts[:, 2],
-                  out=starts[1:])
-        ids = g_lo + gs
-        slab = frames_of(ids)
-        for a, b in _gaussian_chunks(starts):
-            per_gaussian = np.diff(starts[a : b + 1])
-            # Built by a call and yielded unbound, so that nothing of this run
-            # is held here while the next one is built.
-            yield x0 - start, ids[a:b], per_gaussian, *_run_pairs(
-                (slab[0][..., a:b], slab[1][:, a:b]), box_lo[a:b], box_counts[a:b], per_gaussian,
-                (cx[x0:x1], cy, cz), spec.dims)
+    x0, x1 = (0, spec.dims[0]) if x_range is None else x_range
+    # A box that misses the grid has counts of zero, but may keep its lo in the range.
+    gs = np.flatnonzero((x_n > 0) & (x_lo < x1) & (x_n > x0 - x_lo))
+    if gs.size == 0:
+        return
+    box_lo = lo[gs]
+    box_counts = counts[gs]
+    x_hi = box_lo[:, 0] + box_counts[:, 0]
+    box_lo[:, 0] = np.maximum(box_lo[:, 0], x0)
+    box_counts[:, 0] = np.minimum(x_hi, x1) - box_lo[:, 0]
+    box_lo[:, 0] -= x0
+    starts = np.zeros(gs.size + 1, dtype=np.int64)
+    np.cumsum(box_counts[:, 0].astype(np.int64) * box_counts[:, 1] * box_counts[:, 2],
+              out=starts[1:])
+    ids = g_lo + gs
+    frames = frames_of(ids)
+    for a, b in _gaussian_chunks(starts):
+        per_gaussian = np.diff(starts[a : b + 1])
+        # Built by a call and yielded unbound, so that nothing of this run
+        # is held here while the next one is built.
+        yield ids[a:b], per_gaussian, *_run_pairs(
+            (frames[0][..., a:b], frames[1][:, a:b]), box_lo[a:b], box_counts[a:b], per_gaussian,
+            (cx[x0:x1], cy, cz), spec.dims)
 
 
 def _run_pairs(frames, box_lo, box_counts, per_gaussian, axes, dims):
     """The voxels and the kernel's ``w, z`` of one run of ``_pair_runs``' clipped boxes.
 
     ``frames`` are the run's gaussians' frames, ``axes`` the center tables
-    of the slab's x-layers and of the grid's y and z.  Voxels are counted
-    from the slab's first, in (gaussian, voxel) order.
+    of the range's x-layers and of the grid's y and z.  Voxels are counted
+    from the range's first, in (gaussian, voxel) order.
     """
     _, y_dim, z_dim = dims
     xc, cy, cz = axes
@@ -610,10 +596,10 @@ def _pair_moments(frames, index: SplatIndex, d_scores: np.ndarray, sem: np.ndarr
                 s_z[g], s_zz[g], d_sem[g] = _box_sums(frames, index, axes, d_scores, row_grid,
                                                       sem[g], g)
             continue
-        # Each run is its own whole-grid slab, so only its frames are gathered.
+        # Each run takes the whole grid on its own, so only its frames are gathered.
         runs = (item for a, b in _gaussian_chunks(index.gaussian_starts[lo : hi + 1])
-                for item in _pair_runs(take, index, lo + a, lo + b, dims[0]))
-        for _, ids, per_gaussian, vox, w, z in runs:
+                for item in _pair_runs(take, index, lo + a, lo + b))
+        for ids, per_gaussian, vox, w, z in runs:
             k = ids.size
             g = np.repeat(np.arange(k), per_gaussian)
             rows = vox if voxels is None else np.take(row_of, vox)
@@ -628,7 +614,7 @@ def _pair_moments(frames, index: SplatIndex, d_scores: np.ndarray, sem: np.ndarr
     return s_z, s_zz, d_sem
 
 
-def _accumulate_slabs(
+def _accumulate_slab(
     frames_of,
     sem_of,
     index: SplatIndex,
@@ -637,33 +623,28 @@ def _accumulate_slabs(
     g_hi: int,
     row_of: np.ndarray | None,
     x_range,
-    width: int,
 ) -> None:
-    """Add gaussians [g_lo, g_hi) over their boxes in ``x_range``, one x-slab at a time.
+    """Add gaussians [g_lo, g_hi) over their boxes in the slab ``x_range``.
 
-    ``scores`` start at ``x_range``'s first layer, and slabs are ``width``
-    whole x-layers of them.  Each class of a slab receives a run's float32
-    products ``w * sem`` through one ``np.add.at``, which applies them in
-    pair order.  The products are formed one class at a time in one (pairs,)
-    buffer, from a class-major copy of the run's semantics, which
-    ``sem_of(ids)`` gives as ``frames_of(ids)`` gives the frames.  Score rows
-    are reached through the ``row_of`` map, which also starts at that layer,
-    and are the slab.  A run's arrays are released before the next is built.
+    ``scores`` are the slab's, from its first layer on, or the rows, which
+    are reached through the ``row_of`` map from that layer on.  Each class
+    receives a run's float32 products ``w * sem`` through one
+    ``np.add.at``, which applies them in pair order.  The products are
+    formed one class at a time in one (pairs,) buffer, from a class-major
+    copy of the run's semantics, which ``sem_of(ids)`` gives as
+    ``frames_of(ids)`` gives the frames.  A run's arrays are released before
+    the next is built.
     """
-    _, y_dim, z_dim = index.spec.dims
-    layer = y_dim * z_dim
     c = scores.shape[1]
-    for x0, ids, per_gaussian, vox, w, z in _pair_runs(frames_of, index, g_lo, g_hi, width,
-                                                        x_range):
+    for ids, per_gaussian, vox, w, z in _pair_runs(frames_of, index, g_lo, g_hi, x_range):
         del z
-        slab = scores[x0 * layer : (x0 + width) * layer] if row_of is None else scores
-        vox = vox if row_of is None else np.take(row_of[x0 * layer :], vox)
+        vox = vox if row_of is None else np.take(row_of, vox)
         sem = np.ascontiguousarray(sem_of(ids).T)
         adds = np.empty(w.size, dtype=np.float32)
         for cls in range(c):
             # float32(sem * w), multiplied in float64 and rounded once into the float32 buffer.
             np.multiply(sem[cls].repeat(per_gaussian), w, out=adds, casting="same_kind")
-            np.add.at(slab[:, cls], vox, adds)
+            np.add.at(scores[:, cls], vox, adds)
         # Released before the next run is built.
         del vox, w, sem, adds
 
@@ -676,16 +657,16 @@ def _check_dense_bytes(num_voxels: int, bytes_per_voxel: int) -> None:
 
 
 def _gathers(scene, index: SplatIndex, layers: int):
-    """Yield ``x0, x1, rows, ids``: the chunks' x-layers [x0, x1) and their gaussians' rows.
+    """Yield ``x0, x1, rows, ids``: the slabs' x-layers [x0, x1) and their gaussians' rows.
 
     An in-memory scene is its own rows for the whole grid, row g being
     gaussian g, and ``ids`` is None.  A scene file, such as
     ``sceneio.SceneFile``, gathers the rows of the ascending gaussians
-    ``ids`` whose boxes meet the chunks, row i being gaussian ``ids[i]``.
-    Each gather covers as many whole chunks of ``layers`` x-layers as keep
-    it to ``_INDEX_CHUNK`` gaussians, one at least, so that each chunk's
+    ``ids`` whose boxes meet the slabs, row i being gaussian ``ids[i]``.
+    Each gather covers as many whole slabs of ``layers`` x-layers as keep
+    it to ``_INDEX_CHUNK`` gaussians, one at least, so that each slab's
     gaussians are read in one pass over the file; their count is taken
-    from the boxes' first and last chunks.
+    from the boxes' first and last slabs.
     """
     x_dim = index.spec.dims[0]
     if isinstance(scene, GaussianScene):
@@ -694,7 +675,7 @@ def _gathers(scene, index: SplatIndex, layers: int):
     x_lo, x_n = index.lo[:, 0], index.counts[:, 0]
     hit = x_n > 0
     n = -(-x_dim // layers)
-    # Boxes whose first chunk is at most k, and whose last chunk is below k.
+    # Boxes whose first slab is at most k, and whose last slab is below k.
     begun = np.cumsum(np.bincount(x_lo[hit] // layers, minlength=n))
     ended = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount((x_lo[hit] + x_n[hit] - 1) // layers, minlength=n), out=ended[1:])
@@ -725,80 +706,80 @@ def _takers(rows, ids):
     return frames_of, sem_of
 
 
-def _accumulate(scene, index: SplatIndex, voxels=None, chunk_bytes=None):
-    """Yield the float32 scores chunk by chunk, added in ascending gaussian order per voxel.
+def _accumulate(scene, index: SplatIndex, scores=None, voxels=None):
+    """Add the float32 scores slab by slab, in ascending gaussian order per
+    voxel, and yield each slab's scores once they are added.
 
-    A chunk is the scores of consecutive whole x-layers, about
-    ``chunk_bytes`` of them and a whole number of slabs, at least one;
-    ``None`` is one chunk of the whole grid.  The row form, one row per
-    voxel of ascending ``voxels``, which must hold every box, is always one
-    chunk.  Every chunk
-    is the same buffer, cleared for the next one, so a caller uses each
-    before it asks for the next; the caller checks the scores' size against
-    ``MAX_SCORE_BYTES``.  Within a chunk the runs go in ascending order,
-    clipped to the chunk's x-layers.  A box-path gaussian adds ``float32(w *
-    sem)`` to each block of its box, one class at a time, through a view of
-    the scores or its rows, gathered through the row map; the others take
-    the slab loop.  So every voxel gets one float32 add per gaussian, in order.
-    The gaussians' parameters come from ``_gathers``: an in-memory scene is
-    read in place, and a scene file is read for the gaussians of a few
-    chunks at a time, each gather released before the next.  Beside the
-    index, the scores and one gather, nothing of the scene's size is held:
-    the runs' x-extents are taken once, before the scores exist.
+    A slab is consecutive whole x-layers, about ``_SLAB_BYTES`` of scores
+    and one layer at least.  Each slab is added into ``scores``: the dense
+    (V, C) scores, of which each slab is a view; the rows, one per voxel of
+    ascending ``voxels``, which must hold every box, each slab reaching its
+    rows through the row map; or, for ``None``, one slab's buffer, cleared
+    for each slab, so that a caller uses each slab before it asks for the
+    next.  The caller checks the scores' size against ``MAX_SCORE_BYTES``.
+    Within a slab the runs go in ascending order, clipped to the slab's
+    x-layers.  A box-path gaussian adds ``float32(w * sem)`` to each block
+    of its box, one class at a time, through a view of the scores or its
+    rows, gathered through the row map; the other runs take
+    ``_accumulate_slab``.  So every voxel gets one float32 add per gaussian,
+    in order.  The gaussians' parameters come from ``_gathers``: an
+    in-memory scene is read in place, and a scene file is read for the
+    gaussians of a few slabs at a time, each gather released before the
+    next.  Beside the index, the scores and one gather, nothing of the
+    scene's size is held: the runs' x-extents are taken once, before the
+    first slab.
     """
     c, dims = scene.class_count, index.spec.dims
     x_dim, y_dim, z_dim = dims
     layer = y_dim * z_dim
     width = max(1, _SLAB_BYTES // (4 * c * layer))
-    layers = x_dim
-    if chunk_bytes is not None:
-        layers = width * max(1, chunk_bytes // (4 * c * layer * width))
     x_lo, x_n = index.lo[:, 0], index.counts[:, 0]
     runs = _path_runs(index)
-    # Each run's x-layers, so that a chunk skips the runs it does not meet.
+    # Each run's x-layers, so that a slab skips the runs it does not meet.
     firsts = [a for a, _, _ in runs]
     run_lo = np.minimum.reduceat(x_lo, firsts) if runs else []
     run_hi = np.maximum.reduceat(x_lo + x_n, firsts) if runs else []
     boxes = np.flatnonzero(np.diff(index.gaussian_starts) > _BOX_PAIRS)
     box_x_lo = x_lo[boxes]
     box_x_hi = box_x_lo + x_n[boxes]
-    scores = np.zeros((min(layers, x_dim) * layer if voxels is None else voxels.size, c),
-                      dtype=np.float32)
+    reused = scores is None
+    if reused:
+        scores = np.zeros((min(width, x_dim) * layer, c), dtype=np.float32)
     axes = index.spec.axis_centers()
     row_of = None if voxels is None else _row_map(voxels, index.num_voxels)
 
-    for x_start, x_end, rows, ids in _gathers(scene, index, layers):
+    for x_start, x_end, rows, ids in _gathers(scene, index, width):
         frames_of, sem_of = _takers(rows, ids)
-        for x0 in range(x_start, x_end, layers):
-            x1 = min(x0 + layers, x_dim)
-            if x0:
-                scores[...] = 0
-            chunk = scores[: (x1 - x0) * layer] if voxels is None else scores
-            if voxels is None:
-                grid, grid_rows = chunk.reshape(x1 - x0, y_dim, z_dim, c), None
+        for x0 in range(x_start, x_end, width):
+            x1 = min(x0 + width, x_dim)
+            if voxels is not None:
+                slab, grid, grid_rows = scores, row_of.reshape(dims)[x0:x1], row_of[x0 * layer :]
             else:
-                grid, grid_rows = row_of.reshape(dims)[x0:x1], row_of[x0 * layer :]
-            # The frames of the chunk's box-path gaussians, built once.
+                slab = scores[: (x1 - x0) * layer] if reused else scores[x0 * layer : x1 * layer]
+                if reused and x0:
+                    slab[...] = 0
+                grid, grid_rows = slab.reshape(x1 - x0, y_dim, z_dim, c), None
+            # The frames of the slab's box-path gaussians, built once; a
+            # slab without any skips the frames' fixed cost of about 80 us.
             hit = boxes[(box_x_lo < x1) & (box_x_hi > x0)]
-            a, off = frames_of(hit)
+            a, off = frames_of(hit) if hit.size else (None, None)
             for (lo, hi, box), first, end in zip(runs, run_lo, run_hi):
                 if first >= x1 or end <= x0:
                     continue
                 if not box:
-                    _accumulate_slabs(frames_of, sem_of, index, chunk, lo, hi, grid_rows,
-                                      (x0, x1), width)
+                    _accumulate_slab(frames_of, sem_of, index, slab, lo, hi, grid_rows, (x0, x1))
                     continue
                 for k in range(*np.searchsorted(hit, [lo, hi])):
                     g = hit[k]
                     sem = sem_of(g).astype(np.float64)
                     for block, w, _ in _box_blocks((a[..., k], off[:, k]), index, axes, g,
                                                    (x0, x1)):
-                        part = grid[block] if voxels is None else chunk[grid[block]]
+                        part = grid[block] if voxels is None else slab[grid[block]]
                         for cls in range(c):
                             part[..., cls] += (w * sem[cls]).astype(np.float32)
                         if voxels is not None:
-                            chunk[grid[block]] = part
-            yield chunk
+                            slab[grid[block]] = part
+            yield slab
         # Released before the next gather is read.
         del rows, ids, frames_of, sem_of
 
@@ -823,10 +804,10 @@ def splat(
     A class count outside [1, 255], which no grid can hold, is a ValueError
     raised before any work.  ``rows`` gives the row form over
     ``index.covered``, as ``fit`` runs it, unless every voxel is covered;
-    the bits are those of the dense form.
-    The scores are added as one chunk of the whole grid, or of every row,
-    by the loop that ``splat_chunks`` runs chunk by chunk, so both give
-    the same bits; their size is checked against ``MAX_SCORE_BYTES`` first.
+    the bits are those of the dense form.  The scores' size is checked
+    against ``MAX_SCORE_BYTES`` first.  Each slab is added in place in them,
+    or in their rows, by the loop that ``splat_chunks`` runs, so both give
+    the same bits.
     A prebuilt ``index`` carries its own cutoff, so it must come alone,
     built for this scene and grid; anything else, a non-default ``threads``
     included, is a ValueError.  ``threads`` changes neither the result nor
@@ -847,8 +828,11 @@ def splat(
         )
     covered = index.covered if rows else None
     voxels = None if covered is None or covered.all() else np.flatnonzero(covered)
-    _check_dense_bytes(spec.num_voxels if voxels is None else voxels.size, 4 * scene.class_count)
-    (scores,) = _accumulate(scene, index, voxels)
+    size = spec.num_voxels if voxels is None else voxels.size
+    _check_dense_bytes(size, 4 * scene.class_count)
+    scores = np.zeros((size, scene.class_count), dtype=np.float32)
+    for _ in _accumulate(scene, index, scores, voxels):
+        pass
     labels = np.zeros(spec.num_voxels, dtype=np.uint8)  # an all-zero row's argmax
     labels[slice(None) if voxels is None else voxels] = _argmax_labels(scores)
     return OccupancyGrid(spec, scene.class_count, labels, scores, voxels)
@@ -860,22 +844,22 @@ def splat_chunks(
     cutoff_sigma: float | None = DEFAULT_CUTOFF_SIGMA,
     threads: int = 1,
 ) -> GridChunks:
-    """``splat``'s dense grid as chunks of whole x-layers, for a writer to store.
+    """``splat``'s dense grid as one chunk per slab of whole x-layers, for a writer to store.
 
     ``scene`` is a ``GaussianScene`` or an open ``sceneio.SceneFile``, which
     must stay open until the last chunk is read.  Every check runs before
     this returns: the class count, first, then the index with its pair cap,
     and the V * C * 4 bytes of scores against ``MAX_SCORE_BYTES``; a scene
     file's records are checked in the index's pass.  The scores are added as
-    the chunks are read, in one buffer of about ``_CHUNK_BYTES``, one slab,
-    that every chunk reuses, so reading them holds the int32 index, one slab
-    of scores, one run of pairs and the scene, or, for a scene file, the
-    rows of the gaussians of a few chunks; the bits are those of ``splat``.
+    the chunks are read, in one slab's buffer, about ``_SLAB_BYTES``, that
+    every chunk reuses, so reading them holds the int32 index, one slab of
+    scores, one run of pairs and the scene, or, for a scene file, the rows
+    of the gaussians of a few slabs; the bits are those of ``splat``.
     """
     _check_class_count(scene.class_count)
     index = build_splat_index(scene, spec, cutoff_sigma, threads=threads)
     _check_dense_bytes(spec.num_voxels, 4 * scene.class_count)
-    chunks = _accumulate(scene, index, chunk_bytes=_CHUNK_BYTES)
+    chunks = _accumulate(scene, index)
     return GridChunks(spec, scene.class_count, ((_argmax_labels(s), s) for s in chunks))
 
 

@@ -473,31 +473,32 @@ def _random_scene(rng, count, lo, hi, s_lo, s_hi, classes):
 
 SMALL_FLAGS = ["--dims", "40,24,16", "--origin", "0,0,0", "--cell", "0.4,0.4,0.4"]
 SMALL_BOX = ((-1, -1, -1), (17, 10.6, 7.4))
-# name: scene, grid flags, splat flags, layers per slab and per chunk.
+# name: scene, grid flags, splat flags, layers per slab.
 STREAM_CASES = {
     "kitti360": (lambda rng: _random_scene(rng, 300, (0, -25.6, -2), (51.2, 25.6, 4.4),
                                            0.02, 1.2, 2),
-                 ["--preset", "kitti360"], [], 2, 16),
-    # Box-path and pair-path runs alternate, and boxes cross chunk edges.
+                 ["--preset", "kitti360"], [], 16),
+    # Box-path and pair-path runs alternate, and boxes cross slab edges.
     "mixed": (lambda rng: _random_scene(rng, 3000, *SMALL_BOX, 0.02, 1.2, 18), SMALL_FLAGS, [],
-              2, 4),
+              4),
     "exact": (lambda rng: _random_scene(rng, 30, 0, 4, 0.1, 0.6, 4), GRID_FLAGS, ["--exact"],
-              1, 1),
+              1),
     "labels-only": (lambda rng: _random_scene(rng, 300, *SMALL_BOX, 0.02, 1.2, 5),
-                    SMALL_FLAGS, ["--labels-only"], 1, 3),
+                    SMALL_FLAGS, ["--labels-only"], 3),
     "exact-labels-only": (lambda rng: _random_scene(rng, 30, 0, 4, 0.1, 0.6, 4), GRID_FLAGS,
-                          ["--exact", "--labels-only"], 1, 1),
+                          ["--exact", "--labels-only"], 1),
     "one-class": (lambda rng: _random_scene(rng, 300, *SMALL_BOX, 0.02, 1.2, 1),
-                  SMALL_FLAGS, [], 1, 3),
-    "all-miss": (lambda rng: _random_scene(rng, 50, 20, 30, 0.1, 1.0, 3), SMALL_FLAGS, [], 1, 3),
+                  SMALL_FLAGS, [], 3),
+    "all-miss": (lambda rng: _random_scene(rng, 50, 20, 30, 0.1, 1.0, 3), SMALL_FLAGS, [], 3),
 }
 
 
 @pytest.mark.parametrize("case", list(STREAM_CASES))
 def test_streamed_splat_file_matches_the_grid_writer(tmp_path, monkeypatch, case):
-    # The CLI writes its grid chunk by chunk; the file has the bytes of
-    # write_grid(splat(...)), which adds the whole grid as one chunk.
-    make, grid_flags, flags, slab_layers, chunk_layers = STREAM_CASES[case]
+    # The CLI writes its grid slab by slab from one slab's buffer; the file
+    # has the bytes of write_grid(splat(...)), which adds each slab in place
+    # in the whole grid's scores.
+    make, grid_flags, flags, slab_layers = STREAM_CASES[case]
     scene_path = tmp_path / "scene.sgau"
     write_scene(make(np.random.default_rng(81)), scene_path)
     scene = read_scene(scene_path)
@@ -515,7 +516,6 @@ def test_streamed_splat_file_matches_the_grid_writer(tmp_path, monkeypatch, case
 
     layer_bytes = 4 * scene.class_count * spec.dims[1] * spec.dims[2]
     monkeypatch.setattr(splat_module, "_SLAB_BYTES", slab_layers * layer_bytes)
-    monkeypatch.setattr(splat_module, "_CHUNK_BYTES", chunk_layers * layer_bytes)
     chunks = []
     real = splat_module._argmax_labels
     monkeypatch.setattr(splat_module, "_argmax_labels",
@@ -523,17 +523,16 @@ def test_streamed_splat_file_matches_the_grid_writer(tmp_path, monkeypatch, case
     out = tmp_path / "out.svox"
     code, _ = run(["splat", "--scene", str(scene_path), *grid_flags, *flags, "--out", str(out)])
     assert code == 0
-    assert len(chunks) == -(-spec.dims[0] // chunk_layers) >= 8
+    assert len(chunks) == -(-spec.dims[0] // slab_layers) >= 8
     assert out.read_bytes() == (tmp_path / "expected.svox").read_bytes()
 
 
 def test_streamed_splat_holds_no_dense_scores(tmp_path, monkeypatch):
     # 64x64x16 voxels of 18 classes are 4.7 MB of float32 scores, added in
-    # 10 chunks of 7 layers; runs of at most 1,024 pairs keep the pair
+    # 10 slabs of 7 layers; runs of at most 1,024 pairs keep the pair
     # arrays small.  The CLI's traced peak stays below half of the scores.
     # Measured: 1.4 MB, against 5.8 MB when the scores are splatted whole.
-    monkeypatch.setattr(splat_module, "_SLAB_BYTES", 1 << 17)
-    monkeypatch.setattr(splat_module, "_CHUNK_BYTES", 1 << 19)
+    monkeypatch.setattr(splat_module, "_SLAB_BYTES", 1 << 19)
     monkeypatch.setattr(splat_module, "_SLAB_PAIRS", 1 << 10)
     scene_path = tmp_path / "scene.sgau"
     write_scene(_random_scene(np.random.default_rng(82), 2000, 0, (12.8, 12.8, 3.2),
@@ -582,12 +581,11 @@ def test_streamed_splat_holds_the_index_one_slab_and_one_gather(tmp_path, monkey
 
 def test_streamed_splat_peak_has_no_term_in_gaussians_times_classes(tmp_path, monkeypatch):
     # 20,000 gaussians of 2 and of 34 classes: the scene grows by 2.56 MB.
-    # With one-layer chunks, runs of at most 1,024 pairs and gathers of at
+    # With one-layer slabs, runs of at most 1,024 pairs and gathers of at
     # most 1,024 records, what the CLI holds per class is one layer of
     # scores, the reader's block, one gather and a run's semantics, at most
     # one gaussian per pair.  Measured: +0.48 MB; with the scene held, +2.80 MB.
     monkeypatch.setattr(splat_module, "_SLAB_BYTES", 1)
-    monkeypatch.setattr(splat_module, "_CHUNK_BYTES", 1)
     monkeypatch.setattr(splat_module, "_SLAB_PAIRS", 1024)
     monkeypatch.setattr(splat_module, "_INDEX_CHUNK", 1024)
     monkeypatch.setattr(sceneio, "_RECORD_CHUNK", 1024)
@@ -633,18 +631,17 @@ def _grid_bytes(tmp_path, scene, grid_flags, flags=()):
 
 @pytest.mark.parametrize("bound, gathers", [(64, 10), (1500, 4)])
 def test_streamed_splat_in_many_gathers_keeps_the_bytes(tmp_path, monkeypatch, bound, gathers):
-    # The "mixed" case's ten chunks of four layers each need 829-1,099
-    # gaussians.  Gathers of at most 64 take one chunk each, past the bound;
-    # gathers of at most 1,500 take two or three chunks each.  The reader
+    # The "mixed" case's ten slabs of four layers each need 829-1,099
+    # gaussians.  Gathers of at most 64 take one slab each, past the bound;
+    # gathers of at most 1,500 take two or three slabs each.  The reader
     # reads 64 records at a time.
-    make, grid_flags, flags, slab_layers, chunk_layers = STREAM_CASES["mixed"]
+    make, grid_flags, flags, slab_layers = STREAM_CASES["mixed"]
     scene_path = tmp_path / "scene.sgau"
     write_scene(make(np.random.default_rng(85)), scene_path)
     scene = read_scene(scene_path)
     expected = _grid_bytes(tmp_path, scene, grid_flags, flags)
     layer_bytes = 4 * scene.class_count * 24 * 16
     monkeypatch.setattr(splat_module, "_SLAB_BYTES", slab_layers * layer_bytes)
-    monkeypatch.setattr(splat_module, "_CHUNK_BYTES", chunk_layers * layer_bytes)
     monkeypatch.setattr(splat_module, "_INDEX_CHUNK", bound)
     monkeypatch.setattr(sceneio, "_RECORD_CHUNK", 64)
     gathered = []
@@ -693,9 +690,9 @@ def test_checks_across_blocks_report_the_first_failing_check_exit_2(tmp_path, mo
 
 @pytest.mark.parametrize("change", ["nan", "mtime"])
 def test_scene_file_changed_mid_splat_exits_2(tmp_path, monkeypatch, capsys, change):
-    # One-layer chunks, each with its own gather of the file.  Once the
-    # first chunk's labels are taken, a NaN is written into the record of a
-    # gaussian that only later chunks meet, with the mtime put back, or the
+    # One-layer slabs, each with its own gather of the file.  Once the
+    # first slab's labels are taken, a NaN is written into the record of a
+    # gaussian that only later slabs meet, with the mtime put back, or the
     # mtime is moved with the bytes unchanged.  A later gather finds either
     # change, by the rows' checks or by the mtime: exit 2, and the old
     # output stays.
@@ -709,7 +706,6 @@ def test_scene_file_changed_mid_splat_exits_2(tmp_path, monkeypatch, capsys, cha
     late = np.flatnonzero((index.counts[:, 0] > 0) & (index.lo[:, 0] >= spec.dims[0] // 2))
     g = int(late[0])
     monkeypatch.setattr(splat_module, "_SLAB_BYTES", 1)
-    monkeypatch.setattr(splat_module, "_CHUNK_BYTES", 1)
     monkeypatch.setattr(splat_module, "_INDEX_CHUNK", 1)
     real = splat_module._argmax_labels
     chunks = []
@@ -744,10 +740,9 @@ def test_scene_file_changed_mid_splat_exits_2(tmp_path, monkeypatch, capsys, cha
 
 def test_stream_failing_part_way_leaves_the_old_file(small_scene, tmp_path, monkeypatch,
                                                      capsys):
-    # One-layer chunks; the second chunk's labels raise, as a full disk
-    # would, once the first chunk has gone to the temporary file.
+    # One-layer slabs; the second slab's labels raise, as a full disk
+    # would, once the first slab has gone to the temporary file.
     monkeypatch.setattr(splat_module, "_SLAB_BYTES", 1)
-    monkeypatch.setattr(splat_module, "_CHUNK_BYTES", 1)
     real = splat_module._argmax_labels
     chunks = []
 
@@ -763,7 +758,7 @@ def test_stream_failing_part_way_leaves_the_old_file(small_scene, tmp_path, monk
     code, _ = run(["splat", "--scene", str(small_scene), *GRID_FLAGS, "--out", str(out)])
     assert code == 2
     assert "no space" in capsys.readouterr().err
-    # The first chunk, one 8x8 layer, went to the writer before the second failed.
+    # The first slab, one 8x8 layer, went to the writer before the second failed.
     assert chunks == [64, 64]
     assert out.read_bytes() == b"the previous grid"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.svox", "scene.sgau"]

@@ -289,9 +289,11 @@ def test_loss_holds_fewer_than_four_dense_gradients():
 def test_row_loss_holds_fewer_than_three_row_buffers():
     # The loss's float64 buffers of the covered rows: no more than two of
     # them and the blocks' scratch make the traced peak.  The bound counts
-    # (m, C) buffers, m the covered non-ignored rows, 5% fewer.
-    pred, truth = driving_case()
-    covered = covered_mask("driving", pred)
+    # (m, C) buffers, m the covered non-ignored rows, 5% fewer.  The sparse
+    # case leaves most voxels outside the boxes, so the outside rows' tie
+    # groups and their counts are held too.  Measured: 2.08 buffers.
+    pred, truth = sparse_driving_case()
+    covered = covered_mask("sparse-driving", pred)
     grid = row_form(pred, covered)
     m = np.count_nonzero(covered & (truth.labels != IGNORE_LABEL))
     tracemalloc.start()

@@ -59,10 +59,22 @@ def frames_of(scene):
     return gaussian_frames(scene.means, scene.scales, scene.rotations)
 
 
+def index_voxels(index, a=0, b=None):
+    """The voxels of gaussians [a, b), by default all, ascending per gaussian,
+    as ``_pair_runs`` lists them over the whole grid."""
+    b = index.num_gaussians if b is None else b
+
+    def frames(ids):
+        return np.zeros((3, 3, ids.size)), np.zeros((3, ids.size))
+
+    runs = splat_module._pair_runs(frames, index, a, b)
+    return np.concatenate([np.zeros(0, dtype=np.int64), *(vox for _, _, vox, _, _ in runs)])
+
+
 def index_pairs(index):
     """The index's pair set as (gaussian, voxel) tuples."""
     g = np.repeat(np.arange(index.num_gaussians), np.diff(index.gaussian_starts))
-    return set(zip(g.tolist(), index.voxels(0, index.num_gaussians).tolist()))
+    return set(zip(g.tolist(), index_voxels(index).tolist()))
 
 
 def kernel_weights(frames, g, points):
@@ -180,7 +192,7 @@ def test_index_matches_brute_force_property(case):
     index = build_splat_index(scene, spec, cutoff)
     assert index_pairs(index) == _brute_force_pairs(scene, spec, cutoff)
     g = np.repeat(np.arange(len(scene)), np.diff(index.gaussian_starts))
-    voxels = index.voxels(0, len(scene))
+    voxels = index_voxels(index)
     assert np.all(np.diff(g * index.num_voxels + voxels) > 0)
     far = np.any(np.abs(scene.means) >= 1e12, axis=1)
     assert np.all(np.diff(index.gaussian_starts)[far] == 0)
@@ -188,7 +200,7 @@ def test_index_matches_brute_force_property(case):
                           np.bincount(voxels, minlength=spec.num_voxels))
     assert np.array_equal(index.covered, np.bincount(voxels, minlength=spec.num_voxels) > 0)
     two = build_splat_index(scene, spec, cutoff, threads=2)
-    assert np.array_equal(two.voxels(0, len(scene)), voxels)
+    assert np.array_equal(index_voxels(two), voxels)
     assert np.array_equal(two.gaussian_starts, index.gaussian_starts)
 
 
@@ -245,14 +257,14 @@ def test_index_sorted_and_ranges_consistent():
     scene = random_scene(rng, 40)
     index = build_splat_index(scene, SPEC8, 3.0)
     g = np.repeat(np.arange(len(scene)), np.diff(index.gaussian_starts))
-    voxels = index.voxels(0, len(scene))
+    voxels = index_voxels(index)
     keys = g * index.num_voxels + voxels
     assert np.all(np.diff(keys) > 0)  # strict (g, v) lexicographic order
     assert index.voxel_starts[0] == 0
     assert index.voxel_starts[-1] == index.pair_count
     per_voxel = np.bincount(voxels, minlength=index.num_voxels)
     assert np.array_equal(np.diff(index.voxel_starts), per_voxel)
-    runs = [index.voxels(g, g + 1) for g in range(len(scene))]
+    runs = [index_voxels(index, g, g + 1) for g in range(len(scene))]
     assert np.array_equal(np.concatenate(runs), voxels)
     assert voxels.size == index.pair_count
 
@@ -292,7 +304,7 @@ def test_index_tiny_gaussian_single_voxel():
     g = ([1.5, 1.5, 1.5], [0.01, 0.01, 0.01], [1, 0, 0, 0], [1.0])
     index = build_splat_index(scene_of(g), spec, 3.0)
     assert index.pair_count == 1
-    assert index.voxels(0, 1)[0] == (1 * 4 + 1) * 4 + 1
+    assert index_voxels(index)[0] == (1 * 4 + 1) * 4 + 1
 
 
 def test_pair_count_monotone_in_cutoff_and_scale():
@@ -388,16 +400,16 @@ def test_pair_runs_ask_frames_only_for_gaussians_with_pairs(width):
         asked.append(ids)
         return a[..., ids], off[:, ids]
 
-    runs = list(splat_module._pair_runs(spy, index, 0, len(scene), width))
-    # frames_of is asked once per slab, for exactly the gaussians of its runs.
-    slabs = {}
-    for x0, ids, per_gaussian, *_ in runs:
-        assert per_gaussian.min() > 0
-        slabs.setdefault(x0, []).append(ids)
-    assert len(asked) == len(slabs)
-    for ids, parts in zip(asked, slabs.values()):
-        assert np.array_equal(ids, np.concatenate(parts))
-        assert not empty[ids].any()
+    # frames_of is asked once per slab with pairs, for exactly the gaussians of its runs.
+    for x0 in range(0, SPEC8.dims[0], width):
+        asked.clear()
+        runs = list(splat_module._pair_runs(spy, index, 0, len(scene),
+                                            (x0, min(x0 + width, SPEC8.dims[0]))))
+        assert len(asked) == min(len(runs), 1)
+        if runs:
+            assert all(per_gaussian.min() > 0 for _, per_gaussian, *_ in runs)
+            assert np.array_equal(asked[0], np.concatenate([ids for ids, *_ in runs]))
+            assert not empty[asked[0]].any()
 
 
 def test_pair_weight_bits_do_not_depend_on_the_batch():
@@ -410,7 +422,7 @@ def test_pair_weight_bits_do_not_depend_on_the_batch():
     # Every pair as one pair list, (gaussian, voxel) order.
     index = build_splat_index(scene, SPEC8, None)
     runs = splat_module._pair_runs(lambda ids: (a[..., ids], off[:, ids]), index, 0,
-                                   len(scene), SPEC8.dims[0])
+                                   len(scene))
     chunk = np.concatenate([w for *_, w, _ in runs])
     assert np.array_equal(chunk.reshape(tile.shape).view(np.uint64), tile.view(np.uint64))
     rng = np.random.default_rng(35)
@@ -428,24 +440,33 @@ def test_chunk_sizes_do_not_change_bits(monkeypatch, pair_chunk, slab_layers):
     # every pair-path box across slabs of one or three x-layers, and send
     # most gaussians through the box path, in blocks of one or more layers,
     # interleaved with the slab runs.  The pair cap also cuts the backward
-    # pass's runs.
+    # pass's runs.  The row form of a partly covered scene, whose means lie
+    # in one octant, is cut at the same slab edges, and at 300 pairs it too
+    # takes both paths.
     scene = mixed_scene(np.random.default_rng(36), 80, 6)
+    part = random_scene(np.random.default_rng(37), 30, 4, -4.0, 0.0, 0.1, 0.7)
+    part_index = build_splat_index(part, SPEC16, 3.0)
+    assert 0.2 < part_index.covered.mean() < 0.4
+    assert np.sum(np.diff(part_index.gaussian_starts) > 300) >= 5
     params = RawGaussianParams.from_scene(scene, 0.05, 6.0)
     d_scores = np.random.default_rng(37).normal(size=(SPEC16.num_voxels, scene.class_count))
 
     def run(threads):
         index = build_splat_index(scene, SPEC16, 3.0, threads=threads)
         grads = backward_splat(params, index, SPEC16, d_scores, 0.05, 6.0)
-        return splat(scene, SPEC16, index=index).scores, grads
+        rows = splat(part, SPEC16, index=build_splat_index(part, SPEC16, 3.0, threads=threads),
+                     rows=True)
+        return splat(scene, SPEC16, index=index).scores, rows.scores, grads
 
-    base_scores, base_grads = run(1)
+    base_scores, base_rows, base_grads = run(1)
     layer_bytes = 4 * scene.class_count * 16 * 16
     monkeypatch.setattr(splat_module, "_SLAB_PAIRS", pair_chunk)
     monkeypatch.setattr(splat_module, "_BOX_PAIRS", pair_chunk)
     monkeypatch.setattr(splat_module, "_SLAB_BYTES", slab_layers * layer_bytes)
     for threads in (1, 2):
-        scores, grads = run(threads)
+        scores, rows, grads = run(threads)
         assert np.array_equal(scores.view(np.uint32), base_scores.view(np.uint32))
+        assert np.array_equal(rows.view(np.uint32), base_rows.view(np.uint32))
         for key, grad in grads.items():
             assert np.array_equal(grad.view(np.uint64), base_grads[key].view(np.uint64)), key
 
@@ -515,8 +536,8 @@ def test_forward_box_path_keeps_the_add_order(monkeypatch):
     assert np.all(index.counts[::2, 0] > layers)
     boxes = np.zeros(SPEC16.num_voxels, dtype=bool)
     for g in range(0, count, 2):
-        boxes[index.voxels(g, g + 1)] = True
-    assert all(boxes[index.voxels(g, g + 1)].any() for g in range(1, count, 2))
+        boxes[index_voxels(index, g, g + 1)] = True
+    assert all(boxes[index_voxels(index, g, g + 1)].any() for g in range(1, count, 2))
 
     monkeypatch.setattr(splat_module, "_BOX_PAIRS", int(per_gaussian.max()))
     expected = splat(scene, SPEC16, index=index).scores
@@ -676,10 +697,11 @@ def _axis_voxels(spec, mean, radius, axis):
 ], ids=["2^32-voxels", "2^31-1-layers"])
 def test_index_past_int32_voxel_ids_matches_int64_brute_force(dims, cell, corner):
     # Gaussians near the far corner have voxel ids past 2^31, which the
-    # int32 box ends must not wrap: the voxels, their order and the pair
-    # starts equal an int64 brute force.  One gaussian lies past the far
-    # corner and misses the grid, one straddles its edge, one sits at the
-    # origin.  No array of the grid's size is built.
+    # int32 box ends must not wrap: the boxes, the pair starts and, listed
+    # by the pair runs, the voxels and their order equal an int64 brute
+    # force.  One gaussian lies past the far corner and misses the grid, one
+    # straddles its edge, one sits at the origin.  The index builds no array
+    # of the grid's size.
     spec = GridSpec((0.0, 0.0, 0.0), cell, dims)
     rng = np.random.default_rng(45)
     far = np.asarray(corner) + rng.uniform(-2.0, 2.0, (6, 3)) * np.asarray(cell)
@@ -692,7 +714,6 @@ def test_index_past_int32_voxel_ids_matches_int64_brute_force(dims, cell, corner
     tracemalloc.start()
     try:
         index = build_splat_index(scene, spec, 3.0)
-        voxels = index.voxels(0, len(scene))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -705,27 +726,31 @@ def test_index_past_int32_voxel_ids_matches_int64_brute_force(dims, cell, corner
         ids = (i[:, None, None] * dims[1] + j[None, :, None]) * dims[2] + k[None, None, :]
         expected.append(ids.ravel())
         sizes.append(ids.size)
+        if ids.size:
+            assert index.lo[g].tolist() == [int(i[0]), int(j[0]), int(k[0])]
+            assert index.counts[g].tolist() == [i.size, j.size, k.size]
+        else:
+            assert not index.counts[g].any()
     expected = np.concatenate(expected)
     assert sizes[6] == 0 and min(sizes[:6]) > 0 and sizes[7] > 0
     assert expected.max() >= 2**31
     assert index.lo.dtype == index.counts.dtype == np.int32
     assert np.all((index.lo >= 0) & (index.lo <= dims))
-    assert np.array_equal(voxels, expected)
     assert np.array_equal(index.gaussian_starts, np.concatenate([[0], np.cumsum(sizes)]))
     # In exact mode one box is the whole grid, of 2^32 or more pairs.
     exact = build_splat_index(scene_of((means[0], scales[0], (1, 0, 0, 0), (1.0,))), spec, None)
     assert exact.pair_count == spec.num_voxels
 
-    # The backward pass walks the pairs as runs over one whole-grid slab.
-    # Its per-axis center tables would take 16 GiB on 2^31 - 1 layers.
+    # The pair runs over the whole grid, as the backward pass walks them.
+    # Their per-axis center tables would take 16 GiB on 2^31 - 1 layers.
     if max(dims) > 2048:
         return
 
     def take(ids):
         return gaussian_frames(scene.means[ids], scene.scales[ids], scene.rotations[ids])
 
-    runs = splat_module._pair_runs(take, index, 0, len(scene), dims[0])
-    assert np.array_equal(np.concatenate([vox for _, _, _, vox, _, _ in runs]), expected)
+    runs = splat_module._pair_runs(take, index, 0, len(scene))
+    assert np.array_equal(np.concatenate([vox for _, _, vox, _, _ in runs]), expected)
 
 
 def test_index_rejects_an_axis_of_2_31_voxels_before_allocating():
