@@ -53,6 +53,21 @@ def _triple(text: str, cast):
     return tuple(cast(p) for p in parts)
 
 
+def _count(text: str, most: int | None = None) -> int:
+    """A whole number in [1, ``most``], for an argparse ``type``."""
+    if not text.strip().isdigit() or not 1 <= int(text) <= (most or int(text)):
+        limit = "a positive integer" if most is None else f"an integer in [1, {most}]"
+        raise argparse.ArgumentTypeError(f"must be {limit}, got {text!r}")
+    return int(text)
+
+
+def _counts(text: str) -> list[int]:
+    counts = [_count(c) for c in text.split(",")]
+    if len(set(counts)) < 2:
+        raise argparse.ArgumentTypeError(f"a line needs at least two distinct counts, got {text!r}")
+    return counts
+
+
 def _add_grid_args(p: argparse.ArgumentParser):
     p.add_argument("--preset", choices=sorted(GRID_PRESETS), default="nuscenes",
                    help="named grid volume (default nuscenes)")
@@ -130,12 +145,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="time splatting across gaussian counts")
     _add_grid_args(p)
-    p.add_argument("--counts", required=True,
-                   type=lambda s: [int(x) for x in s.split(",")])
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--counts", required=True, type=_counts,
+                   help="two or more distinct positive gaussian counts, comma-separated")
+    p.add_argument("--repeats", type=_count, default=5)
     p.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF_SIGMA)
     p.add_argument("--smax", type=float, default=0.3)
-    p.add_argument("--class-count", type=int, default=18)
+    p.add_argument("--class-count", type=lambda s: _count(s, 255), default=18)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", default=None, help=THREADS_HELP)
 
@@ -153,7 +168,7 @@ def _cmd_splat(args) -> int:
         spec = _grid_spec(args)
         check_header_geometry(spec)
         cutoff = None if args.exact else args.cutoff
-        grid = splat_chunks(scene, spec, cutoff, threads=args.threads)
+        grid = splat_chunks(scene, spec, cutoff)
         grid.scores = not args.labels_only
         write_grid(grid, args.out)
     return 0
@@ -264,7 +279,7 @@ def run_bench(counts, spec: GridSpec, cutoff: float, class_count: int, s_max: fl
     """Median splat latency and peak traced memory per count; repeats cycle over the counts."""
     scenes = [random_bench_scene(count, spec, class_count, s_max, seed) for count in counts]
     timings = [[] for _ in scenes]
-    for _ in range(max(1, repeats)):
+    for _ in range(repeats):
         for scene, times in zip(scenes, timings):
             t0 = time.perf_counter()
             index = build_splat_index(scene, spec, cutoff, threads=threads)

@@ -179,12 +179,12 @@ def backward_splat(
 
     ``d_scores`` has the rows of the scores the loss read: (V, C) with
     ``voxels`` None, else row i is voxel ``voxels[i]``, ascending, and every
-    voxel of the index's boxes has a row; any other shape is a ValueError,
-    raised before any pass.  Each gaussian accumulates only over its own
-    neighborhood pairs, in ascending voxel order, mirroring the forward
-    sparsity.  ``_pair_moments`` reads a gaussian of a large box as that
-    box, in dense blocks of whole x-layers, and the others as pair runs,
-    split by the forward pass's rule.
+    voxel of the index's boxes has a row; any other shape, or a ``spec``
+    other than the index's, is a ValueError, raised before any pass.  Each
+    gaussian accumulates only over its own neighborhood pairs, in ascending
+    voxel order, mirroring the forward sparsity.  ``_pair_moments`` reads a
+    gaussian of a large box as that box, in dense blocks of whole x-layers,
+    and the others as pair runs, split by the forward pass's rule.
     Either way every per-gaussian sum is added in pair order from +0.0, so
     the result depends neither on the path nor on the run or block size.
     The rotation gradient is projected onto the unit-quaternion tangent.
@@ -192,6 +192,8 @@ def backward_splat(
     takes the gaussians in blocks, so beyond one run's or one block's
     scratch the pass holds per-gaussian parameters, moments and gradients.
     """
+    if spec != index.spec:
+        raise ValueError("index was built for another grid")
     shape = (index.num_voxels if voxels is None else voxels.size, params.raw_logits.shape[1])
     if d_scores.shape != shape:
         raise ValueError(f"d_scores is {d_scores.shape}, not the rows' {shape}")

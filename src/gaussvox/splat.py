@@ -794,7 +794,6 @@ def splat(
     scene: GaussianScene,
     spec: GridSpec,
     cutoff_sigma: float | None = DEFAULT_CUTOFF_SIGMA,
-    threads: int = 1,
     index: SplatIndex | None = None,
     rows: bool = False,
 ) -> OccupancyGrid:
@@ -809,17 +808,13 @@ def splat(
     or in their rows, by the loop that ``splat_chunks`` runs, so both give
     the same bits.
     A prebuilt ``index`` carries its own cutoff, so it must come alone,
-    built for this scene and grid; anything else, a non-default ``threads``
-    included, is a ValueError.  ``threads`` changes neither the result nor
-    the speed: every pass runs on the calling thread.
+    built for this scene and grid; anything else is a ValueError.
     """
     _check_class_count(scene.class_count)
     if index is None:
-        index = build_splat_index(scene, spec, cutoff_sigma, threads=threads)
-    elif cutoff_sigma != DEFAULT_CUTOFF_SIGMA or threads != 1:
-        raise ValueError(
-            "cutoff_sigma and threads belong to build_splat_index when an index is given"
-        )
+        index = build_splat_index(scene, spec, cutoff_sigma)
+    elif cutoff_sigma != DEFAULT_CUTOFF_SIGMA:
+        raise ValueError("cutoff_sigma belongs to build_splat_index when an index is given")
     elif index.spec != spec:
         raise ValueError("index was built for another grid")
     elif index.num_gaussians != len(scene):
@@ -842,7 +837,6 @@ def splat_chunks(
     scene,
     spec: GridSpec,
     cutoff_sigma: float | None = DEFAULT_CUTOFF_SIGMA,
-    threads: int = 1,
 ) -> GridChunks:
     """``splat``'s dense grid as one chunk per slab of whole x-layers, for a writer to store.
 
@@ -857,7 +851,7 @@ def splat_chunks(
     of the gaussians of a few slabs; the bits are those of ``splat``.
     """
     _check_class_count(scene.class_count)
-    index = build_splat_index(scene, spec, cutoff_sigma, threads=threads)
+    index = build_splat_index(scene, spec, cutoff_sigma)
     _check_dense_bytes(spec.num_voxels, 4 * scene.class_count)
     chunks = _accumulate(scene, index)
     return GridChunks(spec, scene.class_count, ((_argmax_labels(s), s) for s in chunks))

@@ -68,6 +68,26 @@ def test_bad_thread_flag_exits_1(small_scene, tmp_path, argv):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["--counts", "100"],
+    ["--counts", "10,10"],
+    ["--counts", "10,-5"],
+    ["--counts", "10,x"],
+    ["--counts", "0,10"],
+    ["--class-count", "0"],
+    ["--class-count", "256"],
+    ["--repeats", "0"],
+])
+def test_bad_bench_flag_exits_1(monkeypatch, capsys, argv):
+    # Each is refused before any scene is drawn, with the flag named.
+    monkeypatch.setattr(cli, "random_bench_scene", lambda *args: pytest.fail("scene drawn"))
+    flags = {"--counts": "10,20", "--class-count": "4", "--repeats": "1"}
+    flags.update(zip(argv[::2], argv[1::2]))
+    code, _ = run(["bench", *GRID_FLAGS, *(x for pair in flags.items() for x in pair)])
+    assert code == 1
+    assert f"argument {argv[0]}:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-1"])
 def test_bad_threads_env_var_exits_1(small_scene, tmp_path, monkeypatch, value):
     monkeypatch.setenv("GAUSSVOX_THREADS", value)

@@ -667,3 +667,15 @@ def test_backward_rejects_gradient_rows_of_another_shape():
     for d_scores, rows in ((lb.d_scores, None), (dense, voxels), (lb.d_scores[:-1], voxels)):
         with pytest.raises(ValueError, match="d_scores"):
             backward_splat(params, index, spec, d_scores, S_MIN, S_MAX, rows)
+
+
+def test_backward_rejects_an_index_of_another_grid(monkeypatch):
+    # A grid of the same dims but another origin or cell size is refused
+    # before any pass, as splat refuses a prebuilt index of another grid.
+    params, index, spec, lb, voxels = small_gaussians_case(300)
+    fitter_module = importlib.import_module("gaussvox.fitter")
+    monkeypatch.setattr(fitter_module, "gaussian_frames", lambda *args: pytest.fail("a pass ran"))
+    for other in (GridSpec((0.5, 0.0, 0.0), spec.cell_size, spec.dims),
+                  GridSpec(spec.origin, (0.5, 0.25, 0.25), spec.dims)):
+        with pytest.raises(ValueError, match="another grid"):
+            backward_splat(params, index, other, lb.d_scores, S_MIN, S_MAX, voxels)

@@ -782,16 +782,6 @@ def test_splats_reject_more_than_255_classes_before_any_work(monkeypatch):
     assert calls == []
 
 
-def test_splat_independent_of_threads():
-    rng = np.random.default_rng(17)
-    scene = random_scene(rng, 120)
-    base = splat(scene, SPEC8, 3.0, threads=1)
-    for threads in (2, 4, 8):
-        other = splat(scene, SPEC8, 3.0, threads=threads)
-        assert np.array_equal(base.scores, other.scores)
-        assert np.array_equal(base.labels, other.labels)
-
-
 def test_splat_repeat_runs_identical():
     rng = np.random.default_rng(18)
     scene = random_scene(rng, 60)
@@ -875,10 +865,10 @@ def test_cutoff_omissions_are_small():
 
 @pytest.mark.parametrize(
     "case",
-    ["fewer-gaussians", "more-gaussians", "other-spec", "exact-cutoff", "other-cutoff", "threads"],
+    ["fewer-gaussians", "more-gaussians", "other-spec", "exact-cutoff", "other-cutoff"],
 )
 def test_splat_rejects_mismatched_index(case):
-    # A prebuilt index fixes the cutoff, thread count, grid and gaussians; a
+    # A prebuilt index fixes the cutoff, grid and gaussians; a
     # call that contradicts it must fail, not splat with the index's settings.
     rng = np.random.default_rng(71)
     scene = random_scene(rng, 10)
@@ -892,7 +882,6 @@ def test_splat_rejects_mismatched_index(case):
         "other-spec": lambda: splat(scene, other_spec, index=index),
         "exact-cutoff": lambda: splat(scene, SPEC8, cutoff_sigma=None, index=index),
         "other-cutoff": lambda: splat(scene, SPEC8, cutoff_sigma=2.0, index=index),
-        "threads": lambda: splat(scene, SPEC8, threads=2, index=index),
     }
     with pytest.raises(ValueError):
         calls[case]()

@@ -1,30 +1,24 @@
-"""Print the wall time and peak memory of each stage of one `fit` iteration at paper scale.
+"""Print the wall time and peak memory of each stage of a `fit` iteration at paper scale.
 
     PYTHONPATH=src python3 tools/stage_table.py [--repeats 3] [--counts 25600,144000]
 
-The grid is the ``nuscenes`` preset (200x200x16 voxels, 18 classes).  The
+The grid is the ``nuscenes`` preset (200x200x16 voxels, 18 classes), and the
 truth is driving-like: a ground plane, a few hundred random boxes of other
-classes and 5% ignored voxels, all from a fixed seed.  The scene for each
-gaussian count is ``random_bench_scene(count, nuscenes, 18, 0.3, 0)``.  Each
-repeat runs one iteration from the same start, in the order ``fit`` runs its
-stages, and the table shows each stage's median over the repeats in
-seconds:
+classes and 5% ignored voxels, from a fixed seed.  For each count,
+``gaussvox.fit`` runs ``--repeats`` iterations from
+``random_bench_scene(count, nuscenes, 18, 0.3, 0)``, and the table shows the
+median seconds of each stage: activate (raw parameters to a scene), index,
+splat (score rows, ``rows=True``), loss, backward, step (AdamW deltas and the
+refinement step) and metrics (confusion, mIoU, scene-completion IoU).  A
+stage is the calls of its names in ``WRAPPED``, which ``fit`` looks up at
+call time; ``fit``'s own lines between them are in no column, and the
+``activate`` of the final scene is left out.
 
-- activate: raw parameters to a scene;
-- index: ``build_splat_index``;
-- splat: the float32 score rows of the index's covered voxels, the covered
-  mask included, as ``fit`` asks for them (``rows=True``);
-- loss: ``voxel_losses`` over those rows;
-- backward: ``backward_splat``;
-- step: the AdamW deltas and the refinement step.
-
-A second table follows, from one more iteration per count run under
-``tracemalloc``: each stage's traced peak in MB, counting every array the
-iteration has allocated and still holds, and in the last column the
-iteration's peak.  Tracing slows that iteration, so it is not timed.
-
-The timings are of this machine at the time of the run; compare two trees
-by alternating their runs.
+A second table gives each stage's largest traced peak in MB over a
+2-iteration ``fit`` under ``tracemalloc``, counting every array ``fit``
+holds, its parameters and AdamW moments included, and the largest of them
+last.  Tracing slows that run, so it is not timed.  The timings are of this
+machine at the time of the run; compare two trees by alternating their runs.
 """
 
 from __future__ import annotations
@@ -37,14 +31,26 @@ import tracemalloc
 
 import numpy as np
 
-from gaussvox import GridSpec, OccupancyGrid, build_splat_index, splat, voxel_losses
+from gaussvox import FitConfig, GridSpec, OccupancyGrid, fit, fitter
 from gaussvox.cli import GRID_PRESETS, random_bench_scene
-from gaussvox.fitter import AdamW, Proposals, RawGaussianParams, backward_splat, refine_step
 from gaussvox.grid import IGNORE_LABEL
 
 CLASSES = 18
 S_MIN, S_MAX = 0.01, 0.3
-STAGES = ("activate", "index", "splat", "loss", "backward", "step")
+STAGES = ("activate", "index", "splat", "loss", "backward", "step", "metrics")
+# (stage, owner, name): each function that ``fit`` looks up at call time.
+WRAPPED = [
+    ("activate", fitter.RawGaussianParams, "activate"),
+    ("index", fitter, "build_splat_index"),
+    ("splat", fitter, "splat"),
+    ("loss", fitter, "voxel_losses"),
+    ("backward", fitter, "backward_splat"),
+    ("step", fitter.AdamW, "deltas"),
+    ("step", fitter, "refine_step"),
+    ("metrics", fitter, "confusion"),
+    ("metrics", fitter, "miou"),
+    ("metrics", fitter, "scene_completion_iou"),
+]
 
 
 def driving_truth(spec: GridSpec, seed: int = 0) -> OccupancyGrid:
@@ -62,72 +68,65 @@ def driving_truth(spec: GridSpec, seed: int = 0) -> OccupancyGrid:
     return OccupancyGrid(spec, CLASSES, labels)
 
 
-def iteration(params: RawGaussianParams, truth: OccupancyGrid, memory: bool = False) -> dict:
-    """Seconds per stage of one iteration from ``params``, which it leaves unchanged.
+def fit_stages(scene, truth: OccupancyGrid, iterations: int, memory: bool = False) -> list:
+    """Seconds per stage for each iteration of one ``fit`` from ``scene``.
 
-    With ``memory``, tracemalloc must be running, and each stage's traced
-    peak in bytes is given instead.
+    With ``memory`` the fit runs under tracemalloc, and each stage's largest
+    traced peak in bytes is given instead.
     """
-    stages = {}
-    clock = time.perf_counter()
+    runs = [dict.fromkeys(STAGES, 0)]
 
-    def lap(stage):
-        nonlocal clock
-        now = time.perf_counter()
+    def wrap(stage, fn):
+        def measured(*args, **kwargs):
+            tracemalloc.reset_peak()  # does nothing unless tracing
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                run = runs[-1]
+                run[stage] = (max(run[stage], tracemalloc.get_traced_memory()[1]) if memory
+                              else run[stage] + time.perf_counter() - start)
+        return measured
+
+    saved = [(stage, owner, name, vars(owner)[name]) for stage, owner, name in WRAPPED]
+    if memory:
+        tracemalloc.start()
+    try:
+        for stage, owner, name, original in saved:
+            setattr(owner, name, wrap(stage, original))
+        fit(scene, truth, FitConfig(iterations, s_min=S_MIN, s_max=S_MAX),
+            log_fn=lambda record: runs.append(dict.fromkeys(STAGES, 0)))
+    finally:
         if memory:
-            stages[stage] = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-        else:
-            stages[stage] = now - clock
-        clock = now
-
-    scene = params.activate(S_MIN, S_MAX)
-    lap("activate")
-    index = build_splat_index(scene, truth.spec)
-    lap("index")
-    grid = splat(scene, truth.spec, index=index, rows=True)
-    lap("splat")
-    loss = voxel_losses(grid, truth)
-    lap("loss")
-    grads = backward_splat(params, index, truth.spec, loss.d_scores, S_MIN, S_MAX, grid.voxels)
-    lap("backward")
-    stepped = params.copy()
-    deltas = AdamW(stepped).deltas(stepped, grads, 0.01)
-    refine_step(stepped, Proposals(deltas["means"],
-                                   *(getattr(stepped, k) + deltas[k]
-                                     for k in ("raw_scales", "rotations", "raw_logits"))))
-    lap("step")
-    return stages
+            tracemalloc.stop()
+        for _, owner, name, original in saved:
+            setattr(owner, name, original)
+    return runs[:-1]  # the last holds only the final scene's activate
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3, help="iterations per count")
-    parser.add_argument("--counts", default="25600,144000", help="gaussian counts")
+    parser.add_argument("--counts", default="25600,144000", help="gaussian counts",
+                        type=lambda text: [int(c) for c in text.split(",")])
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
+    if args.repeats < 1 or min(args.counts) < 1:
+        parser.error("--repeats and every count of --counts must be >= 1")
     spec = GridSpec(*GRID_PRESETS["nuscenes"])
     truth = driving_truth(spec)
     print(f"{'gaussians':>10}" + "".join(f"{s:>10}" for s in STAGES) + f"{'total':>10}")
     peaks = []
-    for count in (int(c) for c in args.counts.split(",")):
+    for count in args.counts:
         scene = random_bench_scene(count, spec, CLASSES, S_MAX, 0)
-        params = RawGaussianParams.from_scene(scene, S_MIN, S_MAX)
-        runs = [iteration(params, truth) for _ in range(args.repeats)]
-        medians = [statistics.median(run[s] for run in runs) for s in STAGES]
-        totals = statistics.median(sum(run.values()) for run in runs)
-        print(f"{count:>10}" + "".join(f"{m:>10.3f}" for m in medians) + f"{totals:>10.3f}",
-              flush=True)
-        tracemalloc.start()
-        try:
-            peaks.append((count, iteration(params, truth, memory=True)))
-        finally:
-            tracemalloc.stop()
+        runs = fit_stages(scene, truth, args.repeats)
+        times = [statistics.median(run[s] for run in runs) for s in STAGES]
+        times.append(statistics.median(sum(run.values()) for run in runs))
+        print(f"{count:>10}" + "".join(f"{t:>10.3f}" for t in times), flush=True)
+        runs = fit_stages(scene, truth, 2, memory=True)
+        peak = [max(run[s] for run in runs) / 1e6 for s in STAGES]
+        peaks.append(f"{count:>10}" + "".join(f"{p:>10.1f}" for p in peak + [max(peak)]))
     print(f"\n{'peak MB':>10}" + "".join(f"{s:>10}" for s in STAGES) + f"{'max':>10}")
-    for count, peak in peaks:
-        print(f"{count:>10}" + "".join(f"{peak[s] / 1e6:>10.1f}" for s in STAGES)
-              + f"{max(peak.values()) / 1e6:>10.1f}")
+    print("\n".join(peaks))
     return 0
 
 
