@@ -21,8 +21,8 @@ from .errors import GaussvoxError
 from .fitter import FitConfig, SceneInit, fit
 from .grid import GridSpec
 from .metrics import confusion, miou, scene_completion_iou
-from .sceneio import (SceneFile, check_header_geometry, gen_synthetic, read_grid, read_scene,
-                      write_grid, write_scene)
+from .sceneio import (SceneFile, check_header_geometry, check_shapes, gen_synthetic, read_grid,
+                      read_scene, write_grid, write_scene)
 from .splat import DEFAULT_CUTOFF_SIGMA, build_splat_index, splat, splat_chunks
 
 THREADS_ENV = "GAUSSVOX_THREADS"
@@ -243,9 +243,10 @@ def _cmd_gen(args, out) -> int:
         shapes = json.load(f)
     if not isinstance(shapes, list):
         raise ValueError("shapes file must hold a JSON list")
+    check_shapes(shapes)
     class_count = args.class_count
     if class_count is None:
-        class_count = max((int(s["cls"]) for s in shapes), default=0) + 1
+        class_count = max((s["cls"] for s in shapes), default=0) + 1
     result = gen_synthetic(spec, shapes, class_count, emit_scene=bool(args.scene_out))
     if args.scene_out:
         grid, scene = result

@@ -317,8 +317,9 @@ def fit(
     voxel before the first of them exists.
     Only the parameters and the AdamW moments live from one iteration into
     the next: the scene is dropped after the splat, the score rows after
-    the loss, the gradient rows after the backward pass, and the gradients
-    and the index after the step.
+    the loss, the gradient rows after the backward pass, the gradients and
+    the index after the step, and the grid's labels and voxel ids once the
+    metrics are taken.
     """
     _check_dense_bytes(truth.spec.num_voxels, (4 + 8) * truth.class_count + 9 + _ROW_BYTES)
     if np.count_nonzero(truth.labels != IGNORE_LABEL) == 0:
@@ -368,6 +369,7 @@ def fit(
             sc = scene_completion_iou(cm)
         except UndefinedMetricError:
             mean_iou, sc = float("nan"), float("nan")
+        grid = None
         rec = IterationRecord(
             iteration=it,
             ce_loss=lb.ce,

@@ -318,8 +318,31 @@ def read_grid(path) -> OccupancyGrid:
         raise FormatError(str(e), hs) from e
 
 
+# The fields each shape kind must have, besides ``kind`` and ``cls``.
+_SHAPE_FIELDS = {"box": ("min", "max"), "sphere": ("center", "radius"),
+                 "plane": ("axis", "offset")}
+
+
+def check_shapes(shapes) -> None:
+    """Raise ValueError, naming the shape's position, unless every shape
+    is a dict of a known kind with an integer ``cls`` and its kind's fields,
+    and every plane's axis is x, y, z or 0-2."""
+    for i, shape in enumerate(shapes):
+        if not isinstance(shape, dict) or shape.get("kind") not in _SHAPE_FIELDS:
+            raise ValueError(f"shape {i} must be an object of kind box, sphere or plane")
+        cls = shape.get("cls")
+        if isinstance(cls, bool) or not isinstance(cls, (int, np.integer)):
+            raise ValueError(f"shape {i} needs an integer cls, got {cls!r}")
+        missing = [f for f in _SHAPE_FIELDS[shape["kind"]] if f not in shape]
+        if missing:
+            raise ValueError(f"shape {i}, a {shape['kind']}, lacks {', '.join(missing)}")
+        if shape["kind"] == "plane" and shape["axis"] not in ("x", "y", "z", 0, 1, 2):
+            raise ValueError(f"shape {i} has axis {shape['axis']!r}, not x, y, z or 0-2")
+
+
 def _shape_mask(shape: dict, centers: np.ndarray) -> np.ndarray:
-    kind = shape.get("kind")
+    """Which of ``centers`` lie in a shape that ``check_shapes`` passed."""
+    kind = shape["kind"]
     if kind == "box":
         lo = np.asarray(shape["min"], dtype=np.float64)
         hi = np.asarray(shape["max"], dtype=np.float64)
@@ -328,13 +351,11 @@ def _shape_mask(shape: dict, centers: np.ndarray) -> np.ndarray:
         ctr = np.asarray(shape["center"], dtype=np.float64)
         r = float(shape["radius"])
         return np.sum((centers - ctr) ** 2, axis=1) <= r * r
-    if kind == "plane":
-        axis = shape["axis"]
-        if isinstance(axis, str):
-            axis = "xyz".index(axis)
-        half = 0.5 * float(shape.get("thickness", 0.0))
-        return np.abs(centers[:, axis] - float(shape["offset"])) <= half
-    raise ValueError(f"unknown shape kind {kind!r}")
+    axis = shape["axis"]  # a plane
+    if isinstance(axis, str):
+        axis = "xyz".index(axis)
+    half = 0.5 * float(shape.get("thickness", 0.0))
+    return np.abs(centers[:, axis] - float(shape["offset"])) <= half
 
 
 def gen_synthetic(
@@ -346,19 +367,21 @@ def gen_synthetic(
     """Rasterize simple shapes into a labeled grid; later shapes overwrite.
 
     Each shape dict carries ``kind`` (box / sphere / plane), ``cls`` and its
-    pose fields.  With ``emit_scene`` a generating GaussianScene is returned
-    as well: one small gaussian per occupied voxel whose cutoff splat
-    reproduces the labels on the non-empty voxels.  The (V, 3) float64
+    pose fields, checked by ``check_shapes`` before any work.  With
+    ``emit_scene`` a generating GaussianScene is returned as well: one small
+    gaussian per occupied voxel whose cutoff splat reproduces the labels on
+    the non-empty voxels.  The (V, 3) float64
     voxel centers and the V labels are checked against ``MAX_SCORE_BYTES``
     before they exist; each shape is tested ``_SHAPE_BLOCK`` voxels at a
     time, so its temporaries do not grow with the grid, and the centers are
     dropped before the grid checks its labels.
     """
+    check_shapes(shapes)
     _check_dense_bytes(spec.num_voxels, 24 + 1)
     centers = spec.voxel_centers()
     labels = np.zeros(spec.num_voxels, dtype=np.uint8)
     for shape in shapes:
-        cls = int(shape["cls"])
+        cls = shape["cls"]
         if not (0 <= cls < class_count):
             raise ValueError(f"shape class {cls} out of range for {class_count} classes")
         for a in range(0, spec.num_voxels, _SHAPE_BLOCK):

@@ -10,31 +10,31 @@ has the same bits in every path, the backward pass included.
 
 Accumulation is float32 in ascending gaussian index per voxel; this order is
 part of the contract so results are reproducible across runs and block, run
-and slab sizes.  Both passes split the gaussians into the same ascending
-runs by box size.  ``_box_blocks`` walks a large box, a dense block of the
-grid, in blocks of whole x-layers that are added to, or read from, a view
-of the scores.  ``_pair_runs`` writes the other boxes' pairs, clipped to
-one range of x-layers, in runs of whole gaussians.  A box's C-order is its
-pair order, and both paths add each per-gaussian sum in that order from
-+0.0, so no result depends on a gaussian's path.
+and slab sizes.  Both passes send a gaussian by its box size down one of
+two paths.  ``_box_blocks`` walks a large box, a dense block of the grid,
+in blocks of whole x-layers that are added to, or read from, a view of the
+scores.  ``_pair_runs`` writes the pairs of the other gaussians it is
+given, clipped to one range of x-layers, in runs of whole gaussians.  A
+box's C-order is its pair order, and both paths add each per-gaussian sum
+in that order from +0.0, so no result depends on a gaussian's path.
 
 The forward pass cuts the grid along x one way only, into slabs of whole
 x-layers of about ``_SLAB_BYTES`` of scores, a block that stays in cache
-while pairs are scattered into it.  Slab by slab, it takes every run in
-ascending order, clipped to the slab, and builds the kernel's float64 frames
-for the slab's gaussians only, never for the whole scene.  A run's products
-are formed one class at a time, and a run is released before the next is
-built.  ``splat`` adds each slab in place in its dense (V, C) scores, or,
-in the row form that ``fit`` runs, into one score row per voxel of the
-boxes, reached through a (V,) row map; so it holds the scene, the index,
-the scores and little else.  ``splat_chunks``, from which the CLI writes
-its grid file, adds each slab into one slab's buffer, which it yields and
-then reuses, and it can take a scene file in place of the scene: the
-index's pass reads and checks every record, and each few slabs read the
-rows of the gaussians that meet them.  The index is found in blocks of
-gaussians and stored as int32 box ends.  The backward pass takes the pairs
-over the whole grid, and ``fit`` gives it one gradient row per score row.
-Every pass runs on the calling thread.
+while pairs are scattered into it.  Slab by slab, it takes the gaussians
+whose boxes meet the slab, ascending, builds their float64 frames in one
+call, never for the whole scene, and walks them in stretches of one path,
+clipped to the slab.  A run's products are formed one class at a time, and
+a run is released before the next is built.  ``splat`` adds each slab in
+place in its dense (V, C) scores, or, in the row form that ``fit`` runs,
+into one score row per voxel of the boxes, reached through a (V,) row map;
+so it holds the scene, the index, the scores and little else.
+``splat_chunks``, from which the CLI writes its grid file, adds each slab
+into one slab's buffer, which it yields and then reuses, and it can take a
+scene file in place of the scene: the index's pass reads and checks every
+record, and each few slabs read the rows of the gaussians that meet them.
+The index is found in blocks of gaussians and stored as int32 box ends.
+The backward pass takes the pairs over the whole grid, and ``fit`` gives
+it one gradient row per score row.  Every pass runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -416,46 +416,37 @@ def _gaussian_chunks(starts: np.ndarray):
         a = b
 
 
-def _pair_runs(frames_of, index: SplatIndex, g_lo: int, g_hi: int, x_range=None):
-    """Yield the pairs of gaussians [g_lo, g_hi) in the x-layers ``x_range``, run by run.
+def _pair_runs(frames, index: SplatIndex, ids: np.ndarray, x_range=None):
+    """Yield the pairs of the ascending gaussians ``ids`` in the x-layers ``x_range``, run by run.
 
-    Each box is clipped to the layers [x0, x1) of ``x_range = (x0, x1)``,
-    by default the whole grid, and the pairs come in runs of whole
-    gaussians, ascending, of at most ``_SLAB_PAIRS`` pairs.
-    ``frames_of(ids)`` gives the ``gaussian_frames`` of gaussians ``ids``;
-    it is asked once, for the gaussians with pairs in the range only.  Each
-    item is ``ids, counts, vox, w, z``: the run's gaussians, the pair count
-    of each, and per pair its voxel, counted from the range's first voxel,
-    and the kernel's ``w, z``, in (gaussian, voxel) order.  Pair points
-    come from the per-axis center tables, which have the bits of
-    ``voxel_centers``.
+    ``frames`` are the gaussians' ``gaussian_frames``, column i being
+    gaussian ``ids[i]``.  Each box is clipped to the layers [x0, x1) of
+    ``x_range = (x0, x1)``, by default the whole grid; a box that is not
+    empty must meet them.  The pairs come in runs of whole gaussians,
+    ascending, of at most ``_SLAB_PAIRS`` pairs.  Each item is ``a, b,
+    counts, vox, w, z``: the run is ``ids[a:b]``, ``counts`` the pair count
+    of each of its gaussians, and per pair its voxel, counted from the
+    range's first voxel, and the kernel's ``w, z``, in (gaussian, voxel)
+    order.  Pair points come from the per-axis center tables, which have
+    the bits of ``voxel_centers``.
     """
     spec = index.spec
     cx, cy, cz = spec.axis_centers()
-    lo = index.lo[g_lo:g_hi]
-    counts = index.counts[g_lo:g_hi]
-    x_lo, x_n = lo[:, 0], counts[:, 0]
     x0, x1 = (0, spec.dims[0]) if x_range is None else x_range
-    # A box that misses the grid has counts of zero, but may keep its lo in the range.
-    gs = np.flatnonzero((x_n > 0) & (x_lo < x1) & (x_n > x0 - x_lo))
-    if gs.size == 0:
-        return
-    box_lo = lo[gs]
-    box_counts = counts[gs]
+    box_lo = index.lo[ids]
+    box_counts = index.counts[ids]
     x_hi = box_lo[:, 0] + box_counts[:, 0]
     box_lo[:, 0] = np.maximum(box_lo[:, 0], x0)
     box_counts[:, 0] = np.minimum(x_hi, x1) - box_lo[:, 0]
     box_lo[:, 0] -= x0
-    starts = np.zeros(gs.size + 1, dtype=np.int64)
+    starts = np.zeros(ids.size + 1, dtype=np.int64)
     np.cumsum(box_counts[:, 0].astype(np.int64) * box_counts[:, 1] * box_counts[:, 2],
               out=starts[1:])
-    ids = g_lo + gs
-    frames = frames_of(ids)
     for a, b in _gaussian_chunks(starts):
         per_gaussian = np.diff(starts[a : b + 1])
         # Built by a call and yielded unbound, so that nothing of this run
         # is held here while the next one is built.
-        yield ids[a:b], per_gaussian, *_run_pairs(
+        yield a, b, per_gaussian, *_run_pairs(
             (frames[0][..., a:b], frames[1][:, a:b]), box_lo[a:b], box_counts[a:b], per_gaussian,
             (cx[x0:x1], cy, cz), spec.dims)
 
@@ -548,13 +539,6 @@ def _box_sums(frames, index: SplatIndex, axes, d_scores: np.ndarray, row_grid, s
     return sums[:3], s_zz, sums[9:]
 
 
-def _path_runs(index: SplatIndex):
-    """Ascending runs ``(a, b, box)`` of gaussians; ``box``: over ``_BOX_PAIRS`` pairs each."""
-    box = np.diff(index.gaussian_starts) > _BOX_PAIRS
-    cuts = [0, *(np.flatnonzero(box[1:] != box[:-1]) + 1).tolist(), box.size]
-    return [(a, b, bool(box[a])) for a, b in zip(cuts[:-1], cuts[1:]) if a < b]
-
-
 def _row_map(voxels: np.ndarray, v: int) -> np.ndarray:
     """(V,) row of each voxel: its place in the ascending ``voxels``, else
     ``voxels.size``, past the last row, so that reading it raises IndexError."""
@@ -571,12 +555,16 @@ def _pair_moments(frames, index: SplatIndex, d_scores: np.ndarray, sem: np.ndarr
     the index's boxes has a row; ``None`` means row v is voxel v.  Returns
     ``s_z`` (P, 3) and ``s_zz`` (P, 3, 3), the moments that
     ``pair_weights_vjp`` defines, and ``d_sem`` (P, C), the sum of
-    ``w * d_scores`` over each gaussian's pairs.  Box runs are read by
-    ``_box_sums`` in blocks, each gathered through the (V,) row map; when
-    ``voxels`` is None a block is a view of the rows.  In the others each
-    gaussian's pairs lie in one run, read class-major through the row map
-    and summed by ``np.bincount`` in pair order; each class's semantics are
-    repeated over the run's pairs in turn, so no (C, pairs) copy is made.
+    ``w * d_scores`` over each gaussian's pairs.  A gaussian of more than
+    ``_BOX_PAIRS`` pairs is read by ``_box_sums`` in blocks, each gathered
+    through the (V,) row map; when ``voxels`` is None a block is a view of
+    the rows.  The other gaussians with pairs are taken in
+    ``_gaussian_chunks`` of their own pair counts, each one run of
+    ``_pair_runs`` over the whole grid, read class-major through the row
+    map and summed by ``np.bincount`` in pair order; each class's semantics
+    are repeated over the run's pairs in turn, so no (C, pairs) copy is
+    made.  A gaussian's sums come from its own pairs alone, so neither the
+    order of the gaussians nor their chunks change a bit.
     """
     p, c = sem.shape
     dims, v = index.spec.dims, index.num_voxels
@@ -586,20 +574,19 @@ def _pair_moments(frames, index: SplatIndex, d_scores: np.ndarray, sem: np.ndarr
     axes = index.spec.axis_centers()
     row_of = None if voxels is None else _row_map(voxels, v)
     row_grid = None if voxels is None else row_of.reshape(dims)
-
-    def take(ids):
-        return frames[0][..., ids], frames[1][:, ids]
-
-    for lo, hi, box in _path_runs(index):
-        if box:
-            for g in range(lo, hi):
-                s_z[g], s_zz[g], d_sem[g] = _box_sums(frames, index, axes, d_scores, row_grid,
-                                                      sem[g], g)
-            continue
-        # Each run takes the whole grid on its own, so only its frames are gathered.
-        runs = (item for a, b in _gaussian_chunks(index.gaussian_starts[lo : hi + 1])
-                for item in _pair_runs(take, index, lo + a, lo + b))
-        for ids, per_gaussian, vox, w, z in runs:
+    pairs = np.diff(index.gaussian_starts)
+    for g in np.flatnonzero(pairs > _BOX_PAIRS).tolist():
+        s_z[g], s_zz[g], d_sem[g] = _box_sums(frames, index, axes, d_scores, row_grid, sem[g], g)
+    paired = np.flatnonzero((pairs > 0) & (pairs <= _BOX_PAIRS))
+    starts = np.zeros(paired.size + 1, dtype=np.int64)
+    np.cumsum(pairs[paired], out=starts[1:])
+    del pairs
+    for lo, hi in _gaussian_chunks(starts):
+        # Each chunk takes the whole grid on its own, so only its frames are gathered.
+        chunk = paired[lo:hi]
+        for a, b, per_gaussian, vox, w, z in _pair_runs(
+                (frames[0][..., chunk], frames[1][:, chunk]), index, chunk):
+            ids = chunk[a:b]
             k = ids.size
             g = np.repeat(np.arange(k), per_gaussian)
             rows = vox if voxels is None else np.take(row_of, vox)
@@ -614,32 +601,26 @@ def _pair_moments(frames, index: SplatIndex, d_scores: np.ndarray, sem: np.ndarr
     return s_z, s_zz, d_sem
 
 
-def _accumulate_slab(
-    frames_of,
-    sem_of,
-    index: SplatIndex,
-    scores: np.ndarray,
-    g_lo: int,
-    g_hi: int,
-    row_of: np.ndarray | None,
-    x_range,
-) -> None:
-    """Add gaussians [g_lo, g_hi) over their boxes in the slab ``x_range``.
+def _accumulate_slab(frames, logits: np.ndarray, index: SplatIndex, ids: np.ndarray,
+                     at: np.ndarray, scores: np.ndarray, row_of: np.ndarray | None,
+                     x_range) -> None:
+    """Add the ascending gaussians ``ids`` over their boxes in the slab ``x_range``.
 
-    ``scores`` are the slab's, from its first layer on, or the rows, which
-    are reached through the ``row_of`` map from that layer on.  Each class
-    receives a run's float32 products ``w * sem`` through one
-    ``np.add.at``, which applies them in pair order.  The products are
-    formed one class at a time in one (pairs,) buffer, from a class-major
-    copy of the run's semantics, which ``sem_of(ids)`` gives as
-    ``frames_of(ids)`` gives the frames.  A run's arrays are released before
-    the next is built.
+    Column i of ``frames`` and row ``at[i]`` of ``logits`` are gaussian
+    ``ids[i]``, and each box meets the slab.  ``scores`` are the slab's,
+    from its first layer on, or the rows, which are reached through the
+    ``row_of`` map from that layer on.  Each class receives a run's float32
+    products ``w * sem`` through one ``np.add.at``, which applies them in
+    pair order.  The products are formed one class at a time in one
+    (pairs,) buffer, from a class-major copy of the run's semantics,
+    gathered run by run.  A run's arrays are released before the next is
+    built.
     """
     c = scores.shape[1]
-    for ids, per_gaussian, vox, w, z in _pair_runs(frames_of, index, g_lo, g_hi, x_range):
+    for a, b, per_gaussian, vox, w, z in _pair_runs(frames, index, ids, x_range):
         del z
         vox = vox if row_of is None else np.take(row_of, vox)
-        sem = np.ascontiguousarray(sem_of(ids).T)
+        sem = np.ascontiguousarray(logits[at[a:b]].T)
         adds = np.empty(w.size, dtype=np.float32)
         for cls in range(c):
             # float32(sem * w), multiplied in float64 and rounded once into the float32 buffer.
@@ -656,21 +637,28 @@ def _check_dense_bytes(num_voxels: int, bytes_per_voxel: int) -> None:
         raise CapacityError(f"{size:.0f} bytes of dense per-voxel arrays exceed {MAX_SCORE_BYTES}")
 
 
+def _meeting(index: SplatIndex, ids, x0: int, x1: int) -> np.ndarray:
+    """The ascending places in ``ids`` of the gaussians whose boxes meet the x-layers [x0, x1)."""
+    x_lo, x_n = index.lo[ids, 0], index.counts[ids, 0]
+    # A box that misses the grid has counts of zero, but may keep its lo in the range.
+    return np.flatnonzero((x_n > 0) & (x_lo < x1) & (x_n > x0 - x_lo))
+
+
 def _gathers(scene, index: SplatIndex, layers: int):
     """Yield ``x0, x1, rows, ids``: the slabs' x-layers [x0, x1) and their gaussians' rows.
 
-    An in-memory scene is its own rows for the whole grid, row g being
-    gaussian g, and ``ids`` is None.  A scene file, such as
-    ``sceneio.SceneFile``, gathers the rows of the ascending gaussians
-    ``ids`` whose boxes meet the slabs, row i being gaussian ``ids[i]``.
-    Each gather covers as many whole slabs of ``layers`` x-layers as keep
-    it to ``_INDEX_CHUNK`` gaussians, one at least, so that each slab's
-    gaussians are read in one pass over the file; their count is taken
-    from the boxes' first and last slabs.
+    Row i of ``rows`` is gaussian ``ids[i]``, ascending.  An in-memory
+    scene is its own rows for the whole grid, with ``ids`` every gaussian.
+    A scene file, such as ``sceneio.SceneFile``, gathers the rows of the
+    gaussians whose boxes meet the slabs.  Each of its gathers covers as
+    many whole slabs of ``layers`` x-layers as keep it to ``_INDEX_CHUNK``
+    gaussians, one at least, so that each slab's gaussians are read in one
+    pass over the file; their count is taken from the boxes' first and last
+    slabs.
     """
     x_dim = index.spec.dims[0]
     if isinstance(scene, GaussianScene):
-        yield 0, x_dim, scene, None
+        yield 0, x_dim, scene, np.arange(len(scene))
         return
     x_lo, x_n = index.lo[:, 0], index.counts[:, 0]
     hit = x_n > 0
@@ -685,25 +673,9 @@ def _gathers(scene, index: SplatIndex, layers: int):
         while k1 < n and begun[k1] - ended[k0] <= _INDEX_CHUNK:
             k1 += 1
         x0, x1 = k0 * layers, min(k1 * layers, x_dim)
-        ids = np.flatnonzero(hit & (x_lo < x1) & (x_n > x0 - x_lo))
+        ids = _meeting(index, slice(None), x0, x1)
         yield x0, x1, scene.gather(ids), ids
         k0 = k1
-
-
-def _takers(rows, ids):
-    """``frames_of(g)`` and ``sem_of(g)`` of gaussians g from the rows of ``_gathers``."""
-
-    def at(g):
-        return g if ids is None else np.searchsorted(ids, g)
-
-    def frames_of(g):
-        r = at(g)
-        return gaussian_frames(rows.means[r], rows.scales[r], rows.rotations[r])
-
-    def sem_of(g):
-        return rows.logits[at(g)]
-
-    return frames_of, sem_of
 
 
 def _accumulate(scene, index: SplatIndex, scores=None, voxels=None):
@@ -717,31 +689,23 @@ def _accumulate(scene, index: SplatIndex, scores=None, voxels=None):
     rows through the row map; or, for ``None``, one slab's buffer, cleared
     for each slab, so that a caller uses each slab before it asks for the
     next.  The caller checks the scores' size against ``MAX_SCORE_BYTES``.
-    Within a slab the runs go in ascending order, clipped to the slab's
-    x-layers.  A box-path gaussian adds ``float32(w * sem)`` to each block
-    of its box, one class at a time, through a view of the scores or its
-    rows, gathered through the row map; the other runs take
-    ``_accumulate_slab``.  So every voxel gets one float32 add per gaussian,
-    in order.  The gaussians' parameters come from ``_gathers``: an
-    in-memory scene is read in place, and a scene file is read for the
-    gaussians of a few slabs at a time, each gather released before the
-    next.  Beside the index, the scores and one gather, nothing of the
-    scene's size is held: the runs' x-extents are taken once, before the
-    first slab.
+    Each slab takes the ascending gaussians of the current gather whose
+    boxes meet it, builds their frames in one ``gaussian_frames`` call, and
+    walks them in stretches of one path, clipped to the slab's x-layers.  A
+    gaussian of more than ``_BOX_PAIRS`` pairs adds ``float32(w * sem)`` to
+    each block of its box, one class at a time, through a view of the
+    scores or its rows, gathered through the row map; a stretch of the
+    others takes ``_accumulate_slab``.  So every voxel gets one float32 add
+    per gaussian, in order.  The gaussians' parameters come from
+    ``_gathers``: an in-memory scene is read in place, and a scene file is
+    read for the gaussians of a few slabs at a time, each gather released
+    before the next.  Beside the index, the scores and one gather, nothing
+    of the scene's size is held but the in-memory scene's ids.
     """
     c, dims = scene.class_count, index.spec.dims
     x_dim, y_dim, z_dim = dims
     layer = y_dim * z_dim
     width = max(1, _SLAB_BYTES // (4 * c * layer))
-    x_lo, x_n = index.lo[:, 0], index.counts[:, 0]
-    runs = _path_runs(index)
-    # Each run's x-layers, so that a slab skips the runs it does not meet.
-    firsts = [a for a, _, _ in runs]
-    run_lo = np.minimum.reduceat(x_lo, firsts) if runs else []
-    run_hi = np.maximum.reduceat(x_lo + x_n, firsts) if runs else []
-    boxes = np.flatnonzero(np.diff(index.gaussian_starts) > _BOX_PAIRS)
-    box_x_lo = x_lo[boxes]
-    box_x_hi = box_x_lo + x_n[boxes]
     reused = scores is None
     if reused:
         scores = np.zeros((min(width, x_dim) * layer, c), dtype=np.float32)
@@ -749,7 +713,6 @@ def _accumulate(scene, index: SplatIndex, scores=None, voxels=None):
     row_of = None if voxels is None else _row_map(voxels, index.num_voxels)
 
     for x_start, x_end, rows, ids in _gathers(scene, index, width):
-        frames_of, sem_of = _takers(rows, ids)
         for x0 in range(x_start, x_end, width):
             x1 = min(x0 + width, x_dim)
             if voxels is not None:
@@ -759,20 +722,21 @@ def _accumulate(scene, index: SplatIndex, scores=None, voxels=None):
                 if reused and x0:
                     slab[...] = 0
                 grid, grid_rows = slab.reshape(x1 - x0, y_dim, z_dim, c), None
-            # The frames of the slab's box-path gaussians, built once; a
-            # slab without any skips the frames' fixed cost of about 80 us.
-            hit = boxes[(box_x_lo < x1) & (box_x_hi > x0)]
-            a, off = frames_of(hit) if hit.size else (None, None)
-            for (lo, hi, box), first, end in zip(runs, run_lo, run_hi):
-                if first >= x1 or end <= x0:
+            # Row meet[i] of the gather is gaussian g[i], the i-th to meet the slab.
+            meet = _meeting(index, ids, x0, x1)
+            g = ids[meet]
+            a, off = gaussian_frames(rows.means[meet], rows.scales[meet], rows.rotations[meet])
+            box = index.gaussian_starts[g + 1] - index.gaussian_starts[g] > _BOX_PAIRS
+            # The first gaussian of each stretch of one path.
+            firsts = np.flatnonzero(np.diff(box, prepend=~box[:1])).tolist()
+            for lo, hi in zip(firsts, [*firsts[1:], g.size]):
+                if not box[lo]:
+                    _accumulate_slab((a[..., lo:hi], off[:, lo:hi]), rows.logits, index, g[lo:hi],
+                                     meet[lo:hi], slab, grid_rows, (x0, x1))
                     continue
-                if not box:
-                    _accumulate_slab(frames_of, sem_of, index, slab, lo, hi, grid_rows, (x0, x1))
-                    continue
-                for k in range(*np.searchsorted(hit, [lo, hi])):
-                    g = hit[k]
-                    sem = sem_of(g).astype(np.float64)
-                    for block, w, _ in _box_blocks((a[..., k], off[:, k]), index, axes, g,
+                for k in range(lo, hi):
+                    sem = rows.logits[meet[k]].astype(np.float64)
+                    for block, w, _ in _box_blocks((a[..., k], off[:, k]), index, axes, g[k],
                                                    (x0, x1)):
                         part = grid[block] if voxels is None else slab[grid[block]]
                         for cls in range(c):
@@ -781,7 +745,7 @@ def _accumulate(scene, index: SplatIndex, scores=None, voxels=None):
                             slab[grid[block]] = part
             yield slab
         # Released before the next gather is read.
-        del rows, ids, frames_of, sem_of
+        del rows, ids
 
 
 def _argmax_labels(scores: np.ndarray) -> np.ndarray:

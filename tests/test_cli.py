@@ -380,6 +380,38 @@ def test_gen_bad_shapes_json(tmp_path):
     assert code == 2
 
 
+BOX = {"kind": "box", "cls": 1, "min": [1, 1, 1], "max": [3, 3, 3]}
+
+
+@pytest.mark.parametrize("class_count", [None, "4"], ids=["default-classes", "class-count"])
+@pytest.mark.parametrize("bad, message", [
+    ({"kind": "box", "min": [0, 0, 0], "max": [1, 1, 1]}, "integer cls"),
+    ({"kind": "sphere", "cls": 1, "center": [1, 1, 1]}, "lacks radius"),
+    ({"kind": "plane", "cls": 1, "axis": 5, "offset": 1.0}, "axis 5"),
+    ({"kind": "plane", "cls": 1, "axis": "w", "offset": 1.0}, "axis 'w'"),
+    ({"kind": "box", "cls": 1.5, "min": [0, 0, 0], "max": [1, 1, 1]}, "integer cls"),
+    ({"kind": "box", "cls": True, "min": [0, 0, 0], "max": [1, 1, 1]}, "integer cls"),
+    ({"kind": "box", "cls": 1, "max": [1, 1, 1]}, "lacks min"),
+    ({"kind": "torus", "cls": 1}, "kind box, sphere or plane"),
+    ({"cls": 1}, "kind box, sphere or plane"),
+    (3, "kind box, sphere or plane"),
+], ids=["no-cls", "no-radius", "axis-5", "axis-w", "float-cls", "bool-cls", "no-min",
+        "torus", "no-kind", "number"])
+def test_gen_rejects_a_malformed_shape_exit_2(tmp_path, capsys, class_count, bad, message):
+    # Each shape is checked before any work: a malformed one is a data error
+    # naming its position, with no traceback and no output file.
+    shapes = tmp_path / "shapes.json"
+    shapes.write_text(json.dumps([BOX, bad]))
+    out = tmp_path / "truth.svox"
+    flags = [] if class_count is None else ["--class-count", class_count]
+    code, _ = run(["gen", *GRID_FLAGS, "--shapes", str(shapes), *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "shape 1" in err and message in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_fit_command(tmp_path):
     shapes = tmp_path / "shapes.json"
     shapes.write_text(json.dumps([
@@ -531,7 +563,11 @@ def test_streamed_splat_file_matches_the_grid_writer(tmp_path, monkeypatch, case
     write_grid(expected, tmp_path / "expected.svox")
 
     if case == "mixed":
-        runs = splat_module._path_runs(splat_module.build_splat_index(scene, spec, 3.0))
+        # The ascending runs of gaussians of one path, box or pair.
+        index = splat_module.build_splat_index(scene, spec, 3.0)
+        box = np.diff(index.gaussian_starts) > splat_module._BOX_PAIRS
+        firsts = np.flatnonzero(np.diff(box, prepend=~box[:1]))
+        runs = [(a, b, bool(box[a])) for a, b in zip(firsts, [*firsts[1:], box.size])]
         assert sum(box for *_, box in runs) >= 400 and sum(not box for *_, box in runs) >= 400
 
     layer_bytes = 4 * scene.class_count * spec.dims[1] * spec.dims[2]

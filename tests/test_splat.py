@@ -62,13 +62,10 @@ def frames_of(scene):
 def index_voxels(index, a=0, b=None):
     """The voxels of gaussians [a, b), by default all, ascending per gaussian,
     as ``_pair_runs`` lists them over the whole grid."""
-    b = index.num_gaussians if b is None else b
-
-    def frames(ids):
-        return np.zeros((3, 3, ids.size)), np.zeros((3, ids.size))
-
-    runs = splat_module._pair_runs(frames, index, a, b)
-    return np.concatenate([np.zeros(0, dtype=np.int64), *(vox for _, _, vox, _, _ in runs)])
+    ids = np.arange(a, index.num_gaussians if b is None else b)
+    frames = np.zeros((3, 3, ids.size)), np.zeros((3, ids.size))
+    runs = splat_module._pair_runs(frames, index, ids)
+    return np.concatenate([np.zeros(0, dtype=np.int64), *(vox for *_, vox, _, _ in runs)])
 
 
 def index_pairs(index):
@@ -384,32 +381,37 @@ def test_frames_of_a_subset_keep_their_bits():
 
 
 @pytest.mark.parametrize("width", [2, 3])
-def test_pair_runs_ask_frames_only_for_gaussians_with_pairs(width):
+def test_forward_builds_frames_once_per_slab_for_the_gaussians_that_meet_it(monkeypatch, width):
     # At scales of 0.015-0.05, 3 sigma misses every cell center of SPEC8
     # around most means: such a box is empty, but keeps its lo, clipped into
-    # the grid, and so may start inside a slab of several layers.
-    scene = random_scene(np.random.default_rng(48), 300, lo=-2.0, hi=2.0, s_lo=0.015,
-                         s_hi=0.05)
+    # the grid, and so may start inside a slab of several layers.  Broad
+    # gaussians take the box path and cross slab edges.
+    rng = np.random.default_rng(48)
+    scene = random_scene(rng, 300, lo=-2.0, hi=2.0, s_lo=0.015, s_hi=0.05)
+    scene.scales[::40] = rng.uniform(0.4, 0.6, (8, 3)).astype(np.float32)
     index = build_splat_index(scene, SPEC8, 3.0)
     empty = index.counts[:, 0] == 0
     assert empty.sum() >= 30 and (index.lo[empty, 0] % width > 0).any()
-    a, off = frames_of(scene)
+    monkeypatch.setattr(splat_module, "_BOX_PAIRS", 100)
+    assert 0 < (np.diff(index.gaussian_starts) > 100).sum() < 8
+    monkeypatch.setattr(splat_module, "_SLAB_BYTES",
+                        width * 4 * scene.class_count * SPEC8.dims[1] * SPEC8.dims[2])
+    expected = splat(scene, SPEC8, index=index).scores
+    real = splat_module.gaussian_frames
     asked = []
+    monkeypatch.setattr(splat_module, "gaussian_frames",
+                        lambda means, *rest: asked.append(means) or real(means, *rest))
+    got = splat(scene, SPEC8, index=index).scores
+    assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
 
-    def spy(ids):
-        asked.append(ids)
-        return a[..., ids], off[:, ids]
-
-    # frames_of is asked once per slab with pairs, for exactly the gaussians of its runs.
-    for x0 in range(0, SPEC8.dims[0], width):
-        asked.clear()
-        runs = list(splat_module._pair_runs(spy, index, 0, len(scene),
-                                            (x0, min(x0 + width, SPEC8.dims[0]))))
-        assert len(asked) == min(len(runs), 1)
-        if runs:
-            assert all(per_gaussian.min() > 0 for _, per_gaussian, *_ in runs)
-            assert np.array_equal(asked[0], np.concatenate([ids for ids, *_ in runs]))
-            assert not empty[asked[0]].any()
+    # One call per slab, for exactly the ascending gaussians whose boxes meet it.
+    x_lo, x_hi = index.lo[:, 0], index.lo[:, 0] + index.counts[:, 0]
+    slabs = range(0, SPEC8.dims[0], width)
+    assert len(asked) == len(slabs)
+    for means, x0 in zip(asked, slabs):
+        meet = np.flatnonzero(~empty & (x_lo < x0 + width) & (x_hi > x0))
+        assert meet.size
+        assert np.array_equal(means, scene.means[meet])
 
 
 def test_pair_weight_bits_do_not_depend_on_the_batch():
@@ -421,8 +423,7 @@ def test_pair_weight_bits_do_not_depend_on_the_batch():
     tile, _ = pair_weights(a[..., None], off[..., None], pts)
     # Every pair as one pair list, (gaussian, voxel) order.
     index = build_splat_index(scene, SPEC8, None)
-    runs = splat_module._pair_runs(lambda ids: (a[..., ids], off[:, ids]), index, 0,
-                                   len(scene))
+    runs = splat_module._pair_runs(frames, index, np.arange(len(scene)))
     chunk = np.concatenate([w for *_, w, _ in runs])
     assert np.array_equal(chunk.reshape(tile.shape).view(np.uint64), tile.view(np.uint64))
     rng = np.random.default_rng(35)
@@ -515,12 +516,16 @@ def test_box_path_carries_sums_across_blocks(monkeypatch):
         assert np.array_equal(grad.view(np.uint64), pair_grads[key].view(np.uint64)), key
 
 
-def test_forward_box_path_keeps_the_add_order(monkeypatch):
+@pytest.mark.parametrize("rows", [False, True], ids=["dense", "rows"])
+@pytest.mark.parametrize("slab_layers", [1, 3])
+def test_forward_box_path_keeps_the_add_order(monkeypatch, slab_layers, rows):
     # Even gaussians have boxes of over 600 pairs and odd ones of at most
     # 64, so at a box cap of 600 the two paths alternate gaussian by
     # gaussian over overlapping voxels.  At 600 pairs a block is at most
     # 600 pairs and at least one x-layer, so every box spans several
-    # blocks.  The reference takes the pair path for every gaussian.
+    # blocks.  Slabs of one or three x-layers each meet a part of that
+    # alternation, in which gaussians between two that meet the slab may
+    # miss it.  The reference takes the pair path for every gaussian.
     rng = np.random.default_rng(43)
     count = 30
     scales = np.where(np.arange(count)[:, None] % 2 == 0, 1.2, 0.2) * rng.uniform(
@@ -539,12 +544,15 @@ def test_forward_box_path_keeps_the_add_order(monkeypatch):
         boxes[index_voxels(index, g, g + 1)] = True
     assert all(boxes[index_voxels(index, g, g + 1)].any() for g in range(1, count, 2))
 
+    monkeypatch.setattr(splat_module, "_SLAB_BYTES",
+                        slab_layers * 4 * scene.class_count * SPEC16.dims[1] * SPEC16.dims[2])
     monkeypatch.setattr(splat_module, "_BOX_PAIRS", int(per_gaussian.max()))
-    expected = splat(scene, SPEC16, index=index).scores
+    expected = splat(scene, SPEC16, index=index, rows=rows)
     monkeypatch.setattr(splat_module, "_BOX_PAIRS", 600)
     monkeypatch.setattr(splat_module, "_SLAB_PAIRS", 600)
-    got = splat(scene, SPEC16, index=index).scores
-    assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
+    got = splat(scene, SPEC16, index=index, rows=rows)
+    assert (got.voxels is not None) == rows
+    assert np.array_equal(got.scores.view(np.uint32), expected.scores.view(np.uint32))
 
 
 def _no_oracle_loop(*args, **kwargs):
@@ -745,12 +753,8 @@ def test_index_past_int32_voxel_ids_matches_int64_brute_force(dims, cell, corner
     # Their per-axis center tables would take 16 GiB on 2^31 - 1 layers.
     if max(dims) > 2048:
         return
-
-    def take(ids):
-        return gaussian_frames(scene.means[ids], scene.scales[ids], scene.rotations[ids])
-
-    runs = splat_module._pair_runs(take, index, 0, len(scene))
-    assert np.array_equal(np.concatenate([vox for _, _, vox, _, _ in runs]), expected)
+    runs = splat_module._pair_runs(frames_of(scene), index, np.arange(len(scene)))
+    assert np.array_equal(np.concatenate([vox for *_, vox, _, _ in runs]), expected)
 
 
 def test_index_rejects_an_axis_of_2_31_voxels_before_allocating():
