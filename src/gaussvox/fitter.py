@@ -48,14 +48,19 @@ class FitConfig:
     warmup_iters: int = 0
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
-        if not (0 < self.s_min < self.s_max):
-            raise ValueError("need 0 < s_min < s_max")
+        # Written so that NaN fails every test.
+        if not self.iterations >= 1:
+            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if not 0 < self.s_min < self.s_max < math.inf:
+            raise ValueError(f"need 0 < s_min < s_max, finite, got {self.s_min} and {self.s_max}")
+        if not self.warmup_iters >= 0:
+            raise ValueError(f"warmup_iters must be >= 0, got {self.warmup_iters}")
+        if not all(0 <= w < math.inf for w in self.loss_weights):
+            raise ValueError(f"loss_weights must be finite and >= 0, got {self.loss_weights}")
         if self.lr_schedule not in ("constant", "cosine"):
             raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
 
@@ -184,8 +189,9 @@ def backward_splat(
     gaussian accumulates only over its own neighborhood pairs, in ascending
     voxel order, mirroring the forward sparsity.  ``_pair_moments`` reads a
     gaussian of a large box as that box, in dense blocks of whole x-layers,
-    and the others as pair runs, split by the forward pass's rule.
-    Either way every per-gaussian sum is added in pair order from +0.0, so
+    and the others as pair runs, split by the forward pass's rule, and sums
+    both through ``pair_weights_vjp``: every per-gaussian sum is an
+    ``np.bincount`` in pair order from +0.0, carried from block to block, so
     the result depends neither on the path nor on the run or block size.
     The rotation gradient is projected onto the unit-quaternion tangent.
     The frames are dropped once the moments are summed, and ``frames_vjp``
@@ -263,6 +269,8 @@ def init_scene(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if not 0 <= jitter < math.inf:
+        raise ValueError(f"jitter must be finite and >= 0, got {jitter}")
     rng = np.random.default_rng(seed)
     origin = np.asarray(bounds.origin)
     cell = np.asarray(bounds.cell_size)

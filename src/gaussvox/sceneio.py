@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import GaussianScene, RowChecks
 from .errors import CapacityError, FormatError, InvalidGaussianError
-from .grid import MAX_VOXELS, GridChunks, GridSpec, OccupancyGrid
+from .grid import IGNORE_LABEL, MAX_VOXELS, GridChunks, GridSpec, OccupancyGrid
 from .splat import _check_dense_bytes
 
 SCENE_MAGIC = b"SGAU"
@@ -323,21 +323,55 @@ _SHAPE_FIELDS = {"box": ("min", "max"), "sphere": ("center", "radius"),
                  "plane": ("axis", "offset")}
 
 
+def _finite(value) -> bool:
+    """Whether ``value`` is a number, not a bool, that a float64 holds finitely."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float64 range
+        return False
+
+
+def _point(value) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == 3 and all(map(_finite, value))
+
+
+# Each value field's test, and what it must be.
+_FIELD_TESTS = {
+    "min": (_point, "3 finite numbers"),
+    "max": (_point, "3 finite numbers"),
+    "center": (_point, "3 finite numbers"),
+    "radius": (lambda r: _finite(r) and r > 0, "a finite number > 0"),
+    "offset": (_finite, "a finite number"),
+    "thickness": (lambda t: _finite(t) and t >= 0, "a finite number >= 0"),
+}
+
+
 def check_shapes(shapes) -> None:
     """Raise ValueError, naming the shape's position, unless every shape
-    is a dict of a known kind with an integer ``cls`` and its kind's fields,
-    and every plane's axis is x, y, z or 0-2."""
+    is a dict of a known kind with an integer ``cls`` that a label can hold,
+    0 to ``IGNORE_LABEL - 1``, and its kind's fields, every plane's axis is
+    x, y, z or 0-2, and each field of ``_FIELD_TESTS`` that a shape holds
+    passes its test: finite 3-vectors, a finite radius > 0, a finite offset
+    and a finite thickness >= 0."""
     for i, shape in enumerate(shapes):
         if not isinstance(shape, dict) or shape.get("kind") not in _SHAPE_FIELDS:
             raise ValueError(f"shape {i} must be an object of kind box, sphere or plane")
         cls = shape.get("cls")
-        if isinstance(cls, bool) or not isinstance(cls, (int, np.integer)):
-            raise ValueError(f"shape {i} needs an integer cls, got {cls!r}")
-        missing = [f for f in _SHAPE_FIELDS[shape["kind"]] if f not in shape]
+        if (isinstance(cls, bool) or not isinstance(cls, (int, np.integer))
+                or not 0 <= cls < IGNORE_LABEL):
+            raise ValueError(f"shape {i} needs an integer cls in 0-{IGNORE_LABEL - 1}, "
+                             f"got {cls!r}")
+        kind = shape["kind"]
+        missing = [f for f in _SHAPE_FIELDS[kind] if f not in shape]
         if missing:
-            raise ValueError(f"shape {i}, a {shape['kind']}, lacks {', '.join(missing)}")
-        if shape["kind"] == "plane" and shape["axis"] not in ("x", "y", "z", 0, 1, 2):
+            raise ValueError(f"shape {i}, a {kind}, lacks {', '.join(missing)}")
+        if kind == "plane" and shape["axis"] not in ("x", "y", "z", 0, 1, 2):
             raise ValueError(f"shape {i} has axis {shape['axis']!r}, not x, y, z or 0-2")
+        for field, (test, what) in _FIELD_TESTS.items():
+            if field in shape and not test(shape[field]):
+                raise ValueError(f"shape {i}'s {field} must be {what}, got {shape[field]!r}")
 
 
 def _shape_mask(shape: dict, centers: np.ndarray) -> np.ndarray:

@@ -6,7 +6,9 @@ from the neighboring Gaussians only.  ``splat_oracle`` is the exact
 O(voxels * P) reference, a plain loop over the gaussians and every voxel
 center that shares only the frames and the kernel with it.  One
 elementwise kernel, ``pair_weights``, computes every pair weight, so a pair
-has the same bits in every path, the backward pass included.
+has the same bits in every path, the backward pass included, and one,
+``pair_weights_vjp``, every per-gaussian backward sum, of a pair run and of
+a box block alike.
 
 Accumulation is float32 in ascending gaussian index per voxel; this order is
 part of the contract so results are reproducible across runs and block, run
@@ -15,8 +17,9 @@ two paths.  ``_box_blocks`` walks a large box, a dense block of the grid,
 in blocks of whole x-layers that are added to, or read from, a view of the
 scores.  ``_pair_runs`` writes the pairs of the other gaussians it is
 given, clipped to one range of x-layers, in runs of whole gaussians.  A
-box's C-order is its pair order, and both paths add each per-gaussian sum
-in that order from +0.0, so no result depends on a gaussian's path.
+box's C-order is its pair order, and each per-gaussian sum is an
+``np.bincount`` in that order from +0.0, carried from block to block of a
+box, so no result depends on a gaussian's path.
 
 The forward pass cuts the grid along x one way only, into slabs of whole
 x-layers of about ``_SLAB_BYTES`` of scores, a block that stays in cache
@@ -33,8 +36,9 @@ into one slab's buffer, which it yields and then reuses, and it can take a
 scene file in place of the scene: the index's pass reads and checks every
 record, and each few slabs read the rows of the gaussians that meet them.
 The index is found in blocks of gaussians and stored as int32 box ends.
-The backward pass takes the pairs over the whole grid, and ``fit`` gives
-it one gradient row per score row.  Every pass runs on the calling thread.
+The backward pass takes the pairs over the whole grid, box blocks and pair
+runs through the same sums, and ``fit`` gives it one gradient row per score
+row.  Every pass runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -322,21 +326,55 @@ def pair_weights(a: np.ndarray, off: np.ndarray, pts: np.ndarray):
     return w, z
 
 
-def pair_weights_vjp(g: np.ndarray, k: int, w: np.ndarray, z: np.ndarray, d_w: np.ndarray):
-    """Pull per-pair weight cotangents ``d_w`` back to per-gaussian moments.
+def pair_weights_vjp(g: np.ndarray, k: int, w: np.ndarray, z: np.ndarray, d_scores, sem,
+                     start=None) -> np.ndarray:
+    """Every per-gaussian backward sum of a pair run or of a box block.
 
-    ``g`` holds each pair's gaussian in 0..k-1; ``w, z`` come from
-    ``pair_weights``.  With ``c = d_w * w`` the moments are ``sum c z``
-    (k, 3) and ``sum c z z^T`` (k, 3, 3), summed over each gaussian's pairs
-    in pair order.  ``frames_vjp`` turns them into parameter gradients.
+    ``g`` holds each pair's gaussian in 0..k-1, flat, and ``w, z`` come from
+    ``pair_weights``, in a run's (pairs,) shape or a box block's (nx, ny,
+    nz).  ``d_scores`` holds the pairs' score cotangents class by class,
+    (C, ...) in ``w``'s shape, and ``sem`` (k, C) the gaussians' semantics.
+    With ``dL/dw = sum d_scores * sem``, added class by class, and
+    ``c = dL/dw * w``, returns the (k, 12 + C) sums of ``c z`` (3), of
+    ``c z z^T`` (9, row-major) and of ``w * d_scores`` (C).  Each is an
+    ``np.bincount`` in pair order from +0.0, formed one (pairs,) term at a
+    time, and ``c z_j z_i`` is a copy of ``c z_i z_j`` for i < j.
+    ``start``, one gaussian's sums so far, is added into the first pair's
+    terms, so a box's sums carry from block to block.
     """
-    cz = d_w * w * z
-    s_z = np.stack([np.bincount(g, cz[j], minlength=k) for j in range(3)], axis=1)
-    s_zz = np.empty((k, 3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            s_zz[:, i, j] = s_zz[:, j, i] = np.bincount(g, cz[i] * z[j], minlength=k)
-    return s_z, s_zz
+    c = sem.shape[1]
+
+    def spread(column):  # the gaussians' column, pair by pair
+        return column[0] if k == 1 else column[g]
+
+    d_w = d_scores[0] * spread(sem[:, 0])
+    for cls in range(1, c):
+        d_w += d_scores[cls] * spread(sem[:, cls])
+    d_w *= w
+    cz = [d_w * z[j] for j in range(3)]
+    sums = np.empty((k, 12 + c))
+
+    def add(col, term):
+        term = term.reshape(-1)
+        if start is not None:
+            term[0] += start[col]
+        sums[:, col] = np.bincount(g, term, minlength=k)
+
+    # The c z_i z_j terms read c z, so its own carry comes after them.
+    for i, j in zip(*np.triu_indices(3)):
+        add(3 + 3 * i + j, cz[i] * z[j])
+        sums[:, 3 + 3 * j + i] = sums[:, 3 + 3 * i + j]
+    for j in range(3):
+        add(j, cz[j])
+    for cls in range(c):
+        add(12 + cls, w * d_scores[cls])
+    return sums
+
+
+def vjp_moments(sums: np.ndarray):
+    """``s_z`` (k, 3), ``s_zz`` (k, 3, 3) and ``d_sem`` (k, C): views of
+    ``pair_weights_vjp``'s sums."""
+    return sums[:, :3], sums[:, 3:12].reshape(-1, 3, 3), sums[:, 12:]
 
 
 def frames_vjp(scales, rotations, s_z: np.ndarray, s_zz: np.ndarray):
@@ -496,49 +534,6 @@ def _box_blocks(frame, index: SplatIndex, axes, g: int, x_range=None):
         yield (slice(x0 - start, x1 - start), ys, zs), w, z
 
 
-def _box_sums(frames, index: SplatIndex, axes, d_scores: np.ndarray, row_grid, sem: np.ndarray,
-              g: int):
-    """Gaussian g's ``s_z`` (3,), ``s_zz`` (3, 3) and ``d_sem`` (C,), read from its box.
-
-    ``d_scores`` holds the score cotangent rows and ``sem`` the gaussian's C
-    semantics.  ``row_grid`` is the (X, Y, Z) view of the row map, through
-    which each block gathers its rows, or None when row v is voxel v and a
-    block is a view of the rows.  Each sum is added sequentially in pair
-    order from +0.0, carried across blocks, so it has the bits of the pair
-    path's ``np.bincount`` sums.
-    """
-    c = sem.size
-    d_grid = d_scores.reshape(*index.spec.dims, c) if row_grid is None else None
-    # One row per sum: c z (3), c z_i z_j for i <= j (6), w * d_score (C).
-    upper = np.triu_indices(3)
-    sums = np.zeros(9 + c)
-    terms = None
-    for block, w, z in _box_blocks((frames[0][..., g], frames[1][:, g]), index, axes, g):
-        gup = d_grid[block] if row_grid is None else d_scores[row_grid[block]]
-        d_w = gup[..., 0] * sem[0]
-        for cls in range(1, c):
-            d_w += gup[..., cls] * sem[cls]
-        d_w *= w
-        n = w.size
-        if terms is None:
-            # The first block is the largest.
-            terms = np.empty((9 + c, n))
-        rows = terms[:, :n].reshape(9 + c, *w.shape)
-        for j in range(3):
-            np.multiply(d_w, z[j], out=rows[j])
-        for row, (i, j) in enumerate(zip(*upper), start=3):
-            np.multiply(rows[i], z[j], out=rows[row])
-        for cls in range(c):
-            np.multiply(w, gup[..., cls], out=rows[9 + cls])
-        rows = terms[:, :n]
-        rows[:, 0] += sums
-        np.cumsum(rows, axis=1, out=rows)
-        sums = rows[:, -1].copy()
-    s_zz = np.empty((3, 3))
-    s_zz[upper] = s_zz[upper[::-1]] = sums[3:9]
-    return sums[:3], s_zz, sums[9:]
-
-
 def _row_map(voxels: np.ndarray, v: int) -> np.ndarray:
     """(V,) row of each voxel: its place in the ascending ``voxels``, else
     ``voxels.size``, past the last row, so that reading it raises IndexError."""
@@ -553,30 +548,33 @@ def _pair_moments(frames, index: SplatIndex, d_scores: np.ndarray, sem: np.ndarr
     ``d_scores`` holds the score cotangent rows and ``sem`` (P, C) the
     semantics.  Row i is voxel ``voxels[i]``, ascending, and every voxel of
     the index's boxes has a row; ``None`` means row v is voxel v.  Returns
-    ``s_z`` (P, 3) and ``s_zz`` (P, 3, 3), the moments that
-    ``pair_weights_vjp`` defines, and ``d_sem`` (P, C), the sum of
-    ``w * d_scores`` over each gaussian's pairs.  A gaussian of more than
-    ``_BOX_PAIRS`` pairs is read by ``_box_sums`` in blocks, each gathered
-    through the (V,) row map; when ``voxels`` is None a block is a view of
-    the rows.  The other gaussians with pairs are taken in
-    ``_gaussian_chunks`` of their own pair counts, each one run of
-    ``_pair_runs`` over the whole grid, read class-major through the row
-    map and summed by ``np.bincount`` in pair order; each class's semantics
-    are repeated over the run's pairs in turn, so no (C, pairs) copy is
-    made.  A gaussian's sums come from its own pairs alone, so neither the
-    order of the gaussians nor their chunks change a bit.
+    ``vjp_moments`` of ``pair_weights_vjp``'s sums: ``s_z`` (P, 3), ``s_zz``
+    (P, 3, 3) and ``d_sem`` (P, C).  A gaussian of more than ``_BOX_PAIRS``
+    pairs is read in ``_box_blocks``, each gathered through the (X, Y, Z)
+    view of the row map, or a view of the rows when ``voxels`` is None, and
+    its sums are carried from block to block.  The other gaussians with
+    pairs are taken in ``_gaussian_chunks`` of their own pair counts, each
+    one run of ``_pair_runs`` over the whole grid, read class-major through
+    the row map.  Both go through ``pair_weights_vjp``, so every sum is an
+    ``np.bincount`` in pair order from +0.0, and a gaussian's sums come from
+    its own pairs alone: neither its path nor the order of the gaussians or
+    their chunks changes a bit.
     """
     p, c = sem.shape
     dims, v = index.spec.dims, index.num_voxels
-    s_z = np.zeros((p, 3))
-    s_zz = np.zeros((p, 3, 3))
-    d_sem = np.zeros((p, c))
+    sums = np.zeros((p, 12 + c))
     axes = index.spec.axis_centers()
     row_of = None if voxels is None else _row_map(voxels, v)
     row_grid = None if voxels is None else row_of.reshape(dims)
+    d_grid = d_scores.reshape(*dims, c) if voxels is None else None
     pairs = np.diff(index.gaussian_starts)
     for g in np.flatnonzero(pairs > _BOX_PAIRS).tolist():
-        s_z[g], s_zz[g], d_sem[g] = _box_sums(frames, index, axes, d_scores, row_grid, sem[g], g)
+        carry = None
+        for block, w, z in _box_blocks((frames[0][..., g], frames[1][:, g]), index, axes, g):
+            gup = d_grid[block] if voxels is None else d_scores[row_grid[block]]
+            carry = pair_weights_vjp(np.zeros(w.size, dtype=np.intp), 1, w, z,
+                                     np.moveaxis(gup, -1, 0), sem[g, None], carry)[0]
+        sums[g] = carry
     paired = np.flatnonzero((pairs > 0) & (pairs <= _BOX_PAIRS))
     starts = np.zeros(paired.size + 1, dtype=np.int64)
     np.cumsum(pairs[paired], out=starts[1:])
@@ -587,18 +585,11 @@ def _pair_moments(frames, index: SplatIndex, d_scores: np.ndarray, sem: np.ndarr
         for a, b, per_gaussian, vox, w, z in _pair_runs(
                 (frames[0][..., chunk], frames[1][:, chunk]), index, chunk):
             ids = chunk[a:b]
-            k = ids.size
-            g = np.repeat(np.arange(k), per_gaussian)
             rows = vox if voxels is None else np.take(row_of, vox)
             gup = np.ascontiguousarray(np.take(d_scores, rows, axis=0).T)
-            # dL/dw per pair, summed class by class so no pair depends on the run.
-            d_w = gup[0] * np.repeat(sem[ids, 0], per_gaussian)
-            for cls in range(1, c):
-                d_w += gup[cls] * np.repeat(sem[ids, cls], per_gaussian)
-            s_z[ids], s_zz[ids] = pair_weights_vjp(g, k, w, z, d_w)
-            for cls in range(c):
-                d_sem[ids, cls] = np.bincount(g, w * gup[cls], minlength=k)
-    return s_z, s_zz, d_sem
+            sums[ids] = pair_weights_vjp(np.repeat(np.arange(ids.size), per_gaussian), ids.size,
+                                         w, z, gup, sem[ids])
+    return vjp_moments(sums)
 
 
 def _accumulate_slab(frames, logits: np.ndarray, index: SplatIndex, ids: np.ndarray,

@@ -39,7 +39,8 @@ from gaussvox import (
 from gaussvox.cli import main as cli_main
 from gaussvox.cli import linear_fit, run_bench
 from gaussvox.fitter import PARAM_KEYS, backward_splat
-from gaussvox.splat import frames_vjp, gaussian_frames, pair_weights, pair_weights_vjp
+from gaussvox.splat import (frames_vjp, gaussian_frames, pair_weights, pair_weights_vjp,
+                            vjp_moments)
 from gaussvox.metrics import ConfusionMatrix
 
 SPEC32 = GridSpec((-4.0, -4.0, -4.0), (0.25, 0.25, 0.25), (32, 32, 32))
@@ -153,7 +154,8 @@ def _weight_gradient_worst():
         point = m + rng.normal(0.0, 1.0, 3) * s
         a, off = gaussian_frames(m[None], s[None], q[None])
         w, z = pair_weights(a, off, point[:, None])
-        s_z, s_zz = pair_weights_vjp(np.zeros(1, dtype=np.intp), 1, w, z, np.ones(1))
+        s_z, s_zz, _ = vjp_moments(pair_weights_vjp(np.zeros(1, dtype=np.intp), 1, w, z,
+                                                    np.ones((1, 1)), np.ones((1, 1))))
         d_mean, d_scale, d_quat = (d[0] for d in frames_vjp(s[None], q[None], s_z, s_zz))
         analytic = np.concatenate([d_mean, d_scale, d_quat])
         fd = np.zeros(10)

@@ -395,8 +395,31 @@ BOX = {"kind": "box", "cls": 1, "min": [1, 1, 1], "max": [3, 3, 3]}
     ({"kind": "torus", "cls": 1}, "kind box, sphere or plane"),
     ({"cls": 1}, "kind box, sphere or plane"),
     (3, "kind box, sphere or plane"),
+    ({"kind": "box", "cls": 300, "min": [0, 0, 0], "max": [1, 1, 1]}, "integer cls in 0-254"),
+    ({"kind": "box", "cls": 255, "min": [0, 0, 0], "max": [1, 1, 1]}, "integer cls in 0-254"),
+    ({"kind": "box", "cls": -1, "min": [0, 0, 0], "max": [1, 1, 1]}, "integer cls in 0-254"),
+    ({"kind": "box", "cls": 1, "min": [0, 0], "max": [1, 1, 1]}, "min must be 3 finite"),
+    ({"kind": "box", "cls": 1, "min": [0, 0, 0], "max": [1, float("nan"), 1]},
+     "max must be 3 finite"),
+    ({"kind": "box", "cls": 1, "min": [0, 0, 0], "max": [1, 10**400, 1]}, "max must be 3 finite"),
+    ({"kind": "box", "cls": 1, "min": 0, "max": [1, 1, 1]}, "min must be 3 finite"),
+    ({"kind": "sphere", "cls": 1, "center": [1, "1", 1], "radius": 1.0},
+     "center must be 3 finite"),
+    ({"kind": "sphere", "cls": 1, "center": [1, 1, 1], "radius": None}, "radius must be"),
+    ({"kind": "sphere", "cls": 1, "center": [1, 1, 1], "radius": 0}, "radius must be"),
+    ({"kind": "sphere", "cls": 1, "center": [1, 1, 1], "radius": float("inf")}, "radius must be"),
+    ({"kind": "sphere", "cls": 1, "center": [1, 1, 1], "radius": True}, "radius must be"),
+    ({"kind": "plane", "cls": 1, "axis": "x", "offset": float("-inf")}, "offset must be"),
+    ({"kind": "plane", "cls": 1, "axis": "x", "offset": "1"}, "offset must be"),
+    ({"kind": "plane", "cls": 1, "axis": "x", "offset": 1.0, "thickness": -0.5},
+     "thickness must be"),
+    ({"kind": "plane", "cls": 1, "axis": "x", "offset": 1.0, "thickness": float("nan")},
+     "thickness must be"),
 ], ids=["no-cls", "no-radius", "axis-5", "axis-w", "float-cls", "bool-cls", "no-min",
-        "torus", "no-kind", "number"])
+        "torus", "no-kind", "number", "cls-300", "cls-255", "cls-negative", "min-of-2",
+        "nan-max", "huge-max", "scalar-min", "string-center", "null-radius", "zero-radius",
+        "inf-radius", "bool-radius", "inf-offset", "string-offset", "negative-thickness",
+        "nan-thickness"])
 def test_gen_rejects_a_malformed_shape_exit_2(tmp_path, capsys, class_count, bad, message):
     # Each shape is checked before any work: a malformed one is a data error
     # naming its position, with no traceback and no output file.

@@ -16,7 +16,8 @@ from gaussvox import (
     gaussian_weight,
     quat_to_rotation,
 )
-from gaussvox.splat import frames_vjp, gaussian_frames, pair_weights, pair_weights_vjp
+from gaussvox.splat import (frames_vjp, gaussian_frames, pair_weights, pair_weights_vjp,
+                            vjp_moments)
 
 SQ2 = np.sqrt(2.0) / 2.0
 
@@ -40,7 +41,8 @@ def kernel_weight_grad(params, point):
     m, s, q = (x[None] for x in params)
     a, off = gaussian_frames(m, s, q)
     w, z = pair_weights(a, off, np.asarray(point, dtype=np.float64)[:, None])
-    s_z, s_zz = pair_weights_vjp(np.zeros(1, dtype=np.intp), 1, w, z, np.ones(1))
+    s_z, s_zz, _ = vjp_moments(
+        pair_weights_vjp(np.zeros(1, dtype=np.intp), 1, w, z, np.ones((1, 1)), np.ones((1, 1))))
     d_mean, d_scale, d_quat = frames_vjp(s, q, s_z, s_zz)
     return float(w[0]), d_mean[0], d_scale[0], d_quat[0]
 

@@ -1,6 +1,7 @@
 """Tests for the gradient-based scene fitter."""
 
 import importlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -244,6 +245,10 @@ def test_init_scene_rejects_bad_input():
         init_scene("uniform", 0, SPEC8, seed=0, class_count=2)
     with pytest.raises(ValueError):
         init_scene("triangular", 4, SPEC8, seed=0, class_count=2)
+    for jitter in (math.nan, math.inf, -0.5):
+        with pytest.raises(ValueError, match="jitter"):
+            init_scene("jittered-grid", 4, SPEC8, seed=0, class_count=2, jitter=jitter)
+    assert len(init_scene("jittered-grid", 4, SPEC8, seed=0, class_count=2, jitter=0.0)) == 4
 
 
 def test_fit_zero_gradient_fixed_point():
@@ -299,6 +304,18 @@ def test_fit_config_validation_and_schedule():
         FitConfig(learning_rate=-1.0)
     with pytest.raises(ValueError):
         FitConfig(lr_schedule="linear")
+    # NaN and infinities fail too, and each error names its field.
+    for field, value in (("learning_rate", math.nan), ("learning_rate", math.inf),
+                         ("learning_rate", 0.0), ("weight_decay", math.nan),
+                         ("weight_decay", math.inf), ("weight_decay", -1e-3),
+                         ("warmup_iters", -3), ("iterations", math.nan),
+                         ("loss_weights", (math.nan, 1.0)), ("loss_weights", (1.0, math.inf)),
+                         ("loss_weights", (-1.0, 1.0))):
+        with pytest.raises(ValueError, match=field):
+            FitConfig(**{field: value})
+    for s_min, s_max in ((math.nan, 0.3), (0.01, math.nan), (0.01, math.inf), (0.3, 0.3)):
+        with pytest.raises(ValueError, match="s_min < s_max"):
+            FitConfig(s_min=s_min, s_max=s_max)
     cfg = FitConfig(iterations=100, learning_rate=1.0, lr_schedule="cosine",
                     warmup_iters=10)
     assert cfg.lr_at(0) == pytest.approx(0.1)

@@ -490,20 +490,29 @@ def test_sparse_splat_builds_no_voxel_centers(monkeypatch):
     assert len(fit(scene, truth, config).records) == 1
 
 
-def test_box_path_carries_sums_across_blocks(monkeypatch):
+@pytest.mark.parametrize("lead", [0, 4], ids=["no-zero-layers", "zero-lead"])
+@pytest.mark.parametrize("rows", [False, True], ids=["dense", "rows"])
+def test_box_path_carries_sums_across_blocks(monkeypatch, rows, lead):
     # With the pair cap above every box, each gaussian takes the pair path.
     # At 600 pairs, every box of more than 600 pairs is read in blocks of
     # at most 600 pairs and at least one x-layer: a covering box in eight
     # blocks of two 16x16 layers, its sums carried from block to block.
     # Every pair point of the box path comes from the per-axis center tables.
+    # The row form gathers each block through the row map.  A gradient of
+    # +0.0 on the first ``lead`` x-layers makes the covering boxes' first
+    # blocks sum signed zeros, so a zero carry is compared bit by bit.
     scene = mixed_scene(np.random.default_rng(41), 40, 5)
     index = build_splat_index(scene, SPEC16, 3.0)
     params = RawGaussianParams.from_scene(scene, 0.05, 6.0)
     d_scores = np.random.default_rng(42).normal(size=(SPEC16.num_voxels, scene.class_count))
+    d_scores[: lead * 16 * 16] = 0.0
+    voxels = np.flatnonzero(index.covered) if rows else None
+    if rows:
+        d_scores = d_scores[voxels]
     per_gaussian = np.diff(index.gaussian_starts)
 
     monkeypatch.setattr(splat_module, "_BOX_PAIRS", int(per_gaussian.max()))
-    pair_grads = backward_splat(params, index, SPEC16, d_scores, 0.05, 6.0)
+    pair_grads = backward_splat(params, index, SPEC16, d_scores, 0.05, 6.0, voxels)
     monkeypatch.setattr(splat_module, "_BOX_PAIRS", 600)
     monkeypatch.setattr(splat_module, "_SLAB_PAIRS", 600)
     boxes = per_gaussian > 600
@@ -511,7 +520,7 @@ def test_box_path_carries_sums_across_blocks(monkeypatch):
     assert np.all(index.counts[boxes, 0] > 2)
     assert np.sum(index.counts[:, 0] == 16) >= 5
     monkeypatch.setattr(GridSpec, "voxel_centers", _no_voxel_centers)
-    box_grads = backward_splat(params, index, SPEC16, d_scores, 0.05, 6.0)
+    box_grads = backward_splat(params, index, SPEC16, d_scores, 0.05, 6.0, voxels)
     for key, grad in box_grads.items():
         assert np.array_equal(grad.view(np.uint64), pair_grads[key].view(np.uint64)), key
 

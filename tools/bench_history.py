@@ -36,11 +36,11 @@ def machine() -> dict:
 
 
 def run_perfbench(command: list[str], workload: str, seed: int, seconds: float,
-                  trace: int) -> dict:
-    """One benchmark run; its last stdout line, parsed."""
+                  trace: int, cwd: Path = ROOT) -> dict:
+    """One benchmark run in the tree ``cwd``; its last stdout line, parsed."""
     argv = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
-    out = subprocess.run(argv, cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True).stdout
+    out = subprocess.run(argv, cwd=cwd, stdout=subprocess.PIPE, text=True, check=True).stdout
     return json.loads(out.strip().splitlines()[-1])
 
 
