@@ -27,7 +27,8 @@ from .splat import DEFAULT_CUTOFF_SIGMA, build_splat_index, splat, splat_chunks
 
 THREADS_ENV = "GAUSSVOX_THREADS"
 THREADS_HELP = (f"thread count (default: {THREADS_ENV}, else 1); must be a positive "
-                "integer, and changes neither results nor speed")
+                "integer.  fit runs on this many processes, splat and bench on one; "
+                "no result depends on it")
 
 GRID_PRESETS = {
     # nuScenes-style volume: [-50, 50] m in X and Y, [-5, 3] m in Z, 200x200x16.

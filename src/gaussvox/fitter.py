@@ -30,6 +30,7 @@ from .splat import (
     gaussian_frames,
     splat,
 )
+from .team import Team, check_threads
 
 PARAM_KEYS = ("means", "raw_scales", "rotations", "raw_logits")
 
@@ -137,6 +138,10 @@ class RawGaussianParams:
     def copy(self) -> "RawGaussianParams":
         return RawGaussianParams(*(getattr(self, k).copy() for k in PARAM_KEYS))
 
+    def part(self, a: int, b: int) -> "RawGaussianParams":
+        """Gaussians a to b - 1 alone, as views of these parameters."""
+        return RawGaussianParams(*(getattr(self, k)[a:b] for k in PARAM_KEYS))
+
 
 class AdamW:
     """Decoupled-weight-decay adaptive-moment optimizer over the raw params.
@@ -216,6 +221,49 @@ def backward_splat(
         "rotations": d_quat,
         "raw_logits": sem * (d_sem - np.sum(d_sem * sem, axis=1, keepdims=True)),
     }
+
+
+def _gradients(team: Team, params: RawGaussianParams, index: SplatIndex, spec: GridSpec,
+               d_scores: np.ndarray, s_min: float, s_max: float, voxels, over) -> dict:
+    """``backward_splat``'s gradients, each rank taking a range of the gaussians.
+
+    The ranges are contiguous, of about equal pair counts, and each is a
+    slice of the parameters and of the index, passed to ``backward_splat``:
+    a gaussian's gradients come from its own pairs and parameters alone, so
+    they have the bits of one pass over every gaussian.  With more than one
+    rank, each writes its range into one block of the team's arena, which
+    every rank reads once all are done: the four gradients, (P, 3), (P, 3),
+    (P, 4) and (P, C), one after another, so that each is contiguous for
+    the step.  The block takes the pages of ``over``, the dead score rows,
+    if it fits there.
+    """
+    a, b = team.span(index.gaussian_starts)
+    part = backward_splat(params.part(a, b), index.part(a, b), spec, d_scores, s_min, s_max,
+                          voxels)
+    if team.size == 1:
+        return part
+    p, widths = index.num_gaussians, [getattr(params, k).shape[1] for k in PARAM_KEYS]
+    ends = p * np.cumsum([0, *widths])
+    block = team.empty(ends[-1], over=over)
+    grads = {k: block[lo:hi].reshape(p, width)
+             for k, width, lo, hi in zip(PARAM_KEYS, widths, ends, ends[1:])}
+    for key, grad in grads.items():
+        grad[a:b] = part[key]
+    team.barrier()
+    return grads
+
+
+def _arena_bytes(num_voxels: int, class_count: int, gaussians: int, ranks: int) -> int:
+    """The bytes that a team's ranks share in one ``fit`` iteration, at most.
+
+    Per voxel: the splat's float32 score rows and labels, 4 C + 1; the
+    loss's row max, log-sum-exp and label log-probabilities, 24, and its
+    float64 gradient rows, 8 C.  The loss's per-rank maxima and per-class
+    terms, 8 C (ranks + 3); the (P, 10 + C) float64 gradient block; and a
+    cache line of padding for each array.
+    """
+    c = class_count
+    return num_voxels * (12 * c + 25) + 8 * c * (ranks + 3) + 8 * gaussians * (10 + c) + (1 << 10)
 
 
 @dataclass
@@ -313,9 +361,18 @@ def fit(
 
     Runs ``config.iterations`` rounds of splat, loss, backward, optimizer and
     refinement, recording losses and metrics per iteration.  ``log_fn``, when
-    given, receives each IterationRecord as it is produced.  ``threads`` is
-    accepted for the callers that pass a thread count; every stage runs on
-    the calling thread, so it changes neither the result nor the speed.
+    given, receives each IterationRecord as it is produced.  ``threads``, a
+    positive int, is the number of processes: with N >= 2, a ``Team`` forks
+    N - 1 workers before the first iteration, and all N run every iteration
+    in lockstep.  Each recomputes the activation, the index, the covered
+    rows and the AdamW step itself; the splat, the loss and the backward
+    pass are split among them, with their shared arrays in the team's
+    arena, a ``MAP_SHARED`` mapping of at most ``_arena_bytes``.  Every
+    voxel, class column and gaussian is found by the same code in the same
+    order, so the result has the same bits at any ``threads``; only the
+    speed changes.  The caller's process keeps the records and calls
+    ``log_fn``; a worker's error is raised here as its own type, and no
+    worker outlives the call.
     Each iteration splats into float32 score rows, one per voxel in the
     index's boxes, ``index.covered``; the loss runs over them and gives its
     gradient in the same rows, which the backward pass reads.  The score
@@ -327,8 +384,10 @@ def fit(
     the next: the scene is dropped after the splat, the score rows after
     the loss, the gradient rows after the backward pass, the gradients and
     the index after the step, and the grid's labels and voxel ids once the
-    metrics are taken.
+    metrics are taken.  The arena's pages, touched once, stay mapped until
+    the call ends.
     """
+    check_threads(threads)
     _check_dense_bytes(truth.spec.num_voxels, (4 + 8) * truth.class_count + 9 + _ROW_BYTES)
     if np.count_nonzero(truth.labels != IGNORE_LABEL) == 0:
         raise ValueError("truth grid has no non-ignore voxel")
@@ -343,52 +402,59 @@ def fit(
     params = RawGaussianParams.from_scene(initial, config.s_min, config.s_max)
     opt = AdamW(params, weight_decay=config.weight_decay)
     records: list[IterationRecord] = []
+    shared = _arena_bytes(truth.spec.num_voxels, truth.class_count, len(initial), threads)
 
-    for it in range(config.iterations):
-        t0 = time.perf_counter()
-        scene = params.activate(config.s_min, config.s_max)
-        index = build_splat_index(scene, truth.spec, config.cutoff_sigma, threads=threads)
-        grid = splat(scene, truth.spec, index=index, rows=True)
-        scene = None  # the backward pass reads the parameters
-        lb = voxel_losses(grid, truth, config.loss_weights)
-        grid.scores = None  # the metrics read the labels only
-        if not math.isfinite(lb.total):
-            raise DivergenceError(it)
+    with Team(threads, shared) as team:
+        for it in range(config.iterations):
+            team.reset()
+            t0 = time.perf_counter()
+            scene = params.activate(config.s_min, config.s_max)
+            index = build_splat_index(scene, truth.spec, config.cutoff_sigma, threads=threads)
+            grid = splat(scene, truth.spec, index=index, rows=True, team=team)
+            scene = None  # the backward pass reads the parameters
+            lb = voxel_losses(grid, truth, config.loss_weights, team=team)
+            dead = team.region(grid.scores)
+            grid.scores = None  # the metrics read the labels only
+            if not math.isfinite(lb.total):
+                raise DivergenceError(it)
 
-        grads = backward_splat(params, index, truth.spec, lb.d_scores, config.s_min,
-                               config.s_max, grid.voxels)
-        lb.d_scores = None
-        deltas = opt.deltas(params, grads, config.lr_at(it))
-        grads = None
-        refine_step(
-            params,
-            Proposals(
-                mean_residual=deltas["means"],
-                raw_scales=params.raw_scales + deltas["raw_scales"],
-                rotations=params.rotations + deltas["rotations"],
-                raw_logits=params.raw_logits + deltas["raw_logits"],
-            ),
-        )
-        index = deltas = None
+            grads = _gradients(team, params, index, truth.spec, lb.d_scores, config.s_min,
+                               config.s_max, grid.voxels, dead)
+            lb.d_scores = None
+            deltas = opt.deltas(params, grads, config.lr_at(it))
+            grads = None
+            refine_step(
+                params,
+                Proposals(
+                    mean_residual=deltas["means"],
+                    raw_scales=params.raw_scales + deltas["raw_scales"],
+                    rotations=params.rotations + deltas["rotations"],
+                    raw_logits=params.raw_logits + deltas["raw_logits"],
+                ),
+            )
+            index = deltas = None
+            if team.rank:  # the caller's process alone reports
+                grid = None
+                continue
 
-        try:
-            cm = confusion(grid, truth)
-            _, mean_iou = miou(cm)
-            sc = scene_completion_iou(cm)
-        except UndefinedMetricError:
-            mean_iou, sc = float("nan"), float("nan")
-        grid = None
-        rec = IterationRecord(
-            iteration=it,
-            ce_loss=lb.ce,
-            lovasz_loss=lb.lovasz,
-            total_loss=lb.total,
-            miou=mean_iou,
-            sc_iou=sc,
-            millis=(time.perf_counter() - t0) * 1e3,
-        )
-        records.append(rec)
-        if log_fn is not None:
-            log_fn(rec)
+            try:
+                cm = confusion(grid, truth)
+                _, mean_iou = miou(cm)
+                sc = scene_completion_iou(cm)
+            except UndefinedMetricError:
+                mean_iou, sc = float("nan"), float("nan")
+            grid = None
+            rec = IterationRecord(
+                iteration=it,
+                ce_loss=lb.ce,
+                lovasz_loss=lb.lovasz,
+                total_loss=lb.total,
+                miou=mean_iou,
+                sc_iou=sc,
+                millis=(time.perf_counter() - t0) * 1e3,
+            )
+            records.append(rec)
+            if log_fn is not None:
+                log_fn(rec)
 
     return FitReport(records=records, scene=params.activate(config.s_min, config.s_max))

@@ -38,7 +38,9 @@ record, and each few slabs read the rows of the gaussians that meet them.
 The index is found in blocks of gaussians and stored as int32 box ends.
 The backward pass takes the pairs over the whole grid, box blocks and pair
 runs through the same sums, and ``fit`` gives it one gradient row per score
-row.  Every pass runs on the calling thread.
+row.  Every pass runs on the calling process; in a ``fit`` at several
+threads, each rank of its ``team.Team`` adds whole slabs of the grid, and
+takes the backward pass of a range of the gaussians.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ import numpy as np
 from .core import GaussianScene, _rotation_entries, _rotation_jacobian, quat_to_rotation
 from .errors import CapacityError
 from .grid import GridChunks, GridSpec, OccupancyGrid, _check_class_count
+from .team import SOLO, check_threads
 
 DEFAULT_CUTOFF_SIGMA = 3.0
 # The index finds the boxes of this many gaussians at a time, and a streamed
@@ -98,6 +101,11 @@ class SplatIndex:
     @property
     def pair_count(self) -> int:
         return int(self.gaussian_starts[-1])
+
+    def part(self, a: int, b: int) -> "SplatIndex":
+        """The index of gaussians a to b - 1 alone, as views of this one's boxes."""
+        starts = self.gaussian_starts[a : b + 1]
+        return SplatIndex(self.spec, self.lo[a:b], self.counts[a:b], starts - starts[0])
 
     def _box_counts(self) -> np.ndarray:
         """How many boxes hold each voxel, an (X, Y, Z) int64 view.
@@ -243,8 +251,8 @@ def build_splat_index(
     with every voxel and the fast splat is bitwise equal to the brute-force
     oracle.  The per-axis ranges are exact, so the pair total is known, and
     checked against ``MAX_PAIRS``, before any pair is written.  ``threads``
-    is accepted for the callers that pass a thread count; every pass runs on
-    the calling thread, so it changes neither the result nor the speed.
+    must be a positive int, else ValueError; the index is built on the
+    calling process whatever its value, as every rank of ``fit`` builds its own.
     The boxes are found a block of gaussians at a time and written into the
     index's own arrays, so no other array grows with the scene.  ``scene``
     is a ``GaussianScene``, taken ``_INDEX_CHUNK`` rows at a time, or an
@@ -254,6 +262,7 @@ def build_splat_index(
     is a CapacityError, raised before anything is allocated.  Such a grid
     has more voxels than ``MAX_SCORE_BYTES`` lets a splat hold scores for.
     """
+    check_threads(threads)
     if max(spec.dims) > _MAX_AXIS:
         raise CapacityError(f"an axis of {max(spec.dims)} voxels exceeds the index's "
                             f"limit of {_MAX_AXIS}")
@@ -669,17 +678,39 @@ def _gathers(scene, index: SplatIndex, layers: int):
         k0 = k1
 
 
-def _accumulate(scene, index: SplatIndex, scores=None, voxels=None):
+def _slab_width(class_count: int, dims) -> int:
+    """x-layers per slab: about ``_SLAB_BYTES`` of float32 scores, one layer at least."""
+    return max(1, _SLAB_BYTES // (4 * class_count * dims[1] * dims[2]))
+
+
+def _slab_pairs(index: SplatIndex, width: int) -> np.ndarray:
+    """The running pair count over the slabs of ``width`` x-layers, from 0, float64.
+
+    Each box adds its y-z area to every x-layer that it spans.  The counts
+    are integers below 2^53, so they are exact.
+    """
+    x_dim = index.spec.dims[0]
+    hit = index.counts[:, 0] > 0
+    x_lo, n = index.lo[hit, 0], index.counts[hit].astype(np.int64)
+    area = n[:, 1] * n[:, 2]
+    steps = np.bincount(x_lo, area, x_dim + 1) - np.bincount(x_lo + n[:, 0], area, x_dim + 1)
+    layers = np.zeros(x_dim + 1)
+    np.cumsum(np.cumsum(steps[:x_dim]), out=layers[1:])
+    return layers[np.minimum(np.arange(0, x_dim + width, width), x_dim)]
+
+
+def _accumulate(scene, index: SplatIndex, scores=None, voxels=None, x_range=None):
     """Add the float32 scores slab by slab, in ascending gaussian order per
     voxel, and yield each slab's scores once they are added.
 
-    A slab is consecutive whole x-layers, about ``_SLAB_BYTES`` of scores
-    and one layer at least.  Each slab is added into ``scores``: the dense
-    (V, C) scores, of which each slab is a view; the rows, one per voxel of
-    ascending ``voxels``, which must hold every box, each slab reaching its
-    rows through the row map; or, for ``None``, one slab's buffer, cleared
-    for each slab, so that a caller uses each slab before it asks for the
-    next.  The caller checks the scores' size against ``MAX_SCORE_BYTES``.
+    A slab is ``_slab_width`` consecutive whole x-layers, counted from
+    layer 0, and the slabs are those of the x-layers [x0, x1) of
+    ``x_range``, by default the whole grid, where x0 starts a slab.  Each
+    slab is added into ``scores``: the dense (V, C) scores, of which each
+    slab is a view; the rows, one per voxel of ascending ``voxels``, which
+    must hold every box, each slab reaching its rows through the row map;
+    or, for ``None``, one slab's buffer, cleared for each slab, so that a
+    caller uses each slab before it asks for the next.  The caller checks the scores' size against ``MAX_SCORE_BYTES``.
     Each slab takes the ascending gaussians of the current gather whose
     boxes meet it, builds their frames in one ``gaussian_frames`` call, and
     walks them in stretches of one path, clipped to the slab's x-layers.  A
@@ -696,7 +727,8 @@ def _accumulate(scene, index: SplatIndex, scores=None, voxels=None):
     c, dims = scene.class_count, index.spec.dims
     x_dim, y_dim, z_dim = dims
     layer = y_dim * z_dim
-    width = max(1, _SLAB_BYTES // (4 * c * layer))
+    width = _slab_width(c, dims)
+    first, last = (0, x_dim) if x_range is None else x_range
     reused = scores is None
     if reused:
         scores = np.zeros((min(width, x_dim) * layer, c), dtype=np.float32)
@@ -704,8 +736,8 @@ def _accumulate(scene, index: SplatIndex, scores=None, voxels=None):
     row_of = None if voxels is None else _row_map(voxels, index.num_voxels)
 
     for x_start, x_end, rows, ids in _gathers(scene, index, width):
-        for x0 in range(x_start, x_end, width):
-            x1 = min(x0 + width, x_dim)
+        for x0 in range(max(x_start, first), min(x_end, last), width):
+            x1 = min(x0 + width, last)
             if voxels is not None:
                 slab, grid, grid_rows = scores, row_of.reshape(dims)[x0:x1], row_of[x0 * layer :]
             else:
@@ -751,6 +783,7 @@ def splat(
     cutoff_sigma: float | None = DEFAULT_CUTOFF_SIGMA,
     index: SplatIndex | None = None,
     rows: bool = False,
+    team=None,
 ) -> OccupancyGrid:
     """Splat a scene into an occupancy grid with per-voxel scores.
 
@@ -762,6 +795,10 @@ def splat(
     against ``MAX_SCORE_BYTES`` first.  Each slab is added in place in them,
     or in their rows, by the loop that ``splat_chunks`` runs, so both give
     the same bits.
+    A ``team`` of ranks, which ``fit`` passes, holds the scores and labels
+    in its arena, and each rank adds the slabs of its share of the pairs,
+    contiguous whole slabs, and takes the labels of their rows: every voxel
+    lies in one slab, so it gets the same adds in the same order.
     A prebuilt ``index`` carries its own cutoff, so it must come alone,
     built for this scene and grid; anything else is a ValueError.
     """
@@ -780,11 +817,20 @@ def splat(
     voxels = None if covered is None or covered.all() else np.flatnonzero(covered)
     size = spec.num_voxels if voxels is None else voxels.size
     _check_dense_bytes(size, 4 * scene.class_count)
-    scores = np.zeros((size, scene.class_count), dtype=np.float32)
-    for _ in _accumulate(scene, index, scores, voxels):
+    team = SOLO if team is None else team
+    scores = team.zeros((size, scene.class_count), np.float32)
+    width = _slab_width(scene.class_count, spec.dims)
+    x0, x1 = (min(k * width, spec.dims[0]) for k in team.span(_slab_pairs(index, width)))
+    for _ in _accumulate(scene, index, scores, voxels, (x0, x1)):
         pass
-    labels = np.zeros(spec.num_voxels, dtype=np.uint8)  # an all-zero row's argmax
-    labels[slice(None) if voxels is None else voxels] = _argmax_labels(scores)
+    labels = team.zeros(spec.num_voxels, np.uint8)  # an all-zero row's argmax
+    lo, hi = (k * spec.dims[1] * spec.dims[2] for k in (x0, x1))
+    if voxels is None:
+        labels[lo:hi] = _argmax_labels(scores[lo:hi])
+    else:
+        lo, hi = np.searchsorted(voxels, (lo, hi))
+        labels[voxels[lo:hi]] = _argmax_labels(scores[lo:hi])
+    team.barrier()
     return OccupancyGrid(spec, scene.class_count, labels, scores, voxels)
 
 

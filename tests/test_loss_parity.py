@@ -411,3 +411,22 @@ def test_ignored_rows_stay_positive_zero_under_negative_weights(case):
     assert np.array_equal(got.d_scores.view(np.uint64), ref.d_scores.view(np.uint64))
     assert not got.d_scores[truth.labels == IGNORE_LABEL].view(np.uint64).any()
     assert_covered_parity(pred, truth, covered_mask(case, pred), weights)
+
+
+@pytest.mark.parametrize("form", ["dense", "rows"])
+def test_loss_calls_no_blas(monkeypatch, form):
+    # OpenBLAS splits a long dot product over its threads, and a 200k dot
+    # had other bits at 1 and 2 of them, so a BLAS call would tie the loss
+    # scalars to the host.  The row form of the sparse case sums tie runs.
+    if form == "dense":
+        pred, truth = driving_case()
+    else:
+        pred, truth = sparse_driving_case()
+        pred = row_form(pred, covered_mask("sparse-driving", pred))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the loss called BLAS")
+
+    for name in ("dot", "vdot", "inner", "matmul"):
+        monkeypatch.setattr(np, name, refuse)
+    assert np.isfinite(voxel_losses(pred, truth).total)

@@ -45,9 +45,27 @@ def test_a_flipped_gradient_bit_changes_exactly_its_digest(monkeypatch, tmp_path
     # --against lists that name and exits 1; an equal file exits 0.
     against = tmp_path / "clean.json"
     against.write_text(json.dumps(clean))
-    monkeypatch.setattr(parity, "all_digests", lambda quick: flipped)
+    monkeypatch.setattr(parity, "all_digests", lambda quick, threads=None: flipped)
     assert parity.main([str(tmp_path / "flipped.json"), "--quick", "--against", str(against)]) == 1
     assert f"differs: {FLIPPED}" in capsys.readouterr().out
     assert json.loads((tmp_path / "flipped.json").read_text()) == flipped
-    monkeypatch.setattr(parity, "all_digests", lambda quick: clean)
+    monkeypatch.setattr(parity, "all_digests", lambda quick, threads=None: clean)
     assert parity.main([str(tmp_path / "clean-again.json"), "--against", str(against)]) == 0
+
+
+def test_fit_digests_do_not_depend_on_the_thread_count(monkeypatch, tmp_path):
+    # --threads reaches every fit, and the quick digests at 1 and 2 threads agree.
+    seen = []
+    real = gaussvox.fit
+
+    def spy(*args, threads=1, **kwargs):
+        seen.append(threads)
+        return real(*args, threads=threads, **kwargs)
+
+    monkeypatch.setattr(gaussvox, "fit", spy)
+    one = tmp_path / "one.json"
+    assert parity.main([str(one), "--quick", "--threads", "1"]) == 0
+    assert parity.main([str(tmp_path / "two.json"), "--quick", "--threads", "2",
+                        "--against", str(one)]) == 0
+    assert seen == [1, 2]
+    assert json.loads(one.read_text()) == json.loads((tmp_path / "two.json").read_text())

@@ -103,3 +103,19 @@ def test_wrapped_names_are_put_back(capsys):
         stage_table.fit_stages(scene, truth, 1, memory=True)
     assert not tracemalloc.is_tracing()
     assert all(now is before for now, before in zip(wrapped_names(), originals))
+
+
+def test_threads_flag_reaches_fit(monkeypatch, capsys):
+    # Each timed and traced fit runs at --threads; no time is asserted.
+    seen = []
+    real_fit = stage_table.fit
+
+    def spy_fit(*args, threads=1, **kwargs):
+        seen.append(threads)
+        return real_fit(*args, threads=threads, **kwargs)
+
+    monkeypatch.setattr(stage_table, "fit", spy_fit)
+    assert stage_table.main(["--counts", "40", "--repeats", "1", "--threads", "2"]) == 0
+    times, peaks = capsys.readouterr().out.split("\n\n")
+    assert seen == [2, 2]
+    assert [row.split()[0] for row in times.splitlines()[1:]] == ["40"]

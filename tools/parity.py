@@ -1,6 +1,6 @@
 """Write named digests of gaussvox's outputs, to show that a change keeps every bit.
 
-    python3 tools/parity.py OUT.json [--quick] [--against OTHER.json]
+    python3 tools/parity.py OUT.json [--quick] [--threads N] [--against OTHER.json]
 
 Each name is one output, and its value the sha256 of its bytes:
 
@@ -18,7 +18,9 @@ An input is ``<workload>-<seed>.<scene>``.  The inputs are drawn by
 ``perfbench/workloads.py``, which is imported and left unchanged, from the
 benchmark's seeds 1-3: ``splat-paper``, ``fit-paper`` and ``fit-broad``.
 ``--quick`` takes the criterion-7 splats and the first ``fit-broad``
-seed-1 scene only, and runs in seconds.  Run the tool in two trees and pass one
+seed-1 scene only, and runs in seconds.  ``--threads N`` runs every
+``fit`` of the ``fit/`` digests at N threads, in place of its workload's
+count; no digest may change with it.  Run the tool in two trees and pass one
 tree's file to the other's ``--against``: it prints each name whose digest
 differs or that only one file has, and exits 1 when there is one.  The tool
 imports gaussvox from the ``src`` of the tree it is in.
@@ -85,8 +87,10 @@ def splat_digests(gv, cli, workdir: Path, quick: bool) -> dict:
     return digests
 
 
-def fit_digests(gv, name: str, workload, initial, truth, workdir: Path) -> dict:
-    """Scores, gradients and a 3-iteration fit of one fit input."""
+def fit_digests(gv, name: str, workload, initial, truth, workdir: Path,
+                threads: int | None = None) -> dict:
+    """Scores, gradients and a 3-iteration fit of one fit input, at ``threads``,
+    by default its workload's."""
     digests = {}
     config = workload.config(gv, 3)
     s_min, s_max = config.s_min, config.s_max
@@ -101,7 +105,7 @@ def fit_digests(gv, name: str, workload, initial, truth, workdir: Path) -> dict:
                                   grid.voxels)
         for key, grad in grads.items():
             digests[f"grad/{name}/{form}/{key}"] = sha(np.ascontiguousarray(grad).view(np.uint64))
-    report = gv.fit(initial, truth, config, threads=workload.threads)
+    report = gv.fit(initial, truth, config, threads=threads or workload.threads)
     records = [{k: float(v).hex() if isinstance(v, float) else v
                 for k, v in dataclasses.asdict(rec).items() if k != "millis"}
                for rec in report.records]
@@ -111,8 +115,9 @@ def fit_digests(gv, name: str, workload, initial, truth, workdir: Path) -> dict:
     return digests
 
 
-def all_digests(quick: bool = False) -> dict:
-    """Every digest of this tree, by name; ``quick`` takes the short set."""
+def all_digests(quick: bool = False, threads: int | None = None) -> dict:
+    """Every digest of this tree, by name; ``quick`` takes the short set, and
+    ``threads`` sets the thread count of every fit."""
     gv = workloads.load_program()
     from gaussvox import cli
 
@@ -127,7 +132,7 @@ def all_digests(quick: bool = False) -> dict:
             scenes = workload.load(gv, workdir)
             for k, (initial, truth) in enumerate(scenes[:1] if quick else scenes):
                 digests.update(fit_digests(gv, f"{name}-{seed}.{k}", workload, initial, truth,
-                                           workdir))
+                                           workdir, threads))
     return digests
 
 
@@ -141,9 +146,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="JSON file of this tree's digests")
     parser.add_argument("--quick", action="store_true", help="the short set only")
+    parser.add_argument("--threads", type=int, help="the thread count of every fit")
     parser.add_argument("--against", type=Path, help="another tree's JSON file to compare with")
     args = parser.parse_args(argv)
-    digests = all_digests(args.quick)
+    if args.threads is not None and args.threads < 1:
+        parser.error("--threads must be >= 1")
+    digests = all_digests(args.quick, args.threads)
     args.out.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"{len(digests)} digests written to {args.out}")
     if args.against is None:

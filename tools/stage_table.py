@@ -1,6 +1,6 @@
 """Print the wall time and peak memory of each stage of a `fit` iteration at paper scale.
 
-    PYTHONPATH=src python3 tools/stage_table.py [--repeats 3] [--counts 25600,144000]
+    PYTHONPATH=src python3 tools/stage_table.py [--repeats 3] [--counts 25600,144000] [--threads 1]
 
 The grid is the ``nuscenes`` preset (200x200x16 voxels, 18 classes), and the
 truth is driving-like: a ground plane, a few hundred random boxes of other
@@ -19,6 +19,11 @@ A second table gives each stage's largest traced peak in MB over a
 holds, its parameters and AdamW moments included, and the largest of them
 last.  Tracing slows that run, so it is not timed.  The timings are of this
 machine at the time of the run; compare two trees by alternating their runs.
+
+``--threads N`` runs each ``fit`` at N threads.  The other N - 1 ranks are
+worker processes, so every time and traced peak is rank 0's, the caller's:
+a split stage's time includes its wait for the other ranks, and its peak
+leaves out the workers' memory and the arrays that the ranks share.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ WRAPPED = [
     ("index", fitter, "build_splat_index"),
     ("splat", fitter, "splat"),
     ("loss", fitter, "voxel_losses"),
-    ("backward", fitter, "backward_splat"),
+    ("backward", fitter, "_gradients"),
     ("step", fitter.AdamW, "deltas"),
     ("step", fitter, "refine_step"),
     ("metrics", fitter, "confusion"),
@@ -68,8 +73,9 @@ def driving_truth(spec: GridSpec, seed: int = 0) -> OccupancyGrid:
     return OccupancyGrid(spec, CLASSES, labels)
 
 
-def fit_stages(scene, truth: OccupancyGrid, iterations: int, memory: bool = False) -> list:
-    """Seconds per stage for each iteration of one ``fit`` from ``scene``.
+def fit_stages(scene, truth: OccupancyGrid, iterations: int, memory: bool = False,
+               threads: int = 1) -> list:
+    """Seconds per stage for each iteration of one ``fit`` from ``scene``, at ``threads``.
 
     With ``memory`` the fit runs under tracemalloc, and each stage's largest
     traced peak in bytes is given instead.
@@ -94,7 +100,7 @@ def fit_stages(scene, truth: OccupancyGrid, iterations: int, memory: bool = Fals
     try:
         for stage, owner, name, original in saved:
             setattr(owner, name, wrap(stage, original))
-        fit(scene, truth, FitConfig(iterations, s_min=S_MIN, s_max=S_MAX),
+        fit(scene, truth, FitConfig(iterations, s_min=S_MIN, s_max=S_MAX), threads=threads,
             log_fn=lambda record: runs.append(dict.fromkeys(STAGES, 0)))
     finally:
         if memory:
@@ -109,20 +115,21 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=3, help="iterations per count")
     parser.add_argument("--counts", default="25600,144000", help="gaussian counts",
                         type=lambda text: [int(c) for c in text.split(",")])
+    parser.add_argument("--threads", type=int, default=1, help="thread count of each fit")
     args = parser.parse_args(argv)
-    if args.repeats < 1 or min(args.counts) < 1:
-        parser.error("--repeats and every count of --counts must be >= 1")
+    if args.repeats < 1 or min(args.counts) < 1 or args.threads < 1:
+        parser.error("--repeats, --threads and every count of --counts must be >= 1")
     spec = GridSpec(*GRID_PRESETS["nuscenes"])
     truth = driving_truth(spec)
     print(f"{'gaussians':>10}" + "".join(f"{s:>10}" for s in STAGES) + f"{'total':>10}")
     peaks = []
     for count in args.counts:
         scene = random_bench_scene(count, spec, CLASSES, S_MAX, 0)
-        runs = fit_stages(scene, truth, args.repeats)
+        runs = fit_stages(scene, truth, args.repeats, threads=args.threads)
         times = [statistics.median(run[s] for run in runs) for s in STAGES]
         times.append(statistics.median(sum(run.values()) for run in runs))
         print(f"{count:>10}" + "".join(f"{t:>10.3f}" for t in times), flush=True)
-        runs = fit_stages(scene, truth, 2, memory=True)
+        runs = fit_stages(scene, truth, 2, memory=True, threads=args.threads)
         peak = [max(run[s] for run in runs) / 1e6 for s in STAGES]
         peaks.append(f"{count:>10}" + "".join(f"{p:>10.1f}" for p in peak + [max(peak)]))
     print(f"\n{'peak MB':>10}" + "".join(f"{s:>10}" for s in STAGES) + f"{'max':>10}")
