@@ -64,6 +64,9 @@ class FitConfig:
             raise ValueError(f"loss_weights must be finite and >= 0, got {self.loss_weights}")
         if self.lr_schedule not in ("constant", "cosine"):
             raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
+                or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
 
     def lr_at(self, iteration: int) -> float:
         lr = self.learning_rate
@@ -125,15 +128,16 @@ class RawGaussianParams:
         )
 
     def activate(self, s_min: float, s_max: float, class_names=None) -> GaussianScene:
+        return GaussianScene(*self.rows(s_min, s_max), class_names)
+
+    def rows(self, s_min: float, s_max: float) -> tuple:
+        """The activated scene's float32 means, scales, unit rotations and semantics,
+        each row found from its gaussian's parameters alone, unchecked."""
         scales = s_min + sigmoid(self.raw_scales) * (s_max - s_min)
         norms = np.sqrt(np.sum(self.rotations ** 2, axis=1, keepdims=True))
-        return GaussianScene(
-            self.means.astype(np.float32),
-            scales.astype(np.float32),
-            (self.rotations / norms).astype(np.float32),
-            softmax(self.raw_logits, axis=1).astype(np.float32),
-            class_names,
-        )
+        return (self.means.astype(np.float32), scales.astype(np.float32),
+                (self.rotations / norms).astype(np.float32),
+                softmax(self.raw_logits, axis=1).astype(np.float32))
 
     def copy(self) -> "RawGaussianParams":
         return RawGaussianParams(*(getattr(self, k).copy() for k in PARAM_KEYS))
@@ -254,16 +258,57 @@ def _gradients(team: Team, params: RawGaussianParams, index: SplatIndex, spec: G
 
 
 def _arena_bytes(num_voxels: int, class_count: int, gaussians: int, ranks: int) -> int:
-    """The bytes that a team's ranks share in one ``fit`` iteration, at most.
+    """The bytes that a team's ranks share in a ``fit`` call, at most.
 
-    Per voxel: the splat's float32 score rows and labels, 4 C + 1; the
-    loss's row max, log-sum-exp and label log-probabilities, 24, and its
-    float64 gradient rows, 8 C.  The loss's per-rank maxima and per-class
-    terms, 8 C (ranks + 3); the (P, 10 + C) float64 gradient block; and a
-    cache line of padding for each array.
+    Kept for the whole call: the (P, 10 + C) float64 parameters.  Then, in
+    each iteration, per voxel: the splat's covered mask, float32 score rows
+    and labels, 4 C + 2; the loss's row max, log-sum-exp and label
+    log-probabilities, 24, and its float64 gradient rows, 8 C.  Per
+    gaussian: the scene's float32 rows, 4 (10 + C); the index's int32 boxes
+    and int64 pair counts, 32; and the (P, 10 + C) float64 gradient block.
+    The loss's per-rank maxima and per-class terms, 8 C (ranks + 3); and a
+    cache line of padding for each of at most 32 arrays.
     """
     c = class_count
-    return num_voxels * (12 * c + 25) + 8 * c * (ranks + 3) + 8 * gaussians * (10 + c) + (1 << 10)
+    return (num_voxels * (12 * c + 26) + 8 * c * (ranks + 3) + gaussians * (20 * (10 + c) + 32)
+            + (1 << 11))
+
+
+def _shared(team: Team, params: RawGaussianParams, share) -> RawGaussianParams:
+    """``params`` in the team's arena, kept there for the whole call; ``params`` itself at one rank.
+
+    Each rank copies its ``share`` of the gaussians, which its steps then
+    update in place; the others read it only after the next barriers.
+    """
+    if team.size == 1:
+        return params
+    a, b = share
+    kept = RawGaussianParams(*(team.empty(getattr(params, k).shape) for k in PARAM_KEYS))
+    for key in PARAM_KEYS:
+        getattr(kept, key)[a:b] = getattr(params, key)[a:b]
+    team.keep()
+    return kept
+
+
+def _activate(team: Team, params: RawGaussianParams, share, s_min: float,
+              s_max: float) -> GaussianScene:
+    """The scene of ``params``, each rank activating its ``share`` of the gaussians.
+
+    With more than one rank, the scene's float32 rows live in the team's
+    arena and each rank writes those of its share: a row comes from its own
+    gaussian's parameters alone, so it has the bits of ``activate``.  Once
+    all are written, every rank checks the whole scene, so a bad value
+    raises the error, naming the gaussian, that one process would.
+    """
+    if team.size == 1:
+        return params.activate(s_min, s_max)
+    a, b = share
+    p, c = params.raw_logits.shape
+    rows = [team.empty((p, width), np.float32) for width in (3, 3, 4, c)]
+    for row, part in zip(rows, params.part(a, b).rows(s_min, s_max)):
+        row[a:b] = part
+    team.barrier()
+    return GaussianScene(*rows)
 
 
 @dataclass
@@ -280,13 +325,15 @@ class Proposals:
 def refine_step(params: RawGaussianParams, proposals: Proposals) -> RawGaussianParams:
     """Apply the refinement rule: mean += residual, others substituted.
 
-    The substituted rotation is renormalized.  Mutates and returns ``params``.
+    The substituted rotation is renormalized.  The values are written into
+    ``params``' own arrays, so a ``part`` of larger parameters updates them;
+    returns ``params``.
     """
     params.means += proposals.mean_residual
-    params.raw_scales = np.ascontiguousarray(proposals.raw_scales, dtype=np.float64)
+    params.raw_scales[...] = proposals.raw_scales
     rot = np.ascontiguousarray(proposals.rotations, dtype=np.float64)
-    params.rotations = rot / np.sqrt(np.sum(rot ** 2, axis=1, keepdims=True))
-    params.raw_logits = np.ascontiguousarray(proposals.raw_logits, dtype=np.float64)
+    params.rotations[...] = rot / np.sqrt(np.sum(rot ** 2, axis=1, keepdims=True))
+    params.raw_logits[...] = proposals.raw_logits
     return params
 
 
@@ -364,32 +411,38 @@ def fit(
     given, receives each IterationRecord as it is produced.  ``threads``, a
     positive int, is the number of processes: with N >= 2, a ``Team`` forks
     N - 1 workers before the first iteration, and all N run every iteration
-    in lockstep.  Each recomputes the activation, the index, the covered
-    rows and the AdamW step itself; the splat, the loss and the backward
-    pass are split among them, with their shared arrays in the team's
-    arena, a ``MAP_SHARED`` mapping of at most ``_arena_bytes``.  Every
-    voxel, class column and gaussian is found by the same code in the same
-    order, so the result has the same bits at any ``threads``; only the
-    speed changes.  The caller's process keeps the records and calls
-    ``log_fn``; a worker's error is raised here as its own type, and no
-    worker outlives the call.
+    in lockstep, with their shared arrays in the team's arena, a
+    ``MAP_SHARED`` mapping of at most ``_arena_bytes``.  Each rank owns a
+    contiguous share of the gaussians, by count, for the whole call: it
+    activates their rows, finds their boxes, and updates their parameters,
+    which live in the arena, with its own AdamW moments.  The splat's
+    covered mask and scores go by slabs, the loss by row blocks and
+    classes, and the backward pass by gaussian ranges of about equal pairs.
+    Every voxel, class column and gaussian is found by the same code in the
+    same order, so the result has the same bits at any ``threads``; only
+    the speed changes.  The caller's process keeps the records, takes the
+    metrics and calls ``log_fn``; a worker's error is raised here as its
+    own type, and no worker outlives the call.
     Each iteration splats into float32 score rows, one per voxel in the
-    index's boxes, ``index.covered``; the loss runs over them and gives its
-    gradient in the same rows, which the backward pass reads.  The score
-    rows with their voxel ids and the labels, ``4 C + 9`` bytes per row,
-    and the loss's one float64 buffer and its per-row arrays, ``8 C +
+    index's boxes; the loss runs over them and gives its gradient in the
+    same rows, which the backward pass reads, and the confusion matrix is
+    tallied over them, every other voxel being empty.  The score rows with
+    their voxel ids and the labels, ``4 C + 9`` bytes per row, and the
+    loss's one float64 buffer and its per-row arrays, ``8 C +
     _ROW_BYTES``, are checked against ``MAX_SCORE_BYTES`` at one row per
     voxel before the first of them exists.
     Only the parameters and the AdamW moments live from one iteration into
     the next: the scene is dropped after the splat, the score rows after
-    the loss, the gradient rows after the backward pass, the gradients and
-    the index after the step, and the grid's labels and voxel ids once the
+    the loss, the gradient rows and the index after the backward pass, the
+    gradients after the step, and the grid's labels and voxel ids once the
     metrics are taken.  The arena's pages, touched once, stay mapped until
     the call ends.
     """
     check_threads(threads)
     _check_dense_bytes(truth.spec.num_voxels, (4 + 8) * truth.class_count + 9 + _ROW_BYTES)
-    if np.count_nonzero(truth.labels != IGNORE_LABEL) == 0:
+    # The count of each label value, for every iteration's confusion matrix.
+    truth_counts = np.bincount(truth.labels, minlength=IGNORE_LABEL + 1)
+    if truth_counts[IGNORE_LABEL] == truth.spec.num_voxels:
         raise ValueError("truth grid has no non-ignore voxel")
     if isinstance(initial, SceneInit):
         initial = init_scene(
@@ -400,45 +453,48 @@ def fit(
         raise ValueError("scene and truth class counts differ")
 
     params = RawGaussianParams.from_scene(initial, config.s_min, config.s_max)
-    opt = AdamW(params, weight_decay=config.weight_decay)
     records: list[IterationRecord] = []
     shared = _arena_bytes(truth.spec.num_voxels, truth.class_count, len(initial), threads)
 
     with Team(threads, shared) as team:
+        share = a, b = team.span(np.arange(len(initial) + 1))
+        params = _shared(team, params, share)
+        mine = params.part(a, b)
+        opt = AdamW(mine, weight_decay=config.weight_decay)
         for it in range(config.iterations):
             team.reset()
             t0 = time.perf_counter()
-            scene = params.activate(config.s_min, config.s_max)
-            index = build_splat_index(scene, truth.spec, config.cutoff_sigma, threads=threads)
+            scene = _activate(team, params, share, config.s_min, config.s_max)
+            index = build_splat_index(scene, truth.spec, config.cutoff_sigma, team=team)
             grid = splat(scene, truth.spec, index=index, rows=True, team=team)
             scene = None  # the backward pass reads the parameters
             lb = voxel_losses(grid, truth, config.loss_weights, team=team)
             dead = team.region(grid.scores)
-            grid.scores = None  # the metrics read the labels only
+            grid.scores = None  # the metrics read the labels and voxel ids only
             if not math.isfinite(lb.total):
                 raise DivergenceError(it)
 
             grads = _gradients(team, params, index, truth.spec, lb.d_scores, config.s_min,
                                config.s_max, grid.voxels, dead)
-            lb.d_scores = None
-            deltas = opt.deltas(params, grads, config.lr_at(it))
+            lb.d_scores = index = None
+            deltas = opt.deltas(mine, {k: g[a:b] for k, g in grads.items()}, config.lr_at(it))
             grads = None
             refine_step(
-                params,
+                mine,
                 Proposals(
                     mean_residual=deltas["means"],
-                    raw_scales=params.raw_scales + deltas["raw_scales"],
-                    rotations=params.rotations + deltas["rotations"],
-                    raw_logits=params.raw_logits + deltas["raw_logits"],
+                    raw_scales=mine.raw_scales + deltas["raw_scales"],
+                    rotations=mine.rotations + deltas["rotations"],
+                    raw_logits=mine.raw_logits + deltas["raw_logits"],
                 ),
             )
-            index = deltas = None
+            deltas = None
             if team.rank:  # the caller's process alone reports
                 grid = None
                 continue
 
             try:
-                cm = confusion(grid, truth)
+                cm = confusion(grid, truth, truth_counts)
                 _, mean_iou = miou(cm)
                 sc = scene_completion_iou(cm)
             except UndefinedMetricError:

@@ -29,18 +29,37 @@ class ConfusionMatrix:
         return int(self.counts.shape[0])
 
 
-def confusion(pred: OccupancyGrid, truth: OccupancyGrid) -> ConfusionMatrix:
-    """Tally predicted vs ground-truth labels, excluding 255-ignore truth voxels."""
+def confusion(pred: OccupancyGrid, truth: OccupancyGrid, truth_counts=None) -> ConfusionMatrix:
+    """Tally predicted vs ground-truth labels, excluding 255-ignore truth voxels.
+
+    A ``pred`` in row form is tallied over its rows' voxels alone: every
+    other voxel has all-zero scores, so label 0, and the rest of each truth
+    class goes to column 0.  That rest comes from ``truth_counts``, the
+    count of each label value of ``truth``, ``np.bincount(truth.labels,
+    minlength=256)``, which a caller that tallies many predictions against
+    one truth finds once; by default it is found here.
+    """
     if not grids_compatible(pred, truth):
         raise GridMismatchError("prediction and truth must share GridSpec and class count")
     c = truth.class_count
-    valid = truth.labels != IGNORE_LABEL
-    t = truth.labels[valid].astype(np.int64)
-    p = pred.labels[valid].astype(np.int64)
-    if np.any(p >= c):
+    t, p = truth.labels, pred.labels
+    if pred.voxels is not None:
+        t, p = t[pred.voxels], p[pred.voxels]
+    if np.any((p >= c) & (t != IGNORE_LABEL)):
         raise GridMismatchError("prediction contains labels >= class_count")
-    counts = np.bincount(t * c + p, minlength=c * c).reshape(c, c)
-    return ConfusionMatrix(counts, int(np.count_nonzero(~valid)))
+    # A voxel's key is t * C + p, below C * C unless its truth is ignored,
+    # and then 255 * C at least; at most 255 * 255 + 255, so a uint16.
+    key = t.astype(np.uint16)
+    key *= c
+    key += p
+    tally = np.bincount(key, minlength=c * c)
+    counts = tally[: c * c].reshape(c, c)
+    if pred.voxels is None:
+        return ConfusionMatrix(counts, int(tally[c * c :].sum()))
+    if truth_counts is None:
+        truth_counts = np.bincount(truth.labels, minlength=IGNORE_LABEL + 1)
+    counts[:, 0] += truth_counts[:c] - counts.sum(axis=1)
+    return ConfusionMatrix(counts, int(truth_counts[IGNORE_LABEL]))
 
 
 def miou(cm: ConfusionMatrix, empty_class: int = 0):

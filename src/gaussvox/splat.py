@@ -107,30 +107,34 @@ class SplatIndex:
         starts = self.gaussian_starts[a : b + 1]
         return SplatIndex(self.spec, self.lo[a:b], self.counts[a:b], starts - starts[0])
 
-    def _box_counts(self) -> np.ndarray:
-        """How many boxes hold each voxel, an (X, Y, Z) int64 view.
+    def _box_counts(self, x_range=None) -> np.ndarray:
+        """How many boxes hold each voxel of the x-layers [x0, x1) of ``x_range``,
+        by default the whole grid, an (x1 - x0, Y, Z) int64 view.
 
-        Each box adds +1 and -1 at its eight corners, by the parity of its
-        upper ends, in a grid one larger per axis; running sums along the
-        three axes then count, at each voxel, the boxes that hold it.  So the
-        cost follows the number of boxes and of voxels, not of pairs.
+        Each box, clipped to the layers, adds +1 and -1 at its eight corners,
+        by the parity of its upper ends, in a grid one larger per axis;
+        running sums along the three axes then count, at each voxel, the
+        boxes that hold it.  So the cost follows the number of boxes and of
+        voxels, not of pairs.
         """
-        x_dim, y_dim, z_dim = self.spec.dims
-        hit = self.counts[:, 0] > 0
+        _, y_dim, z_dim = self.spec.dims
+        x0, x1 = (0, self.spec.dims[0]) if x_range is None else x_range
+        hit = _meeting(self, slice(None), x0, x1)
         lo = self.lo[hit]
         ends = np.stack([lo, lo + self.counts[hit]], dtype=np.int64)
+        ends[..., 0] = np.clip(ends[..., 0], x0, x1) - x0
         ends *= np.array([(y_dim + 1) * (z_dim + 1), z_dim + 1, 1])
         x, y, z = ends[..., 0], ends[..., 1], ends[..., 2]
         # Corner (a, b, c) of the ends is row 4a + 2b + c; rows 0, 3, 5 and
         # 6 have an even count of upper ends.
         corners = (x[:, None, None] + y[None, :, None] + z[None, None, :]).reshape(8, -1)
-        size = (x_dim + 1) * (y_dim + 1) * (z_dim + 1)
+        size = (x1 - x0 + 1) * (y_dim + 1) * (z_dim + 1)
         counts = np.bincount(corners[[0, 3, 5, 6]].ravel(), minlength=size)
         counts -= np.bincount(corners[[1, 2, 4, 7]].ravel(), minlength=size)
-        counts = counts.reshape(x_dim + 1, y_dim + 1, z_dim + 1)
+        counts = counts.reshape(x1 - x0 + 1, y_dim + 1, z_dim + 1)
         for axis in range(3):
             np.cumsum(counts, axis=axis, out=counts)
-        return counts[:x_dim, :y_dim, :z_dim]
+        return counts[:-1, :y_dim, :z_dim]
 
     @property
     def voxel_starts(self) -> np.ndarray:
@@ -138,15 +142,6 @@ class SplatIndex:
         starts = np.zeros(self.num_voxels + 1, dtype=np.int64)
         np.cumsum(self._box_counts(), out=starts[1:])
         return starts
-
-    @property
-    def covered(self) -> np.ndarray:
-        """(V,) bool: whether each voxel lies in at least one box.
-
-        A splat leaves every other voxel with all-zero scores, and the
-        backward pass reads the score gradient at these voxels only.
-        """
-        return (self._box_counts() > 0).reshape(-1)
 
 
 def _cutoff(cutoff_sigma: float | None) -> float:
@@ -222,18 +217,19 @@ def _box_lines(lo: np.ndarray, counts: np.ndarray):
     return lo[g, 0] + di, lo[g, 1] + line - di * ny, run, k
 
 
-def _geometry(scene):
+def _geometry(scene, first: int, last: int):
     """Yield ``a, means, scales`` of the gaussians in blocks, from gaussian a on.
 
-    An in-memory scene gives row slices of ``_INDEX_CHUNK`` gaussians; any
-    other scene, such as ``sceneio.SceneFile``, gives the blocks of its
-    ``geometry()``.
+    An in-memory scene gives row slices of ``_INDEX_CHUNK`` gaussians, of
+    the gaussians [first, last); any other scene, such as
+    ``sceneio.SceneFile``, gives the blocks of its ``geometry()``, so every
+    gaussian.
     """
     if not isinstance(scene, GaussianScene):
         yield from scene.geometry()
         return
-    for a in range(0, len(scene), _INDEX_CHUNK):
-        rows = slice(a, a + _INDEX_CHUNK)
+    for a in range(first, last, _INDEX_CHUNK):
+        rows = slice(a, min(a + _INDEX_CHUNK, last))
         yield a, scene.means[rows], scene.scales[rows]
 
 
@@ -242,6 +238,7 @@ def build_splat_index(
     spec: GridSpec,
     cutoff_sigma: float | None = DEFAULT_CUTOFF_SIGMA,
     threads: int = 1,
+    team=None,
 ) -> SplatIndex:
     """Find each gaussian's neighborhood box and count its pairs.
 
@@ -251,8 +248,11 @@ def build_splat_index(
     with every voxel and the fast splat is bitwise equal to the brute-force
     oracle.  The per-axis ranges are exact, so the pair total is known, and
     checked against ``MAX_PAIRS``, before any pair is written.  ``threads``
-    must be a positive int, else ValueError; the index is built on the
-    calling process whatever its value, as every rank of ``fit`` builds its own.
+    must be a positive int, else ValueError; it does not split the work.
+    A ``team`` of ranks, which ``fit`` passes with an in-memory scene, holds
+    the boxes and pair counts in its arena, and each rank finds those of its
+    own contiguous share of the gaussians, by count; once every rank is
+    done, each takes the running pair count and checks the total itself.
     The boxes are found a block of gaussians at a time and written into the
     index's own arrays, so no other array grows with the scene.  ``scene``
     is a ``GaussianScene``, taken ``_INDEX_CHUNK`` rows at a time, or an
@@ -267,21 +267,24 @@ def build_splat_index(
         raise CapacityError(f"an axis of {max(spec.dims)} voxels exceeds the index's "
                             f"limit of {_MAX_AXIS}")
     _cutoff(cutoff_sigma)  # checked before any block, so an empty scene's is checked too
+    team = SOLO if team is None else team
     p = len(scene)
-    lo, counts = np.empty((2, p, 3), dtype=np.int32)
-    gaussian_starts = np.zeros(p + 1, dtype=np.int64)
-    for a, means, scales in _geometry(scene):
+    lo, counts = team.empty((2, p, 3), np.int32)
+    pairs = team.empty(p, np.int64)
+    for a, means, scales in _geometry(scene, *team.span(np.arange(p + 1))):
         b = a + len(means)
         box_lo, box_counts = _axis_ranges(means.astype(np.float64),
                                           _cutoff_radii(scales, cutoff_sigma), spec)
         lo[a:b], counts[a:b] = box_lo, box_counts
         x, y, z = box_counts.T
-        gaussian_starts[a + 1 : b + 1] = x * y * z
+        pairs[a:b] = x * y * z
+    team.barrier()
     # Summed in float64, which cannot wrap around as an int64 sum could.
-    total = gaussian_starts.sum(dtype=np.float64)
+    total = pairs.sum(dtype=np.float64)
     if total > MAX_PAIRS:
         raise CapacityError(f"{total:.0f} (gaussian, voxel) pairs exceed {MAX_PAIRS}")
-    np.cumsum(gaussian_starts, out=gaussian_starts)
+    gaussian_starts = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(pairs, out=gaussian_starts[1:])
     return SplatIndex(spec, lo, counts, gaussian_starts)
 
 
@@ -789,16 +792,18 @@ def splat(
 
     Voxels with no neighboring gaussian keep zero scores and the empty label.
     A class count outside [1, 255], which no grid can hold, is a ValueError
-    raised before any work.  ``rows`` gives the row form over
-    ``index.covered``, as ``fit`` runs it, unless every voxel is covered;
-    the bits are those of the dense form.  The scores' size is checked
-    against ``MAX_SCORE_BYTES`` first.  Each slab is added in place in them,
-    or in their rows, by the loop that ``splat_chunks`` runs, so both give
-    the same bits.
-    A ``team`` of ranks, which ``fit`` passes, holds the scores and labels
-    in its arena, and each rank adds the slabs of its share of the pairs,
-    contiguous whole slabs, and takes the labels of their rows: every voxel
-    lies in one slab, so it gets the same adds in the same order.
+    raised before any work.  ``rows`` gives the row form over the voxels
+    that lie in at least one of the index's boxes, as ``fit`` runs it,
+    unless every voxel does; the bits are those of the dense form.  The
+    scores' size is checked against ``MAX_SCORE_BYTES`` first.  Each slab
+    is added in place in them, or in their rows, by the loop that
+    ``splat_chunks`` runs, so both give the same bits.
+    A ``team`` of ranks, which ``fit`` passes, holds the covered mask, the
+    scores and the labels in its arena.  Each rank takes the slabs of its
+    share of the pairs, contiguous whole slabs: it finds which of their
+    voxels are covered, adds their scores and takes the labels of their
+    rows.  Every voxel lies in one slab, so it gets the same adds in the
+    same order; every rank lists the covered voxels from the whole mask.
     A prebuilt ``index`` carries its own cutoff, so it must come alone,
     built for this scene and grid; anything else is a ValueError.
     """
@@ -813,18 +818,24 @@ def splat(
         raise ValueError(
             f"index was built for {index.num_gaussians} gaussians, the scene has {len(scene)}"
         )
-    covered = index.covered if rows else None
-    voxels = None if covered is None or covered.all() else np.flatnonzero(covered)
-    size = spec.num_voxels if voxels is None else voxels.size
-    _check_dense_bytes(size, 4 * scene.class_count)
     team = SOLO if team is None else team
-    scores = team.zeros((size, scene.class_count), np.float32)
     width = _slab_width(scene.class_count, spec.dims)
     x0, x1 = (min(k * width, spec.dims[0]) for k in team.span(_slab_pairs(index, width)))
+    lo, hi = (k * spec.dims[1] * spec.dims[2] for k in (x0, x1))
+    voxels = None
+    if rows:
+        covered = team.empty(spec.num_voxels, bool)
+        covered[lo:hi] = index._box_counts((x0, x1)).reshape(-1) > 0
+        team.barrier()
+        if not covered.all():
+            voxels = np.flatnonzero(covered)
+        del covered
+    size = spec.num_voxels if voxels is None else voxels.size
+    _check_dense_bytes(size, 4 * scene.class_count)
+    scores = team.zeros((size, scene.class_count), np.float32)
     for _ in _accumulate(scene, index, scores, voxels, (x0, x1)):
         pass
     labels = team.zeros(spec.num_voxels, np.uint8)  # an all-zero row's argmax
-    lo, hi = (k * spec.dims[1] * spec.dims[2] for k in (x0, x1))
     if voxels is None:
         labels[lo:hi] = _argmax_labels(scores[lo:hi])
     else:

@@ -44,7 +44,7 @@ class Team:
         self.rank = 0
         self._arena_bytes = arena_bytes
         self._arena = None  # a uint8 view of the mapping, with size >= 2
-        self._top = 0
+        self._top = self._kept = 0
         self._workers = []  # rank 0: (pid, pipe to it, pipe from it) per worker
         self._pipes = None  # a worker: its pipes from and to rank 0
 
@@ -131,9 +131,14 @@ class Team:
             os.write(down, b".")
 
     def reset(self) -> None:
-        """Start a round: wait for every rank, then take the arena's arrays from its start again."""
+        """Start a round: wait for every rank, then take the arena's arrays again from
+        the end of those that ``keep`` keeps."""
         self.barrier()
-        self._top = 0
+        self._top = self._kept
+
+    def keep(self) -> None:
+        """Keep the arena's arrays taken so far: no later ``reset`` hands out their pages."""
+        self._kept = self._top
 
     def empty(self, shape, dtype=np.float64, over=None) -> np.ndarray:
         """An uninitialized array that every rank sees.

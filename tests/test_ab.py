@@ -31,6 +31,7 @@ def canned_line(side, workload, seed):
 
 def run_tool(tmp_path, argv):
     calls, copies = [], []
+    stage_calls = []
 
     def copy(ref, into):
         copies.append(ref)
@@ -42,9 +43,24 @@ def run_tool(tmp_path, argv):
         calls.append((side, workload, seed))
         return canned_line(side, workload, seed)
 
+    def stages(tree, count, threads):
+        side = "base" if (tree / "BASE").exists() else "change"
+        assert side == "base" or tree == ROOT
+        calls.append((side, count, threads))
+        return canned_stages(side, sum(s == side for s, *_ in calls))
+
     out = tmp_path / "ab.json"
-    assert ab.main([*argv, "--out", str(out)], run=run, copy=copy) == 0
+    assert ab.main([*argv, "--out", str(out)], run=run, copy=copy, stages=stages) == 0
     return calls, copies, json.loads(out.read_text())
+
+
+def canned_stages(side, k):
+    """Stage times of a side's k-th process: the change's splat reads lower in its
+    first three processes only, and every other stage ties."""
+    times = {"activate": 0.01 * k, "splat": 0.2 + 0.01 * k, "total": 1.0 + k}
+    if side == "change" and k <= 3:
+        times["splat"] -= 0.05
+    return times
 
 
 def test_pairs_alternate_and_the_summary_reads_them(tmp_path, capsys):
@@ -89,12 +105,37 @@ def test_default_seeds_and_workloads(tmp_path):
     assert [seed for _, _, seed in calls] == [1, 1, 2, 2] * len(bench["workloads"])
 
 
+def test_stages_run_one_process_per_side_and_pair(tmp_path, capsys):
+    calls, copies, record = run_tool(tmp_path, ["--base", "HEAD~1", "--stages", "--pairs", "4",
+                                                "--count", "500", "--threads", "2"])
+    assert copies == ["HEAD~1"]
+    order = [("base", "change"), ("change", "base")] * 2
+    assert calls == [(side, 500, 2) for pair in order for side in pair]
+    assert record["workloads"] == {} and (record["count"], record["threads"]) == (500, 2)
+    assert list(record["stages"]) == ["activate", "splat", "total"]
+    splat = record["stages"]["splat"]
+    values = {side: [canned_stages(side, k)["splat"] for k in range(1, 5)] for side in ab.SIDES}
+    assert splat["values"] == values and splat["unit"] == "s"
+    assert splat["base_median"] == statistics.median(values["base"])
+    assert splat["change_median"] == statistics.median(values["change"])
+    q1, _, q3 = statistics.quantiles(values["base"], n=4, method="inclusive")
+    assert splat["base_quartiles"] == [q1, q3]
+    assert splat["lower_in"] == 3 and record["stages"]["activate"]["lower_in"] == 0
+    printed = capsys.readouterr().out
+    assert "splat at 500 gaussians, 2 threads: base" in printed and "lower in 3 of 4" in printed
+
+
 @pytest.mark.parametrize("argv", [
     ["--base", "HEAD", "--pairs", "1"],
     ["--base", "HEAD", "--workloads", "fit-paper,nope"],
     ["--base", "HEAD", "--seeds", "1,x"],
     ["--pairs", "3"],
-], ids=["one-pair", "unknown-workload", "bad-seed", "no-base"])
+    ["--base", "HEAD", "--stages", "--seeds", "1"],
+    ["--base", "HEAD", "--stages", "--workloads", "fit-paper"],
+    ["--base", "HEAD", "--stages", "--threads", "0"],
+    ["--base", "HEAD", "--stages", "--count", "0"],
+], ids=["one-pair", "unknown-workload", "bad-seed", "no-base", "stages-seeds",
+        "stages-workloads", "stages-no-threads", "stages-no-count"])
 def test_bad_flags_are_usage_errors(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         run_tool(tmp_path, argv)

@@ -435,6 +435,26 @@ def test_gen_rejects_a_malformed_shape_exit_2(tmp_path, capsys, class_count, bad
     assert not out.exists()
 
 
+@pytest.mark.parametrize("with_scene", [False, True])
+def test_fit_rejects_a_negative_seed_exit_2(tmp_path, capsys, small_scene, with_scene):
+    # With --scene the seed draws nothing, and is refused all the same.
+    shapes = tmp_path / "shapes.json"
+    shapes.write_text(json.dumps([{"kind": "box", "cls": 1, "min": [1, 1, 1],
+                                   "max": [3, 3, 3]}]))
+    truth = tmp_path / "truth.svox"
+    assert run(["gen", *GRID_FLAGS, "--shapes", str(shapes), "--class-count", "4",
+                "--out", str(truth)])[0] == 0
+    out = tmp_path / "fit.sgau"
+    initial = ["--scene", str(small_scene)] if with_scene else ["--count", "8"]
+    code, _ = run(["fit", "--truth", str(truth), "--out", str(out), *initial, "--iters", "1",
+                   "--seed", "-1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: seed must be a non-negative int, got -1")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_fit_command(tmp_path):
     shapes = tmp_path / "shapes.json"
     shapes.write_text(json.dumps([

@@ -316,6 +316,11 @@ def test_fit_config_validation_and_schedule():
     for s_min, s_max in ((math.nan, 0.3), (0.01, math.nan), (0.01, math.inf), (0.3, 0.3)):
         with pytest.raises(ValueError, match="s_min < s_max"):
             FitConfig(s_min=s_min, s_max=s_max)
+    # The seed is a non-negative int, as numpy's generators take it; bools are refused.
+    for seed in (-1, 1.5, True, "3", None, np.float64(2.0)):
+        with pytest.raises(ValueError, match="seed must be a non-negative int"):
+            FitConfig(seed=seed)
+    assert FitConfig(seed=np.int64(3)).seed == 3 and FitConfig(seed=2 ** 70).seed == 2 ** 70
     cfg = FitConfig(iterations=100, learning_rate=1.0, lr_schedule="cosine",
                     warmup_iters=10)
     assert cfg.lr_at(0) == pytest.approx(0.1)
@@ -393,7 +398,7 @@ def test_backward_reads_loss_rows_as_the_dense_gradient(monkeypatch, case, slab_
         assert boxes.all() and grid.voxels is None
     if case == "partly-covered-boxes":
         assert boxes.sum() == 2 and not boxes[0]
-        assert index.covered.mean() < 0.9
+        assert (np.diff(index.voxel_starts) > 0).mean() < 0.9
         assert (truth.labels[grid.voxels] == IGNORE_LABEL).any()
     voxels = np.arange(spec.num_voxels) if grid.voxels is None else grid.voxels
     dense = np.zeros((spec.num_voxels, truth.class_count))
@@ -633,7 +638,7 @@ def test_row_splat_matches_dense_splat(monkeypatch, case, slab_pairs):
     index = build_splat_index(scene, truth.spec, cutoff)
     dense = splat(scene, truth.spec, index=index)
     rows = splat(scene, truth.spec, index=index, rows=True)
-    covered = index.covered
+    covered = np.diff(index.voxel_starts) > 0
     assert np.array_equal(rows.labels, dense.labels)
     if case == "octant":
         assert covered.all() and rows.voxels is None
@@ -703,7 +708,8 @@ def test_fit_peaks_within_its_capacity_check(monkeypatch, full, ignored, classes
     # peaked 42 bytes per voxel above it at 18 classes.
     monkeypatch.setattr(splat_module, "_SLAB_PAIRS", 256)
     scene, truth, config = peak_case(full, ignored, classes)
-    assert build_splat_index(scene, PEAK_SPEC, config.cutoff_sigma).covered.all() == full
+    index = build_splat_index(scene, PEAK_SPEC, config.cutoff_sigma)
+    assert (np.diff(index.voxel_starts) > 0).all() == full
     tracemalloc.start()
     try:
         fit(scene, truth, config)

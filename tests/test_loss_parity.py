@@ -190,7 +190,7 @@ def covered_mask(case, pred):
     if case in INDEXED:
         make, cutoff = INDEXED[case]
         scene, truth = make()
-        return build_splat_index(scene, truth.spec, cutoff).covered
+        return np.diff(build_splat_index(scene, truth.spec, cutoff).voxel_starts) > 0
     rng = np.random.default_rng(67)
     nonzero = np.any(pred.scores != 0, axis=1)
     return nonzero | (rng.random(nonzero.size) < 0.3)

@@ -45,6 +45,29 @@ def test_confusion_direct_tally():
     assert cm.counts[0][0] == 6
 
 
+@pytest.mark.parametrize("covered, ignored", [(0.4, 0.0), (0.4, 0.3), (0.4, 1.0), (0.0, 0.3),
+                                              (1.0, 0.3)])
+def test_row_form_tally_equals_the_dense_tally(covered, ignored):
+    # A row-form prediction is tallied over its rows, every other voxel
+    # being empty, so its matrix is the dense one of the same labels.  At
+    # full cover the grid has no voxel ids, and the dense tally runs.
+    rng = np.random.default_rng(150)
+    spec, c = GridSpec((0, 0, 0), (1, 1, 1), (6, 5, 4)), 4
+    truth = rng.integers(0, c, spec.num_voxels).astype(np.uint8)
+    truth[rng.random(truth.size) < ignored] = 255
+    truth = OccupancyGrid(spec, c, truth)
+    rows = rng.random(spec.num_voxels) < covered
+    labels = np.where(rows, rng.integers(0, c, spec.num_voxels), 0).astype(np.uint8)
+    voxels = None if rows.all() else np.flatnonzero(rows)
+    scores = np.zeros((spec.num_voxels if voxels is None else voxels.size, c), np.float32)
+    pred = OccupancyGrid(spec, c, labels, scores, voxels)
+    dense = confusion(OccupancyGrid(spec, c, labels), truth)
+    counts = np.bincount(truth.labels, minlength=256)
+    for cm in (confusion(pred, truth), confusion(pred, truth, counts)):
+        assert np.array_equal(cm.counts, dense.counts)
+        assert cm.ignore_count == dense.ignore_count == counts[255]
+
+
 def test_confusion_spec_mismatch():
     other = OccupancyGrid(GridSpec((0, 0, 0), (1, 1, 1), (1, 2, 2)), 3,
                           np.zeros(4, np.uint8))

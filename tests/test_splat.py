@@ -195,7 +195,11 @@ def test_index_matches_brute_force_property(case):
     assert np.all(np.diff(index.gaussian_starts)[far] == 0)
     assert np.array_equal(np.diff(index.voxel_starts),
                           np.bincount(voxels, minlength=spec.num_voxels))
-    assert np.array_equal(index.covered, np.bincount(voxels, minlength=spec.num_voxels) > 0)
+    # Each x-range's box counts, the splat's covered mask for a rank's slabs.
+    per_voxel = np.bincount(voxels, minlength=spec.num_voxels).reshape(spec.dims)
+    x_dim = spec.dims[0]
+    for x0, x1 in ((0, x_dim), (0, x_dim // 2), (x_dim // 3, x_dim), (x_dim // 2, x_dim // 2)):
+        assert np.array_equal(index._box_counts((x0, x1)), per_voxel[x0:x1])
     two = build_splat_index(scene, spec, cutoff, threads=2)
     assert np.array_equal(index_voxels(two), voxels)
     assert np.array_equal(two.gaussian_starts, index.gaussian_starts)
@@ -270,14 +274,14 @@ def test_index_sorted_and_ranges_consistent():
                                               (None, 1 << 11)])
 def test_splat_scores_are_zero_outside_covered(monkeypatch, cutoff, box_pairs):
     # The loss stands one all-zero row in for every voxel outside
-    # index.covered, so a splat must leave each such voxel at +0.0 in every
+    # the index's boxes, so a splat must leave each such voxel at +0.0 in every
     # class, on the box path (a low _BOX_PAIRS) and the pair path alike.
     monkeypatch.setattr(splat_module, "_BOX_PAIRS", box_pairs)
     spec = GridSpec((-2.0, -2.0, -2.0), (0.25, 0.25, 0.25), (16, 16, 16))
     scene = random_scene(np.random.default_rng(44), 30, s_lo=0.05, s_hi=0.3)
     index = build_splat_index(scene, spec, cutoff)
     scores = splat(scene, spec, index=index).scores
-    covered = index.covered
+    covered = np.diff(index.voxel_starts) > 0
     assert 0 < covered.mean() <= 1 and (cutoff is None) == covered.all()
     assert not scores[~covered].view(np.uint32).any()
 
@@ -447,7 +451,7 @@ def test_chunk_sizes_do_not_change_bits(monkeypatch, pair_chunk, slab_layers):
     scene = mixed_scene(np.random.default_rng(36), 80, 6)
     part = random_scene(np.random.default_rng(37), 30, 4, -4.0, 0.0, 0.1, 0.7)
     part_index = build_splat_index(part, SPEC16, 3.0)
-    assert 0.2 < part_index.covered.mean() < 0.4
+    assert 0.2 < (np.diff(part_index.voxel_starts) > 0).mean() < 0.4
     assert np.sum(np.diff(part_index.gaussian_starts) > 300) >= 5
     params = RawGaussianParams.from_scene(scene, 0.05, 6.0)
     d_scores = np.random.default_rng(37).normal(size=(SPEC16.num_voxels, scene.class_count))
@@ -506,7 +510,7 @@ def test_box_path_carries_sums_across_blocks(monkeypatch, rows, lead):
     params = RawGaussianParams.from_scene(scene, 0.05, 6.0)
     d_scores = np.random.default_rng(42).normal(size=(SPEC16.num_voxels, scene.class_count))
     d_scores[: lead * 16 * 16] = 0.0
-    voxels = np.flatnonzero(index.covered) if rows else None
+    voxels = np.flatnonzero(np.diff(index.voxel_starts)) if rows else None
     if rows:
         d_scores = d_scores[voxels]
     per_gaussian = np.diff(index.gaussian_starts)

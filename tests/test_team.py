@@ -77,7 +77,7 @@ def test_fit_has_the_bits_of_one_process_at_any_thread_count(monkeypatch, cutoff
     index = build_splat_index(scene, SPEC16, cutoff)
     pairs = np.diff(index.gaussian_starts)
     assert pairs.max() > 300 and (cutoff is None or 0 < pairs.min() <= 300)
-    assert index.covered.all() == (cutoff is None)
+    assert (np.diff(index.voxel_starts) > 0).all() == (cutoff is None)
     monkeypatch.setattr(losses_module, "_CHAIN_ROWS", 64)
     base = fingerprint(fit(scene, truth, config))
     for threads in (2, 3):
@@ -107,14 +107,79 @@ def test_ranks_without_work_keep_the_bits(gaussians, dims, classes):
 
 def test_a_fit_without_covered_voxels_keeps_the_bits():
     # Every box misses the grid, so the splat has no score rows at all.
+    scene, truth, config = uncovered_case()
+    truth = truth_for(np.random.default_rng(92), truth.spec, 2, ignored=0.0)
+    assert not np.diff(build_splat_index(scene, truth.spec, 3.0).voxel_starts).any()
+    base = fingerprint(fit(scene, truth, config))
+    assert fingerprint(fit(scene, truth, config, threads=2)) == base
+    assert_no_child_left()
+
+
+def ignore_heavy_case():
+    """The mixed case's scene against a truth with nine voxels of ten ignored."""
+    scene, _, config = mixed_case(3.0)
+    return scene, truth_for(np.random.default_rng(93), SPEC16, 4, ignored=0.9), config
+
+
+def uncovered_case():
+    """Three gaussians whose boxes all miss a 4^3 grid with ignored voxels."""
     spec = GridSpec((0.0, 0.0, 0.0), (0.5, 0.5, 0.5), (4, 4, 4))
     scene = GaussianScene(np.full((3, 3), 100.0), np.full((3, 3), 0.2),
                           np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), np.full((3, 2), 0.5))
-    assert not build_splat_index(scene, spec, 3.0).covered.any()
-    truth = truth_for(np.random.default_rng(92), spec, 2, ignored=0.0)
-    config = FitConfig(iterations=2, s_min=0.1, s_max=1.0)
+    truth = truth_for(np.random.default_rng(94), spec, 2, ignored=0.3)
+    return scene, truth, FitConfig(iterations=2, s_min=0.1, s_max=1.0)
+
+
+CASES = {
+    "mixed": lambda: mixed_case(3.0),
+    "exact-mode": lambda: mixed_case(None),
+    "ignore-heavy": ignore_heavy_case,
+    "uncovered": uncovered_case,
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_the_metrics_tally_the_rows_as_the_dense_grid(monkeypatch, case):
+    # Rank 0 tallies the score rows alone; at every thread count each
+    # matrix equals the dense tally of the same labels.  In exact mode every
+    # voxel is covered, the grid has no voxel ids and the dense tally runs.
+    scene, truth, config = CASES[case]()
+    real, forms = fitter.confusion, []
+
+    def tally(pred, truth, *args):
+        cm = real(pred, truth, *args)
+        dense = real(OccupancyGrid(pred.spec, pred.class_count, pred.labels), truth)
+        assert np.array_equal(cm.counts, dense.counts), (case, len(forms))
+        assert cm.ignore_count == dense.ignore_count
+        forms.append(pred.voxels is None)
+        return cm
+
+    monkeypatch.setattr(fitter, "confusion", tally)
     base = fingerprint(fit(scene, truth, config))
-    assert fingerprint(fit(scene, truth, config, threads=2)) == base
+    for threads in (2, 3):
+        assert fingerprint(fit(scene, truth, config, threads=threads)) == base, threads
+    assert forms == [case == "exact-mode"] * 3 * config.iterations
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("case", ["mixed", "exact-mode", "ignore-heavy"])
+def test_the_arena_holds_every_shared_array(monkeypatch, case):
+    # An arena too small for one grid's arrays fails only when that grid
+    # comes, so the highest mark that rank 0 reaches is held to the bound.
+    scene, truth, config = CASES[case]()
+    real, tops = Team.empty, []
+
+    def empty(team, *args, **kwargs):
+        out = real(team, *args, **kwargs)
+        tops.append(team._top)
+        return out
+
+    monkeypatch.setattr(Team, "empty", empty)
+    for ranks in (2, 3, 4):
+        tops.clear()
+        fit(scene, truth, config, threads=ranks)
+        bound = fitter._arena_bytes(truth.spec.num_voxels, truth.class_count, len(scene), ranks)
+        assert 0 < max(tops) <= bound, (ranks, max(tops), bound)
     assert_no_child_left()
 
 

@@ -11,8 +11,7 @@ median seconds of each stage: activate (raw parameters to a scene), index,
 splat (score rows, ``rows=True``), loss, backward, step (AdamW deltas and the
 refinement step) and metrics (confusion, mIoU, scene-completion IoU).  A
 stage is the calls of its names in ``WRAPPED``, which ``fit`` looks up at
-call time; ``fit``'s own lines between them are in no column, and the
-``activate`` of the final scene is left out.
+call time; ``fit``'s own lines between them are in no column.
 
 A second table gives each stage's largest traced peak in MB over a
 2-iteration ``fit`` under ``tracemalloc``, counting every array ``fit``
@@ -45,7 +44,7 @@ S_MIN, S_MAX = 0.01, 0.3
 STAGES = ("activate", "index", "splat", "loss", "backward", "step", "metrics")
 # (stage, owner, name): each function that ``fit`` looks up at call time.
 WRAPPED = [
-    ("activate", fitter.RawGaussianParams, "activate"),
+    ("activate", fitter, "_activate"),
     ("index", fitter, "build_splat_index"),
     ("splat", fitter, "splat"),
     ("loss", fitter, "voxel_losses"),
@@ -107,7 +106,7 @@ def fit_stages(scene, truth: OccupancyGrid, iterations: int, memory: bool = Fals
             tracemalloc.stop()
         for _, owner, name, original in saved:
             setattr(owner, name, original)
-    return runs[:-1]  # the last holds only the final scene's activate
+    return runs[:-1]  # the last record opens one more, which no stage reaches
 
 
 def main(argv=None) -> int:
