@@ -31,7 +31,6 @@ def canned_line(side, workload, seed):
 
 def run_tool(tmp_path, argv):
     calls, copies = [], []
-    stage_calls = []
 
     def copy(ref, into):
         copies.append(ref)

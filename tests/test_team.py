@@ -107,9 +107,12 @@ def test_ranks_without_work_keep_the_bits(gaussians, dims, classes):
 
 def test_a_fit_without_covered_voxels_keeps_the_bits():
     # Every box misses the grid, so the splat has no score rows at all.
-    scene, truth, config = uncovered_case()
-    truth = truth_for(np.random.default_rng(92), truth.spec, 2, ignored=0.0)
-    assert not np.diff(build_splat_index(scene, truth.spec, 3.0).voxel_starts).any()
+    spec = GridSpec((0.0, 0.0, 0.0), (0.5, 0.5, 0.5), (4, 4, 4))
+    scene = GaussianScene(np.full((3, 3), 100.0), np.full((3, 3), 0.2),
+                          np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), np.full((3, 2), 0.5))
+    assert not np.diff(build_splat_index(scene, spec, 3.0).voxel_starts).any()
+    truth = truth_for(np.random.default_rng(92), spec, 2, ignored=0.0)
+    config = FitConfig(iterations=2, s_min=0.1, s_max=1.0)
     base = fingerprint(fit(scene, truth, config))
     assert fingerprint(fit(scene, truth, config, threads=2)) == base
     assert_no_child_left()
@@ -130,15 +133,23 @@ def uncovered_case():
     return scene, truth, FitConfig(iterations=2, s_min=0.1, s_max=1.0)
 
 
+def gaussian_heavy_case():
+    """200 gaussians in exact mode on a 4^3 grid: their arrays outweigh the
+    voxels', and the gradient block does not fit over the score rows."""
+    scene, truth = tiny_case(200, (4, 4, 4), 2)
+    return scene, truth, FitConfig(iterations=2, s_min=0.1, s_max=1.0, cutoff_sigma=None)
+
+
 CASES = {
     "mixed": lambda: mixed_case(3.0),
     "exact-mode": lambda: mixed_case(None),
     "ignore-heavy": ignore_heavy_case,
     "uncovered": uncovered_case,
+    "gaussian-heavy": gaussian_heavy_case,
 }
 
 
-@pytest.mark.parametrize("case", list(CASES))
+@pytest.mark.parametrize("case", ["mixed", "exact-mode", "ignore-heavy", "uncovered"])
 def test_the_metrics_tally_the_rows_as_the_dense_grid(monkeypatch, case):
     # Rank 0 tallies the score rows alone; at every thread count each
     # matrix equals the dense tally of the same labels.  In exact mode every
@@ -162,10 +173,11 @@ def test_the_metrics_tally_the_rows_as_the_dense_grid(monkeypatch, case):
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("case", ["mixed", "exact-mode", "ignore-heavy"])
+@pytest.mark.parametrize("case", ["mixed", "exact-mode", "ignore-heavy", "gaussian-heavy"])
 def test_the_arena_holds_every_shared_array(monkeypatch, case):
     # An arena too small for one grid's arrays fails only when that grid
     # comes, so the highest mark that rank 0 reaches is held to the bound.
+    # On the gaussian-heavy case, the bound is within 5% of the mark.
     scene, truth, config = CASES[case]()
     real, tops = Team.empty, []
 
@@ -180,6 +192,7 @@ def test_the_arena_holds_every_shared_array(monkeypatch, case):
         fit(scene, truth, config, threads=ranks)
         bound = fitter._arena_bytes(truth.spec.num_voxels, truth.class_count, len(scene), ranks)
         assert 0 < max(tops) <= bound, (ranks, max(tops), bound)
+        assert case != "gaussian-heavy" or max(tops) > 0.95 * bound, (ranks, max(tops), bound)
     assert_no_child_left()
 
 

@@ -1,7 +1,7 @@
 """Compare the benchmark's end-to-end metrics of a base commit and this tree in alternating pairs.
 
     python3 tools/ab.py --base REF [--workloads W,...] [--pairs N] [--seeds S,...] [--out AB.json]
-    python3 tools/ab.py --base REF --stages [--count 25600] [--threads 1] [--pairs N] [--out AB.json]
+    python3 tools/ab.py --base REF --stages [--count C] [--threads T] [--pairs N] [--out AB.json]
 
 Copies REF with ``git archive`` into a temporary directory, and runs the
 command that BENCHMARK.json names (``python3 perfbench/run.py``), unchanged,
@@ -181,7 +181,8 @@ def main(argv=None, run=run_side, copy=archive, stages=run_stages) -> int:
                       flush=True)
                 return run(trees[side], bench["command"], workload, seed, bench["run_seconds"])
 
-            record["workloads"][workload] = entry = summarize(pairs_of(args.pairs, bench_pair), bench)
+            entry = summarize(pairs_of(args.pairs, bench_pair), bench)
+            record["workloads"][workload] = entry
             for name, m in entry["metrics"].items():
                 report(f"{workload} {name}", m, args.pairs)
             print(f"{workload} failed: base {entry['base']['failed']}, "
