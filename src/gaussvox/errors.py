@@ -58,8 +58,8 @@ class FormatError(GaussvoxError):
 
 
 class DivergenceError(GaussvoxError):
-    """Fitting aborted because the loss became non-finite."""
+    """Fitting aborted because the loss, or a parameter after a step, left its range."""
 
-    def __init__(self, iteration: int):
-        super().__init__(f"loss became non-finite at iteration {iteration}")
+    def __init__(self, iteration: int, what: str = "loss became non-finite"):
+        super().__init__(f"{what} at iteration {iteration}")
         self.iteration = iteration

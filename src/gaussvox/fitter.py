@@ -22,6 +22,7 @@ from .grid import IGNORE_LABEL, GridSpec, OccupancyGrid
 from .losses import _ROW_BYTES, voxel_losses
 from .metrics import confusion, miou, scene_completion_iou
 from .splat import (
+    _VJP_GAUSSIANS,
     SplatIndex,
     _check_dense_bytes,
     _pair_moments,
@@ -33,6 +34,9 @@ from .splat import (
 from .team import Team, check_threads
 
 PARAM_KEYS = ("means", "raw_scales", "rotations", "raw_logits")
+# A scene stores float32 values: its parameters must lie within these.
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+_FLOAT32_TINY = float(np.finfo(np.float32).smallest_subnormal)
 
 
 @dataclass
@@ -58,6 +62,9 @@ class FitConfig:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not 0 < self.s_min < self.s_max < math.inf:
             raise ValueError(f"need 0 < s_min < s_max, finite, got {self.s_min} and {self.s_max}")
+        if not (_FLOAT32_TINY <= self.s_min and self.s_max <= _FLOAT32_MAX):
+            raise ValueError(f"s_min and s_max must be positive finite float32 values, got "
+                             f"{self.s_min} and {self.s_max}")
         if not self.warmup_iters >= 0:
             raise ValueError(f"warmup_iters must be >= 0, got {self.warmup_iters}")
         if not all(0 <= w < math.inf for w in self.loss_weights):
@@ -130,14 +137,27 @@ class RawGaussianParams:
     def activate(self, s_min: float, s_max: float, class_names=None) -> GaussianScene:
         return GaussianScene(*self.rows(s_min, s_max), class_names)
 
-    def rows(self, s_min: float, s_max: float) -> tuple:
+    def rows(self, s_min: float, s_max: float, out=None) -> tuple:
         """The activated scene's float32 means, scales, unit rotations and semantics,
-        each row found from its gaussian's parameters alone, unchecked."""
-        scales = s_min + sigmoid(self.raw_scales) * (s_max - s_min)
-        norms = np.sqrt(np.sum(self.rotations ** 2, axis=1, keepdims=True))
-        return (self.means.astype(np.float32), scales.astype(np.float32),
-                (self.rotations / norms).astype(np.float32),
-                softmax(self.raw_logits, axis=1).astype(np.float32))
+        each row found from its gaussian's parameters alone, unchecked.
+
+        They are written into ``out``, four (P, width) float32 arrays, by
+        default new ones, which are returned.  Gaussians are taken
+        ``_VJP_GAUSSIANS`` at a time, so that the float64 temporaries stay
+        in cache; rows are elementwise, so the block changes no bit.
+        """
+        p, c = self.raw_logits.shape
+        if out is None:
+            out = tuple(np.empty((p, width), np.float32) for width in (3, 3, 4, c))
+        for a in range(0, p, _VJP_GAUSSIANS):
+            b = min(a + _VJP_GAUSSIANS, p)
+            part = self.part(a, b)
+            out[0][a:b] = part.means
+            out[1][a:b] = s_min + sigmoid(part.raw_scales) * (s_max - s_min)
+            norms = np.sqrt(np.sum(part.rotations ** 2, axis=1, keepdims=True))
+            out[2][a:b] = part.rotations / norms
+            out[3][a:b] = softmax(part.raw_logits, axis=1)
+        return out
 
     def copy(self) -> "RawGaussianParams":
         return RawGaussianParams(*(getattr(self, k).copy() for k in PARAM_KEYS))
@@ -198,10 +218,11 @@ def backward_splat(
     gaussian accumulates only over its own neighborhood pairs, in ascending
     voxel order, mirroring the forward sparsity.  ``_pair_moments`` reads a
     gaussian of a large box as that box, in dense blocks of whole x-layers,
-    and the others as pair runs, split by the forward pass's rule, and sums
-    both through ``pair_weights_vjp``: every per-gaussian sum is an
-    ``np.bincount`` in pair order from +0.0, carried from block to block, so
-    the result depends neither on the path nor on the run or block size.
+    whose sums come from per-layer moments, and the others as pair runs,
+    split by the forward pass's rule, whose sums are ``pair_weights_vjp``'s
+    ``np.bincount`` sums in pair order.  So the result depends on no run,
+    block or slab size; the two paths round differently, and the tests hold
+    both to one bound against a float64 reference.
     The rotation gradient is projected onto the unit-quaternion tangent.
     The frames are dropped once the moments are summed, and ``frames_vjp``
     takes the gaussians in blocks, so beyond one run's or one block's
@@ -305,8 +326,7 @@ def _activate(team: Team, params: RawGaussianParams, share, s_min: float,
     a, b = share
     p, c = params.raw_logits.shape
     rows = [team.empty((p, width), np.float32) for width in (3, 3, 4, c)]
-    for row, part in zip(rows, params.part(a, b).rows(s_min, s_max)):
-        row[a:b] = part
+    params.part(a, b).rows(s_min, s_max, [row[a:b] for row in rows])
     team.barrier()
     return GaussianScene(*rows)
 
@@ -320,6 +340,15 @@ class Proposals:
     raw_scales: np.ndarray
     rotations: np.ndarray
     raw_logits: np.ndarray
+
+
+def _check_step(params: RawGaussianParams, proposals: Proposals, iteration: int) -> None:
+    """DivergenceError unless every value that ``proposals`` give ``params`` lies
+    in float32's finite range, where a scene's rows must; NaN fails too."""
+    stepped = (params.means + proposals.mean_residual, proposals.raw_scales,
+               proposals.rotations, proposals.raw_logits)
+    if not all(np.all(np.abs(value) <= _FLOAT32_MAX) for value in stepped):
+        raise DivergenceError(iteration, "a step left a parameter non-finite or outside float32")
 
 
 def refine_step(params: RawGaussianParams, proposals: Proposals) -> RawGaussianParams:
@@ -360,7 +389,8 @@ def init_scene(
 
     ``uniform`` draws means i.i.d. in the volume; ``jittered-grid`` places
     them on a near-regular lattice plus Gaussian jitter (in cells).  Scales
-    start mid-range, rotations at identity, semantics uniform.
+    start mid-range, rotations at identity, semantics uniform.  A jitter
+    that puts a mean outside float32's finite range is a ValueError.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -386,7 +416,10 @@ def init_scene(
         ).reshape(-1, 3)[:count]
         means = origin + (idx + 0.5) * spacing
         if jitter > 0:
-            means = means + rng.normal(0.0, jitter, (count, 3)) * cell
+            with np.errstate(over="ignore", invalid="ignore"):
+                means = means + rng.normal(0.0, jitter, (count, 3)) * cell
+            if not np.all(np.abs(means) <= _FLOAT32_MAX):
+                raise ValueError(f"jitter {jitter} puts gaussian means outside float32's range")
     else:
         raise ValueError(f"unknown init mode {mode!r}")
 
@@ -477,18 +510,20 @@ def fit(
             grads = _gradients(team, params, index, truth.spec, lb.d_scores, config.s_min,
                                config.s_max, grid.voxels, dead)
             lb.d_scores = index = None
-            deltas = opt.deltas(mine, {k: g[a:b] for k, g in grads.items()}, config.lr_at(it))
-            grads = None
-            refine_step(
-                mine,
-                Proposals(
+            # An overflow here is a divergence, which the check below raises.
+            with np.errstate(over="ignore", invalid="ignore"):
+                deltas = opt.deltas(mine, {k: g[a:b] for k, g in grads.items()},
+                                    config.lr_at(it))
+                proposals = Proposals(
                     mean_residual=deltas["means"],
                     raw_scales=mine.raw_scales + deltas["raw_scales"],
                     rotations=mine.rotations + deltas["rotations"],
                     raw_logits=mine.raw_logits + deltas["raw_logits"],
-                ),
-            )
-            deltas = None
+                )
+            grads = deltas = None
+            _check_step(mine, proposals, it)
+            refine_step(mine, proposals)
+            proposals = None
             if team.rank:  # the caller's process alone reports
                 grid = None
                 continue

@@ -6,9 +6,7 @@ from the neighboring Gaussians only.  ``splat_oracle`` is the exact
 O(voxels * P) reference, a plain loop over the gaussians and every voxel
 center that shares only the frames and the kernel with it.  One
 elementwise kernel, ``pair_weights``, computes every pair weight, so a pair
-has the same bits in every path, the backward pass included, and one,
-``pair_weights_vjp``, every per-gaussian backward sum, of a pair run and of
-a box block alike.
+has the same bits in every path, the backward pass included.
 
 Accumulation is float32 in ascending gaussian index per voxel; this order is
 part of the contract so results are reproducible across runs and block, run
@@ -16,10 +14,15 @@ and slab sizes.  Both passes send a gaussian by its box size down one of
 two paths.  ``_box_blocks`` walks a large box, a dense block of the grid,
 in blocks of whole x-layers that are added to, or read from, a view of the
 scores.  ``_pair_runs`` writes the pairs of the other gaussians it is
-given, clipped to one range of x-layers, in runs of whole gaussians.  A
-box's C-order is its pair order, and each per-gaussian sum is an
-``np.bincount`` in that order from +0.0, carried from block to block of a
-box, so no result depends on a gaussian's path.
+given, clipped to one range of x-layers, in runs of whole gaussians.  The
+forward bits do not depend on a gaussian's path.  The backward sums of a
+pair run are ``pair_weights_vjp``'s ``np.bincount`` sums in pair order
+from +0.0; those of a box come from ``_box_moments``, reductions of each
+x-layer's pairs added in x order, so no backward bit depends on the block,
+run or slab size or on the thread count.  The two paths associate the
+backward sums differently, so a gaussian's gradients depend on its path in
+the last bits; the tests hold each path to one bound against a float64
+reference.
 
 The forward pass cuts the grid along x one way only, into slabs of whole
 x-layers of about ``_SLAB_BYTES`` of scores, a block that stays in cache
@@ -36,11 +39,10 @@ into one slab's buffer, which it yields and then reuses, and it can take a
 scene file in place of the scene: the index's pass reads and checks every
 record, and each few slabs read the rows of the gaussians that meet them.
 The index is found in blocks of gaussians and stored as int32 box ends.
-The backward pass takes the pairs over the whole grid, box blocks and pair
-runs through the same sums, and ``fit`` gives it one gradient row per score
-row.  Every pass runs on the calling process; in a ``fit`` at several
-threads, each rank of its ``team.Team`` adds whole slabs of the grid, and
-takes the backward pass of a range of the gaussians.
+The backward pass takes the pairs over the whole grid, and ``fit`` gives it
+one gradient row per score row.  Every pass runs on the calling process;
+in a ``fit`` at several threads, each rank of its ``team.Team`` adds whole
+slabs of the grid, and takes the backward pass of a range of the gaussians.
 """
 
 from __future__ import annotations
@@ -338,48 +340,32 @@ def pair_weights(a: np.ndarray, off: np.ndarray, pts: np.ndarray):
     return w, z
 
 
-def pair_weights_vjp(g: np.ndarray, k: int, w: np.ndarray, z: np.ndarray, d_scores, sem,
-                     start=None) -> np.ndarray:
-    """Every per-gaussian backward sum of a pair run or of a box block.
+def pair_weights_vjp(g: np.ndarray, k: int, w: np.ndarray, z: np.ndarray, d_scores, sem):
+    """Every per-gaussian backward sum of a run of pairs.
 
-    ``g`` holds each pair's gaussian in 0..k-1, flat, and ``w, z`` come from
-    ``pair_weights``, in a run's (pairs,) shape or a box block's (nx, ny,
-    nz).  ``d_scores`` holds the pairs' score cotangents class by class,
-    (C, ...) in ``w``'s shape, and ``sem`` (k, C) the gaussians' semantics.
-    With ``dL/dw = sum d_scores * sem``, added class by class, and
-    ``c = dL/dw * w``, returns the (k, 12 + C) sums of ``c z`` (3), of
-    ``c z z^T`` (9, row-major) and of ``w * d_scores`` (C).  Each is an
-    ``np.bincount`` in pair order from +0.0, formed one (pairs,) term at a
-    time, and ``c z_j z_i`` is a copy of ``c z_i z_j`` for i < j.
-    ``start``, one gaussian's sums so far, is added into the first pair's
-    terms, so a box's sums carry from block to block.
+    ``g`` holds each pair's gaussian in 0..k-1, and ``w, z`` come from
+    ``pair_weights``, in the run's (pairs,) shape.  ``d_scores`` holds the
+    pairs' score cotangents class by class, (C, pairs), and ``sem`` (k, C)
+    the gaussians' semantics.  With ``dL/dw = sum d_scores * sem``, added
+    class by class, and ``c = dL/dw * w``, returns the (k, 12 + C) sums of
+    ``c z`` (3), of ``c z z^T`` (9, row-major) and of ``w * d_scores`` (C).
+    Each is an ``np.bincount`` in pair order from +0.0, formed one (pairs,)
+    term at a time, and ``c z_j z_i`` is a copy of ``c z_i z_j`` for i < j.
     """
     c = sem.shape[1]
-
-    def spread(column):  # the gaussians' column, pair by pair
-        return column[0] if k == 1 else column[g]
-
-    d_w = d_scores[0] * spread(sem[:, 0])
+    d_w = d_scores[0] * sem[g, 0]
     for cls in range(1, c):
-        d_w += d_scores[cls] * spread(sem[:, cls])
+        d_w += d_scores[cls] * sem[g, cls]
     d_w *= w
     cz = [d_w * z[j] for j in range(3)]
     sums = np.empty((k, 12 + c))
-
-    def add(col, term):
-        term = term.reshape(-1)
-        if start is not None:
-            term[0] += start[col]
-        sums[:, col] = np.bincount(g, term, minlength=k)
-
-    # The c z_i z_j terms read c z, so its own carry comes after them.
     for i, j in zip(*np.triu_indices(3)):
-        add(3 + 3 * i + j, cz[i] * z[j])
+        sums[:, 3 + 3 * i + j] = np.bincount(g, cz[i] * z[j], minlength=k)
         sums[:, 3 + 3 * j + i] = sums[:, 3 + 3 * i + j]
     for j in range(3):
-        add(j, cz[j])
+        sums[:, j] = np.bincount(g, cz[j], minlength=k)
     for cls in range(c):
-        add(12 + cls, w * d_scores[cls])
+        sums[:, 12 + cls] = np.bincount(g, w * d_scores[cls], minlength=k)
     return sums
 
 
@@ -554,23 +540,119 @@ def _row_map(voxels: np.ndarray, v: int) -> np.ndarray:
     return row_of
 
 
+def _from_middle(n: int) -> np.ndarray:
+    """The float64 indices of n voxels along a box's axis, counted from its
+    middle voxel, ``(n - 1) // 2``."""
+    return np.arange(n, dtype=np.float64) - (n - 1) // 2
+
+
+def _box_moments(frame, index: SplatIndex, axes, g: int, gather, sem: np.ndarray) -> np.ndarray:
+    """Gaussian g's (10 + C) sums over its box, from per-x-layer reductions.
+
+    With ``c = dL/dw * w``, ``dL/dw`` added class by class, and (i, j, k)
+    a voxel's index in the box, counted from its middle voxel, returns the
+    sums of c, of c i, c j and c k, of c ii, c ij, c ik, c jj, c jk and
+    c kk, and of ``w * d_scores`` per class.  ``gather(block)`` gives a
+    ``_box_blocks`` block's score cotangents, (nx, ny, nz, C), and ``sem``
+    (C,) the gaussian's semantics.  Each x-layer's sums are reductions of
+    its own pairs: along z weighted by 1, k and k^2, then along y weighted
+    by 1, j and j^2, and each class's ``w * d_scores`` along z and y.  They
+    fill the layer's row of an (nx, 10 + C) table; once the last block is
+    in, the layers are weighted by i and i^2 and added in x order.  So no
+    bit depends on which block holds a layer.
+    """
+    c = sem.shape[0]
+    nx, ny, nz = index.counts[g].tolist()
+    x_lo = int(index.lo[g, 0])
+    ks, js = _from_middle(nz), _from_middle(ny)
+    layers = np.empty((nx, 10 + c))
+    for block, w, _ in _box_blocks(frame, index, axes, g):
+        rows = layers[block[0].start - x_lo : block[0].stop - x_lo]
+        d = np.moveaxis(gather(block), -1, 0)
+        cw = d[0] * sem[0]
+        for cls in range(1, c):
+            cw += d[cls] * sem[cls]
+        cw *= w
+        by_k = [np.add.reduce(cw, axis=2)]  # sums of c, c k and c k^2 along z
+        for _ in range(2):
+            cw *= ks
+            by_k.append(np.add.reduce(cw, axis=2))
+        rows[:, 0] = np.add.reduce(by_k[0], axis=1)
+        rows[:, 3] = np.add.reduce(by_k[1], axis=1)
+        rows[:, 9] = np.add.reduce(by_k[2], axis=1)
+        by_k[0] *= js
+        rows[:, 2] = np.add.reduce(by_k[0], axis=1)
+        by_k[0] *= js
+        rows[:, 7] = np.add.reduce(by_k[0], axis=1)
+        by_k[1] *= js
+        rows[:, 8] = np.add.reduce(by_k[1], axis=1)
+        for cls in range(c):
+            rows[:, 10 + cls] = np.add.reduce(np.add.reduce(w * d[cls], axis=2), axis=1)
+    i = _from_middle(nx)
+    np.multiply(layers[:, 0], i, out=layers[:, 1])
+    np.multiply(layers[:, 1], i, out=layers[:, 4])
+    np.multiply(layers[:, 2], i, out=layers[:, 5])
+    np.multiply(layers[:, 3], i, out=layers[:, 6])
+    return np.add.reduce(layers, axis=0)
+
+
+def _box_sums(frames, index: SplatIndex, axes, boxes: np.ndarray, moments: np.ndarray):
+    """``pair_weights_vjp``'s (n, 12 + C) sums of the gaussians ``boxes`` from
+    their (n, 10 + C) ``_box_moments``.
+
+    A box's voxel centers are ``p0 + cell * idx`` from its middle voxel's
+    center p0, and z is affine in them, so ``z = z0 + A'^T idx`` with z0
+    the kernel's z at p0 and ``A'[u, j] = cell[u] * a[u, j]``.  Then, with
+    the moments m0 = sum c, m1 = sum c idx and M2 = sum c idx idx^T and
+    ``t = A'^T m1``, ``s_z = t + z0 m0`` and ``s_zz = A'^T M2 A' + t z0^T +
+    z0 t^T + m0 z0 z0^T``, each entry a fixed sum of products of (n,)
+    columns, with no BLAS call; ``s_zz`` is filled for i <= j and mirrored.
+    Counted from the middle voxel, which is the voxel nearest the mean of a
+    box that the grid does not clip, z0 is small, so the products keep
+    about the accuracy of the per-pair terms.
+    """
+    c = moments.shape[1] - 10
+    a, off = frames[0][..., boxes], frames[1][:, boxes]
+    middle = index.lo[boxes].T + (index.counts[boxes].T - 1) // 2
+    _, z0 = pair_weights(a, off, [axis[k] for axis, k in zip(axes, middle)])
+    cell = index.spec.cell_size
+    ap = [[cell[u] * a[u, j] for j in range(3)] for u in range(3)]
+    m = moments.T
+    m0, m1 = m[0], m[1:4]
+    m2 = [[m[4], m[5], m[6]], [m[5], m[7], m[8]], [m[6], m[8], m[9]]]
+    t = [ap[0][j] * m1[0] + ap[1][j] * m1[1] + ap[2][j] * m1[2] for j in range(3)]
+    q = [[m2[u][0] * ap[0][j] + m2[u][1] * ap[1][j] + m2[u][2] * ap[2][j] for j in range(3)]
+         for u in range(3)]
+    sums = np.empty((boxes.size, 12 + c))
+    for j in range(3):
+        sums[:, j] = t[j] + z0[j] * m0
+    for i, j in zip(*np.triu_indices(3)):
+        quad = ap[0][i] * q[0][j] + ap[1][i] * q[1][j] + ap[2][i] * q[2][j]
+        sums[:, 3 + 3 * i + j] = quad + t[i] * z0[j] + z0[i] * t[j] + m0 * z0[i] * z0[j]
+        sums[:, 3 + 3 * j + i] = sums[:, 3 + 3 * i + j]
+    sums[:, 12:] = moments[:, 10:]
+    return sums
+
+
 def _pair_moments(frames, index: SplatIndex, d_scores: np.ndarray, sem: np.ndarray, voxels):
     """Every gaussian's pair moments and semantic cotangents.
 
     ``d_scores`` holds the score cotangent rows and ``sem`` (P, C) the
     semantics.  Row i is voxel ``voxels[i]``, ascending, and every voxel of
     the index's boxes has a row; ``None`` means row v is voxel v.  Returns
-    ``vjp_moments`` of ``pair_weights_vjp``'s sums: ``s_z`` (P, 3), ``s_zz``
-    (P, 3, 3) and ``d_sem`` (P, C).  A gaussian of more than ``_BOX_PAIRS``
-    pairs is read in ``_box_blocks``, each gathered through the (X, Y, Z)
-    view of the row map, or a view of the rows when ``voxels`` is None, and
-    its sums are carried from block to block.  The other gaussians with
-    pairs are taken in ``_gaussian_chunks`` of their own pair counts, each
-    one run of ``_pair_runs`` over the whole grid, read class-major through
-    the row map.  Both go through ``pair_weights_vjp``, so every sum is an
-    ``np.bincount`` in pair order from +0.0, and a gaussian's sums come from
-    its own pairs alone: neither its path nor the order of the gaussians or
-    their chunks changes a bit.
+    ``vjp_moments`` of the (P, 12 + C) sums: ``s_z`` (P, 3), ``s_zz`` (P, 3,
+    3) and ``d_sem`` (P, C).  A gaussian of more than ``_BOX_PAIRS`` pairs
+    is read in ``_box_blocks``, each gathered through the (X, Y, Z) view of
+    the row map, or a view of the rows when ``voxels`` is None; its sums
+    come from ``_box_moments``' per-layer reductions through ``_box_sums``,
+    so they depend neither on the block size nor on the slab size.  The
+    other gaussians with pairs are taken in ``_gaussian_chunks`` of their
+    own pair counts, each one run of ``_pair_runs`` over the whole grid,
+    read class-major through the row map, and summed by
+    ``pair_weights_vjp``, an ``np.bincount`` in pair order from +0.0.  A
+    gaussian's sums come from its own pairs alone, so the order of the
+    gaussians or their chunks changes no bit; the two paths associate the
+    sums differently, so they agree to rounding, not bit for bit.
     """
     p, c = sem.shape
     dims, v = index.spec.dims, index.num_voxels
@@ -579,14 +661,17 @@ def _pair_moments(frames, index: SplatIndex, d_scores: np.ndarray, sem: np.ndarr
     row_of = None if voxels is None else _row_map(voxels, v)
     row_grid = None if voxels is None else row_of.reshape(dims)
     d_grid = d_scores.reshape(*dims, c) if voxels is None else None
+
+    def gather(block):
+        return d_grid[block] if voxels is None else d_scores[row_grid[block]]
+
     pairs = np.diff(index.gaussian_starts)
-    for g in np.flatnonzero(pairs > _BOX_PAIRS).tolist():
-        carry = None
-        for block, w, z in _box_blocks((frames[0][..., g], frames[1][:, g]), index, axes, g):
-            gup = d_grid[block] if voxels is None else d_scores[row_grid[block]]
-            carry = pair_weights_vjp(np.zeros(w.size, dtype=np.intp), 1, w, z,
-                                     np.moveaxis(gup, -1, 0), sem[g, None], carry)[0]
-        sums[g] = carry
+    boxes = np.flatnonzero(pairs > _BOX_PAIRS)
+    moments = np.empty((boxes.size, 10 + c))
+    for n, g in enumerate(boxes.tolist()):
+        moments[n] = _box_moments((frames[0][..., g], frames[1][:, g]), index, axes, g, gather,
+                                  sem[g])
+    sums[boxes] = _box_sums(frames, index, axes, boxes, moments)
     paired = np.flatnonzero((pairs > 0) & (pairs <= _BOX_PAIRS))
     starts = np.zeros(paired.size + 1, dtype=np.int64)
     np.cumsum(pairs[paired], out=starts[1:])

@@ -6,6 +6,7 @@ import json
 import os
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -452,6 +453,38 @@ def test_fit_rejects_a_negative_seed_exit_2(tmp_path, capsys, small_scene, with_
     assert code == 2
     assert err.startswith("error: seed must be a non-negative int, got -1")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--init", "jittered-grid", "--jitter", "1e300"],
+     "error: jitter 1e+300 puts gaussian means outside float32's range"),
+    (["--lr", "1e300"], "error: a step left a parameter non-finite or outside float32 "
+                        "at iteration 0"),
+    (["--lr", "1e300", "--threads", "2"], "error: a step left a parameter non-finite or "
+                                          "outside float32 at iteration 0"),
+    (["--smin", "1e-320", "--smax", "1e-300"],
+     "error: s_min and s_max must be positive finite float32 values, got 1e-320 and 1e-300"),
+    (["--smax", "1e39"], "error: s_min and s_max must be positive finite float32 values"),
+], ids=["jitter", "lr", "lr-threads", "tiny-scales", "huge-smax"])
+def test_fit_rejects_values_past_float32_exit_2(tmp_path, capsys, flags, message):
+    # Each value overflowed or underflowed a float32 cast: numpy warned, and
+    # the error named a gaussian, not the flag or the divergence.
+    shapes = tmp_path / "shapes.json"
+    shapes.write_text(json.dumps([{"kind": "box", "cls": 1, "min": [1, 1, 0.5],
+                                   "max": [3, 3, 1.5]}]))
+    truth = tmp_path / "truth.svox"
+    assert run(["gen", "--dims", "8,8,4", "--origin", "0,0,0", "--cell", "0.5,0.5,0.5",
+                "--shapes", str(shapes), "--class-count", "3", "--out", str(truth)])[0] == 0
+    out = tmp_path / "fit.sgau"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run(["fit", "--truth", str(truth), "--out", str(out), "--count", "8",
+                       "--iters", "2", *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(message) and err.count("\n") == 1, err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
 

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from backward_reference import gradient_bound, reference_backward
+
 from gaussvox import (
     CapacityError,
     FitConfig,
@@ -447,7 +449,10 @@ def test_chunk_sizes_do_not_change_bits(monkeypatch, pair_chunk, slab_layers):
     # interleaved with the slab runs.  The pair cap also cuts the backward
     # pass's runs.  The row form of a partly covered scene, whose means lie
     # in one octant, is cut at the same slab edges, and at 300 pairs it too
-    # takes both paths.
+    # takes both paths.  The forward bits depend on no cap.  The gradients
+    # keep their bits at a fixed box cap, whatever the run, block and slab
+    # sizes; the two paths sum in different orders, so across box caps each
+    # is held to the float64 reference's bound.
     scene = mixed_scene(np.random.default_rng(36), 80, 6)
     part = random_scene(np.random.default_rng(37), 30, 4, -4.0, 0.0, 0.1, 0.7)
     part_index = build_splat_index(part, SPEC16, 3.0)
@@ -455,6 +460,8 @@ def test_chunk_sizes_do_not_change_bits(monkeypatch, pair_chunk, slab_layers):
     assert np.sum(np.diff(part_index.gaussian_starts) > 300) >= 5
     params = RawGaussianParams.from_scene(scene, 0.05, 6.0)
     d_scores = np.random.default_rng(37).normal(size=(SPEC16.num_voxels, scene.class_count))
+    ref = reference_backward(params, scene, SPEC16, 3.0, d_scores, 0.05, 6.0)
+    bound = gradient_bound(ref)
 
     def run(threads):
         index = build_splat_index(scene, SPEC16, 3.0, threads=threads)
@@ -464,16 +471,20 @@ def test_chunk_sizes_do_not_change_bits(monkeypatch, pair_chunk, slab_layers):
         return splat(scene, SPEC16, index=index).scores, rows.scores, grads
 
     base_scores, base_rows, base_grads = run(1)
+    monkeypatch.setattr(splat_module, "_BOX_PAIRS", pair_chunk)
+    *_, box_grads = run(1)
+    for grads in (base_grads, box_grads):
+        for key, grad in grads.items():
+            assert np.all(np.abs(grad - ref.grads[key]) <= bound[key]), key
     layer_bytes = 4 * scene.class_count * 16 * 16
     monkeypatch.setattr(splat_module, "_SLAB_PAIRS", pair_chunk)
-    monkeypatch.setattr(splat_module, "_BOX_PAIRS", pair_chunk)
     monkeypatch.setattr(splat_module, "_SLAB_BYTES", slab_layers * layer_bytes)
     for threads in (1, 2):
         scores, rows, grads = run(threads)
         assert np.array_equal(scores.view(np.uint32), base_scores.view(np.uint32))
         assert np.array_equal(rows.view(np.uint32), base_rows.view(np.uint32))
         for key, grad in grads.items():
-            assert np.array_equal(grad.view(np.uint64), base_grads[key].view(np.uint64)), key
+            assert np.array_equal(grad.view(np.uint64), box_grads[key].view(np.uint64)), key
 
 
 def test_sparse_splat_builds_no_voxel_centers(monkeypatch):
@@ -497,14 +508,15 @@ def test_sparse_splat_builds_no_voxel_centers(monkeypatch):
 @pytest.mark.parametrize("lead", [0, 4], ids=["no-zero-layers", "zero-lead"])
 @pytest.mark.parametrize("rows", [False, True], ids=["dense", "rows"])
 def test_box_path_carries_sums_across_blocks(monkeypatch, rows, lead):
-    # With the pair cap above every box, each gaussian takes the pair path.
-    # At 600 pairs, every box of more than 600 pairs is read in blocks of
-    # at most 600 pairs and at least one x-layer: a covering box in eight
-    # blocks of two 16x16 layers, its sums carried from block to block.
-    # Every pair point of the box path comes from the per-axis center tables.
-    # The row form gathers each block through the row map.  A gradient of
-    # +0.0 on the first ``lead`` x-layers makes the covering boxes' first
-    # blocks sum signed zeros, so a zero carry is compared bit by bit.
+    # At a box cap of 600 pairs, every box of more than 600 pairs takes the
+    # box path.  With the default run cap each box is one block; at 600,
+    # every such box is read in blocks of at most 600 pairs and at least
+    # one x-layer: a covering box in eight blocks of two 16x16 layers.  The
+    # gradients must keep their bits.  Every pair point of the box path
+    # comes from the per-axis center tables.  The row form gathers each
+    # block through the row map.  A gradient of +0.0 on the first ``lead``
+    # x-layers makes the covering boxes' first blocks sum signed zeros, so
+    # the zero sums of those layers are compared bit by bit.
     scene = mixed_scene(np.random.default_rng(41), 40, 5)
     index = build_splat_index(scene, SPEC16, 3.0)
     params = RawGaussianParams.from_scene(scene, 0.05, 6.0)
@@ -515,9 +527,9 @@ def test_box_path_carries_sums_across_blocks(monkeypatch, rows, lead):
         d_scores = d_scores[voxels]
     per_gaussian = np.diff(index.gaussian_starts)
 
-    monkeypatch.setattr(splat_module, "_BOX_PAIRS", int(per_gaussian.max()))
-    pair_grads = backward_splat(params, index, SPEC16, d_scores, 0.05, 6.0, voxels)
     monkeypatch.setattr(splat_module, "_BOX_PAIRS", 600)
+    assert per_gaussian.max() <= splat_module._SLAB_PAIRS
+    whole_grads = backward_splat(params, index, SPEC16, d_scores, 0.05, 6.0, voxels)
     monkeypatch.setattr(splat_module, "_SLAB_PAIRS", 600)
     boxes = per_gaussian > 600
     assert boxes.sum() >= 5 and not boxes.all()
@@ -526,7 +538,7 @@ def test_box_path_carries_sums_across_blocks(monkeypatch, rows, lead):
     monkeypatch.setattr(GridSpec, "voxel_centers", _no_voxel_centers)
     box_grads = backward_splat(params, index, SPEC16, d_scores, 0.05, 6.0, voxels)
     for key, grad in box_grads.items():
-        assert np.array_equal(grad.view(np.uint64), pair_grads[key].view(np.uint64)), key
+        assert np.array_equal(grad.view(np.uint64), whole_grads[key].view(np.uint64)), key
 
 
 @pytest.mark.parametrize("rows", [False, True], ids=["dense", "rows"])
