@@ -18,12 +18,13 @@ import numpy as np
 
 from .core import GaussianScene
 from .errors import GaussvoxError
-from .fitter import FitConfig, SceneInit, fit
+from .fitter import _FLOAT32_MAX, _FLOAT32_TINY, FitConfig, SceneInit, fit
 from .grid import GridSpec
 from .metrics import confusion, miou, scene_completion_iou
 from .sceneio import (SceneFile, check_header_geometry, check_shapes, gen_synthetic, read_grid,
                       read_scene, write_grid, write_scene)
-from .splat import DEFAULT_CUTOFF_SIGMA, build_splat_index, splat, splat_chunks
+from .splat import (DEFAULT_CUTOFF_SIGMA, _check_dense_bytes, build_splat_index, splat,
+                    splat_chunks)
 
 THREADS_ENV = "GAUSSVOX_THREADS"
 THREADS_HELP = (f"thread count (default: {THREADS_ENV}, else 1); must be a positive "
@@ -261,7 +262,14 @@ def _cmd_gen(args, out) -> int:
 
 def random_bench_scene(count: int, spec: GridSpec, class_count: int, s_max: float,
                        seed: int) -> GaussianScene:
-    """Deterministic random scene filling a grid volume, for benchmarking."""
+    """Deterministic random scene filling a grid volume, for benchmarking.
+
+    The float64 draws and the float32 scene, ``8 (10 + 2 C) + 4 (10 + C)``
+    bytes per gaussian, are checked against ``MAX_SCORE_BYTES`` before any
+    exists.
+    """
+    _check_dense_bytes(count, 8 * (10 + 2 * class_count) + 4 * (10 + class_count),
+                       per="gaussian")
     rng = np.random.default_rng(seed)
     origin = np.asarray(spec.origin)
     extent = np.asarray(spec.cell_size) * np.asarray(spec.dims)
@@ -311,6 +319,12 @@ def linear_fit(x, y):
 
 
 def _cmd_bench(args, out) -> int:
+    # The scales drawn lie in [0.05, 1] * smax, and each must be a positive
+    # finite float32.
+    if not (_FLOAT32_TINY <= 0.05 * args.smax and args.smax <= _FLOAT32_MAX):
+        raise ValueError(f"--smax must lie in [{20 * _FLOAT32_TINY:g}, {_FLOAT32_MAX:g}], "
+                         f"so that every scale drawn is a positive finite float32, "
+                         f"got {args.smax:g}")
     spec = _grid_spec(args)
     rows = run_bench(args.counts, spec, args.cutoff, args.class_count, args.smax,
                      args.seed, args.repeats, args.threads)

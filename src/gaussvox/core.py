@@ -10,7 +10,7 @@ read block by block alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,7 +122,6 @@ class GaussianScene:
     scales: np.ndarray  # (P, 3) float32
     rotations: np.ndarray  # (P, 4) float32, unit rows
     logits: np.ndarray  # (P, C) float32
-    class_names: list[str] | None = field(default=None)
 
     def __post_init__(self):
         self.means = np.ascontiguousarray(self.means, dtype=np.float32).reshape(-1, 3)
@@ -132,8 +131,6 @@ class GaussianScene:
         self.logits = np.ascontiguousarray(self.logits, dtype=np.float32)
         if self.logits.ndim != 2 or self.logits.shape[0] != p:
             raise ValueError("logits must be (P, C)")
-        if self.class_names is not None and len(self.class_names) != self.class_count:
-            raise ValueError("class_names length must equal class count")
         checks = RowChecks()
         for a in range(0, p, _CHECK_ROWS):
             rows = slice(a, a + _CHECK_ROWS)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,8 +134,8 @@ class RawGaussianParams:
             raw_logits=np.log(sem),
         )
 
-    def activate(self, s_min: float, s_max: float, class_names=None) -> GaussianScene:
-        return GaussianScene(*self.rows(s_min, s_max), class_names)
+    def activate(self, s_min: float, s_max: float) -> GaussianScene:
+        return GaussianScene(*self.rows(s_min, s_max))
 
     def rows(self, s_min: float, s_max: float, out=None) -> tuple:
         """The activated scene's float32 means, scales, unit rotations and semantics,
@@ -248,36 +248,6 @@ def backward_splat(
     }
 
 
-def _gradients(team: Team, params: RawGaussianParams, index: SplatIndex, spec: GridSpec,
-               d_scores: np.ndarray, s_min: float, s_max: float, voxels, over) -> dict:
-    """``backward_splat``'s gradients, each rank taking a range of the gaussians.
-
-    The ranges are contiguous, of about equal pair counts, and each is a
-    slice of the parameters and of the index, passed to ``backward_splat``:
-    a gaussian's gradients come from its own pairs and parameters alone, so
-    they have the bits of one pass over every gaussian.  With more than one
-    rank, each writes its range into one block of the team's arena, which
-    every rank reads once all are done: the four gradients, (P, 3), (P, 3),
-    (P, 4) and (P, C), one after another, so that each is contiguous for
-    the step.  The block takes the pages of ``over``, the dead score rows,
-    if it fits there.
-    """
-    a, b = team.span(index.gaussian_starts)
-    part = backward_splat(params.part(a, b), index.part(a, b), spec, d_scores, s_min, s_max,
-                          voxels)
-    if team.size == 1:
-        return part
-    p, widths = index.num_gaussians, [getattr(params, k).shape[1] for k in PARAM_KEYS]
-    ends = p * np.cumsum([0, *widths])
-    block = team.empty(ends[-1], over=over)
-    grads = {k: block[lo:hi].reshape(p, width)
-             for k, width, lo, hi in zip(PARAM_KEYS, widths, ends, ends[1:])}
-    for key, grad in grads.items():
-        grad[a:b] = part[key]
-    team.barrier()
-    return grads
-
-
 def _arena_bytes(num_voxels: int, class_count: int, gaussians: int, ranks: int) -> int:
     """The bytes that a team's ranks share in a ``fit`` call, at most.
 
@@ -285,24 +255,22 @@ def _arena_bytes(num_voxels: int, class_count: int, gaussians: int, ranks: int) 
     each iteration, per voxel: the splat's covered mask, float32 score rows
     and labels, 4 C + 2; the loss's row max, log-sum-exp and label
     log-probabilities, 24, and its float64 gradient rows, 8 C.  Per
-    gaussian: the scene's float32 rows, 4 (10 + C); the index's int32 boxes
-    and int64 pair counts, 32; and the (P, 10 + C) float64 gradient block.
-    The loss's per-rank maxima and per-class terms, 8 C (ranks + 3); and a
-    cache line of padding for each of at most 32 arrays.
+    gaussian: the scene's float32 rows, 4 (10 + C), and the index's int32
+    boxes and int64 pair counts, 32.  The loss's per-rank maxima and
+    per-class terms, 8 C (ranks + 3); and a cache line of padding for each
+    of at most 32 arrays.
     """
     c = class_count
-    return (num_voxels * (12 * c + 26) + 8 * c * (ranks + 3) + gaussians * (20 * (10 + c) + 32)
+    return (num_voxels * (12 * c + 26) + 8 * c * (ranks + 3) + gaussians * (12 * (10 + c) + 32)
             + (1 << 11))
 
 
 def _shared(team: Team, params: RawGaussianParams, share) -> RawGaussianParams:
-    """``params`` in the team's arena, kept there for the whole call; ``params`` itself at one rank.
+    """A copy of ``params`` in the team's arena, kept there for the whole call.
 
     Each rank copies its ``share`` of the gaussians, which its steps then
     update in place; the others read it only after the next barriers.
     """
-    if team.size == 1:
-        return params
     a, b = share
     kept = RawGaussianParams(*(team.empty(getattr(params, k).shape) for k in PARAM_KEYS))
     for key in PARAM_KEYS:
@@ -315,14 +283,12 @@ def _activate(team: Team, params: RawGaussianParams, share, s_min: float,
               s_max: float) -> GaussianScene:
     """The scene of ``params``, each rank activating its ``share`` of the gaussians.
 
-    With more than one rank, the scene's float32 rows live in the team's
-    arena and each rank writes those of its share: a row comes from its own
-    gaussian's parameters alone, so it has the bits of ``activate``.  Once
-    all are written, every rank checks the whole scene, so a bad value
-    raises the error, naming the gaussian, that one process would.
+    The scene's float32 rows live in the team's arena, and each rank writes
+    those of its share: a row comes from its own gaussian's parameters
+    alone, so it has the bits of ``activate``.  Once all are written, every
+    rank checks the whole scene, so a bad value raises the error, naming
+    the gaussian, that one process would.
     """
-    if team.size == 1:
-        return params.activate(s_min, s_max)
     a, b = share
     p, c = params.raw_logits.shape
     rows = [team.empty((p, width), np.float32) for width in (3, 3, 4, c)]
@@ -390,12 +356,16 @@ def init_scene(
     ``uniform`` draws means i.i.d. in the volume; ``jittered-grid`` places
     them on a near-regular lattice plus Gaussian jitter (in cells).  Scales
     start mid-range, rotations at identity, semantics uniform.  A jitter
-    that puts a mean outside float32's finite range is a ValueError.
+    that puts a mean outside float32's finite range is a ValueError.  The
+    float64 means drawn and the float32 scene, ``24 + 4 (10 + C)`` bytes
+    per gaussian, are checked against ``MAX_SCORE_BYTES`` before either
+    exists.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if not 0 <= jitter < math.inf:
         raise ValueError(f"jitter must be finite and >= 0, got {jitter}")
+    _check_dense_bytes(count, 24 + 4 * (10 + class_count), per="gaussian")
     rng = np.random.default_rng(seed)
     origin = np.asarray(bounds.origin)
     cell = np.asarray(bounds.cell_size)
@@ -445,17 +415,19 @@ def fit(
     positive int, is the number of processes: with N >= 2, a ``Team`` forks
     N - 1 workers before the first iteration, and all N run every iteration
     in lockstep, with their shared arrays in the team's arena, a
-    ``MAP_SHARED`` mapping of at most ``_arena_bytes``.  Each rank owns a
-    contiguous share of the gaussians, by count, for the whole call: it
-    activates their rows, finds their boxes, and updates their parameters,
-    which live in the arena, with its own AdamW moments.  The splat's
-    covered mask and scores go by slabs, the loss by row blocks and
-    classes, and the backward pass by gaussian ranges of about equal pairs.
-    Every voxel, class column and gaussian is found by the same code in the
-    same order, so the result has the same bits at any ``threads``; only
-    the speed changes.  The caller's process keeps the records, takes the
-    metrics and calls ``log_fn``; a worker's error is raised here as its
-    own type, and no worker outlives the call.
+    ``MAP_SHARED`` mapping of at most ``_arena_bytes``; at N = 1 the one
+    rank runs the same code on numpy's arrays.  Each rank owns a contiguous
+    share of the gaussians, by count, for the whole call: it activates
+    their rows, finds their boxes, back-propagates to their parameters and
+    steps them with its own AdamW moments.  A gaussian's gradients come
+    from its own pairs and parameters alone, so they never leave its rank;
+    the parameters live in the arena, where the next activation reads them.
+    The splat's covered mask and scores go by slabs, and the loss by row
+    blocks and classes.  Every voxel, class column and gaussian is found by
+    the same code in the same order, so the result has the same bits at
+    any ``threads``; only the speed changes.  The caller's process keeps
+    the records, takes the metrics and calls ``log_fn``; a worker's error
+    is raised here as its own type, and no worker outlives the call.
     Each iteration splats into float32 score rows, one per voxel in the
     index's boxes; the loss runs over them and gives its gradient in the
     same rows, which the backward pass reads, and the confusion matrix is
@@ -502,18 +474,16 @@ def fit(
             grid = splat(scene, truth.spec, index=index, rows=True, team=team)
             scene = None  # the backward pass reads the parameters
             lb = voxel_losses(grid, truth, config.loss_weights, team=team)
-            dead = team.region(grid.scores)
             grid.scores = None  # the metrics read the labels and voxel ids only
             if not math.isfinite(lb.total):
                 raise DivergenceError(it)
 
-            grads = _gradients(team, params, index, truth.spec, lb.d_scores, config.s_min,
-                               config.s_max, grid.voxels, dead)
+            grads = backward_splat(mine, index.part(a, b), truth.spec, lb.d_scores,
+                                   config.s_min, config.s_max, grid.voxels)
             lb.d_scores = index = None
             # An overflow here is a divergence, which the check below raises.
             with np.errstate(over="ignore", invalid="ignore"):
-                deltas = opt.deltas(mine, {k: g[a:b] for k, g in grads.items()},
-                                    config.lr_at(it))
+                deltas = opt.deltas(mine, grads, config.lr_at(it))
                 proposals = Proposals(
                     mean_residual=deltas["means"],
                     raw_scales=mine.raw_scales + deltas["raw_scales"],

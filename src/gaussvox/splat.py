@@ -718,11 +718,12 @@ def _accumulate_slab(frames, logits: np.ndarray, index: SplatIndex, ids: np.ndar
         del vox, w, sem, adds
 
 
-def _check_dense_bytes(num_voxels: int, bytes_per_voxel: int) -> None:
-    """Raise CapacityError when dense per-voxel arrays would exceed ``MAX_SCORE_BYTES``."""
-    size = float(num_voxels) * bytes_per_voxel
+def _check_dense_bytes(rows: int, bytes_per_row: int, per: str = "voxel") -> None:
+    """Raise CapacityError when dense arrays of ``rows`` rows, one per ``per``,
+    would exceed ``MAX_SCORE_BYTES``."""
+    size = float(rows) * bytes_per_row
     if size > MAX_SCORE_BYTES:
-        raise CapacityError(f"{size:.0f} bytes of dense per-voxel arrays exceed {MAX_SCORE_BYTES}")
+        raise CapacityError(f"{size:.0f} bytes of dense per-{per} arrays exceed {MAX_SCORE_BYTES}")
 
 
 def _meeting(index: SplatIndex, ids, x0: int, x1: int) -> np.ndarray:

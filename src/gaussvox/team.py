@@ -5,9 +5,11 @@ process, rank 0 the caller and ranks 1 to ``size - 1`` the workers, then
 runs the body of the ``with`` block: the same code on the same data, so all
 of them make the same calls in the same order.  A heavy pass gives each
 rank a contiguous share of its work, through ``span`` or ``pack``; each
-rank writes its results into arrays that every process sees, taken from one
-``MAP_SHARED`` anonymous mapping made before the fork, and ``barrier``
-waits until every rank is done.  At size 1 there is no fork and no
+rank writes the results that other ranks read into arrays that every
+process sees, taken from one ``MAP_SHARED`` anonymous mapping made before
+the fork, and ``barrier`` waits until every rank is done.  A result that
+only its own rank reads, such as a ``fit`` rank's gradients, stays in that
+rank's memory and needs no barrier.  At size 1 there is no fork and no
 mapping: ``zeros`` and ``empty`` are numpy's, ``barrier`` does nothing and
 the one rank takes all the work.
 
@@ -140,23 +142,16 @@ class Team:
         """Keep the arena's arrays taken so far: no later ``reset`` hands out their pages."""
         self._kept = self._top
 
-    def empty(self, shape, dtype=np.float64, over=None) -> np.ndarray:
-        """An uninitialized array that every rank sees.
-
-        ``over``, from ``region``, is a part of the arena whose arrays are
-        dead; the new array takes its pages if it fits there.
-        """
+    def empty(self, shape, dtype=np.float64) -> np.ndarray:
+        """An uninitialized array that every rank sees."""
         dtype = np.dtype(dtype)
         if self._arena is None:
             return np.empty(shape, dtype)
         size = int(np.prod(shape)) * dtype.itemsize
-        if over is not None and size <= over[1] - over[0]:
-            start = over[0]
-        else:
-            start = self._top
-            self._top += -(-size // _ALIGN) * _ALIGN
-            if self._top > self._arena.size:
-                raise RuntimeError(f"the team's arena of {self._arena.size} bytes is full")
+        start = self._top
+        self._top += -(-size // _ALIGN) * _ALIGN
+        if self._top > self._arena.size:
+            raise RuntimeError(f"the team's arena of {self._arena.size} bytes is full")
         return self._arena[start:start + size].view(dtype).reshape(shape)
 
     def zeros(self, shape, dtype=np.float64) -> np.ndarray:
@@ -168,13 +163,6 @@ class Team:
         out[lo:hi] = 0
         self.barrier()
         return out
-
-    def region(self, array: np.ndarray):
-        """The (start, stop) bytes of the arena that ``array`` holds; None at size 1."""
-        if self._arena is None:
-            return None
-        start = array.ctypes.data - self._arena.ctypes.data
-        return start, start + array.nbytes
 
     def span(self, running) -> tuple[int, int]:
         """This rank's items [lo, hi), cut by their work.

@@ -488,6 +488,43 @@ def test_fit_rejects_values_past_float32_exit_2(tmp_path, capsys, flags, message
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "1e300", "1e-46"])
+def test_bench_rejects_an_smax_past_float32_exit_2(capsys, value):
+    # NaN and -1 were refused as "gaussian 0", and 1e300 overflowed the
+    # scales' float32 cast with a RuntimeWarning.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run(["bench", *GRID_FLAGS, "--counts", "10,20", "--repeats", "1",
+                         "--smax", value])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: --smax must lie in") and err.count("\n") == 1, err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("command", ["bench", "fit"])
+def test_a_gaussian_count_past_capacity_exits_2_before_the_draw(tmp_path, capsys, command):
+    # numpy's _ArrayMemoryError came with a traceback.  Only a count far
+    # past the cap is tried: one that malloc can reserve pages memory in.
+    if command == "bench":
+        argv = ["bench", *GRID_FLAGS, "--counts", "100000000000,2", "--repeats", "1"]
+    else:
+        shapes = tmp_path / "shapes.json"
+        shapes.write_text(json.dumps([{"kind": "box", "cls": 1, "min": [1, 1, 1],
+                                       "max": [3, 3, 3]}]))
+        truth = tmp_path / "truth.svox"
+        assert run(["gen", *GRID_FLAGS, "--shapes", str(shapes), "--out", str(truth)])[0] == 0
+        argv = ["fit", "--truth", str(truth), "--count", "100000000000", "--iters", "1",
+                "--out", str(tmp_path / "fit.sgau")]
+    capsys.readouterr()
+    code, _ = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "bytes of dense per-gaussian arrays exceed" in err
+    assert not (tmp_path / "fit.sgau").exists()
+
+
 def test_fit_command(tmp_path):
     shapes = tmp_path / "shapes.json"
     shapes.write_text(json.dumps([

@@ -29,6 +29,7 @@ from gaussvox.fitter import PARAM_KEYS
 from gaussvox.grid import IGNORE_LABEL
 from test_loss_parity import driving_scene, octant_scene, sparse_driving_scene
 
+fitter_module = importlib.import_module("gaussvox.fitter")
 splat_module = importlib.import_module("gaussvox.splat")
 losses_module = importlib.import_module("gaussvox.losses")
 
@@ -606,15 +607,17 @@ def test_fit_drops_each_iteration_before_the_next_activate(monkeypatch):
     labels[:32, :32] = rng.integers(0, classes, (32, 32, 16))
     truth = OccupancyGrid(spec, classes, labels.ravel())
     entries = []
-    real = RawGaussianParams.activate
 
-    def activate(self, *args):
-        entries.append(tracemalloc.get_traced_memory()[0])
-        return real(self, *args)
+    def entered(real):
+        def call(*args):
+            entries.append(tracemalloc.get_traced_memory()[0])
+            return real(*args)
+        return call
 
     config = FitConfig(iterations=3, s_min=0.05, s_max=0.6, cutoff_sigma=3.0)
     fit(scene, truth, config)  # so that no first use of a module is traced
-    monkeypatch.setattr(RawGaussianParams, "activate", activate)
+    monkeypatch.setattr(fitter_module, "_activate", entered(fitter_module._activate))
+    monkeypatch.setattr(RawGaussianParams, "activate", entered(RawGaussianParams.activate))
     tracemalloc.start()
     try:
         fit(scene, truth, config)
@@ -658,7 +661,6 @@ def test_fit_checks_its_per_voxel_arrays_before_the_first(monkeypatch):
     rng = np.random.default_rng(74)
     truth = random_truth(rng, SPEC8, 3)
     splats = []
-    fitter_module = importlib.import_module("gaussvox.fitter")
     real_splat = fitter_module.splat
     monkeypatch.setattr(fitter_module, "splat",
                         lambda *args, **kwargs: splats.append(1) or real_splat(*args, **kwargs))
@@ -735,7 +737,6 @@ def test_backward_rejects_an_index_of_another_grid(monkeypatch):
     # A grid of the same dims but another origin or cell size is refused
     # before any pass, as splat refuses a prebuilt index of another grid.
     params, index, spec, lb, voxels = small_gaussians_case(300)
-    fitter_module = importlib.import_module("gaussvox.fitter")
     monkeypatch.setattr(fitter_module, "gaussian_frames", lambda *args: pytest.fail("a pass ran"))
     for other in (GridSpec((0.5, 0.0, 0.0), spec.cell_size, spec.dims),
                   GridSpec(spec.origin, (0.5, 0.25, 0.25), spec.dims)):

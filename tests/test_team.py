@@ -1,10 +1,12 @@
 """``fit`` at several threads: worker processes that keep every bit and never outlive the call.
 
 With ``threads`` N >= 2, ``fit`` forks N - 1 workers that run each
-iteration in lockstep with the caller, splitting the splat, the loss and the
-backward pass.  These tests hold such fits to the one-process fit bit for
-bit, on cases cut into many slabs, row blocks and pair runs, and on cases
-with fewer gaussians, rows or classes than ranks.  They check that a
+iteration in lockstep with the caller, splitting the splat, the loss, the
+backward pass and the step.  These tests hold such fits to the one-process
+fit bit for bit, on cases cut into many slabs, row blocks and pair runs, on
+cases with fewer gaussians, rows or classes than ranks, and on one whose
+pairs crowd into the first gaussians.  They check that each rank
+back-propagates the gaussians it steps, that a
 worker's error reaches the caller as its own type, and that no worker is
 left, however ``fit`` ends.
 """
@@ -135,9 +137,22 @@ def uncovered_case():
 
 def gaussian_heavy_case():
     """200 gaussians in exact mode on a 4^3 grid: their arrays outweigh the
-    voxels', and the gradient block does not fit over the score rows."""
+    voxels'."""
     scene, truth = tiny_case(200, (4, 4, 4), 2)
     return scene, truth, FitConfig(iterations=2, s_min=0.1, s_max=1.0, cutoff_sigma=None)
+
+
+def front_heavy_case():
+    """24 gaussians on a 16^3 grid, the first 12 broad and the last 12
+    narrow: the first half holds nearly every pair, so a split by pairs
+    would differ from the ranks' split by count."""
+    rng = np.random.default_rng(95)
+    broad = random_scene(rng, 12, 4, -4.0, 4.0, 0.6, 1.0)
+    narrow = random_scene(rng, 12, 4, -4.0, 4.0, 0.05, 0.1)
+    scene = GaussianScene(*(np.concatenate([getattr(broad, k), getattr(narrow, k)])
+                            for k in ("means", "scales", "rotations", "logits")))
+    config = FitConfig(iterations=3, s_min=0.05, s_max=1.0)
+    return scene, truth_for(rng, SPEC16, 4), config
 
 
 CASES = {
@@ -146,10 +161,12 @@ CASES = {
     "ignore-heavy": ignore_heavy_case,
     "uncovered": uncovered_case,
     "gaussian-heavy": gaussian_heavy_case,
+    "front-heavy": front_heavy_case,
 }
 
 
-@pytest.mark.parametrize("case", ["mixed", "exact-mode", "ignore-heavy", "uncovered"])
+@pytest.mark.parametrize("case", ["mixed", "exact-mode", "ignore-heavy", "uncovered",
+                                  "front-heavy"])
 def test_the_metrics_tally_the_rows_as_the_dense_grid(monkeypatch, case):
     # Rank 0 tallies the score rows alone; at every thread count each
     # matrix equals the dense tally of the same labels.  In exact mode every
@@ -193,6 +210,39 @@ def test_the_arena_holds_every_shared_array(monkeypatch, case):
         bound = fitter._arena_bytes(truth.spec.num_voxels, truth.class_count, len(scene), ranks)
         assert 0 < max(tops) <= bound, (ranks, max(tops), bound)
         assert case != "gaussian-heavy" or max(tops) > 0.95 * bound, (ranks, max(tops), bound)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_each_rank_back_propagates_the_share_it_steps(monkeypatch, tmp_path, threads):
+    # Every rank passes ``backward_splat`` the gaussians of its share by
+    # count, in every iteration, with the index of the same gaussians.  On
+    # the front-heavy case a split by pair counts gives rank 0 fewer.
+    scene, truth, config = CASES["front-heavy"]()
+    real_shared, real_backward = fitter._shared, fitter.backward_splat
+    log, first = tmp_path / "calls", {}
+
+    def shared(*args):
+        kept = real_shared(*args)
+        first["means"] = kept.means.ctypes.data
+        return kept
+
+    def backward(params, index, *args):
+        a = (params.means.ctypes.data - first["means"]) // params.means.strides[0]
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()} {a} {a + len(params.means)} {index.num_gaussians}\n")
+        return real_backward(params, index, *args)
+
+    monkeypatch.setattr(fitter, "_shared", shared)
+    monkeypatch.setattr(fitter, "backward_splat", backward)
+    fit(scene, truth, config, threads=threads)
+    calls = {}
+    for pid, a, b, n in (line.split() for line in log.read_text().splitlines()):
+        calls.setdefault(int(pid), []).append((int(a), int(b), int(n)))
+    shares = [team.span(np.arange(len(scene) + 1)) for team in ranks(threads)]
+    want = [[(a, b, b - a)] * config.iterations for a, b in shares]
+    assert calls.pop(os.getpid()) == want[0]
+    assert sorted(calls.values()) == sorted(want[1:])
     assert_no_child_left()
 
 
@@ -311,14 +361,13 @@ def test_a_team_of_one_forks_nothing_and_holds_numpy_arrays():
         team.reset()
         zeros = team.zeros((3, 2), np.float32)
         assert zeros.dtype == np.float32 and not zeros.any() and zeros.base is None
-        assert team.region(zeros) is None
         team.barrier()
     assert_no_child_left()
 
 
 def test_team_arrays_are_shared_and_reused():
     # Rank 1 writes its share of a shared array; rank 0 reads it after the
-    # barrier.  An array laid over a dead one takes its pages.
+    # barrier.
     with Team(2, 1 << 12) as team:
         team.reset()
         shared = team.zeros(8, np.int64)
@@ -326,11 +375,6 @@ def test_team_arrays_are_shared_and_reused():
         shared[lo:hi] = np.arange(lo, hi) * (team.rank + 1)
         team.barrier()
         seen = shared.copy()
-        over = team.empty(4, np.float64, over=team.region(shared))
-        assert team.region(over)[0] == team.region(shared)[0]
-        wide = team.empty(16, np.float64, over=team.region(shared))
-        assert team.region(wide)[0] >= team.region(shared)[1]
-        team.barrier()
     assert seen.tolist() == [0, 1, 2, 3, 8, 10, 12, 14]
     assert_no_child_left()
 

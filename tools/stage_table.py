@@ -22,7 +22,10 @@ machine at the time of the run; compare two trees by alternating their runs.
 ``--threads N`` runs each ``fit`` at N threads.  The other N - 1 ranks are
 worker processes, so every time and traced peak is rank 0's, the caller's:
 a split stage's time includes its wait for the other ranks, and its peak
-leaves out the workers' memory and the arrays that the ranks share.
+leaves out the workers' memory and the arrays that the ranks share.  Each
+rank back-propagates and steps its own gaussians without a barrier, so the
+wait for the slowest rank's backward pass and step falls in the next
+iteration's ``Team.reset``, which no column counts.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ WRAPPED = [
     ("index", fitter, "build_splat_index"),
     ("splat", fitter, "splat"),
     ("loss", fitter, "voxel_losses"),
-    ("backward", fitter, "_gradients"),
+    ("backward", fitter, "backward_splat"),
     ("step", fitter.AdamW, "deltas"),
     ("step", fitter, "refine_step"),
     ("metrics", fitter, "confusion"),
