@@ -79,12 +79,15 @@ def _add_grid_args(p: argparse.ArgumentParser):
 
 
 def _grid_spec(args) -> GridSpec:
+    """The grid of the preset and the grid flags; ValueError unless a grid header can hold it."""
     origin, cell, dims = GRID_PRESETS[args.preset]
-    return GridSpec(
+    spec = GridSpec(
         args.origin if args.origin is not None else origin,
         args.cell if args.cell is not None else cell,
         args.dims if args.dims is not None else dims,
     )
+    check_header_geometry(spec)
+    return spec
 
 
 def _threads(args) -> int:
@@ -168,7 +171,6 @@ def _cmd_splat(args) -> int:
     record, and each gather of the splat reads the rows it needs from it."""
     with SceneFile(args.scene) as scene:
         spec = _grid_spec(args)
-        check_header_geometry(spec)
         cutoff = None if args.exact else args.cutoff
         grid = splat_chunks(scene, spec, cutoff)
         grid.scores = not args.labels_only
@@ -240,7 +242,6 @@ def _cmd_fit(args, out) -> int:
 
 def _cmd_gen(args, out) -> int:
     spec = _grid_spec(args)
-    check_header_geometry(spec)
     with open(args.shapes) as f:
         shapes = json.load(f)
     if not isinstance(shapes, list):
@@ -325,6 +326,8 @@ def _cmd_bench(args, out) -> int:
         raise ValueError(f"--smax must lie in [{20 * _FLOAT32_TINY:g}, {_FLOAT32_MAX:g}], "
                          f"so that every scale drawn is a positive finite float32, "
                          f"got {args.smax:g}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative int, got {args.seed}")
     spec = _grid_spec(args)
     rows = run_bench(args.counts, spec, args.cutoff, args.class_count, args.smax,
                      args.seed, args.repeats, args.threads)

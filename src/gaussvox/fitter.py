@@ -10,6 +10,7 @@ optimizer instead of a learned network).
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass
@@ -251,37 +252,23 @@ def backward_splat(
 def _arena_bytes(num_voxels: int, class_count: int, gaussians: int, ranks: int) -> int:
     """The bytes that a team's ranks share in a ``fit`` call, at most.
 
-    Kept for the whole call: the (P, 10 + C) float64 parameters.  Then, in
-    each iteration, per voxel: the splat's covered mask, float32 score rows
-    and labels, 4 C + 2; the loss's row max, log-sum-exp and label
-    log-probabilities, 24, and its float64 gradient rows, 8 C.  Per
-    gaussian: the scene's float32 rows, 4 (10 + C), and the index's int32
-    boxes and int64 pair counts, 32.  The loss's per-rank maxima and
-    per-class terms, 8 C (ranks + 3); and a cache line of padding for each
-    of at most 32 arrays.
+    Every array lives for one iteration.  Per voxel: the splat's covered
+    mask, float32 score rows and labels, 4 C + 2; the loss's row max,
+    log-sum-exp and label log-probabilities, 24, and its float64 gradient
+    rows, 8 C.  Per gaussian: the scene's float32 rows, 4 (10 + C), and the
+    index's int32 boxes and int64 pair counts, 32.  The loss's per-rank
+    maxima and per-class terms, 8 C (ranks + 3); and a cache line of padding
+    for each of at most 16 arrays.
     """
     c = class_count
-    return (num_voxels * (12 * c + 26) + 8 * c * (ranks + 3) + gaussians * (12 * (10 + c) + 32)
-            + (1 << 11))
+    return (num_voxels * (12 * c + 26) + 8 * c * (ranks + 3) + gaussians * (4 * (10 + c) + 32)
+            + (1 << 10))
 
 
-def _shared(team: Team, params: RawGaussianParams, share) -> RawGaussianParams:
-    """A copy of ``params`` in the team's arena, kept there for the whole call.
-
-    Each rank copies its ``share`` of the gaussians, which its steps then
-    update in place; the others read it only after the next barriers.
-    """
-    a, b = share
-    kept = RawGaussianParams(*(team.empty(getattr(params, k).shape) for k in PARAM_KEYS))
-    for key in PARAM_KEYS:
-        getattr(kept, key)[a:b] = getattr(params, key)[a:b]
-    team.keep()
-    return kept
-
-
-def _activate(team: Team, params: RawGaussianParams, share, s_min: float,
+def _activate(team: Team, mine: RawGaussianParams, share, count: int, s_min: float,
               s_max: float) -> GaussianScene:
-    """The scene of ``params``, each rank activating its ``share`` of the gaussians.
+    """The scene of ``count`` gaussians, each rank activating ``mine``, the parameters
+    of its ``share``.
 
     The scene's float32 rows live in the team's arena, and each rank writes
     those of its share: a row comes from its own gaussian's parameters
@@ -290,9 +277,9 @@ def _activate(team: Team, params: RawGaussianParams, share, s_min: float,
     the gaussian, that one process would.
     """
     a, b = share
-    p, c = params.raw_logits.shape
-    rows = [team.empty((p, width), np.float32) for width in (3, 3, 4, c)]
-    params.part(a, b).rows(s_min, s_max, [row[a:b] for row in rows])
+    c = mine.raw_logits.shape[1]
+    rows = [team.empty((count, width), np.float32) for width in (3, 3, 4, c)]
+    mine.rows(s_min, s_max, [row[a:b] for row in rows])
     team.barrier()
     return GaussianScene(*rows)
 
@@ -417,13 +404,15 @@ def fit(
     in lockstep, with their shared arrays in the team's arena, a
     ``MAP_SHARED`` mapping of at most ``_arena_bytes``; at N = 1 the one
     rank runs the same code on numpy's arrays.  Each rank owns a contiguous
-    share of the gaussians, by count, for the whole call: it activates
-    their rows, finds their boxes, back-propagates to their parameters and
-    steps them with its own AdamW moments.  A gaussian's gradients come
-    from its own pairs and parameters alone, so they never leave its rank;
-    the parameters live in the arena, where the next activation reads them.
-    The splat's covered mask and scores go by slabs, and the loss by row
-    blocks and classes.  Every voxel, class column and gaussian is found by
+    share of the gaussians, by count, for the whole call, and turns their
+    rows of the initial scene into the only parameters it holds: it
+    activates their rows, finds their boxes, back-propagates to their
+    parameters and steps them with its own AdamW moments.  A gaussian's gradients come from its own pairs and parameters
+    alone, so neither its parameters nor its gradients leave its rank.
+    After the last iteration the ranks activate their shares once more, and
+    the caller copies the fitted scene out of the arena.  The splat's
+    covered mask and scores go by slabs, and the loss by row blocks and
+    classes.  Every voxel, class column and gaussian is found by
     the same code in the same order, so the result has the same bits at
     any ``threads``; only the speed changes.  The caller's process keeps
     the records, takes the metrics and calls ``log_fn``; a worker's error
@@ -440,8 +429,8 @@ def fit(
     the next: the scene is dropped after the splat, the score rows after
     the loss, the gradient rows and the index after the backward pass, the
     gradients after the step, and the grid's labels and voxel ids once the
-    metrics are taken.  The arena's pages, touched once, stay mapped until
-    the call ends.
+    metrics are taken.  Every arena array lives for one iteration; the
+    arena's pages, touched once, stay mapped until the call ends.
     """
     check_threads(threads)
     _check_dense_bytes(truth.spec.num_voxels, (4 + 8) * truth.class_count + 9 + _ROW_BYTES)
@@ -457,19 +446,19 @@ def fit(
     if initial.class_count != truth.class_count:
         raise ValueError("scene and truth class counts differ")
 
-    params = RawGaussianParams.from_scene(initial, config.s_min, config.s_max)
     records: list[IterationRecord] = []
     shared = _arena_bytes(truth.spec.num_voxels, truth.class_count, len(initial), threads)
 
     with Team(threads, shared) as team:
         share = a, b = team.span(np.arange(len(initial) + 1))
-        params = _shared(team, params, share)
-        mine = params.part(a, b)
+        mine = RawGaussianParams.from_scene(
+            GaussianScene(initial.means[a:b], initial.scales[a:b], initial.rotations[a:b],
+                          initial.logits[a:b]), config.s_min, config.s_max)
         opt = AdamW(mine, weight_decay=config.weight_decay)
         for it in range(config.iterations):
             team.reset()
             t0 = time.perf_counter()
-            scene = _activate(team, params, share, config.s_min, config.s_max)
+            scene = _activate(team, mine, share, len(initial), config.s_min, config.s_max)
             index = build_splat_index(scene, truth.spec, config.cutoff_sigma, team=team)
             grid = splat(scene, truth.spec, index=index, rows=True, team=team)
             scene = None  # the backward pass reads the parameters
@@ -518,4 +507,9 @@ def fit(
             if log_fn is not None:
                 log_fn(rec)
 
-    return FitReport(records=records, scene=params.activate(config.s_min, config.s_max))
+        team.reset()
+        scene = _activate(team, mine, share, len(initial), config.s_min, config.s_max)
+        if not team.rank:  # the caller's copy, out of the arena, which goes with the block
+            scene = copy.deepcopy(scene)
+
+    return FitReport(records=records, scene=scene)

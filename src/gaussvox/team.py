@@ -7,8 +7,10 @@ of them make the same calls in the same order.  A heavy pass gives each
 rank a contiguous share of its work, through ``span`` or ``pack``; each
 rank writes the results that other ranks read into arrays that every
 process sees, taken from one ``MAP_SHARED`` anonymous mapping made before
-the fork, and ``barrier`` waits until every rank is done.  A result that
-only its own rank reads, such as a ``fit`` rank's gradients, stays in that
+the fork, and ``barrier`` waits until every rank is done.  ``reset`` starts
+a round, and the arrays of the next round reuse the mapping's pages from its
+start, so an array lives for one round.  A result that only its own rank
+reads, such as a ``fit`` rank's parameters and gradients, stays in that
 rank's memory and needs no barrier.  At size 1 there is no fork and no
 mapping: ``zeros`` and ``empty`` are numpy's, ``barrier`` does nothing and
 the one rank takes all the work.
@@ -46,7 +48,7 @@ class Team:
         self.rank = 0
         self._arena_bytes = arena_bytes
         self._arena = None  # a uint8 view of the mapping, with size >= 2
-        self._top = self._kept = 0
+        self._top = 0
         self._workers = []  # rank 0: (pid, pipe to it, pipe from it) per worker
         self._pipes = None  # a worker: its pipes from and to rank 0
 
@@ -134,13 +136,9 @@ class Team:
 
     def reset(self) -> None:
         """Start a round: wait for every rank, then take the arena's arrays again from
-        the end of those that ``keep`` keeps."""
+        its start, so an array lives until the next ``reset``."""
         self.barrier()
-        self._top = self._kept
-
-    def keep(self) -> None:
-        """Keep the arena's arrays taken so far: no later ``reset`` hands out their pages."""
-        self._kept = self._top
+        self._top = 0
 
     def empty(self, shape, dtype=np.float64) -> np.ndarray:
         """An uninitialized array that every rank sees."""

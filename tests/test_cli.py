@@ -502,6 +502,25 @@ def test_bench_rejects_an_smax_past_float32_exit_2(capsys, value):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--cell", "1e300,1,1", "error: origin (0.0, 0.0, 0.0) and cell size (1e+300, 1.0, 1.0)"),
+    ("--origin", "1e39,0,0", "error: origin (1e+39, 0.0, 0.0) and cell size (0.5, 0.5, 0.5)"),
+    ("--seed", "-1", "error: --seed must be a non-negative int, got -1"),
+], ids=["cell", "origin", "seed"])
+def test_bench_names_a_bad_grid_or_seed_exit_2(capsys, flag, value, message):
+    # Each was refused as "gaussian 0", a grid with a RuntimeWarning from the
+    # means' float32 cast, or by numpy's message, which names no flag.
+    flags = dict(zip(GRID_FLAGS[::2], GRID_FLAGS[1::2]), **{flag: value})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run(["bench", *(x for pair in flags.items() for x in pair),
+                         "--counts", "10,20", "--repeats", "1"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith(message) and err.count("\n") == 1, err
+    assert not caught
+
+
 @pytest.mark.parametrize("command", ["bench", "fit"])
 def test_a_gaussian_count_past_capacity_exits_2_before_the_draw(tmp_path, capsys, command):
     # numpy's _ArrayMemoryError came with a traceback.  Only a count far

@@ -617,13 +617,12 @@ def test_fit_drops_each_iteration_before_the_next_activate(monkeypatch):
     config = FitConfig(iterations=3, s_min=0.05, s_max=0.6, cutoff_sigma=3.0)
     fit(scene, truth, config)  # so that no first use of a module is traced
     monkeypatch.setattr(fitter_module, "_activate", entered(fitter_module._activate))
-    monkeypatch.setattr(RawGaussianParams, "activate", entered(RawGaussianParams.activate))
     tracemalloc.start()
     try:
         fit(scene, truth, config)
     finally:
         tracemalloc.stop()
-    # Three iterations and the activate of the fitted scene.
+    # Three iterations and the activation of the fitted scene.
     assert len(entries) == 4
     assert max(entries[1:]) - entries[0] <= 0.5 * spec.num_voxels, entries
 

@@ -6,9 +6,9 @@ backward pass and the step.  These tests hold such fits to the one-process
 fit bit for bit, on cases cut into many slabs, row blocks and pair runs, on
 cases with fewer gaussians, rows or classes than ranks, and on one whose
 pairs crowd into the first gaussians.  They check that each rank
-back-propagates the gaussians it steps, that a
-worker's error reaches the caller as its own type, and that no worker is
-left, however ``fit`` ends.
+back-propagates the gaussians it steps, that no arena array is taken
+before the first round, that a worker's error reaches the caller as its
+own type, and that no worker is left, however ``fit`` ends.
 """
 
 import dataclasses
@@ -215,34 +215,71 @@ def test_the_arena_holds_every_shared_array(monkeypatch, case):
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_each_rank_back_propagates_the_share_it_steps(monkeypatch, tmp_path, threads):
-    # Every rank passes ``backward_splat`` the gaussians of its share by
-    # count, in every iteration, with the index of the same gaussians.  On
-    # the front-heavy case a split by pair counts gives rank 0 fewer.
+    # Every rank activates its share by count, in every iteration and once
+    # more for the fitted scene, and passes ``backward_splat`` the same
+    # parameters, those of that share, with the index of the same gaussians.
+    # On the front-heavy case a split by pair counts gives rank 0 fewer.
     scene, truth, config = CASES["front-heavy"]()
-    real_shared, real_backward = fitter._shared, fitter.backward_splat
-    log, first = tmp_path / "calls", {}
+    real_activate, real_backward = fitter._activate, fitter.backward_splat
+    log = tmp_path / "calls"
 
-    def shared(*args):
-        kept = real_shared(*args)
-        first["means"] = kept.means.ctypes.data
-        return kept
+    def note(*fields):
+        with open(log, "a") as out:
+            out.write(" ".join(map(str, (os.getpid(), *fields))) + "\n")
+
+    def activate(team, mine, share, *args):
+        note("activate", *share, len(mine.means), mine.means.ctypes.data)
+        return real_activate(team, mine, share, *args)
 
     def backward(params, index, *args):
-        a = (params.means.ctypes.data - first["means"]) // params.means.strides[0]
-        with open(log, "a") as out:
-            out.write(f"{os.getpid()} {a} {a + len(params.means)} {index.num_gaussians}\n")
+        note("backward", index.num_gaussians, len(params.means), params.means.ctypes.data)
         return real_backward(params, index, *args)
 
-    monkeypatch.setattr(fitter, "_shared", shared)
+    monkeypatch.setattr(fitter, "_activate", activate)
     monkeypatch.setattr(fitter, "backward_splat", backward)
     fit(scene, truth, config, threads=threads)
-    calls = {}
-    for pid, a, b, n in (line.split() for line in log.read_text().splitlines()):
-        calls.setdefault(int(pid), []).append((int(a), int(b), int(n)))
+    calls, held = {}, {}
+    for pid, name, *numbers in (line.split() for line in log.read_text().splitlines()):
+        *sizes, address = map(int, numbers)
+        # Each rank's calls all read the one set of parameters that it steps.
+        assert held.setdefault(pid, address) == address, (pid, name)
+        calls.setdefault(int(pid), []).append((name, *sizes))
     shares = [team.span(np.arange(len(scene) + 1)) for team in ranks(threads)]
-    want = [[(a, b, b - a)] * config.iterations for a, b in shares]
+    want = [[("activate", a, b, b - a), ("backward", b - a, b - a)] * config.iterations
+            + [("activate", a, b, b - a)] for a, b in shares]
     assert calls.pop(os.getpid()) == want[0]
     assert sorted(calls.values()) == sorted(want[1:])
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_a_fit_takes_no_arena_array_before_its_first_round(monkeypatch, tmp_path, threads):
+    # Every array of the arena lives for one iteration, so no rank takes
+    # one before its first ``reset``.
+    scene, truth, config = mixed_case(3.0)
+    real_reset, real_empty = Team.reset, Team.empty
+    log = tmp_path / "calls"
+
+    def note(name):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()} {name}\n")
+
+    def reset(team):
+        note("reset")
+        return real_reset(team)
+
+    def empty(team, *args, **kwargs):
+        note("empty")
+        return real_empty(team, *args, **kwargs)
+
+    monkeypatch.setattr(Team, "reset", reset)
+    monkeypatch.setattr(Team, "empty", empty)
+    fit(scene, truth, config, threads=threads)
+    firsts = {}
+    for pid, name in (line.split() for line in log.read_text().splitlines()):
+        firsts.setdefault(pid, name)
+    assert str(os.getpid()) in firsts and len(firsts) == threads
+    assert set(firsts.values()) == {"reset"}, firsts
     assert_no_child_left()
 
 

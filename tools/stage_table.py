@@ -11,7 +11,9 @@ median seconds of each stage: activate (raw parameters to a scene), index,
 splat (score rows, ``rows=True``), loss, backward, step (AdamW deltas and the
 refinement step) and metrics (confusion, mIoU, scene-completion IoU).  A
 stage is the calls of its names in ``WRAPPED``, which ``fit`` looks up at
-call time; ``fit``'s own lines between them are in no column.
+call time; ``fit``'s own lines between them are in no column.  ``fit``
+activates the fitted scene once more after its last record, and that call
+is in no iteration.
 
 A second table gives each stage's largest traced peak in MB over a
 2-iteration ``fit`` under ``tracemalloc``, counting every array ``fit``
@@ -109,7 +111,8 @@ def fit_stages(scene, truth: OccupancyGrid, iterations: int, memory: bool = Fals
             tracemalloc.stop()
         for _, owner, name, original in saved:
             setattr(owner, name, original)
-    return runs[:-1]  # the last record opens one more, which no stage reaches
+    # The last record opens one more, which only the fitted scene's activation reaches.
+    return runs[:-1]
 
 
 def main(argv=None) -> int:
