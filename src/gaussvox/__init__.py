@@ -27,7 +27,6 @@ from .fitter import (
     FitReport,
     Proposals,
     RawGaussianParams,
-    SceneInit,
     backward_splat,
     fit,
     init_scene,
@@ -36,7 +35,8 @@ from .fitter import (
 from .grid import IGNORE_LABEL, GridSpec, OccupancyGrid
 from .losses import LossBreakdown, voxel_losses
 from .metrics import ConfusionMatrix, confusion, miou, scene_completion_iou
-from .sceneio import gen_synthetic, read_grid, read_scene, write_grid, write_scene
+from .sceneio import (gen_synthetic, generating_scene, read_grid, read_scene, write_grid,
+                      write_scene)
 from .splat import (
     DEFAULT_CUTOFF_SIGMA,
     SplatIndex,

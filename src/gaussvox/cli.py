@@ -16,13 +16,13 @@ import tracemalloc
 
 import numpy as np
 
-from .core import GaussianScene
+from .core import GaussianScene, softmax
 from .errors import GaussvoxError
-from .fitter import _FLOAT32_MAX, _FLOAT32_TINY, FitConfig, SceneInit, fit
+from .fitter import _FLOAT32_MAX, _FLOAT32_TINY, FitConfig, fit, init_scene
 from .grid import GridSpec
 from .metrics import confusion, miou, scene_completion_iou
-from .sceneio import (SceneFile, check_header_geometry, check_shapes, gen_synthetic, read_grid,
-                      read_scene, write_grid, write_scene)
+from .sceneio import (SceneFile, check_header_geometry, check_shapes, gen_synthetic,
+                      generating_scene, read_grid, read_scene, write_grid, write_scene)
 from .splat import (DEFAULT_CUTOFF_SIGMA, _check_dense_bytes, build_splat_index, splat,
                     splat_chunks)
 
@@ -201,11 +201,6 @@ def _cmd_eval(args, out) -> int:
 
 
 def _cmd_fit(args, out) -> int:
-    truth = read_grid(args.truth)
-    if args.scene:
-        initial = read_scene(args.scene)
-    else:
-        initial = SceneInit(mode=args.init, count=args.count, jitter=args.jitter)
     config = FitConfig(
         iterations=args.iters,
         learning_rate=args.lr,
@@ -214,24 +209,27 @@ def _cmd_fit(args, out) -> int:
         s_max=args.smax,
         cutoff_sigma=None if args.exact else args.cutoff,
         loss_weights=(args.ce_weight, args.lovasz_weight),
-        seed=args.seed,
         lr_schedule=args.lr_schedule,
         warmup_iters=args.warmup_iters,
     )
-    log_file = open(args.log, "a") if args.log else None
-    try:
-        def log_fn(rec):
-            line = (
+    if args.seed < 0:  # refused with --scene too, which draws nothing
+        raise ValueError(f"seed must be a non-negative int, got {args.seed}")
+    truth = read_grid(args.truth)
+    if args.scene:
+        initial = read_scene(args.scene)
+    else:
+        initial = init_scene(args.init, args.count, truth.spec, args.seed, truth.class_count,
+                             args.smin, args.smax, args.jitter)
+
+    def log_fn(rec):  # opened per record: a fit failing before its first leaves no log
+        with open(args.log, "a") as log_file:
+            log_file.write(
                 f"iter={rec.iteration} ce={rec.ce_loss:.9f} lovasz={rec.lovasz_loss:.9f} "
                 f"loss={rec.total_loss:.9f} miou={rec.miou:.6f} sc_iou={rec.sc_iou:.6f} "
                 f"ms={rec.millis:.3f}\n"
             )
-            if log_file is not None:
-                log_file.write(line)
-        report = fit(initial, truth, config, threads=args.threads, log_fn=log_fn)
-    finally:
-        if log_file is not None:
-            log_file.close()
+    report = fit(initial, truth, config, threads=args.threads,
+                 log_fn=log_fn if args.log else None)
     write_scene(report.scene, args.out)
     last = report.records[-1]
     out.write(
@@ -241,21 +239,20 @@ def _cmd_fit(args, out) -> int:
 
 
 def _cmd_gen(args, out) -> int:
+    if args.scene_out and os.path.realpath(args.scene_out) == os.path.realpath(args.out):
+        raise ValueError(f"--out and --scene-out name one file, {args.out!r}")
     spec = _grid_spec(args)
     with open(args.shapes) as f:
         shapes = json.load(f)
     if not isinstance(shapes, list):
         raise ValueError("shapes file must hold a JSON list")
-    check_shapes(shapes)
     class_count = args.class_count
     if class_count is None:
+        check_shapes(shapes)
         class_count = max((s["cls"] for s in shapes), default=0) + 1
-    result = gen_synthetic(spec, shapes, class_count, emit_scene=bool(args.scene_out))
+    grid = gen_synthetic(spec, shapes, class_count)
     if args.scene_out:
-        grid, scene = result
-        write_scene(scene, args.scene_out)
-    else:
-        grid = result
+        write_scene(generating_scene(grid), args.scene_out)
     write_grid(grid, args.out)
     out.write(f"occupied_voxels={int(np.count_nonzero(grid.labels != 0))}\n")
     return 0
@@ -278,9 +275,7 @@ def random_bench_scene(count: int, spec: GridSpec, class_count: int, s_max: floa
     scales = 0.05 * s_max + rng.random((count, 3)) * 0.95 * s_max
     rotations = rng.normal(size=(count, 4))
     rotations /= np.sqrt(np.sum(rotations ** 2, axis=1, keepdims=True))
-    logits = rng.normal(size=(count, class_count))
-    sem = np.exp(logits - logits.max(axis=1, keepdims=True))
-    sem /= sem.sum(axis=1, keepdims=True)
+    sem = softmax(rng.normal(size=(count, class_count)), axis=1)
     return GaussianScene(means.astype(np.float32), scales.astype(np.float32),
                          rotations.astype(np.float32), sem.astype(np.float32))
 

@@ -171,7 +171,9 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax along ``axis`` in float64, in one array the size of ``x``."""
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = x - np.max(x, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=axis, keepdims=True)
+    return e

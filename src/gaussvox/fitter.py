@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianScene, sigmoid, softmax
+from .core import QUAT_NORM_EPS, GaussianScene, sigmoid, softmax
 from .errors import DivergenceError, UndefinedMetricError
 from .grid import IGNORE_LABEL, GridSpec, OccupancyGrid
 from .losses import _ROW_BYTES, voxel_losses
@@ -26,6 +26,7 @@ from .splat import (
     _VJP_GAUSSIANS,
     SplatIndex,
     _check_dense_bytes,
+    _cutoff,
     _pair_moments,
     build_splat_index,
     frames_vjp,
@@ -49,7 +50,6 @@ class FitConfig:
     s_max: float = 0.3
     cutoff_sigma: float | None = 3.0  # None = exact mode (full-coverage neighborhoods)
     loss_weights: tuple[float, float] = (1.0, 1.0)  # (ce, lovasz)
-    seed: int = 0
     lr_schedule: str = "constant"  # "constant" or "cosine"
     warmup_iters: int = 0
 
@@ -66,15 +66,13 @@ class FitConfig:
         if not (_FLOAT32_TINY <= self.s_min and self.s_max <= _FLOAT32_MAX):
             raise ValueError(f"s_min and s_max must be positive finite float32 values, got "
                              f"{self.s_min} and {self.s_max}")
+        _cutoff(self.cutoff_sigma)
         if not self.warmup_iters >= 0:
             raise ValueError(f"warmup_iters must be >= 0, got {self.warmup_iters}")
         if not all(0 <= w < math.inf for w in self.loss_weights):
             raise ValueError(f"loss_weights must be finite and >= 0, got {self.loss_weights}")
         if self.lr_schedule not in ("constant", "cosine"):
             raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
-                or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
 
     def lr_at(self, iteration: int) -> float:
         lr = self.learning_rate
@@ -296,12 +294,15 @@ class Proposals:
 
 
 def _check_step(params: RawGaussianParams, proposals: Proposals, iteration: int) -> None:
-    """DivergenceError unless every value that ``proposals`` give ``params`` lies
-    in float32's finite range, where a scene's rows must; NaN fails too."""
+    """DivergenceError unless every value that ``proposals`` give ``params`` lies in
+    float32's finite range, where a scene's rows must, NaN failing too, and
+    every rotation's norm, which ``refine_step`` divides by, is above 1e-12."""
     stepped = (params.means + proposals.mean_residual, proposals.raw_scales,
                proposals.rotations, proposals.raw_logits)
     if not all(np.all(np.abs(value) <= _FLOAT32_MAX) for value in stepped):
         raise DivergenceError(iteration, "a step left a parameter non-finite or outside float32")
+    if not np.all(np.sum(proposals.rotations ** 2, axis=1) > QUAT_NORM_EPS ** 2):
+        raise DivergenceError(iteration, f"a step left a rotation of norm {QUAT_NORM_EPS} or less")
 
 
 def refine_step(params: RawGaussianParams, proposals: Proposals) -> RawGaussianParams:
@@ -319,15 +320,6 @@ def refine_step(params: RawGaussianParams, proposals: Proposals) -> RawGaussianP
     return params
 
 
-@dataclass
-class SceneInit:
-    """Initialization request used when ``fit`` is not given a scene."""
-
-    mode: str  # "uniform" or "jittered-grid"
-    count: int
-    jitter: float = 0.5  # lattice jitter in cells, jittered-grid only
-
-
 def init_scene(
     mode: str,
     count: int,
@@ -342,12 +334,15 @@ def init_scene(
 
     ``uniform`` draws means i.i.d. in the volume; ``jittered-grid`` places
     them on a near-regular lattice plus Gaussian jitter (in cells).  Scales
-    start mid-range, rotations at identity, semantics uniform.  A jitter
-    that puts a mean outside float32's finite range is a ValueError.  The
-    float64 means drawn and the float32 scene, ``24 + 4 (10 + C)`` bytes
-    per gaussian, are checked against ``MAX_SCORE_BYTES`` before either
-    exists.
+    start mid-range, rotations at identity, semantics uniform.  ``seed``,
+    which seeds numpy's generator, must be a non-negative int, not a bool.
+    A jitter that puts a mean outside float32's finite range is a
+    ValueError.  The float64 means drawn and the float32 scene, ``24 + 4
+    (10 + C)`` bytes per gaussian, are checked against ``MAX_SCORE_BYTES``
+    before either exists.
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
     if count < 1:
         raise ValueError("count must be >= 1")
     if not 0 <= jitter < math.inf:
@@ -388,13 +383,13 @@ def init_scene(
 
 
 def fit(
-    initial: GaussianScene | SceneInit,
+    initial: GaussianScene,
     truth: OccupancyGrid,
     config: FitConfig,
     threads: int = 1,
     log_fn=None,
 ) -> FitReport:
-    """Iteratively refine a scene against a target grid.
+    """Iteratively refine the scene ``initial``, read or drawn by ``init_scene``, against a grid.
 
     Runs ``config.iterations`` rounds of splat, loss, backward, optimizer and
     refinement, recording losses and metrics per iteration.  ``log_fn``, when
@@ -438,11 +433,6 @@ def fit(
     truth_counts = np.bincount(truth.labels, minlength=IGNORE_LABEL + 1)
     if truth_counts[IGNORE_LABEL] == truth.spec.num_voxels:
         raise ValueError("truth grid has no non-ignore voxel")
-    if isinstance(initial, SceneInit):
-        initial = init_scene(
-            initial.mode, initial.count, truth.spec, config.seed,
-            truth.class_count, config.s_min, config.s_max, initial.jitter,
-        )
     if initial.class_count != truth.class_count:
         raise ValueError("scene and truth class counts differ")
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import GaussianScene, RowChecks
 from .errors import CapacityError, FormatError, InvalidGaussianError
-from .grid import IGNORE_LABEL, MAX_VOXELS, GridChunks, GridSpec, OccupancyGrid
+from .grid import IGNORE_LABEL, MAX_VOXELS, GridChunks, GridSpec, OccupancyGrid, _check_class_count
 from .splat import _check_dense_bytes
 
 SCENE_MAGIC = b"SGAU"
@@ -356,7 +356,8 @@ def check_shapes(shapes) -> None:
     passes its test: finite 3-vectors, a finite radius > 0, a finite offset
     and a finite thickness >= 0."""
     for i, shape in enumerate(shapes):
-        if not isinstance(shape, dict) or shape.get("kind") not in _SHAPE_FIELDS:
+        # Tested against a tuple, by equality: a JSON list or object kind has no hash.
+        if not isinstance(shape, dict) or shape.get("kind") not in tuple(_SHAPE_FIELDS):
             raise ValueError(f"shape {i} must be an object of kind box, sphere or plane")
         cls = shape.get("cls")
         if (isinstance(cls, bool) or not isinstance(cls, (int, np.integer))
@@ -367,8 +368,10 @@ def check_shapes(shapes) -> None:
         missing = [f for f in _SHAPE_FIELDS[kind] if f not in shape]
         if missing:
             raise ValueError(f"shape {i}, a {kind}, lacks {', '.join(missing)}")
-        if kind == "plane" and shape["axis"] not in ("x", "y", "z", 0, 1, 2):
-            raise ValueError(f"shape {i} has axis {shape['axis']!r}, not x, y, z or 0-2")
+        axis = shape.get("axis")  # 1.0 and True equal 1, but cannot index an axis
+        if kind == "plane" and (isinstance(axis, (bool, float))
+                                or axis not in ("x", "y", "z", 0, 1, 2)):
+            raise ValueError(f"shape {i} has axis {axis!r}, not x, y, z or 0-2")
         for field, (test, what) in _FIELD_TESTS.items():
             if field in shape and not test(shape[field]):
                 raise ValueError(f"shape {i}'s {field} must be {what}, got {shape[field]!r}")
@@ -392,24 +395,18 @@ def _shape_mask(shape: dict, centers: np.ndarray) -> np.ndarray:
     return np.abs(centers[:, axis] - float(shape["offset"])) <= half
 
 
-def gen_synthetic(
-    spec: GridSpec,
-    shapes: list[dict],
-    class_count: int,
-    emit_scene: bool = False,
-):
+def gen_synthetic(spec: GridSpec, shapes: list[dict], class_count: int) -> OccupancyGrid:
     """Rasterize simple shapes into a labeled grid; later shapes overwrite.
 
     Each shape dict carries ``kind`` (box / sphere / plane), ``cls`` and its
-    pose fields, checked by ``check_shapes`` before any work.  With
-    ``emit_scene`` a generating GaussianScene is returned as well: one small
-    gaussian per occupied voxel whose cutoff splat reproduces the labels on
-    the non-empty voxels.  The (V, 3) float64
-    voxel centers and the V labels are checked against ``MAX_SCORE_BYTES``
-    before they exist; each shape is tested ``_SHAPE_BLOCK`` voxels at a
-    time, so its temporaries do not grow with the grid, and the centers are
-    dropped before the grid checks its labels.
+    pose fields.  ``class_count``, in [1, 255], is checked first, then the
+    shapes by ``check_shapes``, before any work.  The (V, 3) float64 voxel
+    centers and the V labels are checked against ``MAX_SCORE_BYTES`` before
+    they exist; each shape is tested ``_SHAPE_BLOCK`` voxels at a time, so
+    its temporaries do not grow with the grid, and the centers are dropped
+    before the grid checks its labels.
     """
+    _check_class_count(class_count)
     check_shapes(shapes)
     _check_dense_bytes(spec.num_voxels, 24 + 1)
     centers = spec.voxel_centers()
@@ -421,19 +418,33 @@ def gen_synthetic(
         for a in range(0, spec.num_voxels, _SHAPE_BLOCK):
             block = slice(a, a + _SHAPE_BLOCK)
             labels[block][_shape_mask(shape, centers[block])] = cls
-    if emit_scene:
-        occupied = np.flatnonzero(labels != 0)
-        means = centers[occupied].astype(np.float32)
     del centers
-    grid = OccupancyGrid(spec, class_count, labels)
-    if not emit_scene:
-        return grid
+    return OccupancyGrid(spec, class_count, labels)
 
-    n = occupied.size
-    cell = np.asarray(spec.cell_size)
-    scales = np.tile((0.4 * cell).astype(np.float32), (n, 1))
+
+def generating_scene(grid: OccupancyGrid) -> GaussianScene:
+    """A scene whose cutoff splat reproduces ``grid``'s labels on its non-empty voxels.
+
+    One small gaussian per voxel labeled neither 0 nor ``IGNORE_LABEL``, in
+    voxel order: its mean is the voxel's center, ``origin + (i + 0.5) *
+    cell`` per axis, the ops and bits of ``voxel_centers``; its scales 0.4
+    cells, its rotation the identity, its semantics 0.9 at its label and 0.1
+    shared by the rest.  All it allocates per gaussian is checked against
+    ``MAX_SCORE_BYTES`` before any of it exists.
+    """
+    spec, c = grid.spec, grid.class_count
+    occupied = (grid.labels != 0) & (grid.labels != IGNORE_LABEL)
+    n = int(np.count_nonzero(occupied))
+    _check_dense_bytes(n, 8 + 1 + 24 + 16 + 8 + 4 * (10 + c), per="gaussian")
+    ids = np.flatnonzero(occupied)
+    labels = grid.labels[ids]
+    means = np.empty((n, 3), dtype=np.float32)
+    for axis, (o, cell, i) in enumerate(zip(spec.origin, spec.cell_size,
+                                            np.unravel_index(ids, spec.dims))):
+        means[:, axis] = o + (i + 0.5) * cell
+    scales = np.tile((0.4 * np.asarray(spec.cell_size)).astype(np.float32), (n, 1))
     rotations = np.zeros((n, 4), dtype=np.float32)
     rotations[:, 0] = 1.0
-    sem = np.full((n, class_count), 0.1 / max(1, class_count - 1), dtype=np.float32)
-    sem[np.arange(n), labels[occupied]] = 0.9
-    return grid, GaussianScene(means, scales, rotations, sem)
+    sem = np.full((n, c), 0.1 / max(1, c - 1), dtype=np.float32)
+    sem[np.arange(n), labels] = 0.9
+    return GaussianScene(means, scales, rotations, sem)

@@ -515,8 +515,8 @@ def _box_blocks(frame, index: SplatIndex, axes, g: int, x_range=None):
     ``(start, stop)``, by default the whole grid.  Blocks are whole
     x-layers, ascending, at most ``_SLAB_PAIRS`` pairs and at least one
     layer.  Each item is the block's (x, y, z) slices of the grid, with x
-    counted from ``start``, and its ``w, z`` from ``pair_weights`` against
-    the broadcast (nx, 1, 1), (1, ny, 1) and (nz,) axis centers.
+    counted from ``start``, and its weights ``w`` from ``pair_weights``
+    against the broadcast (nx, 1, 1), (1, ny, 1) and (nz,) axis centers.
     """
     cx, cy, cz = axes
     (x_lo, y_lo, z_lo), (nx, ny, nz) = index.lo[g].tolist(), index.counts[g].tolist()
@@ -528,8 +528,8 @@ def _box_blocks(frame, index: SplatIndex, axes, g: int, x_range=None):
     layers = max(1, _SLAB_PAIRS // (ny * nz))
     for x0 in range(max(x_lo, start), x_end, layers):
         x1 = min(x0 + layers, x_end)
-        w, z = pair_weights(a, off, (cx[x0:x1, None, None], pts_y, pts_z))
-        yield (slice(x0 - start, x1 - start), ys, zs), w, z
+        w = pair_weights(a, off, (cx[x0:x1, None, None], pts_y, pts_z))[0]
+        yield (slice(x0 - start, x1 - start), ys, zs), w
 
 
 def _row_map(voxels: np.ndarray, v: int) -> np.ndarray:
@@ -566,7 +566,7 @@ def _box_moments(frame, index: SplatIndex, axes, g: int, gather, sem: np.ndarray
     x_lo = int(index.lo[g, 0])
     ks, js = _from_middle(nz), _from_middle(ny)
     layers = np.empty((nx, 10 + c))
-    for block, w, _ in _box_blocks(frame, index, axes, g):
+    for block, w in _box_blocks(frame, index, axes, g):
         rows = layers[block[0].start - x_lo : block[0].stop - x_lo]
         d = np.moveaxis(gather(block), -1, 0)
         cw = d[0] * sem[0]
@@ -848,8 +848,8 @@ def _accumulate(scene, index: SplatIndex, scores=None, voxels=None, x_range=None
                     continue
                 for k in range(lo, hi):
                     sem = rows.logits[meet[k]].astype(np.float64)
-                    for block, w, _ in _box_blocks((a[..., k], off[:, k]), index, axes, g[k],
-                                                   (x0, x1)):
+                    for block, w in _box_blocks((a[..., k], off[:, k]), index, axes, g[k],
+                                                (x0, x1)):
                         part = grid[block] if voxels is None else slab[grid[block]]
                         for cls in range(c):
                             part[..., cls] += (w * sem[cls]).astype(np.float32)

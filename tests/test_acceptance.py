@@ -301,7 +301,7 @@ def test_criterion_4_fit_recovery():
         truth_scene.scales, truth_scene.rotations, truth_scene.logits,
     )
     config = FitConfig(iterations=500, learning_rate=0.01, weight_decay=0.0,
-                       cutoff_sigma=None, seed=0)
+                       cutoff_sigma=None)
     t0 = time.perf_counter()
     fit_report = fit(initial, truth, config)
     elapsed = time.perf_counter() - t0

@@ -265,6 +265,54 @@ def test_gen_capacity_checked_before_allocation_exit_2(tmp_path, monkeypatch, ca
     assert not (tmp_path / "g.sgau").exists()
 
 
+def test_gen_scene_capacity_checked_before_allocation_exit_2(tmp_path, monkeypatch, capsys):
+    # The cap is the grid's 25 bytes per voxel, which gen_synthetic's check
+    # passes; the box fills the grid, whose every voxel's gaussian costs
+    # more.  The scene was drawn unchecked.
+    monkeypatch.setattr(importlib.import_module("gaussvox.splat"), "MAX_SCORE_BYTES", 25 * 512)
+    shapes = tmp_path / "shapes.json"
+    shapes.write_text(json.dumps([{"kind": "box", "cls": 1, "min": [-1, -1, -1],
+                                   "max": [5, 5, 5]}]))
+    code, _ = run(["gen", *GRID_FLAGS, "--shapes", str(shapes), "--out", str(tmp_path / "g.svox"),
+                   "--scene-out", str(tmp_path / "g.sgau")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "bytes of dense per-gaussian arrays exceed" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["shapes.json"]
+
+
+@pytest.mark.parametrize("scene_out", ["g.svox", "sub/../g.svox"], ids=["same", "dotdot"])
+def test_gen_refuses_one_path_for_out_and_scene_out_exit_2(tmp_path, monkeypatch, capsys,
+                                                          scene_out):
+    # The scene was written, then overwritten by the grid, with exit 0.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "shapes.json").write_text(json.dumps([BOX]))
+    code, _ = run(["gen", *GRID_FLAGS, "--shapes", "shapes.json", "--out", "g.svox",
+                   "--scene-out", scene_out])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: --out and --scene-out") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["shapes.json", "sub"]
+
+
+@pytest.mark.parametrize("shapes", [[], [{"kind": "box", "cls": 1, "min": [1, 1, 1],
+                                          "max": [3, 3, 3]}]], ids=["no-shapes", "shapes"])
+@pytest.mark.parametrize("class_count", ["0", "-3", "256"])
+def test_gen_names_a_bad_class_count_exit_2(tmp_path, capsys, shapes, class_count):
+    # With a shape, 0 and -3 were blamed on it: "shape class 1 out of range".
+    path = tmp_path / "shapes.json"
+    path.write_text(json.dumps(shapes))
+    out = tmp_path / "g.svox"
+    code, _ = run(["gen", *GRID_FLAGS, "--shapes", str(path), f"--class-count={class_count}",
+                   "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: class_count must be in [1, 255], got {class_count}\n"
+    assert not out.exists()
+
+
 def test_fit_capacity_checked_before_allocation_exit_2(tmp_path, monkeypatch, capsys):
     # Per voxel, a fit holds 4 bytes per class of float32 score rows, 8 of
     # the loss's buffer, 9 of voxel ids and labels and 101 of the loss's
@@ -390,6 +438,10 @@ BOX = {"kind": "box", "cls": 1, "min": [1, 1, 1], "max": [3, 3, 3]}
     ({"kind": "sphere", "cls": 1, "center": [1, 1, 1]}, "lacks radius"),
     ({"kind": "plane", "cls": 1, "axis": 5, "offset": 1.0}, "axis 5"),
     ({"kind": "plane", "cls": 1, "axis": "w", "offset": 1.0}, "axis 'w'"),
+    ({"kind": "plane", "cls": 1, "axis": True, "offset": 1.0}, "axis True"),
+    ({"kind": "plane", "cls": 1, "axis": 1.0, "offset": 1.0}, "axis 1.0"),
+    ({"kind": ["box"], "cls": 1, "min": [0, 0, 0], "max": [1, 1, 1]},
+     "kind box, sphere or plane"),
     ({"kind": "box", "cls": 1.5, "min": [0, 0, 0], "max": [1, 1, 1]}, "integer cls"),
     ({"kind": "box", "cls": True, "min": [0, 0, 0], "max": [1, 1, 1]}, "integer cls"),
     ({"kind": "box", "cls": 1, "max": [1, 1, 1]}, "lacks min"),
@@ -416,7 +468,8 @@ BOX = {"kind": "box", "cls": 1, "min": [1, 1, 1], "max": [3, 3, 3]}
      "thickness must be"),
     ({"kind": "plane", "cls": 1, "axis": "x", "offset": 1.0, "thickness": float("nan")},
      "thickness must be"),
-], ids=["no-cls", "no-radius", "axis-5", "axis-w", "float-cls", "bool-cls", "no-min",
+], ids=["no-cls", "no-radius", "axis-5", "axis-w", "axis-true", "axis-float", "list-kind",
+        "float-cls", "bool-cls", "no-min",
         "torus", "no-kind", "number", "cls-300", "cls-255", "cls-negative", "min-of-2",
         "nan-max", "huge-max", "scalar-min", "string-center", "null-radius", "zero-radius",
         "inf-radius", "bool-radius", "inf-offset", "string-offset", "negative-thickness",
@@ -486,6 +539,27 @@ def test_fit_rejects_values_past_float32_exit_2(tmp_path, capsys, flags, message
     assert err.startswith(message) and err.count("\n") == 1, err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
+
+
+def test_fit_step_that_zeroes_a_rotation_diverges_and_leaves_no_log(tmp_path, capsys):
+    # At lr 1 and weight decay 1 the first step takes each identity rotation
+    # of the isotropic start to 0, which the renormalization divided by: a
+    # RuntimeWarning, and an error naming gaussian 0.  The log was created
+    # before the fit, and left empty.
+    shapes = tmp_path / "shapes.json"
+    shapes.write_text(json.dumps([BOX]))
+    truth = tmp_path / "truth.svox"
+    assert run(["gen", *GRID_FLAGS, "--shapes", str(shapes), "--out", str(truth)])[0] == 0
+    out, log = tmp_path / "fit.sgau", tmp_path / "fit.log"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run(["fit", "--truth", str(truth), "--out", str(out), "--count", "8",
+                       "--iters", "2", "--lr", "1", "--weight-decay", "1", "--log", str(log)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: a step left a rotation of norm 1e-12 or less at iteration 0\n", err
+    assert not caught
+    assert not out.exists() and not log.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "inf", "1e300", "1e-46"])

@@ -16,7 +16,6 @@ from gaussvox import (
     OccupancyGrid,
     Proposals,
     RawGaussianParams,
-    SceneInit,
     backward_splat,
     build_splat_index,
     fit,
@@ -250,6 +249,12 @@ def test_init_scene_rejects_bad_input():
         with pytest.raises(ValueError, match="jitter"):
             init_scene("jittered-grid", 4, SPEC8, seed=0, class_count=2, jitter=jitter)
     assert len(init_scene("jittered-grid", 4, SPEC8, seed=0, class_count=2, jitter=0.0)) == 4
+    # The seed is a non-negative int, as numpy's generators take it; bools are refused.
+    for seed in (-1, 1.5, True, "3", None, np.float64(2.0)):
+        with pytest.raises(ValueError, match="seed must be a non-negative int"):
+            init_scene("uniform", 4, SPEC8, seed=seed, class_count=2)
+    for seed in (np.int64(3), 2 ** 70):
+        assert len(init_scene("uniform", 4, SPEC8, seed=seed, class_count=2)) == 4
 
 
 def test_fit_zero_gradient_fixed_point():
@@ -271,10 +276,10 @@ def test_fit_zero_gradient_fixed_point():
 def test_fit_deterministic():
     rng = np.random.default_rng(57)
     truth = random_truth(rng, SPEC8, 3)
-    config = FitConfig(iterations=8, s_min=S_MIN, s_max=S_MAX, cutoff_sigma=None,
-                       seed=11)
-    a = fit(SceneInit("uniform", 6), truth, config)
-    b = fit(SceneInit("uniform", 6), truth, config)
+    config = FitConfig(iterations=8, s_min=S_MIN, s_max=S_MAX, cutoff_sigma=None)
+    initial = init_scene("uniform", 6, SPEC8, 11, 3, S_MIN, S_MAX)
+    a = fit(initial, truth, config)
+    b = fit(initial, truth, config)
     assert [r.total_loss for r in a.records] == [r.total_loss for r in b.records]
     assert np.array_equal(a.scene.means, b.scene.means)
     assert np.array_equal(a.scene.logits, b.scene.logits)
@@ -285,8 +290,8 @@ def test_fit_reduces_loss():
     rng = np.random.default_rng(58)
     truth = random_truth(rng, SPEC8, 2)
     config = FitConfig(iterations=30, learning_rate=0.05, s_min=S_MIN, s_max=S_MAX,
-                       cutoff_sigma=None, seed=2)
-    report = fit(SceneInit("uniform", 8), truth, config)
+                       cutoff_sigma=None)
+    report = fit(init_scene("uniform", 8, SPEC8, 2, 2, S_MIN, S_MAX), truth, config)
     assert report.records[-1].total_loss < report.records[0].total_loss
 
 
@@ -311,17 +316,13 @@ def test_fit_config_validation_and_schedule():
                          ("weight_decay", math.inf), ("weight_decay", -1e-3),
                          ("warmup_iters", -3), ("iterations", math.nan),
                          ("loss_weights", (math.nan, 1.0)), ("loss_weights", (1.0, math.inf)),
-                         ("loss_weights", (-1.0, 1.0))):
+                         ("loss_weights", (-1.0, 1.0)), ("cutoff_sigma", math.nan),
+                         ("cutoff_sigma", 0.0), ("cutoff_sigma", -3.0)):
         with pytest.raises(ValueError, match=field):
             FitConfig(**{field: value})
     for s_min, s_max in ((math.nan, 0.3), (0.01, math.nan), (0.01, math.inf), (0.3, 0.3)):
         with pytest.raises(ValueError, match="s_min < s_max"):
             FitConfig(s_min=s_min, s_max=s_max)
-    # The seed is a non-negative int, as numpy's generators take it; bools are refused.
-    for seed in (-1, 1.5, True, "3", None, np.float64(2.0)):
-        with pytest.raises(ValueError, match="seed must be a non-negative int"):
-            FitConfig(seed=seed)
-    assert FitConfig(seed=np.int64(3)).seed == 3 and FitConfig(seed=2 ** 70).seed == 2 ** 70
     cfg = FitConfig(iterations=100, learning_rate=1.0, lr_schedule="cosine",
                     warmup_iters=10)
     assert cfg.lr_at(0) == pytest.approx(0.1)
@@ -666,10 +667,10 @@ def test_fit_checks_its_per_voxel_arrays_before_the_first(monkeypatch):
     bound = SPEC8.num_voxels * (12 * 3 + 110)
     monkeypatch.setattr(splat_module, "MAX_SCORE_BYTES", bound - 1)
     with pytest.raises(CapacityError):
-        fit(SceneInit("uniform", 4), truth, FitConfig(iterations=1))
+        fit(init_scene("uniform", 4, SPEC8, 0, 3), truth, FitConfig(iterations=1))
     assert splats == []
     monkeypatch.setattr(splat_module, "MAX_SCORE_BYTES", bound)
-    fit(SceneInit("uniform", 4), truth, FitConfig(iterations=1))
+    fit(init_scene("uniform", 4, SPEC8, 0, 3), truth, FitConfig(iterations=1))
     assert splats == [1]
 
 

@@ -18,12 +18,14 @@ from gaussvox import (
     NonFiniteValueError,
     OccupancyGrid,
     gen_synthetic,
+    generating_scene,
     read_grid,
     read_scene,
     splat,
     write_grid,
     write_scene,
 )
+from gaussvox.grid import IGNORE_LABEL
 
 
 def random_scene(rng, count, class_count):
@@ -487,8 +489,19 @@ def test_gen_holds_what_its_capacity_check_counts():
     expected[np.sum((centers - shapes[1]["center"]) ** 2, axis=1) <= 1.9 * 1.9] = 2
     assert np.array_equal(grid.labels, expected)
     expected[np.abs(centers[:, 2] - 0.6) <= 0.15] = 3
-    with_scene, scene = gen_synthetic(spec, shapes, 4, emit_scene=True)
-    assert np.array_equal(with_scene.labels, expected)
+    grid = gen_synthetic(spec, shapes, 4)
+    assert np.array_equal(grid.labels, expected)
+    # generating_scene checks 57 + 4 (10 + C) bytes per gaussian; its masks
+    # over the labels, 3 bytes per voxel at most, fall in gen's 25.
+    # Measured: 101.9 bytes per gaussian, masks included.
+    n = int(np.count_nonzero(expected))
+    tracemalloc.start()
+    try:
+        scene = generating_scene(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (57 + 4 * (10 + 4)) * n + 3 * spec.num_voxels, peak / n
     assert np.array_equal(scene.means, centers[expected != 0].astype(np.float32))
 
 
@@ -518,12 +531,23 @@ def test_gen_synthetic_scene_reproduces_labels():
         {"kind": "box", "cls": 1, "min": [0.5, 0.5, 0.5], "max": [2.5, 2.5, 2.5]},
         {"kind": "sphere", "cls": 2, "center": [4.0, 4.0, 3.0], "radius": 1.4},
     ]
-    grid, scene = gen_synthetic(spec, shapes, 3, emit_scene=True)
-    pred = splat(scene, spec, 3.0)
+    grid = gen_synthetic(spec, shapes, 3)
+    pred = splat(generating_scene(grid), spec, 3.0)
     occupied = grid.labels != 0
     assert occupied.any()
     agreement = np.mean(pred.labels[occupied] == grid.labels[occupied])
     assert agreement >= 0.99
+
+
+def test_generating_scene_skips_empty_and_ignored_voxels():
+    spec = GridSpec((0.5, -1.0, 2.0), (0.5, 0.25, 1.0), (3, 4, 2))
+    labels = np.zeros(spec.num_voxels, dtype=np.uint8)
+    labels[[1, 6, 7, 20]] = [2, IGNORE_LABEL, 1, 2]
+    scene = generating_scene(OccupancyGrid(spec, 3, labels))
+    assert np.array_equal(scene.means, spec.voxel_centers()[[1, 7, 20]].astype(np.float32))
+    assert np.array_equal(scene.logits.argmax(axis=1), [2, 1, 2])
+    assert np.allclose(scene.logits.sum(axis=1), 1.0)
+    assert np.array_equal(scene.scales, np.tile(np.float32([0.2, 0.1, 0.4]), (3, 1)))
 
 
 def test_gen_synthetic_rejects_bad_class():
@@ -533,3 +557,7 @@ def test_gen_synthetic_rejects_bad_class():
                               "max": [1, 1, 1]}], 3)
     with pytest.raises(ValueError):
         gen_synthetic(spec, [{"kind": "torus", "cls": 1}], 3)
+    # The class count is checked before the shapes, malformed ones included.
+    for class_count in (0, 256):
+        with pytest.raises(ValueError, match="class_count must be in"):
+            gen_synthetic(spec, [{"kind": "torus", "cls": 1}], class_count)
